@@ -2,50 +2,4 @@
 any forensic stakeholder can later prove a presented log byte-identical to
 what was produced, or detect that it was tampered with."""
 
-from .crypto import (
-    Digest,
-    KeyPair,
-    Signature,
-    generate_keypair,
-    node_id,
-    sha256_digest,
-    sign,
-    verify_signature,
-)
-from .ledger import (
-    AnchorTransaction,
-    Block,
-    BlockHeader,
-    Chain,
-    ChainFileError,
-    ChainValidationError,
-    NodeRole,
-    RegistrationTransaction,
-    build_anchor_tx,
-    build_registration_tx,
-    canonical_tx_bytes,
-    block_hash,
-    decode_tx,
-    make_genesis,
-    merkle_root,
-    tx_id,
-    validate_block,
-    validate_chain,
-    verify_tx,
-)
-from .consensus import Mempool, MiningError, NodeState, check_pow, choose_chain, mine_block
-from .ingest import LogRecord, LogSource, RecordError, anchor_record, canonicalize_record, ingest
-from .verify import (
-    CustodyAttestation,
-    InclusionProof,
-    Verdict,
-    court_recheck,
-    make_attestation,
-    make_inclusion_proof,
-    verify_custody,
-    verify_inclusion_proof,
-    verify_log,
-)
-from .store import BlockStore, load_chain
-
 __version__ = "0.1.0"

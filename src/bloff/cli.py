@@ -39,13 +39,12 @@ from .ledger import (
     NodeRole,
     RegistrationTransaction,
     Transaction,
-    apply_block_registry,
     block_to_json_line,
     build_registration_tx,
     canonical_tx_bytes,
     decode_tx,
     make_genesis,
-    tx_context_reason,
+    registry_walk,
     tx_id,
     tx_to_dict,
     validate_chain,
@@ -90,17 +89,6 @@ def read_input_bytes(path: str) -> bytes:
         return sys.stdin.buffer.read()
     with open(path, "rb") as fh:
         return fh.read()
-
-
-def effective_registry(chain: Chain, pending: list[Transaction]) -> dict[bytes, NodeRole]:
-    """Chain registry plus pending registrations, mirroring what a miner
-    drawing from the same pool would accept."""
-    registry = dict(chain.registered_nodes)
-    for tx in pending:
-        if isinstance(tx, RegistrationTransaction) and verify_tx(tx) is None:
-            if tx_context_reason(tx, registry) is None:
-                apply_block_registry(registry, tx)
-    return registry
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -221,28 +209,24 @@ def cmd_submit(args) -> int:
         print("nothing to submit", file=sys.stderr)
         return 2
 
+    chain = load_chain_target(target)
+    pending: list[Transaction] = []
+    if not is_address(target):
+        pool_path = mempool_path_for(target, args.mempool)
+        pending = [decode_tx(raw) for raw in store_mod.load_mempool_file(pool_path)]
+    # Pending registrations count first, as a miner drawing from the same pool would take them.
+    registry = dict(chain.registered_nodes)
+    pending = [tx for tx in pending if isinstance(tx, RegistrationTransaction) and verify_tx(tx) is None]
+    for _ in registry_walk(pending, registry):
+        pass
+    for tx, reason in registry_walk(txs, registry):
+        reason = verify_tx(tx) or reason
+        if reason is not None:
+            print(f"rejected: {reason}", file=sys.stderr)
+            return 2
     if is_address(target):
-        chain = validate_chain(fetch_chain(target))
-        registry = dict(chain.registered_nodes)
-        for tx in txs:
-            reason = tx_context_reason(tx, registry)
-            if reason is not None:
-                print(f"rejected: {reason}", file=sys.stderr)
-                return 2
-            apply_block_registry(registry, tx)
         send_txs(target, txs)
     else:
-        store = BlockStore.open(target)
-        pool_path = mempool_path_for(target, args.mempool)
-        pending_raw = store_mod.load_mempool_file(pool_path)
-        pending = [decode_tx(raw) for raw in pending_raw]
-        registry = effective_registry(store.chain, pending)
-        for tx in txs:
-            reason = verify_tx(tx) or tx_context_reason(tx, registry)
-            if reason is not None:
-                print(f"rejected: {reason}", file=sys.stderr)
-                return 2
-            apply_block_registry(registry, tx)
         store_mod.append_mempool_file(pool_path, [canonical_tx_bytes(tx) for tx in txs])
 
     for tx in txs:

@@ -19,11 +19,10 @@ from .ledger import (
     Chain,
     NodeRole,
     Transaction,
-    apply_block_registry,
     block_hash,
     leading_zero_bits,
     merkle_root,
-    tx_context_reason,
+    registry_walk,
     tx_id,
     validate_chain,
     verify_tx,
@@ -89,11 +88,6 @@ class Mempool:
         return list(self._txs.values())
 
 
-def check_pow(header: BlockHeader, difficulty: int) -> bool:
-    """True iff the header hash has at least ``difficulty`` leading zero bits."""
-    return leading_zero_bits(block_hash(header)) >= difficulty
-
-
 def mine_block(
     pool: Mempool,
     parent_header: BlockHeader,
@@ -111,13 +105,11 @@ def mine_block(
     """
     if registered_nodes.get(miner.public_key) != NodeRole.CSP_MINER:
         raise MiningError("miner-not-registered")
-    registry = dict(registered_nodes)
     selected: list[Transaction] = []
-    for tx in pool.oldest():
-        if tx_context_reason(tx, registry) is not None:
+    for tx, reason in registry_walk(pool.oldest(), dict(registered_nodes)):
+        if reason is not None:
             continue
         selected.append(tx)
-        apply_block_registry(registry, tx)
         if len(selected) >= block_tx_cap:
             break
     if not selected:
@@ -134,7 +126,7 @@ def mine_block(
             difficulty=difficulty,
             nonce=nonce,
         )
-        if check_pow(header, difficulty):
+        if leading_zero_bits(block_hash(header)) >= difficulty:
             return Block(header=header, transactions=tuple(selected))
     raise MiningError("nonce-exhausted")  # pragma: no cover - 2**64 attempts
 
@@ -219,12 +211,14 @@ class NodeState:
                 total -= 1
             return "orphaned"
 
-        parent = self.known_blocks[block.header.prev_hash]
-        ancestry = self._ancestry(parent)
-        if ancestry is None:
-            return "rejected:missing-ancestry"
+        ancestry = None
+        if block.header.prev_hash != self.best_tip:
+            ancestry = self._ancestry(self.known_blocks[block.header.prev_hash])
+            if ancestry is None:
+                return "rejected:missing-ancestry"
         try:
-            candidate = validate_chain(ancestry + [block])
+            parent_chain = self.best if ancestry is None else validate_chain(ancestry)
+            candidate = parent_chain.extend(block)
         except Exception as exc:
             reason = getattr(exc, "reason", str(exc))
             return f"rejected:{reason}"

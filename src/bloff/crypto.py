@@ -9,6 +9,7 @@ safe for unrestricted concurrent use.
 from __future__ import annotations
 
 import hashlib
+import os
 from dataclasses import dataclass
 
 from cryptography.exceptions import InvalidSignature
@@ -130,8 +131,13 @@ def node_id(public_key: bytes) -> str:
 
 
 def save_keypair(path: str, keypair: KeyPair) -> None:
-    """Write the two-line key file: ``secret: <hex>`` then ``public: <hex>``."""
-    with open(path, "w", encoding="ascii") as fh:
+    """Write the two-line key file: ``secret: <hex>`` then ``public: <hex>``.
+
+    The file is owner-only (0600) whatever the umask, also when it existed.
+    """
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o600)
+    os.fchmod(fd, 0o600)
+    with os.fdopen(fd, "w", encoding="ascii") as fh:
         fh.write(f"secret: {keypair.secret_key.hex()}\n")
         fh.write(f"public: {keypair.public_key.hex()}\n")
 

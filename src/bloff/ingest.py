@@ -11,7 +11,7 @@ from __future__ import annotations
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Protocol
 
 from .crypto import Digest, KeyPair, sha256_digest
@@ -77,7 +77,7 @@ class LogRecord:
 
 @dataclass(frozen=True)
 class LogSource:
-    kind: str  # "file" | "directory-watch" | "standard-input"
+    kind: str  # "file" | "standard-input"
     source_id: str
     location: str | None = None
 
@@ -105,68 +105,8 @@ def ingest(source: LogSource, clock=time.time) -> Iterator[LogRecord]:
             yield from _records_from_lines(fh, source.source_id, clock)
     elif source.kind == "standard-input":
         yield from _records_from_lines(sys.stdin.buffer, source.source_id, clock)
-    elif source.kind == "directory-watch":
-        if source.location is None or not os.path.isdir(source.location):
-            raise SourceError(f"unreadable log source: {source.location}")
-        watcher = DirectoryWatcher(source.location, source.source_id, clock=clock)
-        while True:
-            for record in watcher.poll():
-                yield record
-            time.sleep(0.2)
     else:
         raise SourceError(f"unknown source kind: {source.kind}")
-
-
-@dataclass
-class DirectoryWatcher:
-    """Tail every file in a directory, yielding newly appended lines.
-
-    ``poll()`` performs one non-blocking scan in sorted file order, buffering
-    incomplete trailing lines until their terminator arrives.
-    """
-
-    directory: str
-    source_id: str
-    clock: object = time.time
-    _offsets: dict[str, int] = field(default_factory=dict)
-    _partial: dict[str, bytes] = field(default_factory=dict)
-
-    def poll(self) -> list[LogRecord]:
-        records: list[LogRecord] = []
-        for name in sorted(os.listdir(self.directory)):
-            path = os.path.join(self.directory, name)
-            if not os.path.isfile(path):
-                continue
-            offset = self._offsets.get(path, 0)
-            size = os.path.getsize(path)
-            if size <= offset:
-                continue
-            with open(path, "rb") as fh:
-                fh.seek(offset)
-                data = self._partial.pop(path, b"") + fh.read()
-            self._offsets[path] = size
-            lines = data.split(b"\n")
-            self._partial[path] = lines.pop()  # bytes after the last terminator
-            for line in lines:
-                if line in (b"", b"\r"):
-                    continue
-                raw = canonicalize_record(line + b"\n")
-                records.append(
-                    LogRecord(raw=raw, source_id=self.source_id, capture_timestamp=int(self.clock()))
-                )
-        return records
-
-    def flush_tails(self) -> list[LogRecord]:
-        """Treat buffered unterminated tails as final lines (end of watch)."""
-        records = []
-        for path, tail in sorted(self._partial.items()):
-            if tail:
-                raw = canonicalize_record(tail)
-                records.append(
-                    LogRecord(raw=raw, source_id=self.source_id, capture_timestamp=int(self.clock()))
-                )
-                self._partial[path] = b""
-        return records
 
 
 def build_anchor_for_record(record: LogRecord, keypair: KeyPair) -> AnchorTransaction:

@@ -5,8 +5,10 @@ Transactions carry either a log digest (anchor) or a node admission
 JSON-lines chain file is a carrier whose hashes and signatures are always
 computed over the canonical bytes, never over the JSON.
 
-All validation is pure. A constructed ``Chain`` is treated as immutable;
-concurrent readers are safe.
+One validation path: ``Chain.extend`` checks a new block once, against its
+parent's state. ``validate_chain`` folds the same step from genesis, for a
+whole chain that arrives at once (a file load, a peer's chain). A
+constructed ``Chain`` is treated as immutable; concurrent readers are safe.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import enum
 import json
 import struct
 from dataclasses import dataclass, field
+from typing import Iterator
 
 from .crypto import (
     DIGEST_LEN,
@@ -585,6 +588,28 @@ class Chain:
         """All (height, tx index) pairs anchoring ``log_hash``; heights are 1-based."""
         return list(self.anchor_index.get(log_hash, ()))
 
+    def extend(self, block: Block) -> Chain:
+        """This chain plus ``block``, checked once against the tip's state.
+        Raises ChainValidationError at the new height; ``self`` is unchanged."""
+        index = {log_hash: list(locations) for log_hash, locations in self.anchor_index.items()}
+        child = Chain(list(self.blocks), dict(self.registered_nodes), index)
+        child._connect(block)
+        return child
+
+    def _connect(self, block: Block) -> None:
+        """The one validation step: check ``block`` against this chain's tip
+        and registry, then advance the blocks and both indexes in place."""
+        height = self.height + 1
+        parent = self.tip.header if self.blocks else None
+        reason = validate_block(block, parent, self.registered_nodes)
+        if reason is not None:
+            raise ChainValidationError(height, reason)
+        checks = registry_walk(block.transactions, self.registered_nodes, genesis=parent is None)
+        for tx_index, (tx, _) in enumerate(checks):
+            if isinstance(tx, AnchorTransaction):
+                self.anchor_index.setdefault(tx.log_hash, []).append((height, tx_index))
+        self.blocks.append(block)
+
 
 def tx_context_reason(
     tx: Transaction,
@@ -613,6 +638,18 @@ def tx_context_reason(
     return None
 
 
+def registry_walk(
+    txs, registry: dict[bytes, NodeRole], genesis: bool = False
+) -> Iterator[tuple[Transaction, str | None]]:
+    """Yield each tx with its ``tx_context_reason``, admitting each passing
+    registration into ``registry`` (the caller's copy) for the txs after it."""
+    for tx in txs:
+        reason = tx_context_reason(tx, registry, genesis)
+        if reason is None and isinstance(tx, RegistrationTransaction) and tx.role is not None:
+            registry[tx.new_node_pubkey] = tx.role
+        yield tx, reason
+
+
 def validate_block(
     block: Block,
     parent_header: BlockHeader | None,
@@ -621,8 +658,8 @@ def validate_block(
     """Check one block against its parent and the registry built so far.
 
     ``parent_header`` is None only for the genesis block. Checks run in a
-    fixed order and the first failure's reason tag is returned. The passed
-    registry is not modified; use ``apply_block_registry`` to advance it.
+    fixed order and the first failure's reason tag is returned (per tx,
+    ``verify_tx`` before registry rules). The registry is not modified.
     """
     if not block.transactions:
         return "empty-block"
@@ -639,22 +676,12 @@ def validate_block(
         return "bad-pow"
     if parent_header is not None and block.header.timestamp < parent_header.timestamp:
         return "bad-timestamp"
-    registry = dict(registered_nodes)
-    for tx in block.transactions:
-        reason = verify_tx(tx)
+    checks = registry_walk(block.transactions, dict(registered_nodes), genesis=parent_header is None)
+    for tx, reason in checks:
+        reason = verify_tx(tx) or reason
         if reason is not None:
             return reason
-        reason = tx_context_reason(tx, registry, genesis=parent_header is None)
-        if reason is not None:
-            return reason
-        apply_block_registry(registry, tx)
     return None
-
-
-def apply_block_registry(registry: dict[bytes, NodeRole], tx: Transaction) -> None:
-    """Registrations take effect immediately for later txs in the same block."""
-    if isinstance(tx, RegistrationTransaction) and tx.role is not None:
-        registry[tx.new_node_pubkey] = tx.role
 
 
 def validate_chain(blocks: list[Block]) -> Chain:
@@ -664,20 +691,10 @@ def validate_chain(blocks: list[Block]) -> Chain:
     """
     if not blocks:
         raise ChainValidationError(0, "empty-chain")
-    registered: dict[bytes, NodeRole] = {}
-    anchor_index: dict[Digest, list[tuple[int, int]]] = {}
-    parent: BlockHeader | None = None
-    for index, block in enumerate(blocks):
-        height = index + 1
-        reason = validate_block(block, parent, registered)
-        if reason is not None:
-            raise ChainValidationError(height, reason)
-        for tx_index, tx in enumerate(block.transactions):
-            apply_block_registry(registered, tx)
-            if isinstance(tx, AnchorTransaction):
-                anchor_index.setdefault(tx.log_hash, []).append((height, tx_index))
-        parent = block.header
-    return Chain(blocks=list(blocks), registered_nodes=registered, anchor_index=anchor_index)
+    chain = Chain(blocks=[])
+    for block in blocks:
+        chain._connect(block)
+    return chain
 
 
 def make_genesis(authorities: list[KeyPair], timestamp: int) -> Block:

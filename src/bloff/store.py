@@ -6,7 +6,9 @@ artifact stays linear and human-inspectable. Appends are flushed and fsynced
 before being acknowledged; reorgs rewrite through a temp file and an atomic
 rename, so a crash leaves either the old or the new file state.
 
-Indexes are in-memory only and rebuilt by full re-validation on load.
+Indexes are in-memory only. ``load_chain`` is the one full replay; after
+it, ``BlockStore.append_block`` checks only the new block, extending the
+loaded chain.
 """
 
 from __future__ import annotations
@@ -86,14 +88,15 @@ class BlockStore:
         return cls(path, chain)
 
     def append_block(self, block: Block) -> None:
-        """Persist a block already validated and chosen as the best-tip extension.
+        """Check ``block`` against the stored tip, then persist it.
 
-        The line is flushed and fsynced before the in-memory chain advances,
-        so an I/O failure surfaces without corrupting state.
+        An invalid block raises ChainValidationError before anything is
+        written. The line is flushed and fsynced before the in-memory chain
+        advances, so an I/O failure surfaces without corrupting state.
         """
         if block.header.prev_hash != self.chain.tip.hash:
             raise StoreError("block does not extend the stored tip")
-        new_chain = validate_chain(self.chain.blocks + [block])
+        new_chain = self.chain.extend(block)
         with open(self.path, "a", encoding="utf-8") as fh:
             fh.write(block_to_json_line(block) + "\n")
             fh.flush()

@@ -1,6 +1,7 @@
 """Hashing and signature layer: reference vectors, roundtrips, mutation fuzz."""
 
 import os
+import stat
 
 import pytest
 
@@ -177,6 +178,23 @@ class TestKeyFiles:
         assert text == (
             f"secret: {pair.secret_key.hex()}\npublic: {pair.public_key.hex()}\n"
         )
+
+    def test_secret_file_is_owner_only(self, tmp_path):
+        """0600 under a permissive umask, and also over an existing 0644 file."""
+        pair = generate_keypair(bytes(32))
+        fresh = tmp_path / "fresh.key"
+        existing = tmp_path / "existing.key"
+        existing.write_text("old\n")
+        os.chmod(existing, 0o644)
+        previous = os.umask(0o022)
+        try:
+            save_keypair(str(fresh), pair)
+            save_keypair(str(existing), pair)
+        finally:
+            os.umask(previous)
+        for path in (fresh, existing):
+            assert stat.S_IMODE(os.stat(path).st_mode) == 0o600
+            assert load_keypair(str(path)) == pair
 
     def test_mismatched_public_rejected(self, tmp_path):
         a = generate_keypair(bytes([1]) * 32)

@@ -5,7 +5,6 @@ import pytest
 from bloff.consensus import NodeState
 from bloff.crypto import sha256_digest
 from bloff.ingest import (
-    DirectoryWatcher,
     LogRecord,
     LogSource,
     RecordError,
@@ -98,38 +97,6 @@ class TestIngestFile:
             LogSource(kind="file", source_id="s", location=str(path)), clock=lambda: 123.9
         )
         assert record.capture_timestamp == 123
-
-
-class TestDirectoryWatch:
-    def test_appended_lines_arrive_in_order(self, tmp_path):
-        watcher = DirectoryWatcher(str(tmp_path), "w", clock=lambda: GENESIS_TS)
-        assert watcher.poll() == []
-        (tmp_path / "a.log").write_bytes(b"first\n")
-        assert [r.raw for r in watcher.poll()] == [b"first"]
-        with open(tmp_path / "a.log", "ab") as fh:
-            fh.write(b"second\nthird\n")
-        assert [r.raw for r in watcher.poll()] == [b"second", b"third"]
-
-    def test_partial_line_buffered_until_terminated(self, tmp_path):
-        watcher = DirectoryWatcher(str(tmp_path), "w", clock=lambda: GENESIS_TS)
-        (tmp_path / "a.log").write_bytes(b"incompl")
-        assert watcher.poll() == []
-        with open(tmp_path / "a.log", "ab") as fh:
-            fh.write(b"ete\n")
-        assert [r.raw for r in watcher.poll()] == [b"incomplete"]
-
-    def test_new_files_picked_up(self, tmp_path):
-        watcher = DirectoryWatcher(str(tmp_path), "w", clock=lambda: GENESIS_TS)
-        watcher.poll()
-        (tmp_path / "b.log").write_bytes(b"from b\n")
-        (tmp_path / "c.log").write_bytes(b"from c\n")
-        assert sorted(r.raw for r in watcher.poll()) == [b"from b", b"from c"]
-
-    def test_flush_tails(self, tmp_path):
-        watcher = DirectoryWatcher(str(tmp_path), "w", clock=lambda: GENESIS_TS)
-        (tmp_path / "a.log").write_bytes(b"no terminator")
-        watcher.poll()
-        assert [r.raw for r in watcher.flush_tails()] == [b"no terminator"]
 
 
 class TestLogRecord:

@@ -8,6 +8,7 @@ from bloff.consensus import Mempool, mine_block
 from bloff.ledger import (
     ChainFileError,
     ChainValidationError,
+    NodeRole,
     block_to_json_line,
     make_genesis,
     validate_chain,
@@ -21,7 +22,7 @@ from bloff.store import (
     write_chain,
     write_mempool_file,
 )
-from conftest import GENESIS_TS, build_chain
+from conftest import GENESIS_TS, build_chain, keypair_for
 
 
 def write_chain_file(tmp_path, chain, name="chain.jsonl"):
@@ -48,6 +49,10 @@ class TestLoadChain:
         assert reloaded.blocks == chain.blocks
         assert reloaded.tip.hash == chain.tip.hash
         assert reloaded.anchor_index == chain.anchor_index
+        # The chain grown by appends equals the one replayed from the file.
+        assert store.chain.blocks == reloaded.blocks
+        assert store.chain.registered_nodes == reloaded.registered_nodes
+        assert store.chain.anchor_index == reloaded.anchor_index
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(StoreError):
@@ -94,6 +99,36 @@ class TestBlockStore:
         store = BlockStore.open(str(path))
         with pytest.raises(StoreError):
             store.append_block(chain.blocks[3])  # skips a height
+
+    def test_append_rejects_unregistered_submitter(self, tmp_path, miner, device):
+        """A correctly linked block whose anchor comes from an unregistered
+        key is refused at its height; neither the file nor the chain moves."""
+        from bloff.ingest import LogRecord, build_anchor_for_record
+
+        chain, _ = build_chain(miner, device, [b"a"])
+        path = write_chain_file(tmp_path, chain)
+        store = BlockStore.open(str(path))
+        before_bytes = path.read_bytes()
+        before_chain = store.chain
+
+        outsider = keypair_for("outsider")
+        record = LogRecord(raw=b"forged", source_id="dev", capture_timestamp=GENESIS_TS + 70)
+        pool = Mempool()
+        pool.add(build_anchor_for_record(record, outsider))
+        # Mine against a registry that admits the outsider, so only the
+        # stored chain's registry can refuse the block.
+        registry = dict(chain.registered_nodes)
+        registry[outsider.public_key] = NodeRole.DEVICE
+        block = mine_block(pool, chain.tip.header, 0, miner, GENESIS_TS + 70, registry)
+        assert block.header.prev_hash == store.chain.tip.hash
+
+        with pytest.raises(ChainValidationError) as err:
+            store.append_block(block)
+        assert err.value.height == chain.height + 1
+        assert err.value.reason == "unregistered-submitter"
+        assert path.read_bytes() == before_bytes
+        assert store.chain is before_chain
+        assert store.chain == load_chain(str(path))
 
     def test_losing_fork_goes_to_sidecar(self, tmp_path, miner, device):
         chain, _ = build_chain(miner, device, [b"main"])
