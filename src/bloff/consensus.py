@@ -17,6 +17,7 @@ from .ledger import (
     Block,
     BlockHeader,
     Chain,
+    ChainValidationError,
     NodeRole,
     Transaction,
     block_hash,
@@ -150,8 +151,9 @@ def choose_chain(candidate_a: Chain, candidate_b: Chain) -> Chain:
 class NodeState:
     """Fork-choice state plus the best chain and the mempool of one node.
 
-    ``known_blocks`` holds every structurally accepted block; ``best`` is the
-    validated chain selected by ``choose_chain`` over everything known.
+    ``known_blocks`` holds every accepted block; ``best`` is the validated
+    chain selected by ``choose_chain`` over everything known. Gossiped blocks
+    and peer chains alike enter through ``apply_block``, one block at a time.
     """
 
     best: Chain
@@ -163,6 +165,9 @@ class NodeState:
     def __post_init__(self) -> None:
         for block in self.best.blocks:
             self.known_blocks[block.hash] = block
+        # Validated chains by tip hash, for the best tip and the block accepted
+        # last; a block on any other parent replays that parent's ancestry.
+        self._built: dict[Digest, Chain] = {self.best_tip: self.best}
 
     @property
     def best_tip(self) -> Digest:
@@ -211,23 +216,23 @@ class NodeState:
                 total -= 1
             return "orphaned"
 
-        ancestry = None
-        if block.header.prev_hash != self.best_tip:
+        parent_chain = self._built.get(block.header.prev_hash)
+        if parent_chain is None:
             ancestry = self._ancestry(self.known_blocks[block.header.prev_hash])
             if ancestry is None:
                 return "rejected:missing-ancestry"
+            parent_chain = validate_chain(ancestry)  # known blocks, all valid
         try:
-            parent_chain = self.best if ancestry is None else validate_chain(ancestry)
             candidate = parent_chain.extend(block)
-        except Exception as exc:
-            reason = getattr(exc, "reason", str(exc))
-            return f"rejected:{reason}"
+        except ChainValidationError as exc:
+            return f"rejected:{exc.reason}"
         self.known_blocks[block.hash] = block
 
         status = "accepted-side"
-        if choose_chain(candidate, self.best) is candidate and candidate.tip.hash != self.best_tip:
+        if choose_chain(candidate, self.best) is candidate:
             self._switch_to(candidate)
             status = "accepted-best"
+        self._built = {self.best_tip: self.best, block.hash: candidate}
 
         # Grown chain may unblock held orphans.
         waiting = self.orphans.pop(block.hash, [])
@@ -238,21 +243,13 @@ class NodeState:
         return status
 
     def adopt_chain(self, blocks: list[Block]) -> bool:
-        """Consider a full chain received from a peer; adopt it if it wins.
-
-        Returns True when the best tip changed.
-        """
-        try:
-            candidate = validate_chain(blocks)
-        except Exception:
+        """Apply a peer's full chain block by block, keeping it up to its first
+        rejected or orphaned block. Returns True when the best tip changed."""
+        if not blocks or blocks[0].hash != self.best.genesis_hash:
             return False
-        if candidate.genesis_hash != self.best.genesis_hash:
-            return False
-        if choose_chain(candidate, self.best) is not candidate:
-            return False
-        if candidate.tip.hash == self.best_tip:
-            return False
-        for block in candidate.blocks:
-            self.known_blocks[block.hash] = block
-        self._switch_to(candidate)
-        return True
+        before = self.best_tip
+        for block in blocks[1:]:
+            status = self.apply_block(block)
+            if status == "orphaned" or status.startswith("rejected"):
+                break
+        return self.best_tip != before

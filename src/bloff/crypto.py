@@ -143,7 +143,9 @@ def save_keypair(path: str, keypair: KeyPair) -> None:
 
 
 def load_keypair(path: str) -> KeyPair:
-    """Read a key file, re-deriving and cross-checking the public key."""
+    """Read an owner-only key file, re-deriving and cross-checking the public key."""
+    if os.stat(path).st_mode & 0o077:
+        raise ValueError(f"key file is open to group or others: {path}")
     with open(path, "r", encoding="ascii") as fh:
         lines = fh.read().splitlines()
     if len(lines) != 2 or not lines[0].startswith("secret: ") or not lines[1].startswith("public: "):

@@ -204,11 +204,10 @@ class NodeLogic:
         except TxDecodeError as exc:
             logger.debug("%s: dropping undecodable tx: %s", self.node_id, exc.reason)
             return []
-        if verify_tx(tx) is not None:
-            return []
         # Context rules (registration ordering) are re-checked at mining time,
         # so structurally valid gossip is pooled even if not yet minable.
-        self.state.mempool.add(tx)
+        if self.state.mempool.add(tx).startswith("invalid"):
+            return []
         return [(MSG_TX, payload, BROADCAST)]
 
     def _handle_block(self, payload: bytes, sender: str) -> list[tuple[str, bytes, str]]:
@@ -234,8 +233,9 @@ class NodeLogic:
         except (ValueError, TxDecodeError) as exc:
             logger.debug("%s: dropping undecodable chain: %s", self.node_id, exc)
             return []
+        # Only the blocks this node lacks are validated; if they change the
+        # best tip, push the new chain so the winner floods outward hop by hop.
         if self.state.adopt_chain(blocks):
-            # Push the improvement so the winner floods outward hop by hop.
             return [(MSG_CHAIN_RESPONSE, encode_blocks(self.chain.blocks), BROADCAST)]
         return []
 

@@ -1,4 +1,6 @@
+import os
 import random
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +16,11 @@ from bloff.ledger import (
 )
 
 GENESIS_TS = 1_700_000_000
+
+# Tests that start ``python -m bloff`` in a child process need the package
+# from this checkout too, which pytest's ``pythonpath`` setting does not give.
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
 
 
 def keypair_for(label: str):

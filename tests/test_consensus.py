@@ -407,3 +407,56 @@ class TestApplyBlock:
         assert tx_id(txs[0]) in pooled and tx_id(txs[1]) in pooled
         for tx in txs[2:7]:
             assert tx_id(tx) not in pooled
+
+
+class TestAdoptChain:
+    def test_invalid_block_keeps_valid_prefix(self, miner, device, base):
+        """A peer chain with a bad block mid-way: the blocks before it are
+        applied, and neither the bad block nor any block after it is known."""
+        good = extend(extend(base, miner, device, [b"p1"]), miner, device, [b"p2"], ts_offset=11)
+        valid_next = extend(good, miner, device, [b"p3"], ts_offset=12).tip
+        bad = type(valid_next)(
+            header=BlockHeader(
+                prev_hash=good.tip.hash,
+                merkle_root=Digest(bytes(32)),
+                timestamp=valid_next.header.timestamp,
+                difficulty=0,
+                nonce=0,
+            ),
+            transactions=valid_next.transactions,
+        )
+        pool = Mempool()
+        pool.add(anchor_for(device, b"p4", ts=GENESIS_TS + 13))
+        after = mine_block(pool, bad.header, 0, miner, GENESIS_TS + 13, good.registered_nodes)
+        state = NodeState(best=base)
+        assert state.adopt_chain(good.blocks + [bad, after]) is True
+        assert state.best_tip == good.tip.hash
+        assert bad.hash not in state.known_blocks
+        assert after.hash not in state.known_blocks
+        assert state.orphans == {}
+
+    def test_different_genesis_refused_state_unchanged(self, miner, device, base):
+        other, _ = build_chain(keypair_for("other-miner"), device, [b"x", b"y"])
+        state = NodeState(best=base)
+        known = dict(state.known_blocks)
+        assert state.adopt_chain(other.blocks) is False
+        assert state.adopt_chain([]) is False
+        assert state.best is base
+        assert state.known_blocks == known
+        assert state.orphans == {}
+        assert len(state.mempool) == 0
+
+    def test_losing_branch_blocks_become_known(self, miner, device, base):
+        """A peer chain that loses fork choice lands as side blocks, so a later
+        block on that branch connects instead of waiting as an orphan."""
+        winner = base
+        for i in range(3):
+            winner = extend(winner, miner, device, [f"w{i}".encode()], ts_offset=10 + i)
+        loser = extend(base, miner, device, [b"l1"])
+        state = NodeState(best=winner)
+        assert state.adopt_chain(loser.blocks) is False
+        assert loser.tip.hash in state.known_blocks
+        assert state.best_tip == winner.tip.hash
+        next_block = extend(loser, miner, device, [b"l2"], ts_offset=11).tip
+        assert state.apply_block(next_block) == "accepted-side"
+        assert next_block.hash in state.known_blocks

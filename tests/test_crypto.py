@@ -201,11 +201,24 @@ class TestKeyFiles:
         b = generate_keypair(bytes([2]) * 32)
         path = tmp_path / "node.key"
         path.write_text(f"secret: {a.secret_key.hex()}\npublic: {b.public_key.hex()}\n")
-        with pytest.raises(ValueError):
+        os.chmod(path, 0o600)
+        with pytest.raises(ValueError, match="does not match"):
             load_keypair(str(path))
 
     def test_garbage_rejected(self, tmp_path):
         path = tmp_path / "node.key"
         path.write_text("not a key file\n")
-        with pytest.raises(ValueError):
+        os.chmod(path, 0o600)
+        with pytest.raises(ValueError, match="malformed"):
             load_keypair(str(path))
+
+    def test_group_or_world_accessible_file_refused(self, tmp_path):
+        pair = generate_keypair(bytes(32))
+        path = tmp_path / "node.key"
+        save_keypair(str(path), pair)
+        for mode in (0o644, 0o640, 0o604):
+            os.chmod(path, mode)
+            with pytest.raises(ValueError, match="group or others"):
+                load_keypair(str(path))
+        os.chmod(path, 0o600)
+        assert load_keypair(str(path)) == pair

@@ -1,8 +1,10 @@
-"""Operation counts: accepting one block on the tip validates one block.
+"""Operation counts: accepting one block validates one block.
 
-Wall-clock is not assertable; the number of ``validate_block`` calls is.
-Both the block store and the node extend their validated chain by the new
-block instead of replaying the whole chain.
+Wall-clock is not assertable; the number of ``validate_block`` and
+``verify_signature`` calls is. The block store and the node extend a
+validated chain by each new block instead of replaying the whole chain, a
+peer's chain costs only the blocks the node lacks, and a gossiped tx is
+verified once.
 """
 
 import pytest
@@ -10,22 +12,40 @@ import pytest
 from bloff import ledger
 from bloff.consensus import Mempool, NodeState, mine_block
 from bloff.crypto import sha256_digest
+from bloff.ledger import NodeRole, canonical_tx_bytes
+from bloff.node import MSG_TX, NodeLogic
 from bloff.store import BlockStore, write_chain
 from conftest import GENESIS_TS, build_chain
 
 
-@pytest.fixture
-def counted(monkeypatch):
-    """Count calls into ``bloff.ledger.validate_block``."""
+def count_calls(monkeypatch, name):
+    """Record the first argument of each call into ``bloff.ledger.<name>``."""
     calls = []
-    original = ledger.validate_block
+    original = getattr(ledger, name)
 
     def counting(*args, **kwargs):
         calls.append(args[0])
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(ledger, "validate_block", counting)
+    monkeypatch.setattr(ledger, name, counting)
     return calls
+
+
+@pytest.fixture
+def counted(monkeypatch):
+    """Count calls into ``bloff.ledger.validate_block``."""
+    return count_calls(monkeypatch, "validate_block")
+
+
+def grow(chain, miner, device, labels):
+    """``chain`` plus one single-anchor block per label."""
+    for label in labels:
+        pool = Mempool()
+        ts = chain.tip.header.timestamp + 1
+        pool.add(ledger.build_anchor_tx(sha256_digest(label.encode()), "dev", ts, device))
+        block = mine_block(pool, chain.tip.header, 0, miner, ts, chain.registered_nodes)
+        chain = chain.extend(block)
+    return chain
 
 
 def chain_and_next_block(miner, device):
@@ -58,3 +78,47 @@ def test_node_apply_on_best_tip_validates_one_block(miner, device, counted):
     assert state.apply_block(block) == "accepted-best"
     assert counted == [block]
     assert state.best.height == 42
+
+
+def test_adopt_own_chain_validates_nothing(miner, device, counted):
+    chain, _ = chain_and_next_block(miner, device)
+    state = NodeState(best=chain)
+    counted.clear()
+    assert state.adopt_chain(chain.blocks) is False
+    assert counted == []
+
+
+def test_adopt_longer_chain_validates_only_new_blocks(miner, device, counted):
+    chain, _ = chain_and_next_block(miner, device)
+    longer = grow(chain, miner, device, [f"new {i}" for i in range(5)])
+    state = NodeState(best=chain)
+    counted.clear()
+    assert state.adopt_chain(longer.blocks) is True
+    assert counted == longer.blocks[41:]
+    assert state.best_tip == longer.tip.hash
+
+
+def test_side_branch_replays_its_fork_point_once(miner, device, counted):
+    """A 15-block branch off height 30 of the 41-block chain, applied block
+    by block: the first block replays its 30-block ancestry, every later
+    block extends the one before it."""
+    chain, _ = chain_and_next_block(miner, device)
+    fork_point = ledger.validate_chain(chain.blocks[:30])
+    branch = grow(fork_point, miner, device, [f"side {i}" for i in range(15)])
+    state = NodeState(best=chain)
+    counted.clear()
+    for block in branch.blocks[30:]:
+        assert state.apply_block(block).startswith("accepted")
+    assert len(counted) == 30 + 15
+    assert state.best_tip == branch.tip.hash
+
+
+def test_gossiped_tx_verified_once(miner, device, monkeypatch):
+    chain, _ = chain_and_next_block(miner, device)
+    logic = NodeLogic("n1", miner, NodeRole.CSP_MINER, chain)
+    tx = ledger.build_anchor_tx(sha256_digest(b"gossip"), "dev", GENESIS_TS + 100, device)
+    calls = count_calls(monkeypatch, "verify_signature")
+    payload = canonical_tx_bytes(tx)
+    assert logic.handle_message(MSG_TX, payload, "peer") == [(MSG_TX, payload, "*")]
+    assert calls == [device.public_key]
+    assert ledger.tx_id(tx) in logic.state.mempool
