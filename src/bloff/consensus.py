@@ -152,8 +152,9 @@ class NodeState:
     """Fork-choice state plus the best chain and the mempool of one node.
 
     ``known_blocks`` holds every accepted block; ``best`` is the validated
-    chain selected by ``choose_chain`` over everything known. Gossiped blocks
-    and peer chains alike enter through ``apply_block``, one block at a time.
+    chain selected by ``choose_chain`` over everything known. A gossiped
+    block and the blocks a peer's chain adds take one path, ``_connect_run``:
+    the new blocks are checked once, onto their parent's validated chain.
     """
 
     best: Chain
@@ -163,10 +164,9 @@ class NodeState:
     orphan_cap: int = DEFAULT_ORPHAN_CAP
 
     def __post_init__(self) -> None:
-        for block in self.best.blocks:
-            self.known_blocks[block.hash] = block
-        # Validated chains by tip hash, for the best tip and the block accepted
-        # last; a block on any other parent replays that parent's ancestry.
+        self.known_blocks.update((b.hash, b) for b in self.best.blocks)
+        # Validated chains by tip hash, for the best tip and the run accepted
+        # last; a run on any other parent replays that parent's ancestry.
         self._built: dict[Digest, Chain] = {self.best_tip: self.best}
 
     @property
@@ -205,51 +205,57 @@ class NodeState:
         if block.hash in self.known_blocks:
             return "duplicate"
         if block.header.prev_hash not in self.known_blocks:
-            queue = self.orphans.setdefault(block.header.prev_hash, [])
-            queue.append(block)
-            total = sum(len(v) for v in self.orphans.values())
-            while total > self.orphan_cap:
+            self.orphans.setdefault(block.header.prev_hash, []).append(block)
+            for _ in range(sum(map(len, self.orphans.values())) - self.orphan_cap):
                 oldest_key = next(iter(self.orphans))
                 self.orphans[oldest_key].pop(0)
                 if not self.orphans[oldest_key]:
                     del self.orphans[oldest_key]
-                total -= 1
             return "orphaned"
+        return self._connect_run([block])
 
-        parent_chain = self._built.get(block.header.prev_hash)
+    def _connect_run(self, blocks: list[Block]) -> str:
+        """Check ``blocks``, a linked run on a known block, onto that block's
+        chain with one copy; keep it up to its first invalid block (none: state
+        unchanged) and make it best if fork choice prefers it."""
+        prev_hash = blocks[0].header.prev_hash
+        parent_chain = self._built.get(prev_hash)
         if parent_chain is None:
-            ancestry = self._ancestry(self.known_blocks[block.header.prev_hash])
+            ancestry = self._ancestry(self.known_blocks[prev_hash])
             if ancestry is None:
                 return "rejected:missing-ancestry"
             parent_chain = validate_chain(ancestry)  # known blocks, all valid
         try:
-            candidate = parent_chain.extend(block)
+            candidate = parent_chain.extend(blocks[0])
         except ChainValidationError as exc:
             return f"rejected:{exc.reason}"
-        self.known_blocks[block.hash] = block
+        for block in blocks[1:]:
+            try:
+                candidate._connect(block)  # in place on the copy extend made
+            except ChainValidationError:
+                break
+        added = candidate.blocks[parent_chain.height :]
+        self.known_blocks.update((b.hash, b) for b in added)
 
         status = "accepted-side"
         if choose_chain(candidate, self.best) is candidate:
             self._switch_to(candidate)
             status = "accepted-best"
-        self._built = {self.best_tip: self.best, block.hash: candidate}
+        self._built = {self.best_tip: self.best, candidate.tip.hash: candidate}
 
         # Grown chain may unblock held orphans.
-        waiting = self.orphans.pop(block.hash, [])
-        for orphan in waiting:
-            inner = self.apply_block(orphan)
-            if inner == "accepted-best":
-                status = "accepted-best"
+        for block in added:
+            for orphan in self.orphans.pop(block.hash, []):
+                if self.apply_block(orphan) == "accepted-best":
+                    status = "accepted-best"
         return status
 
     def adopt_chain(self, blocks: list[Block]) -> bool:
-        """Apply a peer's full chain block by block, keeping it up to its first
-        rejected or orphaned block. Returns True when the best tip changed."""
+        """Connect the blocks of a peer's full chain that this node lacks, up to
+        the first invalid one. Returns True when the best tip changed."""
         if not blocks or blocks[0].hash != self.best.genesis_hash:
             return False
-        before = self.best_tip
-        for block in blocks[1:]:
-            status = self.apply_block(block)
-            if status == "orphaned" or status.startswith("rejected"):
-                break
-        return self.best_tip != before
+        new = [b for b in blocks if b.hash not in self.known_blocks]
+        if not new or new[0].header.prev_hash not in self.known_blocks:
+            return False
+        return self._connect_run(new) == "accepted-best"

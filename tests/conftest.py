@@ -17,10 +17,14 @@ from bloff.ledger import (
 
 GENESIS_TS = 1_700_000_000
 
-# Tests that start ``python -m bloff`` in a child process need the package
-# from this checkout too, which pytest's ``pythonpath`` setting does not give.
 SRC = str(Path(__file__).resolve().parent.parent / "src")
-os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+
+
+def child_env():
+    """Environment for a child ``python -m bloff``: this checkout's package
+    first on its path, which pytest's ``pythonpath`` setting does not reach."""
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
 
 
 def keypair_for(label: str):

@@ -36,7 +36,7 @@ from bloff.verify import (
     verify_inclusion_proof,
     verify_log,
 )
-from conftest import GENESIS_TS, build_chain, partition_scenario
+from conftest import GENESIS_TS, build_chain, child_env, partition_scenario
 from oracles import oracle_anchor_scan, oracle_validate_chain
 from test_crypto import SHA256_VECTORS
 
@@ -329,6 +329,7 @@ def run_cli(*args, stdin_bytes=None, timeout=60):
         input=stdin_bytes,
         capture_output=True,
         timeout=timeout,
+        env=child_env(),
     )
 
 

@@ -460,3 +460,16 @@ class TestAdoptChain:
         next_block = extend(loser, miner, device, [b"l2"], ts_offset=11).tip
         assert state.apply_block(next_block) == "accepted-side"
         assert next_block.hash in state.known_blocks
+
+    def test_orphan_on_interior_block_connects(self, miner, device, base):
+        """A block held as an orphan connects once a peer chain brings its
+        parent, also when that parent is not the peer chain's tip."""
+        one = extend(base, miner, device, [b"a1"])
+        two = extend(one, miner, device, [b"a2"], ts_offset=11)
+        sibling = extend(one, miner, device, [b"s2"], ts_offset=12).tip
+        state = NodeState(best=base)
+        assert state.apply_block(sibling) == "orphaned"
+        assert state.adopt_chain(two.blocks) is True
+        assert sibling.hash in state.known_blocks
+        assert state.orphans == {}
+        assert state.best_tip in (two.tip.hash, sibling.hash)

@@ -18,7 +18,7 @@ from bloff.node import (
     fetch_chain,
 )
 from bloff.store import write_chain
-from conftest import GENESIS_TS, keypair_for
+from conftest import GENESIS_TS, child_env, keypair_for
 
 
 class TestWireCodec:
@@ -85,6 +85,7 @@ def bloff_cli(*args, timeout=30):
         capture_output=True,
         text=True,
         timeout=timeout,
+        env=child_env(),
     )
 
 
@@ -107,7 +108,9 @@ def start_node(role, key_path, chain_path, port, peers=(), difficulty=4):
     ]
     for peer in peers:
         args += ["--peer", peer]
-    proc = subprocess.Popen(args, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    proc = subprocess.Popen(
+        args, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, env=child_env()
+    )
     wait_for_port(port)
     return proc
 

@@ -3,13 +3,13 @@
 Wall-clock is not assertable; the number of ``validate_block`` and
 ``verify_signature`` calls is. The block store and the node extend a
 validated chain by each new block instead of replaying the whole chain, a
-peer's chain costs only the blocks the node lacks, and a gossiped tx is
-verified once.
+peer's chain costs only the blocks the node lacks, each once, and a
+gossiped tx is verified once.
 """
 
 import pytest
 
-from bloff import ledger
+from bloff import consensus, ledger
 from bloff.consensus import Mempool, NodeState, mine_block
 from bloff.crypto import sha256_digest
 from bloff.ledger import NodeRole, canonical_tx_bytes
@@ -18,16 +18,16 @@ from bloff.store import BlockStore, write_chain
 from conftest import GENESIS_TS, build_chain
 
 
-def count_calls(monkeypatch, name):
-    """Record the first argument of each call into ``bloff.ledger.<name>``."""
+def count_calls(monkeypatch, name, module=ledger):
+    """Record the first argument of each call into ``module.<name>``."""
     calls = []
-    original = getattr(ledger, name)
+    original = getattr(module, name)
 
     def counting(*args, **kwargs):
         calls.append(args[0])
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(ledger, name, counting)
+    monkeypatch.setattr(module, name, counting)
     return calls
 
 
@@ -96,6 +96,21 @@ def test_adopt_longer_chain_validates_only_new_blocks(miner, device, counted):
     assert state.adopt_chain(longer.blocks) is True
     assert counted == longer.blocks[41:]
     assert state.best_tip == longer.tip.hash
+
+
+def test_fresh_node_catches_up_in_one_pass(miner, device, counted, monkeypatch):
+    """A node holding only genesis adopts the 41-block chain: each new block
+    is validated once, and each tx id is taken once by the one switch of best
+    chain, not once per block for the whole chain so far."""
+    chain, _ = chain_and_next_block(miner, device)
+    state = NodeState(best=ledger.validate_chain(chain.blocks[:1]))
+    txids = count_calls(monkeypatch, "tx_id", module=consensus)
+    counted.clear()
+    assert state.adopt_chain(chain.blocks) is True
+    assert counted == chain.blocks[1:]
+    assert state.best_tip == chain.tip.hash
+    all_txs = [tx for block in chain.blocks for tx in block.transactions]
+    assert len(txids) == len(all_txs) + len(chain.blocks[0].transactions)
 
 
 def test_side_branch_replays_its_fork_point_once(miner, device, counted):
