@@ -247,7 +247,7 @@ def cmd_mine(args) -> int:
     pool_path = mempool_path_for(target, args.mempool)
     pool = Mempool()
     for raw in store_mod.load_mempool_file(pool_path):
-        status = pool.add(decode_tx(raw))
+        status = pool.add(decode_tx(raw), store.chain.tx_ids)
         if status.startswith("invalid"):
             print(f"skipping pending tx: {status}", file=sys.stderr)
 
@@ -268,8 +268,8 @@ def cmd_mine(args) -> int:
                 break
             print(f"mining failed: {exc.reason}", file=sys.stderr)
             return 2
-        store.append_block(block)
-        pool.evict(tx_id(tx) for tx in block.transactions)
+        store.append_block(block, pool.verified)
+        pool.evict(block.tx_ids)
         mined_any = True
         print(
             json.dumps(

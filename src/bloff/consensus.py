@@ -10,6 +10,7 @@ this module is internally locked.
 
 from __future__ import annotations
 
+from collections.abc import Set as AbstractSet
 from dataclasses import dataclass, field
 
 from .crypto import Digest, KeyPair
@@ -20,6 +21,7 @@ from .ledger import (
     ChainValidationError,
     NodeRole,
     Transaction,
+    VerifiedTxs,
     block_hash,
     leading_zero_bits,
     merkle_root,
@@ -43,11 +45,19 @@ class MiningError(Exception):
 
 
 class Mempool:
-    """Pending valid transactions, deduplicated by tx id, oldest first."""
+    """Pending valid transactions, deduplicated by tx id, oldest first.
+
+    ``verified`` records the ids of the txs whose checks passed. The pool's
+    owner, one node or one ``bloff mine`` run, also passes it to block
+    validation, so a pooled tx is not checked again in its block. It holds
+    twice the pool's capacity: every pooled tx, and as many again from
+    blocks that arrive before their txs do.
+    """
 
     def __init__(self, capacity: int = DEFAULT_MEMPOOL_CAP):
         self.capacity = capacity
         self._txs: dict[Digest, Transaction] = {}
+        self.verified = VerifiedTxs(2 * capacity)
 
     def __len__(self) -> int:
         return len(self._txs)
@@ -55,15 +65,18 @@ class Mempool:
     def __contains__(self, txid: Digest) -> bool:
         return txid in self._txs
 
-    def add(self, tx: Transaction) -> str:
-        """Admit ``tx`` if valid, new and within capacity.
+    def add(self, tx: Transaction, chain_tx_ids: AbstractSet[Digest] = frozenset()) -> str:
+        """Admit ``tx`` if valid, new and within capacity; a tx whose id is in
+        ``chain_tx_ids``, the chain this pool feeds, is "invalid:duplicate-tx".
 
         Returns "accepted", "duplicate", "full" or "invalid:<reason>".
         """
         txid = tx_id(tx)
         if txid in self._txs:
             return "duplicate"
-        reason = verify_tx(tx)
+        if txid in chain_tx_ids:
+            return "invalid:duplicate-tx"
+        reason = verify_tx(tx, self.verified, txid)
         if reason is not None:
             return f"invalid:{reason}"
         if len(self._txs) >= self.capacity:
@@ -78,7 +91,7 @@ class Mempool:
         lost just because the pool happens to be full at reorg time.
         """
         txid = tx_id(tx)
-        if txid not in self._txs and verify_tx(tx) is None:
+        if txid not in self._txs and verify_tx(tx, self.verified, txid) is None:
             self._txs[txid] = tx
 
     def evict(self, txids) -> None:
@@ -165,6 +178,10 @@ class NodeState:
 
     def __post_init__(self) -> None:
         self.known_blocks.update((b.hash, b) for b in self.best.blocks)
+        # ``best`` is a validated chain, so its txs have passed their checks.
+        for block in self.best.blocks:
+            for txid in block.tx_ids:
+                self.mempool.verified.add(txid)
         # Validated chains by tip hash, for the best tip and the run accepted
         # last; a run on any other parent replays that parent's ancestry.
         self._built: dict[Digest, Chain] = {self.best_tip: self.best}
@@ -185,13 +202,16 @@ class NodeState:
         return list(reversed(blocks))
 
     def _switch_to(self, new_best: Chain) -> None:
-        """Adopt ``new_best``: re-inject orphaned anchors, evict mined ones."""
-        new_ids = {tx_id(tx) for b in new_best.blocks for tx in b.transactions}
-        for block in self.best.blocks:
-            for tx in block.transactions:
-                if tx_id(tx) not in new_ids:
+        """Adopt ``new_best``: re-inject the txs of the blocks it drops that it
+        does not hold, and evict the txs of the blocks it adds."""
+        fork = min(self.best.height, new_best.height)
+        while self.best.blocks[fork - 1].hash != new_best.blocks[fork - 1].hash:
+            fork -= 1
+        for block in self.best.blocks[fork:]:
+            for tx, txid in zip(block.transactions, block.tx_ids):
+                if txid not in new_best.tx_ids:
                     self.mempool.readd(tx)
-        self.mempool.evict(new_ids)
+        self.mempool.evict(txid for block in new_best.blocks[fork:] for txid in block.tx_ids)
         self.best = new_best
 
     def apply_block(self, block: Block) -> str:
@@ -219,19 +239,20 @@ class NodeState:
         chain with one copy; keep it up to its first invalid block (none: state
         unchanged) and make it best if fork choice prefers it."""
         prev_hash = blocks[0].header.prev_hash
+        verified = self.mempool.verified
         parent_chain = self._built.get(prev_hash)
         if parent_chain is None:
             ancestry = self._ancestry(self.known_blocks[prev_hash])
             if ancestry is None:
                 return "rejected:missing-ancestry"
-            parent_chain = validate_chain(ancestry)  # known blocks, all valid
+            parent_chain = validate_chain(ancestry, verified)  # known blocks, all valid
         try:
-            candidate = parent_chain.extend(blocks[0])
+            candidate = parent_chain.extend(blocks[0], verified)
         except ChainValidationError as exc:
             return f"rejected:{exc.reason}"
         for block in blocks[1:]:
             try:
-                candidate._connect(block)  # in place on the copy extend made
+                candidate._connect(block, verified)  # in place on the copy extend made
             except ChainValidationError:
                 break
         added = candidate.blocks[parent_chain.height :]

@@ -7,8 +7,13 @@ computed over the canonical bytes, never over the JSON.
 
 One validation path: ``Chain.extend`` checks a new block once, against its
 parent's state. ``validate_chain`` folds the same step from genesis, for a
-whole chain that arrives at once (a file load, a peer's chain). A
-constructed ``Chain`` is treated as immutable; concurrent readers are safe.
+whole chain loaded from a file and for the ancestry a node replays under a
+side branch. A constructed ``Chain`` is treated as immutable; concurrent
+readers are safe.
+
+A node passes its ``VerifiedTxs`` record down these calls, so each tx
+signature costs it one Ed25519 check; ``load_chain`` passes none and checks
+every signature.
 """
 
 from __future__ import annotations
@@ -16,8 +21,10 @@ from __future__ import annotations
 import enum
 import json
 import struct
+from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Iterator
+from functools import cached_property
+from typing import Iterator, Sequence
 
 from .crypto import (
     DIGEST_LEN,
@@ -246,13 +253,46 @@ def decode_tx(raw: bytes) -> Transaction:
     raise TxDecodeError("bad-kind")
 
 
-def verify_tx(tx: Transaction) -> str | None:
+class VerifiedTxs:
+    """Bounded record of the tx ids whose ``verify_tx`` checks passed on one
+    node, evicted oldest first past ``cap``.
+
+    A tx id hashes the full canonical bytes, signature included, and
+    ``verify_tx`` depends on nothing else, so a recorded tx needs no second
+    check. An evicted tx is simply checked again.
+    """
+
+    def __init__(self, cap: int):
+        self.cap = cap
+        self._ids: OrderedDict[Digest, None] = OrderedDict()
+
+    def __len__(self) -> int:
+        return len(self._ids)
+
+    def __contains__(self, txid: Digest) -> bool:
+        return txid in self._ids
+
+    def add(self, txid: Digest) -> None:
+        self._ids[txid] = None
+        if len(self._ids) > self.cap:
+            self._ids.popitem(last=False)
+
+
+def verify_tx(
+    tx: Transaction, verified: VerifiedTxs | None = None, txid: Digest | None = None
+) -> str | None:
     """Validate one transaction in isolation. Returns a reason tag or None.
 
     Checks version, field ranges and the signature over the canonical
     preamble. Registration sponsorship is a chain-context rule checked by
-    ``validate_block``, not here.
+    ``validate_block``, not here. With a ``verified`` record, a tx whose id
+    (``txid``, hashed here when not given) is in it passes unchecked, and a
+    tx that passes is added to it.
     """
+    if verified is not None:
+        txid = txid or tx_id(tx)
+        if txid in verified:
+            return None
     if tx.version != TX_VERSION:
         return "bad-version"
     if isinstance(tx, RegistrationTransaction) and tx.role is None:
@@ -262,6 +302,8 @@ def verify_tx(tx: Transaction) -> str | None:
             return "bad-length"
     if not verify_signature(tx.submitter_pubkey, tx_preamble_bytes(tx), tx.signature):
         return "bad-signature"
+    if verified is not None:
+        verified.add(txid)
     return None
 
 
@@ -337,9 +379,14 @@ def merkle_node(left: Digest, right: Digest) -> Digest:
 
 def merkle_root(transactions: list[Transaction]) -> Digest:
     """Binary hash tree over tx ids; an odd level duplicates its last node."""
-    if not transactions:
+    return merkle_root_of_ids([tx_id(tx) for tx in transactions])
+
+
+def merkle_root_of_ids(txids: Sequence[Digest]) -> Digest:
+    """``merkle_root`` of txs whose ids are already hashed."""
+    if not txids:
         raise ValueError("merkle root of an empty transaction list is undefined")
-    level = [merkle_leaf(tx_id(tx)) for tx in transactions]
+    level = [merkle_leaf(txid) for txid in txids]
     while len(level) > 1:
         if len(level) % 2 == 1:
             level.append(level[-1])
@@ -412,6 +459,11 @@ class Block:
     @property
     def hash(self) -> Digest:
         return block_hash(self.header)
+
+    @cached_property
+    def tx_ids(self) -> tuple[Digest, ...]:
+        """Each tx's id, hashed once per block object."""
+        return tuple(tx_id(tx) for tx in self.transactions)
 
 
 def encode_block(block: Block) -> bytes:
@@ -571,6 +623,7 @@ class Chain:
     blocks: list[Block]
     registered_nodes: dict[bytes, NodeRole] = field(default_factory=dict)
     anchor_index: dict[Digest, list[tuple[int, int]]] = field(default_factory=dict)
+    tx_ids: set[Digest] = field(default_factory=set)
 
     @property
     def height(self) -> int:
@@ -588,26 +641,26 @@ class Chain:
         """All (height, tx index) pairs anchoring ``log_hash``; heights are 1-based."""
         return list(self.anchor_index.get(log_hash, ()))
 
-    def extend(self, block: Block) -> Chain:
+    def extend(self, block: Block, verified: VerifiedTxs | None = None) -> Chain:
         """This chain plus ``block``, checked once against the tip's state.
         Raises ChainValidationError at the new height; ``self`` is unchanged."""
         index = {log_hash: list(locations) for log_hash, locations in self.anchor_index.items()}
-        child = Chain(list(self.blocks), dict(self.registered_nodes), index)
-        child._connect(block)
+        child = Chain(list(self.blocks), dict(self.registered_nodes), index, set(self.tx_ids))
+        child._connect(block, verified)
         return child
 
-    def _connect(self, block: Block) -> None:
-        """The one validation step: check ``block`` against this chain's tip
-        and registry, then advance the blocks and both indexes in place."""
+    def _connect(self, block: Block, verified: VerifiedTxs | None = None) -> None:
+        """The one validation step: check ``block`` against this chain's
+        state, then advance the blocks and the three indexes in place."""
         height = self.height + 1
-        parent = self.tip.header if self.blocks else None
-        reason = validate_block(block, parent, self.registered_nodes)
+        reason = validate_block(block, self, verified)
         if reason is not None:
             raise ChainValidationError(height, reason)
-        checks = registry_walk(block.transactions, self.registered_nodes, genesis=parent is None)
+        checks = registry_walk(block.transactions, self.registered_nodes, genesis=not self.blocks)
         for tx_index, (tx, _) in enumerate(checks):
             if isinstance(tx, AnchorTransaction):
                 self.anchor_index.setdefault(tx.log_hash, []).append((height, tx_index))
+        self.tx_ids.update(block.tx_ids)
         self.blocks.append(block)
 
 
@@ -651,16 +704,17 @@ def registry_walk(
 
 
 def validate_block(
-    block: Block,
-    parent_header: BlockHeader | None,
-    registered_nodes: dict[bytes, NodeRole],
+    block: Block, parent: Chain, verified: VerifiedTxs | None = None
 ) -> str | None:
-    """Check one block against its parent and the registry built so far.
+    """Check one block against its parent chain's state.
 
-    ``parent_header`` is None only for the genesis block. Checks run in a
-    fixed order and the first failure's reason tag is returned (per tx,
-    ``verify_tx`` before registry rules). The registry is not modified.
+    ``parent`` is empty only for the genesis block. Checks run in a fixed
+    order and the first failure's reason tag is returned (per tx,
+    ``verify_tx`` before registry rules; a tx id already on ``parent`` or
+    earlier in the block after both). ``parent`` is not modified;
+    ``verified`` is passed to ``verify_tx``.
     """
+    parent_header = parent.tip.header if parent.blocks else None
     if not block.transactions:
         return "empty-block"
     if block.header.version != BLOCK_VERSION:
@@ -670,22 +724,25 @@ def validate_block(
             return "bad-genesis-prev-hash"
     elif block.header.prev_hash != block_hash(parent_header):
         return "bad-linkage"
-    if merkle_root(list(block.transactions)) != block.header.merkle_root:
+    if merkle_root_of_ids(block.tx_ids) != block.header.merkle_root:
         return "merkle-mismatch"
     if leading_zero_bits(block.hash) < block.header.difficulty:
         return "bad-pow"
     if parent_header is not None and block.header.timestamp < parent_header.timestamp:
         return "bad-timestamp"
-    checks = registry_walk(block.transactions, dict(registered_nodes), genesis=parent_header is None)
-    for tx, reason in checks:
-        reason = verify_tx(tx) or reason
+    registry = dict(parent.registered_nodes)
+    checks = registry_walk(block.transactions, registry, genesis=parent_header is None)
+    for (tx, reason), txid in zip(checks, block.tx_ids):
+        reason = verify_tx(tx, verified, txid) or reason
         if reason is not None:
             return reason
+    if len(set(block.tx_ids)) < len(block.tx_ids) or not parent.tx_ids.isdisjoint(block.tx_ids):
+        return "duplicate-tx"
     return None
 
 
-def validate_chain(blocks: list[Block]) -> Chain:
-    """Replay from genesis, rebuilding the registry and the anchor index.
+def validate_chain(blocks: list[Block], verified: VerifiedTxs | None = None) -> Chain:
+    """Replay from genesis, rebuilding the registry and the indexes.
 
     Raises ChainValidationError carrying the first failing 1-based height.
     """
@@ -693,7 +750,7 @@ def validate_chain(blocks: list[Block]) -> Chain:
         raise ChainValidationError(0, "empty-chain")
     chain = Chain(blocks=[])
     for block in blocks:
-        chain._connect(block)
+        chain._connect(block, verified)
     return chain
 
 

@@ -136,12 +136,12 @@ class NodeLogic:
         up front so an unregistered or verify-only key gets an actionable
         rejection instead of a transaction stuck in the pool.
         """
-        reason = verify_tx(tx)
+        reason = verify_tx(tx, self.state.mempool.verified)
         if reason is None:
             reason = tx_context_reason(tx, self.chain.registered_nodes)
         if reason is not None:
             return False, reason
-        status = self.state.mempool.add(tx)
+        status = self.state.mempool.add(tx, self.chain.tx_ids)
         if status in ("accepted", "duplicate"):
             self._mark_seen(canonical_tx_bytes(tx))
             return True, None
@@ -206,7 +206,7 @@ class NodeLogic:
             return []
         # Context rules (registration ordering) are re-checked at mining time,
         # so structurally valid gossip is pooled even if not yet minable.
-        if self.state.mempool.add(tx).startswith("invalid"):
+        if self.state.mempool.add(tx, self.chain.tx_ids).startswith("invalid"):
             return []
         return [(MSG_TX, payload, BROADCAST)]
 
@@ -396,7 +396,7 @@ class LiveNode:
             return
         if best.height > stored.height and best.blocks[: stored.height] == stored.blocks:
             for block in best.blocks[stored.height:]:
-                self.store.append_block(block)
+                self.store.append_block(block, self.logic.state.mempool.verified)
         else:
             self.store.replace_chain(best)
 

@@ -20,6 +20,7 @@ from .ledger import (
     Block,
     Chain,
     ChainFileError,
+    VerifiedTxs,
     block_from_json_line,
     block_to_json_line,
     validate_chain,
@@ -87,16 +88,17 @@ class BlockStore:
         write_chain(path, [genesis])
         return cls(path, chain)
 
-    def append_block(self, block: Block) -> None:
+    def append_block(self, block: Block, verified: VerifiedTxs | None = None) -> None:
         """Check ``block`` against the stored tip, then persist it.
 
         An invalid block raises ChainValidationError before anything is
         written. The line is flushed and fsynced before the in-memory chain
         advances, so an I/O failure surfaces without corrupting state.
+        ``verified`` is passed on to ``Chain.extend``.
         """
         if block.header.prev_hash != self.chain.tip.hash:
             raise StoreError("block does not extend the stored tip")
-        new_chain = self.chain.extend(block)
+        new_chain = self.chain.extend(block, verified)
         with open(self.path, "a", encoding="utf-8") as fh:
             fh.write(block_to_json_line(block) + "\n")
             fh.flush()

@@ -218,6 +218,28 @@ class TestSubmitMineVerifyPipeline:
         mempool = workspace["dir"] / "mempool.jsonl"
         assert mempool.read_text() == ""
 
+    def test_mine_skips_pending_txs_already_on_chain(self, workspace, tmp_path, capsys):
+        """A mempool file still holding mined txs (a crash between the chain
+        append and the mempool rewrite) does not anchor them a second time."""
+        log = tmp_path / "once.log"
+        log.write_text("first\nsecond\n")
+        chain, mempool = str(workspace["chain"]), workspace["dir"] / "mempool.jsonl"
+        key = str(workspace["key"])
+        run_cli(capsys, "submit", "--key", key, "--chain", chain, "--log", str(log))
+        pending = mempool.read_text()
+        code, _, _ = run_cli(capsys, "mine", "--key", key, "--chain", chain)
+        assert code == 0
+        mempool.write_text(pending)
+        code, _, err = run_cli(capsys, "mine", "--key", key, "--chain", chain)
+        assert code == 2
+        assert err.count("skipping pending tx: invalid:duplicate-tx") == 2
+        assert load_chain(chain).height == 2
+        present = tmp_path / "present.log"
+        present.write_text("first\n")
+        code, out, _ = run_cli(capsys, "verify", "--chain", chain, "--log", str(present))
+        assert code == 0
+        assert len(json.loads(out)["matches"]) == 1
+
     def test_mine_empty_pool_is_error(self, workspace, capsys):
         code, _, err = run_cli(
             capsys,

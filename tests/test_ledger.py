@@ -4,6 +4,7 @@ import struct
 
 import pytest
 
+from bloff import ledger
 from bloff.crypto import Digest, sha256_digest
 from bloff.ledger import (
     KIND_ANCHOR,
@@ -15,6 +16,7 @@ from bloff.ledger import (
     NodeRole,
     RegistrationTransaction,
     TxDecodeError,
+    VerifiedTxs,
     block_from_json_line,
     block_hash,
     block_to_json_line,
@@ -147,6 +149,41 @@ class TestVerifyTx:
     def test_signed_over_preamble_only(self, device):
         tx = make_anchor(device)
         assert tx_preamble_bytes(tx) == canonical_tx_bytes(tx)[:-64]
+
+
+class TestVerifiedTxs:
+    def test_bounded_and_evicted_txs_checked_again(self, device, monkeypatch):
+        """Six valid txs into a record capped at 4: it never holds more than
+        4, an evicted tx costs a second check, and a tampered copy of one is
+        rejected whether or not the original is recorded."""
+        calls = []
+        original = ledger.verify_signature
+        monkeypatch.setattr(
+            ledger, "verify_signature", lambda *args: calls.append(args[0]) or original(*args)
+        )
+        record = VerifiedTxs(4)
+        txs = [make_anchor(device, bytes([i])) for i in range(6)]
+        for tx in txs:
+            assert verify_tx(tx, record) is None
+            assert len(record) <= 4
+        assert [tx_id(tx) in record for tx in txs] == [False, False, True, True, True, True]
+        assert len(calls) == 6
+        assert verify_tx(txs[5], record) is None
+        assert len(calls) == 6
+        assert verify_tx(txs[0], record) is None
+        assert len(calls) == 7
+        assert tx_id(txs[0]) in record and len(record) == 4
+        for original_tx in (txs[1], txs[5]):  # evicted, recorded
+            tampered = AnchorTransaction(
+                log_hash=original_tx.log_hash,
+                source_id="tampered",
+                capture_timestamp=original_tx.capture_timestamp,
+                submitter_pubkey=original_tx.submitter_pubkey,
+                signature=original_tx.signature,
+            )
+            assert verify_tx(tampered, record) == "bad-signature"
+            assert tx_id(tampered) not in record
+        assert len(record) == 4
 
 
 class TestMerkle:
@@ -294,17 +331,14 @@ class TestBlockEncoding:
 class TestValidateBlock:
     def test_honest_block_valid(self, miner, device):
         chain, _ = build_chain(miner, device, [b"x", b"y"])
-        parent = chain.blocks[-2].header
-        registry_before_tip = validate_chain(chain.blocks[:-1]).registered_nodes
-        assert validate_block(chain.tip, parent, registry_before_tip) is None
+        assert validate_block(chain.tip, validate_chain(chain.blocks[:-1])) is None
 
     def test_every_tx_byte_mutation_detected(self, miner, device):
         """Per-byte mutation over a 2-tx block's transactions: the merkle root
         (or the signature, for mutations that keep ids intact) must catch it."""
         chain, _ = build_chain(miner, device, [b"first", b"second"])
         block = chain.tip
-        parent = chain.blocks[-2].header
-        registry = validate_chain(chain.blocks[:-1]).registered_nodes
+        parent = validate_chain(chain.blocks[:-1])
         assert len(block.transactions) == 2
         for which in range(2):
             raw = bytearray(canonical_tx_bytes(block.transactions[which]))
@@ -318,7 +352,7 @@ class TestValidateBlock:
                 txs = list(block.transactions)
                 txs[which] = mutated_tx
                 mutated_block = Block(header=block.header, transactions=tuple(txs))
-                reason = validate_block(mutated_block, parent, registry)
+                reason = validate_block(mutated_block, parent)
                 assert reason in ("merkle-mismatch", "bad-signature"), (position, reason)
 
     def test_unregistered_anchor_submitter(self, miner, device):
@@ -335,7 +369,7 @@ class TestValidateBlock:
             ),
             transactions=(pool_tx,),
         )
-        assert validate_block(block, chain.tip.header, chain.registered_nodes) == "unregistered-submitter"
+        assert validate_block(block, chain) == "unregistered-submitter"
 
     def test_stakeholder_anchor_not_permitted(self, miner, stakeholder):
         genesis = make_genesis([miner], GENESIS_TS)
@@ -352,7 +386,7 @@ class TestValidateBlock:
             transactions=(reg, anchor),
         )
         chain = validate_chain([genesis])
-        assert validate_block(block, genesis.header, chain.registered_nodes) == "role-not-permitted"
+        assert validate_block(block, chain) == "role-not-permitted"
 
     def test_registration_sponsor_must_be_miner(self, miner, device):
         chain, _ = build_chain(miner, device, [b"x"])
@@ -368,7 +402,7 @@ class TestValidateBlock:
             ),
             transactions=(reg,),
         )
-        assert validate_block(block, chain.tip.header, chain.registered_nodes) == "unregistered-sponsor"
+        assert validate_block(block, chain) == "unregistered-sponsor"
 
     def test_duplicate_registration_rejected(self, miner, device):
         chain, _ = build_chain(miner, device, [b"x"])
@@ -383,7 +417,43 @@ class TestValidateBlock:
             ),
             transactions=(reg,),
         )
-        assert validate_block(block, chain.tip.header, chain.registered_nodes) == "already-registered"
+        assert validate_block(block, chain) == "already-registered"
+
+    def test_tx_already_on_chain_rejected(self, miner, device):
+        """Re-packing an anchor the chain already holds would list the log
+        twice under one tx id; the block is refused at its height."""
+        chain, _ = build_chain(miner, device, [b"x"])
+        replayed = chain.tip.transactions
+        block = Block(
+            header=BlockHeader(
+                prev_hash=chain.tip.hash,
+                merkle_root=merkle_root(list(replayed)),
+                timestamp=chain.tip.header.timestamp,
+                difficulty=0,
+                nonce=0,
+            ),
+            transactions=replayed,
+        )
+        with pytest.raises(ChainValidationError) as exc:
+            chain.extend(block)
+        assert (exc.value.height, exc.value.reason) == (chain.height + 1, "duplicate-tx")
+        assert chain.anchor_locations(replayed[0].log_hash) == [(chain.height, 0)]
+
+    def test_tx_twice_in_one_block_rejected(self, miner, device):
+        chain, _ = build_chain(miner, device, [])
+        anchor = build_anchor_tx(sha256_digest(b"twice"), "dev", GENESIS_TS + 5, device)
+        block = Block(
+            header=BlockHeader(
+                prev_hash=chain.tip.hash,
+                merkle_root=merkle_root([anchor, anchor]),
+                timestamp=chain.tip.header.timestamp,
+                difficulty=0,
+                nonce=0,
+            ),
+            transactions=(anchor, anchor),
+        )
+        with pytest.raises(ChainValidationError, match="duplicate-tx"):
+            validate_chain(chain.blocks + [block])
 
     def test_registration_effective_within_block(self, miner):
         """A key registered earlier in a block may anchor later in the same block."""
@@ -416,7 +486,7 @@ class TestValidateBlock:
             ),
             transactions=tip.transactions,
         )
-        assert validate_block(early, tip.header, chain.registered_nodes) == "bad-timestamp"
+        assert validate_block(early, chain) == "bad-timestamp"
 
     def test_pow_enforced(self, miner, device):
         chain, _ = build_chain(miner, device, [b"x"])
@@ -431,9 +501,7 @@ class TestValidateBlock:
             ),
             transactions=tip.transactions,
         )
-        parent = chain.blocks[-2].header
-        registry = validate_chain(chain.blocks[:-1]).registered_nodes
-        assert validate_block(hard, parent, registry) == "bad-pow"
+        assert validate_block(hard, validate_chain(chain.blocks[:-1])) == "bad-pow"
 
 
 class TestValidateChain:

@@ -10,15 +10,17 @@ import pytest
 
 from bloff.crypto import save_keypair
 from bloff.ingest import LogRecord, build_anchor_for_record
-from bloff.ledger import NodeRole, make_genesis, validate_chain
+from bloff.ledger import NodeRole, canonical_tx_bytes, make_genesis, validate_chain
 from bloff.node import (
+    MSG_TX,
     NodeLogic,
     decode_wire,
     encode_wire,
     fetch_chain,
 )
+from bloff.verify import verify_log
 from bloff.store import write_chain
-from conftest import GENESIS_TS, child_env, keypair_for
+from conftest import GENESIS_TS, build_chain, child_env, keypair_for
 
 
 class TestWireCodec:
@@ -49,6 +51,26 @@ class TestRolePolicy:
         record = LogRecord(raw=b"work", source_id="m", capture_timestamp=GENESIS_TS + 1)
         logic.state.mempool.add(build_anchor_for_record(record, miner))
         assert logic.maybe_mine(GENESIS_TS + 2) is None
+
+
+class TestAnchorReplay:
+    """A tx already on the best chain is refused at admission, so a node
+    never anchors the same log twice under one tx id."""
+
+    def test_gossiped_mined_anchor_not_mined_again(self, miner, device):
+        chain, _ = build_chain(miner, device, [b"evidence"])
+        logic = NodeLogic("m", miner, NodeRole.CSP_MINER, chain)
+        payload = canonical_tx_bytes(chain.tip.transactions[0])
+        assert logic.handle_message(MSG_TX, payload, "peer") == []
+        assert len(logic.state.mempool) == 0
+        assert logic.maybe_mine(GENESIS_TS + 50) is None
+        assert len(verify_log(b"evidence", logic.chain).matches) == 1
+
+    def test_local_resubmission_of_mined_anchor_refused(self, miner, device):
+        chain, _ = build_chain(miner, device, [b"evidence"])
+        logic = NodeLogic("m", miner, NodeRole.CSP_MINER, chain)
+        assert logic.submit_tx(chain.tip.transactions[0]) == (False, "invalid:duplicate-tx")
+        assert len(logic.state.mempool) == 0
 
 
 def free_port() -> int:

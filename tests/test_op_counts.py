@@ -1,21 +1,25 @@
-"""Operation counts: accepting one block validates one block.
+"""Operation counts: accepting one block validates one block, and each
+node checks each signature once.
 
 Wall-clock is not assertable; the number of ``validate_block`` and
 ``verify_signature`` calls is. The block store and the node extend a
-validated chain by each new block instead of replaying the whole chain, a
-peer's chain costs only the blocks the node lacks, each once, and a
-gossiped tx is verified once.
+validated chain by each new block instead of replaying the whole chain, and
+a peer's chain costs only the blocks the node lacks, each once. A node, or
+one ``bloff mine`` run, records the txs whose checks passed, so gossip,
+submission, mining, block validation and replays check each tx once.
 """
 
 import pytest
 
 from bloff import consensus, ledger
+from bloff.cli import handle_command
 from bloff.consensus import Mempool, NodeState, mine_block
-from bloff.crypto import sha256_digest
-from bloff.ledger import NodeRole, canonical_tx_bytes
-from bloff.node import MSG_TX, NodeLogic
-from bloff.store import BlockStore, write_chain
-from conftest import GENESIS_TS, build_chain
+from bloff.crypto import save_keypair, sha256_digest
+from bloff.ledger import NodeRole, canonical_tx_bytes, decode_blocks, encode_block, encode_blocks
+from bloff.node import MSG_BLOCK, MSG_TX, NodeLogic
+from bloff.simnet import run_scenario
+from bloff.store import BlockStore, append_mempool_file, write_chain
+from conftest import GENESIS_TS, build_chain, partition_scenario
 
 
 def count_calls(monkeypatch, name, module=ledger):
@@ -99,18 +103,21 @@ def test_adopt_longer_chain_validates_only_new_blocks(miner, device, counted):
 
 
 def test_fresh_node_catches_up_in_one_pass(miner, device, counted, monkeypatch):
-    """A node holding only genesis adopts the 41-block chain: each new block
-    is validated once, and each tx id is taken once by the one switch of best
-    chain, not once per block for the whole chain so far."""
+    """A node holding only genesis adopts the 41-block chain as a peer sends
+    it: each new block is validated once, each new tx id is hashed once, for
+    the Merkle root and the lookups alike, and switching best chain hashes
+    none."""
     chain, _ = chain_and_next_block(miner, device)
     state = NodeState(best=ledger.validate_chain(chain.blocks[:1]))
-    txids = count_calls(monkeypatch, "tx_id", module=consensus)
+    peer_blocks = decode_blocks(encode_blocks(chain.blocks))
+    ledger_txids = count_calls(monkeypatch, "tx_id")
+    consensus_txids = count_calls(monkeypatch, "tx_id", module=consensus)
     counted.clear()
-    assert state.adopt_chain(chain.blocks) is True
+    assert state.adopt_chain(peer_blocks) is True
     assert counted == chain.blocks[1:]
     assert state.best_tip == chain.tip.hash
-    all_txs = [tx for block in chain.blocks for tx in block.transactions]
-    assert len(txids) == len(all_txs) + len(chain.blocks[0].transactions)
+    assert ledger_txids == [tx for block in peer_blocks[1:] for tx in block.transactions]
+    assert consensus_txids == []
 
 
 def test_side_branch_replays_its_fork_point_once(miner, device, counted):
@@ -128,12 +135,101 @@ def test_side_branch_replays_its_fork_point_once(miner, device, counted):
     assert state.best_tip == branch.tip.hash
 
 
+def test_side_branch_replay_of_known_blocks_checks_no_signature(miner, device, monkeypatch):
+    """Replaying a side branch's 30-block ancestry checks no signature the
+    node has checked before; only the branch's own 15 anchors are new."""
+    chain, _ = chain_and_next_block(miner, device)
+    fork_point = ledger.validate_chain(chain.blocks[:30])
+    branch = grow(fork_point, miner, device, [f"side {i}" for i in range(15)])
+    state = NodeState(best=chain)
+    calls = count_calls(monkeypatch, "verify_signature")
+    for block in branch.blocks[30:]:
+        assert state.apply_block(block).startswith("accepted")
+    assert calls == [device.public_key] * 15
+    assert state.best_tip == branch.tip.hash
+
+
 def test_gossiped_tx_verified_once(miner, device, monkeypatch):
+    """A tx gossiped to a node, then the block carrying it: one check."""
     chain, _ = chain_and_next_block(miner, device)
     logic = NodeLogic("n1", miner, NodeRole.CSP_MINER, chain)
     tx = ledger.build_anchor_tx(sha256_digest(b"gossip"), "dev", GENESIS_TS + 100, device)
+    pool = Mempool()
+    pool.add(tx)
+    block = mine_block(pool, chain.tip.header, 0, miner, GENESIS_TS + 100, chain.registered_nodes)
     calls = count_calls(monkeypatch, "verify_signature")
     payload = canonical_tx_bytes(tx)
     assert logic.handle_message(MSG_TX, payload, "peer") == [(MSG_TX, payload, "*")]
     assert calls == [device.public_key]
     assert ledger.tx_id(tx) in logic.state.mempool
+    logic.handle_message(MSG_BLOCK, encode_block(block), "peer")
+    assert logic.chain.tip.hash == block.hash
+    assert calls == [device.public_key]
+
+
+def test_local_submission_verified_once(miner, device, monkeypatch):
+    chain, _ = chain_and_next_block(miner, device)
+    logic = NodeLogic("n1", device, NodeRole.DEVICE, chain)
+    tx = ledger.build_anchor_tx(sha256_digest(b"local"), "dev", GENESIS_TS + 100, device)
+    calls = count_calls(monkeypatch, "verify_signature")
+    assert logic.submit_tx(tx) == (True, None)
+    assert calls == [device.public_key]
+
+
+def test_mine_all_verifies_each_pending_tx_once(tmp_path, miner, device, monkeypatch, capsys):
+    """``bloff mine --all`` over 150 pending anchors: ``load_chain`` checks the
+    chain's 2 txs, then each pending tx is checked once, not again when its
+    block is appended."""
+    chain, _ = build_chain(miner, device, [])
+    path, key = tmp_path / "chain.jsonl", tmp_path / "miner.key"
+    write_chain(str(path), chain.blocks)
+    save_keypair(str(key), miner)
+    pending = [
+        ledger.build_anchor_tx(sha256_digest(b"%d" % i), "dev", GENESIS_TS + 10, device)
+        for i in range(150)
+    ]
+    raw = [canonical_tx_bytes(tx) for tx in pending]
+    append_mempool_file(str(tmp_path / "mempool.jsonl"), raw)
+    calls = count_calls(monkeypatch, "verify_signature")
+    assert handle_command(["mine", "--key", str(key), "--chain", str(path), "--all"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 2
+    assert len(calls) == 2 + 150
+
+
+def test_partition_scenario_checks_each_signature_once_per_node(monkeypatch):
+    """Each node of ``conftest.partition_scenario`` checks its genesis
+    signatures once while the network is built, and during the run checks
+    no signature twice and none of its genesis again."""
+    current = [None]
+    checks = []
+    original = ledger.verify_signature
+
+    def verify_signature(pubkey, message, signature):
+        checks.append((current[0], bytes(signature)))
+        return original(pubkey, message, signature)
+
+    def as_node(method):
+        def run(self, *args):
+            current[0] = self.node_id
+            try:
+                return method(self, *args)
+            finally:
+                current[0] = None
+
+        return run
+
+    monkeypatch.setattr(ledger, "verify_signature", verify_signature)
+    for name in ("handle_message", "submit_tx", "maybe_mine"):
+        monkeypatch.setattr(NodeLogic, name, as_node(getattr(NodeLogic, name)))
+    scenario = partition_scenario()
+    report = run_scenario(scenario).report
+    assert report["converged"]
+
+    nodes = [n["id"] for n in scenario["nodes"]]
+    at_build = sorted(sig for node, sig in checks if node is None)
+    genesis_sigs = sorted(set(at_build))
+    assert len(genesis_sigs) == 2  # one self-registration per csp-miner
+    assert at_build == sorted(genesis_sigs * len(nodes))
+    during_run = [(node, sig) for node, sig in checks if node is not None]
+    assert len(during_run) == len(set(during_run))
+    assert not {sig for _, sig in during_run} & set(genesis_sigs)
