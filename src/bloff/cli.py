@@ -252,6 +252,7 @@ def cmd_mine(args) -> int:
             print(f"skipping pending tx: {status}", file=sys.stderr)
 
     mined_any = False
+    status = 0
     while True:
         timestamp = args.timestamp if args.timestamp is not None else int(time.time())
         try:
@@ -264,10 +265,10 @@ def cmd_mine(args) -> int:
                 store.chain.registered_nodes,
             )
         except MiningError as exc:
-            if mined_any and exc.reason == "no-work":
-                break
-            print(f"mining failed: {exc.reason}", file=sys.stderr)
-            return 2
+            if not mined_any or exc.reason != "no-work":
+                print(f"mining failed: {exc.reason}", file=sys.stderr)
+                status = 2
+            break
         store.append_block(block, pool.verified)
         pool.evict(block.tx_ids)
         mined_any = True
@@ -283,8 +284,9 @@ def cmd_mine(args) -> int:
         )
         if not args.all:
             break
+    # Written on failure too, so txs skipped above are not read again.
     store_mod.write_mempool_file(pool_path, [canonical_tx_bytes(tx) for tx in pool.oldest()])
-    return 0
+    return status
 
 
 def cmd_verify(args) -> int:

@@ -160,6 +160,15 @@ def choose_chain(candidate_a: Chain, candidate_b: Chain) -> Chain:
     return candidate_b
 
 
+def fork_height(a: Chain, b: Chain) -> int:
+    """How many leading blocks ``a`` and ``b`` share: the height of their fork
+    point. Both must share a genesis block."""
+    height = min(a.height, b.height)
+    while a.blocks[height - 1].hash != b.blocks[height - 1].hash:
+        height -= 1
+    return height
+
+
 @dataclass
 class NodeState:
     """Fork-choice state plus the best chain and the mempool of one node.
@@ -204,9 +213,7 @@ class NodeState:
     def _switch_to(self, new_best: Chain) -> None:
         """Adopt ``new_best``: re-inject the txs of the blocks it drops that it
         does not hold, and evict the txs of the blocks it adds."""
-        fork = min(self.best.height, new_best.height)
-        while self.best.blocks[fork - 1].hash != new_best.blocks[fork - 1].hash:
-            fork -= 1
+        fork = fork_height(self.best, new_best)
         for block in self.best.blocks[fork:]:
             for tx, txid in zip(block.transactions, block.tx_ids):
                 if txid not in new_best.tx_ids:
@@ -272,10 +279,10 @@ class NodeState:
         return status
 
     def adopt_chain(self, blocks: list[Block]) -> bool:
-        """Connect the blocks of a peer's full chain that this node lacks, up to
-        the first invalid one. Returns True when the best tip changed."""
-        if not blocks or blocks[0].hash != self.best.genesis_hash:
-            return False
+        """Connect the blocks of a peer's linked run that this node lacks, up to
+        the first invalid one. The run may start anywhere, but the parent of
+        its first new block must be known; a run from another genesis never
+        connects. Returns True when the best tip changed."""
         new = [b for b in blocks if b.hash not in self.known_blocks]
         if not new or new[0].header.prev_hash not in self.known_blocks:
             return False

@@ -456,8 +456,9 @@ class Block:
     header: BlockHeader
     transactions: tuple[Transaction, ...]
 
-    @property
+    @cached_property
     def hash(self) -> Digest:
+        """The header hash, computed once per block object."""
         return block_hash(self.header)
 
     @cached_property
@@ -722,7 +723,7 @@ def validate_block(
     if parent_header is None:
         if block.header.prev_hash != ZERO_DIGEST:
             return "bad-genesis-prev-hash"
-    elif block.header.prev_hash != block_hash(parent_header):
+    elif block.header.prev_hash != parent.tip.hash:
         return "bad-linkage"
     if merkle_root_of_ids(block.tx_ids) != block.header.merkle_root:
         return "merkle-mismatch"

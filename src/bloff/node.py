@@ -9,6 +9,11 @@ through one queue; verification elsewhere reads immutable chain snapshots.
 Wire protocol (live mode): newline-delimited JSON over TCP, one message per
 line, ``{"kind": ..., "payload": "<hex>", "from": ..., "to": ...}`` with the
 same four kinds as the simulator fabric.
+
+A ``chain-request`` payload is a block locator: 32-byte best-chain hashes,
+tip first and genesis last, at most ``LOCATOR_MAX_HASHES``. The reply holds
+only the blocks after the highest best-chain block the locator names. An
+empty payload asks for the whole chain.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ import queue
 import socket
 import threading
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from .consensus import (
@@ -29,9 +35,10 @@ from .consensus import (
     Mempool,
     MiningError,
     NodeState,
+    fork_height,
     mine_block,
 )
-from .crypto import KeyPair, sha256_digest
+from .crypto import DIGEST_LEN, ZERO_DIGEST, KeyPair, sha256_digest
 from .ledger import (
     Block,
     Chain,
@@ -60,6 +67,10 @@ BROADCAST = "*"
 
 _SEEN_CAP = 100_000
 
+# At doubling distances 64 hashes span over 2**50 blocks, so no real chain's
+# locator reaches this cap; it bounds what a peer may send.
+LOCATOR_MAX_HASHES = 64
+
 
 @dataclass
 class NodeConfig:
@@ -82,7 +93,8 @@ class NodeLogic:
     """Role-aware node behavior over a NodeState, independent of transport.
 
     Handlers return outbound messages as ``(kind, payload, destination)``
-    tuples, destination being a node id or ``"*"`` for all neighbors. The
+    tuples, destination being a node id or ``"*"`` for all neighbors; the
+    transports send a reaction's ``"*"`` to all but the sender. The
     ``submit_tx`` method satisfies the ingest layer's SubmitTarget protocol.
     """
 
@@ -123,9 +135,22 @@ class NodeLogic:
         self._seen.add(key)
         return False
 
-    def startup_messages(self) -> list[tuple[str, bytes, str]]:
-        """Ask neighbors for their chains on boot, to catch up after downtime."""
-        return [(MSG_CHAIN_REQUEST, b"", BROADCAST)]
+    def chain_request(self, dest: str = BROADCAST) -> tuple[str, bytes, str]:
+        """Ask ``dest`` for the blocks this node lacks. The payload is the
+        block locator of the best chain: the tip, its nine nearest ancestors,
+        then ancestors at doubling distances, and genesis last.
+
+        Safe off the event-loop thread: a best ``Chain`` is never mutated.
+        """
+        blocks = self.chain.blocks
+        hashes, index, step = [], len(blocks) - 1, 1
+        while index > 0 and len(hashes) < LOCATOR_MAX_HASHES - 1:
+            hashes.append(blocks[index].hash)
+            if len(hashes) >= 10:
+                step *= 2
+            index -= step
+        hashes.append(blocks[0].hash)
+        return (MSG_CHAIN_REQUEST, b"".join(hashes), dest)
 
     # -- local submission ----------------------------------------------------
 
@@ -190,9 +215,9 @@ class NodeLogic:
         if kind == MSG_BLOCK:
             return self._handle_block(payload, sender)
         if kind == MSG_CHAIN_REQUEST:
-            return [(MSG_CHAIN_RESPONSE, encode_blocks(self.chain.blocks), sender)]
+            return self._handle_chain_request(payload, sender)
         if kind == MSG_CHAIN_RESPONSE:
-            return self._handle_chain_response(payload)
+            return self._handle_chain_response(payload, sender)
         logger.debug("%s: ignoring unknown message kind %r", self.node_id, kind)
         return []
 
@@ -224,19 +249,41 @@ class NodeLogic:
             return []
         out = [(MSG_BLOCK, payload, BROADCAST)]
         if status == "orphaned":
-            out.append((MSG_CHAIN_REQUEST, b"", sender))
+            out.append(self.chain_request(sender))
         return out
 
-    def _handle_chain_response(self, payload: bytes) -> list[tuple[str, bytes, str]]:
+    def _handle_chain_request(self, payload: bytes, sender: str) -> list[tuple[str, bytes, str]]:
+        blocks = self.chain.blocks
+        if not payload:
+            return [(MSG_CHAIN_RESPONSE, encode_blocks(blocks), sender)]
+        if len(payload) % DIGEST_LEN or len(payload) > LOCATOR_MAX_HASHES * DIGEST_LEN:
+            logger.debug("%s: dropping malformed locator", self.node_id)
+            return []
+        locator = {payload[i : i + DIGEST_LEN] for i in range(0, len(payload), DIGEST_LEN)}
+        for height in range(len(blocks), 0, -1):
+            if blocks[height - 1].hash in locator:
+                run = blocks[height:]
+                return [(MSG_CHAIN_RESPONSE, encode_blocks(run), sender)] if run else []
+        return []
+
+    def _handle_chain_response(self, payload: bytes, sender: str) -> list[tuple[str, bytes, str]]:
         try:
             blocks = decode_blocks(payload)
         except (ValueError, TxDecodeError) as exc:
             logger.debug("%s: dropping undecodable chain: %s", self.node_id, exc)
             return []
         # Only the blocks this node lacks are validated; if they change the
-        # best tip, push the new chain so the winner floods outward hop by hop.
+        # best tip, push the new run from the fork point with the old best,
+        # so the winner floods outward hop by hop.
+        old_best = self.chain
         if self.state.adopt_chain(blocks):
-            return [(MSG_CHAIN_RESPONSE, encode_blocks(self.chain.blocks), BROADCAST)]
+            run = self.chain.blocks[fork_height(old_best, self.chain) :]
+            return [(MSG_CHAIN_RESPONSE, encode_blocks(run), BROADCAST)]
+        # A run that starts past a block this node lacks: ask the sender for
+        # the gap. A genesis block has no parent to ask for.
+        parent = blocks[0].header.prev_hash if blocks else ZERO_DIGEST
+        if parent != ZERO_DIGEST and parent not in self.state.known_blocks:
+            return [self.chain_request(sender)]
         return []
 
 
@@ -253,6 +300,21 @@ def encode_wire(kind: str, payload: bytes, from_id: str, to_id: str) -> bytes:
 def decode_wire(line: bytes) -> tuple[str, bytes, str, str]:
     obj = json.loads(line.decode("utf-8"))
     return obj["kind"], bytes.fromhex(obj["payload"]), obj["from"], obj["to"]
+
+
+def read_lines(sock: socket.socket) -> Iterator[bytes]:
+    """Yield each non-empty line received on ``sock`` until EOF, without its
+    newline; a partial line at EOF is dropped. Each byte is scanned once."""
+    buf = bytearray()
+    while data := sock.recv(1 << 16):
+        scan = len(buf)  # the bytes before this hold no newline
+        buf += data
+        start = 0
+        while (end := buf.find(b"\n", scan)) != -1:
+            if end > start:
+                yield bytes(buf[start:end])
+            start = scan = end + 1
+        del buf[:start]
 
 
 class _Conn:
@@ -349,39 +411,33 @@ class LiveNode:
                 established[address] = conn
                 self._track(conn)
                 # A fresh link is a chance to catch up on missed blocks.
-                conn.send(
-                    encode_wire(MSG_CHAIN_REQUEST, b"", self.logic.node_id, BROADCAST)
-                )
+                kind, payload, dest = self.logic.chain_request()
+                conn.send(encode_wire(kind, payload, self.logic.node_id, dest))
             self._stop.wait(1.0)
 
     def _read_conn(self, conn: _Conn) -> None:
-        buf = b""
-        while not self._stop.is_set() and conn.alive:
-            try:
-                data = conn.sock.recv(1 << 16)
-            except OSError:
-                break
-            if not data:
-                break
-            buf += data
-            while b"\n" in buf:
-                line, buf = buf.split(b"\n", 1)
-                if not line:
-                    continue
+        try:
+            for line in read_lines(conn.sock):
+                if self._stop.is_set() or not conn.alive:
+                    break
                 try:
                     kind, payload, from_id, _ = decode_wire(line)
                 except (ValueError, KeyError) as exc:
                     logger.debug("dropping malformed wire line: %s", exc)
                     continue
                 self.inbox.put((kind, payload, from_id, conn))
+        except OSError:
+            pass
         conn.close()
 
     def _send_out(self, messages, origin: _Conn | None = None) -> None:
+        """Send handler output; a broadcast skips ``origin``, the connection
+        the handled message came from, whose peer already holds it."""
         for kind, payload, dest in messages:
             data = encode_wire(kind, payload, self.logic.node_id, dest)
             if dest == BROADCAST:
                 with self._conns_lock:
-                    targets = [c for c in self._conns if c.alive]
+                    targets = [c for c in self._conns if c.alive and c is not origin]
                 for conn in targets:
                     conn.send(data)
             elif origin is not None:
@@ -488,19 +544,12 @@ def fetch_chain(address: str, timeout: float = 10.0) -> list[Block]:
     with socket.create_connection((host, int(port)), timeout=timeout) as sock:
         sock.sendall(encode_wire(MSG_CHAIN_REQUEST, b"", "client", BROADCAST))
         sock.settimeout(timeout)
-        buf = b""
-        while time.monotonic() < deadline:
-            while b"\n" in buf:
-                line, buf = buf.split(b"\n", 1)
-                if not line:
-                    continue
-                kind, payload, _, _ = decode_wire(line)
-                if kind == MSG_CHAIN_RESPONSE:
-                    return decode_blocks(payload)
-            data = sock.recv(1 << 20)
-            if not data:
+        for line in read_lines(sock):
+            kind, payload, _, _ = decode_wire(line)
+            if kind == MSG_CHAIN_RESPONSE:
+                return decode_blocks(payload)
+            if time.monotonic() >= deadline:
                 break
-            buf += data
     raise TimeoutError(f"no chain response from {address}")
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from .crypto import KeyPair, generate_keypair, sha256_digest
 from .ingest import LogRecord, build_anchor_for_record
 from .ledger import NodeRole, build_registration_tx, validate_chain, make_genesis
-from .node import BROADCAST, MSG_CHAIN_REQUEST, NodeLogic
+from .node import BROADCAST, NodeLogic
 
 
 @dataclass(frozen=True)
@@ -111,11 +111,12 @@ class SimNetwork:
         self.events.append(f"t={self.tick} partition {[sorted(g) for g in groups]}")
 
     def heal(self) -> None:
-        """Reconnect everything and make every node ask neighbors for chains."""
+        """Reconnect everything and make every node ask neighbors for the
+        blocks it lacks."""
         self.partitions = []
         self.events.append(f"t={self.tick} heal")
         for node_id in sorted(self.nodes):
-            self.send_from(node_id, [(MSG_CHAIN_REQUEST, b"", BROADCAST)])
+            self.send_from(node_id, [self.nodes[node_id].logic.chain_request()])
 
     # -- message plumbing ------------------------------------------------------
 
@@ -129,17 +130,20 @@ class SimNetwork:
         self.enqueued_count += 1
         self.captured_payloads.append(message.payload)
 
-    def send_from(self, origin: str, outbound: list[tuple[str, bytes, str]]) -> None:
+    def send_from(
+        self, origin: str, outbound: list[tuple[str, bytes, str]], skip: str | None = None
+    ) -> None:
         """Fan node-produced messages out to the topology.
 
-        Broadcast goes to every current neighbor of the origin; direct
-        messages need an existing edge to their target.
+        Broadcast goes to every current neighbor of the origin but ``skip``,
+        the sender of the message the origin reacted to, which already holds
+        it; direct messages need an existing edge to their target.
         """
         if origin not in self.nodes:
             raise ValueError(f"unknown node: {origin}")
         for kind, payload, dest in outbound:
             if dest == BROADCAST:
-                targets = self.neighbors(origin)
+                targets = [n for n in self.neighbors(origin) if n != skip]
             elif frozenset((origin, dest)) in self.edges:
                 targets = [dest]
             else:
@@ -191,7 +195,7 @@ class SimNetwork:
                     f"t={self.tick} {msg.recipient} tip={after.hex()[:12]}"
                     f" height={node.logic.chain.height}"
                 )
-            self.send_from(msg.recipient, outbound)
+            self.send_from(msg.recipient, outbound, skip=msg.sender)
         return delivered
 
     def run_to_quiescence(self, max_ticks: int) -> None:

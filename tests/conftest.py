@@ -9,6 +9,7 @@ from bloff.crypto import generate_keypair, sha256_digest
 from bloff.ingest import LogRecord, build_anchor_for_record
 from bloff.ledger import (
     NodeRole,
+    build_anchor_tx,
     build_registration_tx,
     make_genesis,
     tx_id,
@@ -136,3 +137,14 @@ def build_chain(miner, device, log_lines, difficulty=0, txs_per_block=100):
         blocks.append(block)
         pool.evict({tx_id(tx) for tx in block.transactions})
     return validate_chain(blocks), records
+
+
+def grow(chain, miner, device, labels):
+    """``chain`` plus one single-anchor block per label."""
+    for label in labels:
+        pool = Mempool()
+        ts = chain.tip.header.timestamp + 1
+        pool.add(build_anchor_tx(sha256_digest(label.encode()), "dev", ts, device))
+        block = mine_block(pool, chain.tip.header, 0, miner, ts, chain.registered_nodes)
+        chain = chain.extend(block)
+    return chain

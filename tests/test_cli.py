@@ -233,6 +233,10 @@ class TestSubmitMineVerifyPipeline:
         code, _, err = run_cli(capsys, "mine", "--key", key, "--chain", chain)
         assert code == 2
         assert err.count("skipping pending tx: invalid:duplicate-tx") == 2
+        assert mempool.read_text() == ""
+        code, _, err = run_cli(capsys, "mine", "--key", key, "--chain", chain)
+        assert code == 2
+        assert "skipping" not in err
         assert load_chain(chain).height == 2
         present = tmp_path / "present.log"
         present.write_text("first\n")

@@ -473,3 +473,21 @@ class TestAdoptChain:
         assert sibling.hash in state.known_blocks
         assert state.orphans == {}
         assert state.best_tip in (two.tip.hash, sibling.hash)
+
+    def test_run_past_genesis_connects_only_its_blocks(self, miner, device, base):
+        """A delta run, starting on a block the node holds, connects."""
+        one = extend(base, miner, device, [b"d1"])
+        two = extend(one, miner, device, [b"d2"], ts_offset=11)
+        state = NodeState(best=base)
+        assert state.adopt_chain(two.blocks[base.height :]) is True
+        assert state.best_tip == two.tip.hash
+
+    def test_run_on_unknown_parent_refused_state_unchanged(self, miner, device, base):
+        one = extend(base, miner, device, [b"d1"])
+        two = extend(one, miner, device, [b"d2"], ts_offset=11)
+        state = NodeState(best=base)
+        known = dict(state.known_blocks)
+        assert state.adopt_chain(two.blocks[one.height :]) is False
+        assert state.best is base
+        assert state.known_blocks == known
+        assert state.orphans == {}

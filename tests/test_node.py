@@ -8,19 +8,39 @@ import time
 
 import pytest
 
-from bloff.crypto import save_keypair
+from types import SimpleNamespace
+
+from bloff.crypto import ZERO_DIGEST, save_keypair
 from bloff.ingest import LogRecord, build_anchor_for_record
-from bloff.ledger import NodeRole, canonical_tx_bytes, make_genesis, validate_chain
+from bloff.ledger import (
+    Block,
+    BlockHeader,
+    NodeRole,
+    canonical_tx_bytes,
+    decode_blocks,
+    encode_block,
+    encode_blocks,
+    make_genesis,
+    validate_chain,
+)
 from bloff.node import (
+    BROADCAST,
+    LOCATOR_MAX_HASHES,
+    MSG_BLOCK,
+    MSG_CHAIN_REQUEST,
+    MSG_CHAIN_RESPONSE,
     MSG_TX,
+    LiveNode,
+    NodeConfig,
     NodeLogic,
     decode_wire,
     encode_wire,
     fetch_chain,
+    read_lines,
 )
 from bloff.verify import verify_log
-from bloff.store import write_chain
-from conftest import GENESIS_TS, build_chain, child_env, keypair_for
+from bloff.store import BlockStore, write_chain
+from conftest import GENESIS_TS, build_chain, child_env, grow, keypair_for
 
 
 class TestWireCodec:
@@ -34,6 +54,174 @@ class TestWireCodec:
         line = encode_wire("block-gossip", bytes(100), "a", "b")
         obj = json.loads(line)
         assert set(obj) == {"kind", "payload", "from", "to"}
+
+
+class FakeSocket:
+    """Hands out ``chunks`` one per ``recv``, then EOF."""
+
+    def __init__(self, chunks):
+        self.chunks = list(chunks)
+
+    def recv(self, size):
+        return self.chunks.pop(0) if self.chunks else b""
+
+
+class TestReadLines:
+    def test_line_split_across_many_chunks(self):
+        line = encode_wire(MSG_TX, bytes(range(200)), "a", "*")
+        chunks = [line[i : i + 3] for i in range(0, len(line), 3)]
+        assert list(read_lines(FakeSocket(chunks))) == [line[:-1]]
+
+    def test_two_lines_in_one_chunk(self):
+        assert list(read_lines(FakeSocket([b"one\ntwo\n"]))) == [b"one", b"two"]
+
+    def test_empty_line_skipped(self):
+        assert list(read_lines(FakeSocket([b"a\n", b"\nb", b"\n"]))) == [b"a", b"b"]
+
+    def test_partial_line_at_eof_dropped(self):
+        assert list(read_lines(FakeSocket([b"a\npart", b"ial"]))) == [b"a"]
+
+
+class FakeConn:
+    def __init__(self):
+        self.alive = True
+        self.sent = []
+
+    def send(self, data):
+        self.sent.append(data)
+        return True
+
+
+class TestSendOut:
+    def test_broadcast_skips_origin_reply_goes_to_it(self, tmp_path, miner):
+        path = tmp_path / "chain.jsonl"
+        write_chain(str(path), [make_genesis([miner], GENESIS_TS)])
+        config = NodeConfig(NodeRole.STAKEHOLDER, "unused.key", str(path))
+        node = LiveNode(config, miner, BlockStore.open(str(path)))
+        origin, other = FakeConn(), FakeConn()
+        node._conns = [origin, other]
+        node._send_out([(MSG_TX, b"tx", BROADCAST), (MSG_CHAIN_RESPONSE, b"r", "peer")], origin)
+        assert [decode_wire(line[:-1])[0] for line in other.sent] == [MSG_TX]
+        assert [decode_wire(line[:-1])[0] for line in origin.sent] == [MSG_CHAIN_RESPONSE]
+        node._send_out([(MSG_BLOCK, b"mined", BROADCAST)])
+        assert len(origin.sent) == len(other.sent) == 2
+
+
+class LongChain:
+    """Stands in for the blocks of a chain far longer than any real one."""
+
+    def __len__(self):
+        return 2**62
+
+    def __getitem__(self, height):
+        header = BlockHeader(ZERO_DIGEST, ZERO_DIGEST, 0, 0, height % 2**64)
+        return Block(header=header, transactions=())
+
+
+class TestDeltaSync:
+    """A ``chain-request`` carries a block locator; the reply, and the push
+    after an adopt, hold only the blocks the receiver lacks."""
+
+    @pytest.fixture
+    def chains(self, miner, device):
+        """A 41-block chain, and the same chain 5 blocks longer."""
+        lines = [f"line {i}".encode() for i in range(39)]
+        chain, _ = build_chain(miner, device, lines, txs_per_block=1)
+        return chain, grow(chain, miner, device, [f"new {i}" for i in range(5)])
+
+    def test_locator_layout(self, miner, chains):
+        chain, _ = chains
+        logic = NodeLogic("b", miner, NodeRole.CSP_MINER, chain)
+        kind, payload, dest = logic.chain_request("a")
+        assert (kind, dest) == (MSG_CHAIN_REQUEST, "a")
+        heights = list(range(40, 30, -1)) + [29, 25, 17, 1, 0]
+        assert payload == b"".join(chain.blocks[h].hash for h in heights)
+        fresh = NodeLogic("g", miner, NodeRole.CSP_MINER, validate_chain(chain.blocks[:1]))
+        assert fresh.chain_request()[1:] == (chain.blocks[0].hash, BROADCAST)
+
+    def test_locator_capped(self, miner, chains):
+        chain, _ = chains
+        logic = NodeLogic("b", miner, NodeRole.CSP_MINER, chain)
+        logic.state.best = SimpleNamespace(blocks=LongChain())
+        payload = logic.chain_request()[1]
+        assert len(payload) == 32 * LOCATOR_MAX_HASHES
+        assert payload[-32:] == LongChain()[0].hash
+
+    def test_malformed_locator_gets_no_reply(self, miner, chains):
+        chain, longer = chains
+        ahead = NodeLogic("a", miner, NodeRole.CSP_MINER, longer)
+        tip = chain.tip.hash
+        assert ahead.handle_message(MSG_CHAIN_REQUEST, tip + b"\x00", "b") == []
+        too_long = tip * (LOCATOR_MAX_HASHES + 1)
+        assert ahead.handle_message(MSG_CHAIN_REQUEST, too_long, "b") == []
+        [(_, reply, _)] = ahead.handle_message(MSG_CHAIN_REQUEST, tip * LOCATOR_MAX_HASHES, "b")
+        assert decode_blocks(reply) == longer.blocks[41:]
+
+    def test_empty_request_gets_whole_chain(self, miner, chains):
+        _, longer = chains
+        ahead = NodeLogic("a", miner, NodeRole.CSP_MINER, longer)
+        assert ahead.handle_message(MSG_CHAIN_REQUEST, b"", "b") == [
+            (MSG_CHAIN_RESPONSE, encode_blocks(longer.blocks), "b")
+        ]
+
+    def test_no_reply_when_nothing_follows_or_nothing_matches(self, miner, chains):
+        chain, longer = chains
+        ahead = NodeLogic("a", miner, NodeRole.CSP_MINER, longer)
+        assert ahead.handle_message(MSG_CHAIN_REQUEST, longer.tip.hash, "b") == []
+        assert ahead.handle_message(MSG_CHAIN_REQUEST, bytes(32) * 3, "b") == []
+
+    def test_reorg_reply_and_push_start_at_fork_point(self, miner, device, chains):
+        """A node on a losing 2-block side branch off height 39 gets, and then
+        pushes on, the winning blocks from height 40 up."""
+        chain, longer = chains
+        side = grow(validate_chain(chain.blocks[:39]), miner, device, ["s1", "s2"])
+        ahead = NodeLogic("a", miner, NodeRole.CSP_MINER, longer)
+        behind = NodeLogic("b", miner, NodeRole.CSP_MINER, side)
+        [(_, reply, _)] = ahead.handle_message(*behind.chain_request()[:2], "b")
+        assert decode_blocks(reply) == longer.blocks[39:]
+        assert behind.handle_message(MSG_CHAIN_RESPONSE, reply, "a") == [
+            (MSG_CHAIN_RESPONSE, reply, BROADCAST)
+        ]
+        assert behind.chain.tip.hash == longer.tip.hash
+
+    def test_run_on_unknown_parent_asks_sender_once(self, miner, chains):
+        chain, longer = chains
+        ahead = NodeLogic("a", miner, NodeRole.CSP_MINER, longer)
+        behind = NodeLogic("b", miner, NodeRole.CSP_MINER, chain)
+        push = encode_blocks(longer.blocks[44:])
+        out = behind.handle_message(MSG_CHAIN_RESPONSE, push, "a")
+        assert out == [behind.chain_request("a")]
+        assert behind.chain.tip.hash == chain.tip.hash
+        [(_, reply, _)] = ahead.handle_message(*out[0][:2], "b")
+        behind.handle_message(MSG_CHAIN_RESPONSE, reply, "a")
+        assert behind.chain.tip.hash == longer.tip.hash
+
+    def test_orphaned_block_asks_sender_with_locator(self, miner, chains):
+        chain, longer = chains
+        ahead = NodeLogic("a", miner, NodeRole.CSP_MINER, longer)
+        behind = NodeLogic("b", miner, NodeRole.CSP_MINER, chain)
+        payload = encode_block(longer.tip)
+        out = behind.handle_message(MSG_BLOCK, payload, "a")
+        assert out == [(MSG_BLOCK, payload, BROADCAST), behind.chain_request("a")]
+        [(_, reply, _)] = ahead.handle_message(*out[1][:2], "b")
+        behind.handle_message(MSG_CHAIN_RESPONSE, reply, "a")
+        assert behind.chain.tip.hash == longer.tip.hash
+
+    def test_run_from_other_genesis_changes_nothing(self, miner, device, chains):
+        chain, _ = chains
+        other, _ = build_chain(keypair_for("other-miner"), device, [b"x", b"y", b"z"])
+        stranger = NodeLogic("x", miner, NodeRole.CSP_MINER, other)
+        logic = NodeLogic("b", miner, NodeRole.CSP_MINER, chain)
+        known = dict(logic.state.known_blocks)
+        assert logic.handle_message(MSG_CHAIN_RESPONSE, encode_blocks(other.blocks), "x") == []
+        assert logic.chain is chain
+        assert logic.state.known_blocks == known
+        # A delta from the other chain draws a locator that matches nothing
+        # there, so the exchange ends.
+        out = logic.handle_message(MSG_CHAIN_RESPONSE, encode_blocks(other.blocks[2:]), "x")
+        assert out == [logic.chain_request("x")]
+        assert stranger.handle_message(*out[0][:2], "b") == []
+        assert logic.chain is chain
 
 
 class TestRolePolicy:

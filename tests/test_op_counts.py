@@ -16,10 +16,10 @@ from bloff.cli import handle_command
 from bloff.consensus import Mempool, NodeState, mine_block
 from bloff.crypto import save_keypair, sha256_digest
 from bloff.ledger import NodeRole, canonical_tx_bytes, decode_blocks, encode_block, encode_blocks
-from bloff.node import MSG_BLOCK, MSG_TX, NodeLogic
+from bloff.node import MSG_BLOCK, MSG_CHAIN_RESPONSE, MSG_TX, NodeLogic
 from bloff.simnet import run_scenario
 from bloff.store import BlockStore, append_mempool_file, write_chain
-from conftest import GENESIS_TS, build_chain, partition_scenario
+from conftest import GENESIS_TS, build_chain, grow, partition_scenario
 
 
 def count_calls(monkeypatch, name, module=ledger):
@@ -39,17 +39,6 @@ def count_calls(monkeypatch, name, module=ledger):
 def counted(monkeypatch):
     """Count calls into ``bloff.ledger.validate_block``."""
     return count_calls(monkeypatch, "validate_block")
-
-
-def grow(chain, miner, device, labels):
-    """``chain`` plus one single-anchor block per label."""
-    for label in labels:
-        pool = Mempool()
-        ts = chain.tip.header.timestamp + 1
-        pool.add(ledger.build_anchor_tx(sha256_digest(label.encode()), "dev", ts, device))
-        block = mine_block(pool, chain.tip.header, 0, miner, ts, chain.registered_nodes)
-        chain = chain.extend(block)
-    return chain
 
 
 def chain_and_next_block(miner, device):
@@ -118,6 +107,36 @@ def test_fresh_node_catches_up_in_one_pass(miner, device, counted, monkeypatch):
     assert state.best_tip == chain.tip.hash
     assert ledger_txids == [tx for block in peer_blocks[1:] for tx in block.transactions]
     assert consensus_txids == []
+
+
+def test_fresh_node_hashes_each_header_once(miner, device, monkeypatch):
+    """Adopting the 41-block chain from ``chain-response`` bytes hashes each
+    block header once, for the lookups and the linkage checks alike."""
+    chain, _ = chain_and_next_block(miner, device)
+    state = NodeState(best=ledger.validate_chain(chain.blocks[:1]))
+    peer_blocks = decode_blocks(encode_blocks(chain.blocks))
+    calls = count_calls(monkeypatch, "block_hash")
+    assert state.adopt_chain(peer_blocks) is True
+    assert calls == [block.header for block in peer_blocks]
+
+
+def test_node_k_blocks_behind_receives_and_validates_k(miner, device, counted):
+    """A node 5 blocks behind sends its locator: the reply holds exactly the
+    5 blocks it lacks, each validated once, and its push after the adopt
+    holds the same 5."""
+    chain, _ = chain_and_next_block(miner, device)
+    longer = grow(chain, miner, device, [f"new {i}" for i in range(5)])
+    ahead = NodeLogic("a", miner, NodeRole.CSP_MINER, longer)
+    behind = NodeLogic("b", miner, NodeRole.CSP_MINER, chain)
+    kind, locator, _ = behind.chain_request("a")
+    [(reply_kind, reply, dest)] = ahead.handle_message(kind, locator, "b")
+    assert (reply_kind, dest) == (MSG_CHAIN_RESPONSE, "b")
+    assert decode_blocks(reply) == longer.blocks[41:]
+    counted.clear()
+    pushed = behind.handle_message(MSG_CHAIN_RESPONSE, reply, "a")
+    assert counted == longer.blocks[41:]
+    assert pushed == [(MSG_CHAIN_RESPONSE, reply, "*")]
+    assert behind.chain.tip.hash == longer.tip.hash
 
 
 def test_side_branch_replays_its_fork_point_once(miner, device, counted):

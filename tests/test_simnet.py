@@ -3,8 +3,8 @@
 import pytest
 
 from bloff.ledger import NodeRole
-from bloff.node import MSG_TX, NodeLogic
-from bloff.simnet import build_sim, run_scenario, sim_keypair
+from bloff.node import MSG_CHAIN_RESPONSE, MSG_TX, NodeLogic
+from bloff.simnet import SimNetwork, build_sim, run_scenario, sim_keypair
 from conftest import partition_scenario
 
 
@@ -91,6 +91,40 @@ class TestDelivery:
         assert net.delivered_count <= net.enqueued_count
         deliver_events = [e for e in net.events if " deliver " in e]
         assert len(deliver_events) == net.delivered_count
+
+
+class TestNoEcho:
+    def test_gossip_crosses_each_edge_of_a_line_once(self):
+        """On a 3-node line, a relayed tx and a relayed block are each sent
+        once per edge, never back to the neighbour they came from."""
+        net = build_sim(
+            seed=1,
+            node_specs=[("a", NodeRole.CSP_MINER), ("b", NodeRole.STAKEHOLDER), ("c", NodeRole.STAKEHOLDER)],
+            edges=[("a", "b", 1), ("b", "c", 1)],
+        )
+        submit_own_log(net, "a", "line payload")
+        net.run_to_quiescence(20)
+        assert net.enqueued_count == 2
+        block = net.nodes["a"].logic.maybe_mine(net.genesis_timestamp + net.tick)
+        net.send_from("a", net.nodes["a"].logic.block_messages(block))
+        net.run_to_quiescence(40)
+        assert net.enqueued_count == 4
+        assert all(node.logic.chain.tip.hash == block.hash for node in net.nodes.values())
+
+    def test_partition_scenario_chain_response_bytes(self, monkeypatch):
+        """Locator requests and run pushes carry only missing blocks: the
+        scenario sends 5,194 chain-response payload bytes, where full-chain
+        replies and pushes sent 27,676."""
+        sent = []
+        enqueue = SimNetwork._enqueue
+
+        def recording(self, message):
+            sent.append(message)
+            enqueue(self, message)
+
+        monkeypatch.setattr(SimNetwork, "_enqueue", recording)
+        assert run_scenario(partition_scenario()).report["converged"]
+        assert sum(len(m.payload) for m in sent if m.kind == MSG_CHAIN_RESPONSE) == 5_194
 
 
 class TestPartitions:
