@@ -12,15 +12,23 @@ side branch. A constructed ``Chain`` is treated as immutable; concurrent
 readers are safe.
 
 A node passes its ``VerifiedTxs`` record down these calls, so each tx
-signature costs it one Ed25519 check; ``load_chain`` passes none and checks
-every signature.
+signature costs it one Ed25519 check. ``load_chain`` passes none and checks
+every signature: ``validate_chain`` first spreads the checks over forked
+workers, one per CPU, then folds the blocks in order. The workers check
+only the blocks before the first one whose header checks fail, so a
+tampered file costs no more checks than serially. It stays serial on one
+CPU, below ``MIN_TXS_PER_WORKER`` txs per worker, where ``os.fork`` is
+missing, and while another thread is alive.
 """
 
 from __future__ import annotations
 
 import enum
 import json
+import os
+import signal
 import struct
+import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -307,13 +315,92 @@ def verify_tx(
     return None
 
 
-def verify_tx_bytes(raw: bytes) -> str | None:
-    """Total validity check over wire bytes: decode failures become reasons."""
+# Measured on a 2-vCPU host, inside a process holding a 2,014-tx chain: two
+# workers took 34 ms on 128 txs against 28 ms serially, and 34 ms on 192
+# against 40 ms. The break-even lies between 64 and 96 txs per worker, so
+# none is forked below 96.
+MIN_TXS_PER_WORKER = 96
+
+
+def verify_txs_forked(
+    txs: Sequence[Transaction], txids: Sequence[Digest]
+) -> VerifiedTxs | None:
+    """Run ``verify_tx`` over ``txs`` on every CPU; return the ids that passed.
+
+    ``cryptography``'s Ed25519 verify holds the GIL, so the work goes to
+    forked processes: each child checks one contiguous share and writes one
+    byte per tx to a pipe, and the parent checks the first share itself. A
+    child's bytes count only if it exited 0 and wrote exactly its share;
+    any other outcome, and any failing tx, leaves those ids unrecorded for
+    the caller's in-order pass to check. A failing tx in the parent's share
+    fails the chain at or before it, so the parent stops there and kills
+    the children. Returns None, and forks nothing,
+    when fewer than two workers would have ``MIN_TXS_PER_WORKER`` txs each,
+    when the platform cannot fork, or while another thread is alive (a
+    child forked from a threaded process can deadlock).
+    """
+    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return None
+    workers = min(len(os.sched_getaffinity(0)), len(txs) // MIN_TXS_PER_WORKER)
+    if workers < 2 or threading.active_count() > 1:
+        return None
+    bounds = [-(-len(txs) * k // workers) for k in range(workers + 1)]
+    record = VerifiedTxs(len(txs))
+    children = []
     try:
-        tx = decode_tx(raw)
-    except TxDecodeError as exc:
-        return exc.reason
-    return verify_tx(tx)
+        for start, end in zip(bounds[1:], bounds[2:]):
+            try:
+                children.append((start, end, *_fork_checker(txs[start:end])))
+            except OSError:  # out of processes or descriptors
+                pass
+        for tx, txid in zip(txs[: bounds[1]], txids):
+            if verify_tx(tx, record, txid) is not None:
+                for _, _, pid, _ in children:
+                    os.kill(pid, signal.SIGKILL)  # not yet reaped, so still ours
+                break
+    finally:
+        results = [(start, end, _reap(pid, fd)) for start, end, pid, fd in children]
+    for start, end, verdicts in results:
+        if len(verdicts) == end - start:
+            for txid, passed in zip(txids[start:end], verdicts):
+                if passed:
+                    record.add(txid)
+    return record
+
+
+def _fork_checker(share: Sequence[Transaction]) -> tuple[int, int]:
+    """Fork a child that checks ``share``; its pid and the pipe it writes
+    to. The child never returns."""
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid == 0:
+        code = 1
+        try:
+            os.close(read_fd)
+            verdicts = bytes(verify_tx(tx) is None for tx in share)
+            with os.fdopen(write_fd, "wb") as pipe:
+                pipe.write(verdicts)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write_fd)
+    return pid, read_fd
+
+
+def _reap(pid: int, read_fd: int) -> bytes:
+    """A child's verdict bytes, or none unless it exited 0."""
+    with os.fdopen(read_fd, "rb") as pipe:
+        verdicts = pipe.read()
+    try:
+        _, status = os.waitpid(pid, 0)
+    except ChildProcessError:  # reaped elsewhere: its exit code is unknown
+        return b""
+    return verdicts if os.waitstatus_to_exitcode(status) == 0 else b""
 
 
 def build_anchor_tx(
@@ -465,6 +552,11 @@ class Block:
     def tx_ids(self) -> tuple[Digest, ...]:
         """Each tx's id, hashed once per block object."""
         return tuple(tx_id(tx) for tx in self.transactions)
+
+    @cached_property
+    def tx_root(self) -> Digest:
+        """The Merkle root of ``tx_ids``, computed once per block object."""
+        return merkle_root_of_ids(self.tx_ids)
 
 
 def encode_block(block: Block) -> bytes:
@@ -704,6 +796,28 @@ def registry_walk(
         yield tx, reason
 
 
+def _header_reason(block: Block, parent_tip: Block | None) -> str | None:
+    """The first failing check of ``block`` that reads no signature and no
+    registry: shape, linkage to ``parent_tip`` (None for genesis), Merkle
+    root, proof of work and timestamp."""
+    if not block.transactions:
+        return "empty-block"
+    if block.header.version != BLOCK_VERSION:
+        return "bad-version"
+    if parent_tip is None:
+        if block.header.prev_hash != ZERO_DIGEST:
+            return "bad-genesis-prev-hash"
+    elif block.header.prev_hash != parent_tip.hash:
+        return "bad-linkage"
+    if block.tx_root != block.header.merkle_root:
+        return "merkle-mismatch"
+    if leading_zero_bits(block.hash) < block.header.difficulty:
+        return "bad-pow"
+    if parent_tip is not None and block.header.timestamp < parent_tip.header.timestamp:
+        return "bad-timestamp"
+    return None
+
+
 def validate_block(
     block: Block, parent: Chain, verified: VerifiedTxs | None = None
 ) -> str | None:
@@ -715,24 +829,11 @@ def validate_block(
     earlier in the block after both). ``parent`` is not modified;
     ``verified`` is passed to ``verify_tx``.
     """
-    parent_header = parent.tip.header if parent.blocks else None
-    if not block.transactions:
-        return "empty-block"
-    if block.header.version != BLOCK_VERSION:
-        return "bad-version"
-    if parent_header is None:
-        if block.header.prev_hash != ZERO_DIGEST:
-            return "bad-genesis-prev-hash"
-    elif block.header.prev_hash != parent.tip.hash:
-        return "bad-linkage"
-    if merkle_root_of_ids(block.tx_ids) != block.header.merkle_root:
-        return "merkle-mismatch"
-    if leading_zero_bits(block.hash) < block.header.difficulty:
-        return "bad-pow"
-    if parent_header is not None and block.header.timestamp < parent_header.timestamp:
-        return "bad-timestamp"
+    reason = _header_reason(block, parent.tip if parent.blocks else None)
+    if reason is not None:
+        return reason
     registry = dict(parent.registered_nodes)
-    checks = registry_walk(block.transactions, registry, genesis=parent_header is None)
+    checks = registry_walk(block.transactions, registry, genesis=not parent.blocks)
     for (tx, reason), txid in zip(checks, block.tx_ids):
         reason = verify_tx(tx, verified, txid) or reason
         if reason is not None:
@@ -749,6 +850,16 @@ def validate_chain(blocks: list[Block], verified: VerifiedTxs | None = None) -> 
     """
     if not blocks:
         raise ChainValidationError(0, "empty-chain")
+    if verified is None:
+        # The fold checks no signature past a block whose header fails.
+        checked = next(
+            (i for i, b in enumerate(blocks) if _header_reason(b, blocks[i - 1] if i else None)),
+            len(blocks),
+        )
+        verified = verify_txs_forked(
+            [tx for block in blocks[:checked] for tx in block.transactions],
+            [txid for block in blocks[:checked] for txid in block.tx_ids],
+        )
     chain = Chain(blocks=[])
     for block in blocks:
         chain._connect(block, verified)

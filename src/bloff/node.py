@@ -243,14 +243,21 @@ class NodeLogic:
         except (ValueError, TxDecodeError) as exc:
             logger.debug("%s: dropping undecodable block: %s", self.node_id, exc)
             return []
+        old_best = self.chain
         status = self.state.apply_block(block)
         if status.startswith("rejected"):
             logger.debug("%s: block rejected: %s", self.node_id, status)
             return []
-        out = [(MSG_BLOCK, payload, BROADCAST)]
+        # An orphan is not yet validated, so it is not relayed: the node asks
+        # the sender for the gap and pushes the block with the run it adopts.
         if status == "orphaned":
-            out.append(self.chain_request(sender))
-        return out
+            return [self.chain_request(sender)]
+        # The block connected held orphans past it: push the whole new run,
+        # as after an adopt, so the orphans go out too.
+        if status == "accepted-best" and self.chain.tip.hash != block.hash:
+            run = self.chain.blocks[fork_height(old_best, self.chain) :]
+            return [(MSG_CHAIN_RESPONSE, encode_blocks(run), BROADCAST)]
+        return [(MSG_BLOCK, payload, BROADCAST)]
 
     def _handle_chain_request(self, payload: bytes, sender: str) -> list[tuple[str, bytes, str]]:
         blocks = self.chain.blocks

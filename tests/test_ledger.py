@@ -1,11 +1,14 @@
 """Canonical encodings, Merkle tree, block and chain validation."""
 
+import dataclasses
+import os
 import struct
+import threading
 
 import pytest
 
 from bloff import ledger
-from bloff.crypto import Digest, sha256_digest
+from bloff.crypto import Digest, Signature, sha256_digest
 from bloff.ledger import (
     KIND_ANCHOR,
     KIND_REGISTRATION,
@@ -38,7 +41,6 @@ from bloff.ledger import (
     validate_block,
     validate_chain,
     verify_tx,
-    verify_tx_bytes,
 )
 from conftest import GENESIS_TS, build_chain, keypair_for
 from oracles import oracle_anchor_scan, oracle_merkle_root, oracle_validate_chain
@@ -50,6 +52,12 @@ GOLDEN_GENESIS_HASH = "328ccef7d86d8980afd8022544c1309ceed7b9585e026b260f2e80527
 
 def make_anchor(keypair, payload=b"log line", ts=GENESIS_TS, source="dev"):
     return build_anchor_tx(sha256_digest(payload), source, ts, keypair)
+
+
+def decode_error_reason(raw: bytes) -> str:
+    with pytest.raises(TxDecodeError) as err:
+        decode_tx(raw)
+    return err.value.reason
 
 
 def random_anchor(rng, keypair):
@@ -115,7 +123,7 @@ class TestVerifyTx:
             raw = bytearray(canonical_tx_bytes(tx))
             bit = rng.randrange(2 * 8, 34 * 8)  # inside the log_hash field
             raw[bit // 8] ^= 1 << (bit % 8)
-            assert verify_tx_bytes(bytes(raw)) == "bad-signature"
+            assert verify_tx(decode_tx(bytes(raw))) == "bad-signature"
 
     def test_mutated_source_id_fails(self, device):
         tx = make_anchor(device, source="gateway")
@@ -132,19 +140,19 @@ class TestVerifyTx:
         good = build_registration_tx(device.public_key, NodeRole.DEVICE, miner)
         raw = bytearray(canonical_tx_bytes(good))
         raw[34] = 0x09
-        assert verify_tx_bytes(bytes(raw)) == "bad-role-tag"
+        assert verify_tx(decode_tx(bytes(raw))) == "bad-role-tag"
 
     def test_bad_version(self, device):
         raw = bytearray(canonical_tx_bytes(make_anchor(device)))
         raw[0] = 2
-        assert verify_tx_bytes(bytes(raw)) == "bad-version"
+        assert verify_tx(decode_tx(bytes(raw))) == "bad-version"
 
     def test_bad_kind_and_length(self, device):
         raw = bytearray(canonical_tx_bytes(make_anchor(device)))
         raw[1] = 0x07
-        assert verify_tx_bytes(bytes(raw)) == "bad-kind"
-        assert verify_tx_bytes(canonical_tx_bytes(make_anchor(device))[:-1]) == "bad-length"
-        assert verify_tx_bytes(b"") == "bad-length"
+        assert decode_error_reason(bytes(raw)) == "bad-kind"
+        assert decode_error_reason(canonical_tx_bytes(make_anchor(device))[:-1]) == "bad-length"
+        assert decode_error_reason(b"") == "bad-length"
 
     def test_signed_over_preamble_only(self, device):
         tx = make_anchor(device)
@@ -594,6 +602,178 @@ class TestValidateChain:
             assert ok_impl == ok_oracle
             if not ok_impl:
                 assert height_impl == height_oracle
+
+
+@pytest.fixture(scope="module")
+def long_chain():
+    """A valid chain of 192 txs: genesis, a registration, then 100 and 90
+    anchors. Two workers split it 96/96, the parent taking txs 0-95
+    (heights 1-2 and block 3's first 94)."""
+    chain, _ = build_chain(
+        keypair_for("miner-0"), keypair_for("device-0"), [f"entry {i}".encode() for i in range(190)]
+    )
+    return chain
+
+
+def tx_count(blocks) -> int:
+    return sum(len(block.transactions) for block in blocks)
+
+
+def with_txs(block, txs):
+    """``block`` carrying ``txs`` instead, under a recomputed Merkle root."""
+    header = dataclasses.replace(block.header, merkle_root=merkle_root(list(txs)))
+    return Block(header, tuple(txs))
+
+
+def with_bad_signature(blocks, height, index):
+    """``blocks`` with one tx's signature flipped and the later blocks
+    relinked, so every header check passes and the first failure is that
+    tx's ``bad-signature``."""
+    txs = list(blocks[height - 1].transactions)
+    signature = bytearray(txs[index].signature)
+    signature[0] ^= 1
+    txs[index] = dataclasses.replace(txs[index], signature=Signature(bytes(signature)))
+    out = blocks[: height - 1] + [with_txs(blocks[height - 1], txs)]
+    for block in blocks[height:]:
+        header = dataclasses.replace(block.header, prev_hash=out[-1].hash)
+        out.append(Block(header, block.transactions))
+    return out
+
+
+class TestForkedSignaturePrePass:
+    """``validate_chain`` without a record checks signatures in forked
+    workers first; the affinity mask is patched to two CPUs so that the
+    workers run on a one-CPU machine too."""
+
+    @pytest.fixture
+    def parent_checks(self, monkeypatch):
+        """Signature checks made in this process; a child's are not seen."""
+        calls = []
+        original = ledger.verify_signature
+        monkeypatch.setattr(
+            ledger, "verify_signature", lambda *args: calls.append(args[0]) or original(*args)
+        )
+        return calls
+
+    @staticmethod
+    def cpus(monkeypatch, count):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+    @staticmethod
+    def assert_same_chain(chain, serial):
+        assert chain.blocks == serial.blocks
+        assert chain.registered_nodes == serial.registered_nodes
+        assert chain.anchor_index == serial.anchor_index
+        assert chain.tx_ids == serial.tx_ids
+
+    def test_two_workers_match_serial_and_halve_parent_checks(
+        self, long_chain, parent_checks, monkeypatch
+    ):
+        blocks = long_chain.blocks
+        count = tx_count(blocks)
+        self.cpus(monkeypatch, 1)
+        serial = validate_chain(blocks)
+        assert len(parent_checks) == count
+        parent_checks.clear()
+        self.cpus(monkeypatch, 2)
+        self.assert_same_chain(validate_chain(blocks), serial)
+        assert len(parent_checks) == -(-count // 2)
+
+    @pytest.mark.parametrize(
+        "height,index",
+        [(3, 10), (3, 98), (4, 5)],
+        ids=["parent-share", "child-share-same-block", "child-share-later-block"],
+    )
+    def test_bad_signature_fails_as_serial(self, long_chain, monkeypatch, height, index):
+        blocks = with_bad_signature(long_chain.blocks, height, index)
+        failures = []
+        for cpus in (1, 2):
+            self.cpus(monkeypatch, cpus)
+            with pytest.raises(ChainValidationError) as err:
+                validate_chain(blocks)
+            failures.append((err.value.height, err.value.reason))
+        assert failures == [(height, "bad-signature")] * 2
+
+    def test_bad_signature_in_parent_share_stops_the_pre_pass(
+        self, long_chain, parent_checks, monkeypatch
+    ):
+        self.cpus(monkeypatch, 2)
+        with pytest.raises(ChainValidationError):
+            validate_chain(with_bad_signature(long_chain.blocks, 3, 10))
+        # The pre-pass stops at the bad tx (2 + 11 checks) and the fold
+        # checks it once more; the rest of the share is never checked.
+        assert len(parent_checks) == 2 + 11 + 1
+
+    def test_no_signature_checked_past_a_failing_header(
+        self, long_chain, parent_checks, monkeypatch
+    ):
+        def no_fork():
+            raise AssertionError("forked")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        self.cpus(monkeypatch, 2)
+        third = long_chain.blocks[2]
+        tampered = Block(third.header, third.transactions[::-1])
+        blocks = long_chain.blocks[:2] + [tampered] + long_chain.blocks[3:]
+        with pytest.raises(ChainValidationError) as err:
+            validate_chain(blocks)
+        assert (err.value.height, err.value.reason) == (3, "merkle-mismatch")
+        assert len(parent_checks) == 2
+
+    def test_failed_child_leaves_its_share_to_the_parent(
+        self, long_chain, parent_checks, monkeypatch
+    ):
+        parent = os.getpid()
+        original = ledger.verify_tx
+
+        def crash_in_child(*args, **kwargs):
+            if os.getpid() != parent:
+                raise RuntimeError("worker failure")
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(ledger, "verify_tx", crash_in_child)
+        self.cpus(monkeypatch, 2)
+        self.assert_same_chain(validate_chain(long_chain.blocks), long_chain)
+        assert len(parent_checks) == tx_count(long_chain.blocks)
+
+    def test_failed_fork_leaves_its_share_to_the_parent(
+        self, long_chain, parent_checks, monkeypatch
+    ):
+        def fork_fails():
+            raise OSError("out of processes")
+
+        monkeypatch.setattr(os, "fork", fork_fails)
+        self.cpus(monkeypatch, 2)
+        self.assert_same_chain(validate_chain(long_chain.blocks), long_chain)
+        assert len(parent_checks) == tx_count(long_chain.blocks)
+
+    def test_no_fork_below_two_full_shares_or_beside_a_thread(
+        self, long_chain, parent_checks, monkeypatch
+    ):
+        def no_fork():
+            raise AssertionError("forked")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        self.cpus(monkeypatch, 2)
+        # The last block cut to 89 anchors: 191 txs, one short of two shares.
+        last = long_chain.blocks[-1]
+        short = long_chain.blocks[:-1] + [with_txs(last, last.transactions[:89])]
+        short_count = tx_count(short)
+        assert short_count == 2 * ledger.MIN_TXS_PER_WORKER - 1
+        assert validate_chain(short).height == long_chain.height
+        assert len(parent_checks) == short_count
+        parent_checks.clear()
+
+        release = threading.Event()
+        waiter = threading.Thread(target=release.wait, args=(30,))
+        waiter.start()
+        try:
+            assert validate_chain(long_chain.blocks).height == long_chain.height
+        finally:
+            release.set()
+            waiter.join(timeout=30)
+        assert not waiter.is_alive()
+        assert len(parent_checks) == tx_count(long_chain.blocks)
 
 
 class TestGenesis:

@@ -202,10 +202,23 @@ class TestDeltaSync:
         behind = NodeLogic("b", miner, NodeRole.CSP_MINER, chain)
         payload = encode_block(longer.tip)
         out = behind.handle_message(MSG_BLOCK, payload, "a")
-        assert out == [(MSG_BLOCK, payload, BROADCAST), behind.chain_request("a")]
-        [(_, reply, _)] = ahead.handle_message(*out[1][:2], "b")
+        assert out == [behind.chain_request("a")]
+        [(_, reply, _)] = ahead.handle_message(*out[0][:2], "b")
         behind.handle_message(MSG_CHAIN_RESPONSE, reply, "a")
         assert behind.chain.tip.hash == longer.tip.hash
+
+    def test_orphan_connected_by_its_parent_is_pushed(self, miner, chains):
+        # On a line a - b - c: b holds block 43 as an orphan, then gets its
+        # parent 42. Relaying 42 alone would leave c one block short.
+        chain, longer = chains
+        b = NodeLogic("b", miner, NodeRole.CSP_MINER, chain)
+        c = NodeLogic("c", miner, NodeRole.CSP_MINER, chain)
+        orphan, parent = longer.blocks[42], longer.blocks[41]
+        assert b.handle_message(MSG_BLOCK, encode_block(orphan), "a") == [b.chain_request("a")]
+        out = b.handle_message(MSG_BLOCK, encode_block(parent), "a")
+        assert out == [(MSG_CHAIN_RESPONSE, encode_blocks([parent, orphan]), BROADCAST)]
+        c.handle_message(*out[0][:2], "b")
+        assert c.chain.tip.hash == orphan.hash
 
     def test_run_from_other_genesis_changes_nothing(self, miner, device, chains):
         chain, _ = chains
