@@ -1,4 +1,4 @@
-"""Log ingestion: read records, canonicalize, hash and submit anchors.
+"""Log ingestion: read records, canonicalize, hash and sign anchors.
 
 The anchored bytes are the producer's bytes. Canonicalization strips exactly
 one trailing line terminator (LF or CRLF) and nothing else, so a log handed
@@ -12,10 +12,10 @@ import os
 import sys
 import time
 from dataclasses import dataclass
-from typing import Iterator, Protocol
+from typing import Iterator
 
 from .crypto import Digest, KeyPair, sha256_digest
-from .ledger import AnchorTransaction, Transaction, build_anchor_tx, tx_id
+from .ledger import AnchorTransaction, build_anchor_tx
 
 MAX_RECORD_BYTES = 65_536
 
@@ -30,19 +30,6 @@ class RecordError(ValueError):
 
 class SourceError(Exception):
     """A log source that cannot be read, carrying the offending path."""
-
-
-class SubmitError(Exception):
-    def __init__(self, reason: str):
-        super().__init__(reason)
-        self.reason = reason
-
-
-class SubmitTarget(Protocol):
-    """Anything that can accept a signed transaction for inclusion."""
-
-    def submit_tx(self, tx: Transaction) -> tuple[bool, str | None]:
-        ...
 
 
 def canonicalize_record(raw: bytes) -> bytes:
@@ -116,12 +103,3 @@ def build_anchor_for_record(record: LogRecord, keypair: KeyPair) -> AnchorTransa
         capture_timestamp=record.capture_timestamp,
         keypair=keypair,
     )
-
-
-def anchor_record(record: LogRecord, keypair: KeyPair, target: SubmitTarget) -> Digest:
-    """Hash, sign and submit one record; returns the transaction id."""
-    tx = build_anchor_for_record(record, keypair)
-    accepted, reason = target.submit_tx(tx)
-    if not accepted:
-        raise SubmitError(reason or "rejected")
-    return tx_id(tx)

@@ -13,12 +13,12 @@ readers are safe.
 
 A node passes its ``VerifiedTxs`` record down these calls, so each tx
 signature costs it one Ed25519 check. ``load_chain`` passes none and checks
-every signature: ``validate_chain`` first spreads the checks over forked
-workers, one per CPU, then folds the blocks in order. The workers check
-only the blocks before the first one whose header checks fail, so a
-tampered file costs no more checks than serially. It stays serial on one
-CPU, below ``MIN_TXS_PER_WORKER`` txs per worker, where ``os.fork`` is
-missing, and while another thread is alive.
+every signature, rules first: ``validate_chain`` folds the blocks with every
+rule but ``verify_tx``, then spreads the ``verify_tx`` checks of the blocks
+before the first failing one over forked workers, one per CPU. A file that
+breaks a rule thus costs no more checks than serially. The checks stay
+serial on one CPU, below ``MIN_TXS_PER_WORKER`` txs per worker, where
+``os.fork`` is missing, and while another thread is alive.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import signal
 import struct
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Iterator, Sequence
 
@@ -324,7 +324,7 @@ MIN_TXS_PER_WORKER = 96
 
 def verify_txs_forked(
     txs: Sequence[Transaction], txids: Sequence[Digest]
-) -> VerifiedTxs | None:
+) -> VerifiedTxs:
     """Run ``verify_tx`` over ``txs`` on every CPU; return the ids that passed.
 
     ``cryptography``'s Ed25519 verify holds the GIL, so the work goes to
@@ -334,16 +334,14 @@ def verify_txs_forked(
     any other outcome, and any failing tx, leaves those ids unrecorded for
     the caller's in-order pass to check. A failing tx in the parent's share
     fails the chain at or before it, so the parent stops there and kills
-    the children. Returns None, and forks nothing,
+    the children. The parent checks every tx itself, and forks nothing,
     when fewer than two workers would have ``MIN_TXS_PER_WORKER`` txs each,
     when the platform cannot fork, or while another thread is alive (a
     child forked from a threaded process can deadlock).
     """
-    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
-        return None
-    workers = min(len(os.sched_getaffinity(0)), len(txs) // MIN_TXS_PER_WORKER)
-    if workers < 2 or threading.active_count() > 1:
-        return None
+    workers = 1
+    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity") and threading.active_count() == 1:
+        workers = max(1, min(len(os.sched_getaffinity(0)), len(txs) // MIN_TXS_PER_WORKER))
     bounds = [-(-len(txs) * k // workers) for k in range(workers + 1)]
     record = VerifiedTxs(len(txs))
     children = []
@@ -417,14 +415,7 @@ def build_anchor_tx(
         submitter_pubkey=keypair.public_key,
         signature=Signature(bytes(SIGNATURE_LEN)),
     )
-    signature = sign(keypair.secret_key, tx_preamble_bytes(unsigned))
-    return AnchorTransaction(
-        log_hash=log_hash,
-        source_id=source_id,
-        capture_timestamp=capture_timestamp,
-        submitter_pubkey=keypair.public_key,
-        signature=signature,
-    )
+    return replace(unsigned, signature=sign(keypair.secret_key, tx_preamble_bytes(unsigned)))
 
 
 def build_registration_tx(
@@ -439,13 +430,7 @@ def build_registration_tx(
         submitter_pubkey=sponsor.public_key,
         signature=Signature(bytes(SIGNATURE_LEN)),
     )
-    signature = sign(sponsor.secret_key, tx_preamble_bytes(unsigned))
-    return RegistrationTransaction(
-        new_node_pubkey=new_node_pubkey,
-        role_byte=ROLE_TO_BYTE[role],
-        submitter_pubkey=sponsor.public_key,
-        signature=signature,
-    )
+    return replace(unsigned, signature=sign(sponsor.secret_key, tx_preamble_bytes(unsigned)))
 
 
 # ---------------------------------------------------------------------------
@@ -466,19 +451,21 @@ def merkle_node(left: Digest, right: Digest) -> Digest:
 
 def merkle_root(transactions: list[Transaction]) -> Digest:
     """Binary hash tree over tx ids; an odd level duplicates its last node."""
-    return merkle_root_of_ids([tx_id(tx) for tx in transactions])
+    return merkle_levels([tx_id(tx) for tx in transactions])[-1][0]
 
 
-def merkle_root_of_ids(txids: Sequence[Digest]) -> Digest:
-    """``merkle_root`` of txs whose ids are already hashed."""
+def merkle_levels(txids: Sequence[Digest]) -> list[list[Digest]]:
+    """Every level of the tree over ``txids``, leaves first and the root
+    last. An odd level below the root ends in a copy of its last node, the
+    sibling that node is hashed with."""
     if not txids:
         raise ValueError("merkle root of an empty transaction list is undefined")
-    level = [merkle_leaf(txid) for txid in txids]
-    while len(level) > 1:
+    levels = [[merkle_leaf(txid) for txid in txids]]
+    while len(level := levels[-1]) > 1:
         if len(level) % 2 == 1:
             level.append(level[-1])
-        level = [merkle_node(level[i], level[i + 1]) for i in range(0, len(level), 2)]
-    return level[0]
+        levels.append([merkle_node(level[i], level[i + 1]) for i in range(0, len(level), 2)])
+    return levels
 
 
 # ---------------------------------------------------------------------------
@@ -556,68 +543,58 @@ class Block:
     @cached_property
     def tx_root(self) -> Digest:
         """The Merkle root of ``tx_ids``, computed once per block object."""
-        return merkle_root_of_ids(self.tx_ids)
+        return merkle_levels(self.tx_ids)[-1][0]
+
+
+def _frame(items: list[bytes]) -> bytes:
+    """u32 count, then each item as a u32 length and its bytes."""
+    parts = [struct.pack(">I", len(items))]
+    for item in items:
+        parts.append(struct.pack(">I", len(item)))
+        parts.append(item)
+    return b"".join(parts)
+
+
+def _unframe(raw: bytes, offset: int, what: str, decode) -> list:
+    """``decode`` of each item ``_frame`` wrote at ``raw[offset:]``, which
+    must end with the last item; errors name ``what``."""
+    if len(raw) < offset + 4:
+        raise ValueError(f"{what} bytes too short")
+    (count,) = struct.unpack(">I", raw[offset:offset + 4])
+    offset += 4
+    items = []
+    for _ in range(count):
+        if offset + 4 > len(raw):
+            raise ValueError(f"truncated {what} bytes")
+        (length,) = struct.unpack(">I", raw[offset:offset + 4])
+        offset += 4
+        if offset + length > len(raw):
+            raise ValueError(f"truncated {what} bytes")
+        items.append(decode(raw[offset:offset + length]))
+        offset += length
+    if offset != len(raw):
+        raise ValueError(f"trailing bytes after {what}")
+    return items
 
 
 def encode_block(block: Block) -> bytes:
     """Canonical binary block: header, tx count, then length-prefixed txs."""
-    parts = [header_bytes(block.header), struct.pack(">I", len(block.transactions))]
-    for tx in block.transactions:
-        raw = canonical_tx_bytes(tx)
-        parts.append(struct.pack(">I", len(raw)))
-        parts.append(raw)
-    return b"".join(parts)
+    txs = [canonical_tx_bytes(tx) for tx in block.transactions]
+    return header_bytes(block.header) + _frame(txs)
 
 
 def decode_block(raw: bytes) -> Block:
-    if len(raw) < HEADER_LEN + 4:
-        raise ValueError("block bytes too short")
-    header = decode_header(raw[:HEADER_LEN])
-    (count,) = struct.unpack(">I", raw[HEADER_LEN:HEADER_LEN + 4])
-    offset = HEADER_LEN + 4
-    txs = []
-    for _ in range(count):
-        if offset + 4 > len(raw):
-            raise ValueError("truncated block bytes")
-        (tx_len,) = struct.unpack(">I", raw[offset:offset + 4])
-        offset += 4
-        if offset + tx_len > len(raw):
-            raise ValueError("truncated block bytes")
-        txs.append(decode_tx(raw[offset:offset + tx_len]))
-        offset += tx_len
-    if offset != len(raw):
-        raise ValueError("trailing bytes after block")
-    return Block(header=header, transactions=tuple(txs))
+    txs = _unframe(raw, HEADER_LEN, "block", decode_tx)
+    return Block(header=decode_header(raw[:HEADER_LEN]), transactions=tuple(txs))
 
 
 def encode_blocks(blocks: list[Block]) -> bytes:
     """Length-prefixed block sequence, used by chain-response payloads."""
-    parts = [struct.pack(">I", len(blocks))]
-    for block in blocks:
-        raw = encode_block(block)
-        parts.append(struct.pack(">I", len(raw)))
-        parts.append(raw)
-    return b"".join(parts)
+    return _frame([encode_block(block) for block in blocks])
 
 
 def decode_blocks(raw: bytes) -> list[Block]:
-    if len(raw) < 4:
-        raise ValueError("chain bytes too short")
-    (count,) = struct.unpack(">I", raw[:4])
-    offset = 4
-    blocks = []
-    for _ in range(count):
-        if offset + 4 > len(raw):
-            raise ValueError("truncated chain bytes")
-        (block_len,) = struct.unpack(">I", raw[offset:offset + 4])
-        offset += 4
-        if offset + block_len > len(raw):
-            raise ValueError("truncated chain bytes")
-        blocks.append(decode_block(raw[offset:offset + block_len]))
-        offset += block_len
-    if offset != len(raw):
-        raise ValueError("trailing bytes after chain")
-    return blocks
+    return _unframe(raw, 0, "chain", decode_block)
 
 
 # ---------------------------------------------------------------------------
@@ -796,28 +773,6 @@ def registry_walk(
         yield tx, reason
 
 
-def _header_reason(block: Block, parent_tip: Block | None) -> str | None:
-    """The first failing check of ``block`` that reads no signature and no
-    registry: shape, linkage to ``parent_tip`` (None for genesis), Merkle
-    root, proof of work and timestamp."""
-    if not block.transactions:
-        return "empty-block"
-    if block.header.version != BLOCK_VERSION:
-        return "bad-version"
-    if parent_tip is None:
-        if block.header.prev_hash != ZERO_DIGEST:
-            return "bad-genesis-prev-hash"
-    elif block.header.prev_hash != parent_tip.hash:
-        return "bad-linkage"
-    if block.tx_root != block.header.merkle_root:
-        return "merkle-mismatch"
-    if leading_zero_bits(block.hash) < block.header.difficulty:
-        return "bad-pow"
-    if parent_tip is not None and block.header.timestamp < parent_tip.header.timestamp:
-        return "bad-timestamp"
-    return None
-
-
 def validate_block(
     block: Block, parent: Chain, verified: VerifiedTxs | None = None
 ) -> str | None:
@@ -829,9 +784,21 @@ def validate_block(
     earlier in the block after both). ``parent`` is not modified;
     ``verified`` is passed to ``verify_tx``.
     """
-    reason = _header_reason(block, parent.tip if parent.blocks else None)
-    if reason is not None:
-        return reason
+    if not block.transactions:
+        return "empty-block"
+    if block.header.version != BLOCK_VERSION:
+        return "bad-version"
+    if not parent.blocks:
+        if block.header.prev_hash != ZERO_DIGEST:
+            return "bad-genesis-prev-hash"
+    elif block.header.prev_hash != parent.tip.hash:
+        return "bad-linkage"
+    if block.tx_root != block.header.merkle_root:
+        return "merkle-mismatch"
+    if leading_zero_bits(block.hash) < block.header.difficulty:
+        return "bad-pow"
+    if parent.blocks and block.header.timestamp < parent.tip.header.timestamp:
+        return "bad-timestamp"
     registry = dict(parent.registered_nodes)
     checks = registry_walk(block.transactions, registry, genesis=not parent.blocks)
     for (tx, reason), txid in zip(checks, block.tx_ids):
@@ -843,23 +810,40 @@ def validate_block(
     return None
 
 
+class _EveryId(VerifiedTxs):
+    """A stand-in record that holds every id: a fold with it skips
+    ``verify_tx`` and checks every other rule."""
+
+    def __contains__(self, txid: Digest) -> bool:
+        return True
+
+
 def validate_chain(blocks: list[Block], verified: VerifiedTxs | None = None) -> Chain:
     """Replay from genesis, rebuilding the registry and the indexes.
 
     Raises ChainValidationError carrying the first failing 1-based height.
+    Without ``verified``, the rules run before the signatures: the blocks
+    are folded with every rule but ``verify_tx``, then the txs before the
+    first failing block go to ``verify_txs_forked``. A chain that passes
+    both is returned as folded; otherwise it is folded again with the ids
+    that passed, which gives the height and reason a serial fold gives.
     """
     if not blocks:
         raise ChainValidationError(0, "empty-chain")
     if verified is None:
-        # The fold checks no signature past a block whose header fails.
-        checked = next(
-            (i for i, b in enumerate(blocks) if _header_reason(b, blocks[i - 1] if i else None)),
-            len(blocks),
-        )
-        verified = verify_txs_forked(
-            [tx for block in blocks[:checked] for tx in block.transactions],
-            [txid for block in blocks[:checked] for txid in block.tx_ids],
-        )
+        try:
+            chain, checked = _fold(blocks, _EveryId(0)), blocks
+        except ChainValidationError as exc:
+            chain, checked = None, blocks[: exc.height - 1]
+        txs = [tx for block in checked for tx in block.transactions]
+        verified = verify_txs_forked(txs, [txid for block in checked for txid in block.tx_ids])
+        if chain is not None and len(verified) == len(txs):
+            return chain
+    return _fold(blocks, verified)
+
+
+def _fold(blocks: list[Block], verified: VerifiedTxs) -> Chain:
+    """``Chain._connect`` of each block in order, from an empty chain."""
     chain = Chain(blocks=[])
     for block in blocks:
         chain._connect(block, verified)

@@ -12,8 +12,9 @@ same four kinds as the simulator fabric.
 
 A ``chain-request`` payload is a block locator: 32-byte best-chain hashes,
 tip first and genesis last, at most ``LOCATOR_MAX_HASHES``. The reply holds
-only the blocks after the highest best-chain block the locator names. An
-empty payload asks for the whole chain.
+only the blocks after the highest best-chain block the locator names; a
+locator whose last hash is not the responder's genesis gets none. An empty
+payload asks for the whole chain.
 """
 
 from __future__ import annotations
@@ -29,10 +30,6 @@ from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from .consensus import (
-    DEFAULT_BLOCK_TX_CAP,
-    DEFAULT_MEMPOOL_CAP,
-    DEFAULT_ORPHAN_CAP,
-    Mempool,
     MiningError,
     NodeState,
     fork_height,
@@ -80,9 +77,6 @@ class NodeConfig:
     difficulty: int = 0
     listen: str | None = None  # "host:port"
     peers: list[str] = field(default_factory=list)
-    mempool_cap: int = DEFAULT_MEMPOOL_CAP
-    block_tx_cap: int = DEFAULT_BLOCK_TX_CAP
-    orphan_cap: int = DEFAULT_ORPHAN_CAP
 
 
 def default_home() -> str:
@@ -94,8 +88,7 @@ class NodeLogic:
 
     Handlers return outbound messages as ``(kind, payload, destination)``
     tuples, destination being a node id or ``"*"`` for all neighbors; the
-    transports send a reaction's ``"*"`` to all but the sender. The
-    ``submit_tx`` method satisfies the ingest layer's SubmitTarget protocol.
+    transports send a reaction's ``"*"`` to all but the sender.
     """
 
     def __init__(
@@ -105,18 +98,12 @@ class NodeLogic:
         role: NodeRole,
         chain: Chain,
         difficulty: int = 0,
-        mempool_cap: int = DEFAULT_MEMPOOL_CAP,
-        block_tx_cap: int = DEFAULT_BLOCK_TX_CAP,
-        orphan_cap: int = DEFAULT_ORPHAN_CAP,
     ):
         self.node_id = node_id
         self.keypair = keypair
         self.role = role
         self.difficulty = difficulty
-        self.block_tx_cap = block_tx_cap
-        self.state = NodeState(
-            best=chain, mempool=Mempool(mempool_cap), orphan_cap=orphan_cap
-        )
+        self.state = NodeState(best=chain)
         self._seen: set[bytes] = set()
 
     # -- helpers ------------------------------------------------------------
@@ -191,7 +178,6 @@ class NodeLogic:
                 self.keypair,
                 timestamp,
                 self.chain.registered_nodes,
-                block_tx_cap=self.block_tx_cap,
             )
         except MiningError:
             return None
@@ -265,6 +251,10 @@ class NodeLogic:
             return [(MSG_CHAIN_RESPONSE, encode_blocks(blocks), sender)]
         if len(payload) % DIGEST_LEN or len(payload) > LOCATOR_MAX_HASHES * DIGEST_LEN:
             logger.debug("%s: dropping malformed locator", self.node_id)
+            return []
+        # A locator ends in its sender's genesis. One that ends in another
+        # hash shares no block with this chain, and is answered unwalked.
+        if payload[-DIGEST_LEN:] != blocks[0].hash:
             return []
         locator = {payload[i : i + DIGEST_LEN] for i in range(0, len(payload), DIGEST_LEN)}
         for height in range(len(blocks), 0, -1):
@@ -372,9 +362,6 @@ class LiveNode:
             role=config.role,
             chain=store.chain,
             difficulty=config.difficulty,
-            mempool_cap=config.mempool_cap,
-            block_tx_cap=config.block_tx_cap,
-            orphan_cap=config.orphan_cap,
         )
         self.inbox: queue.Queue = queue.Queue()
         self._conns: list[_Conn] = []

@@ -151,9 +151,6 @@ class SimNetwork:
             for target in targets:
                 self._enqueue(SimMessage(kind=kind, payload=payload, sender=origin, recipient=target))
 
-    def broadcast(self, origin: str, kind: str, payload: bytes) -> None:
-        self.send_from(origin, [(kind, payload, BROADCAST)])
-
     def pending(self) -> int:
         return len(self._queue)
 

@@ -54,15 +54,23 @@ def load_chain(path: str) -> Chain:
     return validate_chain(blocks)
 
 
-def write_chain(path: str, blocks: list[Block]) -> None:
-    """Atomically replace ``path`` with the given block sequence."""
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        for block in blocks:
-            fh.write(block_to_json_line(block) + "\n")
+def _write_lines(path: str, lines, replace: bool = False) -> None:
+    """Append ``lines`` to ``path``, each with a newline, flushed and
+    fsynced. With ``replace``, write them to a temp file instead and rename
+    it over ``path`` atomically."""
+    target = path + ".tmp" if replace else path
+    with open(target, "w" if replace else "a", encoding="utf-8") as fh:
+        for line in lines:
+            fh.write(line + "\n")
         fh.flush()
         os.fsync(fh.fileno())
-    os.replace(tmp, path)
+    if replace:
+        os.replace(target, path)
+
+
+def write_chain(path: str, blocks: list[Block]) -> None:
+    """Atomically replace ``path`` with the given block sequence."""
+    _write_lines(path, map(block_to_json_line, blocks), replace=True)
 
 
 class BlockStore:
@@ -99,18 +107,12 @@ class BlockStore:
         if block.header.prev_hash != self.chain.tip.hash:
             raise StoreError("block does not extend the stored tip")
         new_chain = self.chain.extend(block, verified)
-        with open(self.path, "a", encoding="utf-8") as fh:
-            fh.write(block_to_json_line(block) + "\n")
-            fh.flush()
-            os.fsync(fh.fileno())
+        _write_lines(self.path, [block_to_json_line(block)])
         self.chain = new_chain
 
     def record_fork(self, block: Block) -> None:
         """Append a losing-fork block to the sidecar file."""
-        with open(self.forks_path, "a", encoding="utf-8") as fh:
-            fh.write(block_to_json_line(block) + "\n")
-            fh.flush()
-            os.fsync(fh.fileno())
+        _write_lines(self.forks_path, [block_to_json_line(block)])
 
     def replace_chain(self, chain: Chain) -> None:
         """Reorg: atomically rewrite the main file; displaced blocks become forks."""
@@ -144,19 +146,13 @@ def load_mempool_file(path: str) -> list[bytes]:
     return raw_txs
 
 
+def _mempool_lines(raw_txs: list[bytes]):
+    return (json.dumps({"tx": raw.hex()}) for raw in raw_txs)
+
+
 def append_mempool_file(path: str, raw_txs: list[bytes]) -> None:
-    with open(path, "a", encoding="utf-8") as fh:
-        for raw in raw_txs:
-            fh.write(json.dumps({"tx": raw.hex()}) + "\n")
-        fh.flush()
-        os.fsync(fh.fileno())
+    _write_lines(path, _mempool_lines(raw_txs))
 
 
 def write_mempool_file(path: str, raw_txs: list[bytes]) -> None:
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        for raw in raw_txs:
-            fh.write(json.dumps({"tx": raw.hex()}) + "\n")
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, path)
+    _write_lines(path, _mempool_lines(raw_txs), replace=True)

@@ -31,6 +31,7 @@ from .ledger import (
     BlockHeader,
     Chain,
     merkle_leaf,
+    merkle_levels,
     merkle_node,
     tx_id,
 )
@@ -212,21 +213,16 @@ def make_inclusion_proof(chain: Chain, height: int, txid: Digest) -> InclusionPr
     if not 1 <= height <= chain.height:
         raise ProofError("not-in-block")
     block = chain.blocks[height - 1]
-    ids = [tx_id(tx) for tx in block.transactions]
     try:
-        index = ids.index(txid)
+        index = block.tx_ids.index(txid)
     except ValueError:
         raise ProofError("not-in-block") from None
 
     path: list[tuple[str, Digest]] = []
-    level = [merkle_leaf(i) for i in ids]
-    while len(level) > 1:
-        if len(level) % 2 == 1:
-            level.append(level[-1])
+    for level in merkle_levels(block.tx_ids)[:-1]:
         sibling = index ^ 1
         side = "left" if sibling < index else "right"
         path.append((side, level[sibling]))
-        level = [merkle_node(level[i], level[i + 1]) for i in range(0, len(level), 2)]
         index //= 2
     return InclusionProof(
         tx_id=txid,

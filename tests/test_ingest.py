@@ -2,19 +2,18 @@
 
 import pytest
 
-from bloff.consensus import NodeState
 from bloff.crypto import sha256_digest
 from bloff.ingest import (
     LogRecord,
     LogSource,
     RecordError,
     SourceError,
-    SubmitError,
-    anchor_record,
+    build_anchor_for_record,
     canonicalize_record,
     ingest,
 )
-from bloff.ledger import tx_id
+from bloff.ledger import NodeRole, tx_id
+from bloff.node import NodeLogic
 from conftest import GENESIS_TS, build_chain, keypair_for
 
 
@@ -111,37 +110,47 @@ class TestLogRecord:
             LogRecord(raw=b"x" * 65537, source_id="s", capture_timestamp=GENESIS_TS)
 
 
+def submit_record(logic, record, keypair):
+    """Sign ``record`` with ``keypair`` and submit it to ``logic``; the tx id
+    and the submission's ``(accepted, reason)``."""
+    tx = build_anchor_for_record(record, keypair)
+    return tx_id(tx), logic.submit_tx(tx)
+
+
 class TestAnchorRecord:
     def test_returns_tx_id_and_pools_tx(self, miner, device):
         chain, _ = build_chain(miner, device, [])
-        state = _StateTarget(chain)
+        logic = NodeLogic("m", miner, NodeRole.CSP_MINER, chain)
         record = LogRecord(raw=b"payload", source_id="dev", capture_timestamp=GENESIS_TS + 9)
-        txid = anchor_record(record, device, state)
-        (pooled,) = state.state.mempool.oldest()
+        txid, result = submit_record(logic, record, device)
+        assert result == (True, None)
+        (pooled,) = logic.state.mempool.oldest()
         assert tx_id(pooled) == txid
         assert pooled.log_hash == sha256_digest(b"payload")
 
     def test_same_bytes_twice_distinct_ids_one_digest(self, miner, device):
         chain, _ = build_chain(miner, device, [])
-        state = _StateTarget(chain)
+        logic = NodeLogic("m", miner, NodeRole.CSP_MINER, chain)
         r1 = LogRecord(raw=b"payload", source_id="dev", capture_timestamp=GENESIS_TS + 9)
         r2 = LogRecord(raw=b"payload", source_id="dev", capture_timestamp=GENESIS_TS + 10)
-        id1 = anchor_record(r1, device, state)
-        id2 = anchor_record(r2, device, state)
+        id1, result1 = submit_record(logic, r1, device)
+        id2, result2 = submit_record(logic, r2, device)
+        assert result1 == result2 == (True, None)
         assert id1 != id2
-        assert {tx.log_hash for tx in state.state.mempool.oldest()} == {sha256_digest(b"payload")}
+        assert {tx.log_hash for tx in logic.state.mempool.oldest()} == {sha256_digest(b"payload")}
 
     def test_unregistered_key_rejected(self, miner, device):
         chain, _ = build_chain(miner, device, [])
-        state = _StateTarget(chain)
+        logic = NodeLogic("m", miner, NodeRole.CSP_MINER, chain)
         stranger = keypair_for("nobody")
         record = LogRecord(raw=b"payload", source_id="dev", capture_timestamp=GENESIS_TS + 9)
-        with pytest.raises(SubmitError, match="unregistered-submitter"):
-            anchor_record(record, stranger, state)
+        _, result = submit_record(logic, record, stranger)
+        assert result == (False, "unregistered-submitter")
+        assert len(logic.state.mempool) == 0
 
     def test_stakeholder_key_is_verify_only(self, miner, device, stakeholder):
         from bloff.consensus import Mempool, mine_block
-        from bloff.ledger import NodeRole, build_registration_tx, validate_chain
+        from bloff.ledger import build_registration_tx, validate_chain
 
         chain, _ = build_chain(miner, device, [])
         pool = Mempool()
@@ -149,27 +158,8 @@ class TestAnchorRecord:
         block = mine_block(pool, chain.tip.header, 0, miner, GENESIS_TS + 5, chain.registered_nodes)
         chain = validate_chain(chain.blocks + [block])
 
-        state = _StateTarget(chain)
+        logic = NodeLogic("m", miner, NodeRole.CSP_MINER, chain)
         record = LogRecord(raw=b"payload", source_id="uc", capture_timestamp=GENESIS_TS + 9)
-        with pytest.raises(SubmitError, match="role-not-permitted"):
-            anchor_record(record, stakeholder, state)
-
-
-class _StateTarget:
-    """Submission target bridging to a bare NodeState, with the same context
-    gate a node applies to local submissions."""
-
-    def __init__(self, chain):
-        from bloff.ledger import tx_context_reason, verify_tx
-
-        self.state = NodeState(best=chain)
-        self._check = lambda tx: verify_tx(tx) or tx_context_reason(
-            tx, self.state.best.registered_nodes
-        )
-
-    def submit_tx(self, tx):
-        reason = self._check(tx)
-        if reason is not None:
-            return False, reason
-        status = self.state.mempool.add(tx)
-        return status in ("accepted", "duplicate"), None if status == "accepted" else status
+        _, result = submit_record(logic, record, stakeholder)
+        assert result == (False, "role-not-permitted")
+        assert len(logic.state.mempool) == 0

@@ -10,6 +10,7 @@ import pytest
 from bloff import ledger
 from bloff.crypto import Digest, Signature, sha256_digest
 from bloff.ledger import (
+    HEADER_LEN,
     KIND_ANCHOR,
     KIND_REGISTRATION,
     AnchorTransaction,
@@ -313,6 +314,59 @@ class TestBlockEncoding:
     def test_blocks_sequence_roundtrip(self, miner, device):
         chain, _ = build_chain(miner, device, [b"a", b"b", b"c"])
         assert decode_blocks(encode_blocks(chain.blocks)) == chain.blocks
+
+    def test_block_layout_hand_checked(self, miner, device):
+        chain, _ = build_chain(miner, device, [b"a", b"bb", b"ccc"])
+        block = chain.tip
+        raws = [canonical_tx_bytes(tx) for tx in block.transactions]
+        assert len(raws) == 3
+        expected = header_bytes(block.header) + struct.pack(">I", 3)
+        for raw in raws:
+            expected += struct.pack(">I", len(raw)) + raw
+        assert encode_block(block) == expected
+
+    def test_blocks_layout_hand_checked(self, miner, device):
+        chain, _ = build_chain(miner, device, [b"a", b"b"], txs_per_block=1)
+        raws = [encode_block(block) for block in chain.blocks]
+        expected = struct.pack(">I", 4)
+        for raw in raws:
+            expected += struct.pack(">I", len(raw)) + raw
+        assert encode_blocks(chain.blocks) == expected
+        assert encode_blocks([]) == struct.pack(">I", 0)
+
+    def test_malformed_block_bytes_rejected_with_reason(self, miner, device):
+        chain, _ = build_chain(miner, device, [b"a", b"b"])
+        raw = encode_block(chain.tip)
+        cases = [
+            (b"", "block bytes too short"),
+            (raw[: HEADER_LEN + 3], "block bytes too short"),
+            (raw[: HEADER_LEN + 6], "truncated block bytes"),
+            (raw[:-1], "truncated block bytes"),
+            (raw[:HEADER_LEN] + struct.pack(">I", 3) + raw[HEADER_LEN + 4 :], "truncated block bytes"),
+            (raw + b"\x00", "trailing bytes after block"),
+            (raw[:HEADER_LEN] + struct.pack(">I", 1) + raw[HEADER_LEN + 4 :], "trailing bytes after block"),
+        ]
+        for bad, message in cases:
+            with pytest.raises(ValueError) as err:
+                decode_block(bad)
+            assert str(err.value) == message
+
+    def test_malformed_chain_bytes_rejected_with_reason(self, miner, device):
+        chain, _ = build_chain(miner, device, [b"a", b"b"], txs_per_block=1)
+        raw = encode_blocks(chain.blocks)
+        cases = [
+            (b"", "chain bytes too short"),
+            (raw[:3], "chain bytes too short"),
+            (raw[:6], "truncated chain bytes"),
+            (raw[:-1], "truncated chain bytes"),
+            (struct.pack(">I", 5) + raw[4:], "truncated chain bytes"),
+            (raw + b"\x00", "trailing bytes after chain"),
+            (struct.pack(">I", 3) + raw[4:], "trailing bytes after chain"),
+        ]
+        for bad, message in cases:
+            with pytest.raises(ValueError) as err:
+                decode_blocks(bad)
+            assert str(err.value) == message
 
     def test_json_line_rejects_non_canonical_renderings(self, miner):
         genesis = make_genesis([miner], GENESIS_TS)
@@ -625,19 +679,25 @@ def with_txs(block, txs):
     return Block(header, tuple(txs))
 
 
-def with_bad_signature(blocks, height, index):
-    """``blocks`` with one tx's signature flipped and the later blocks
-    relinked, so every header check passes and the first failure is that
-    tx's ``bad-signature``."""
+def with_tx(blocks, height, index, tx):
+    """``blocks`` with the tx at ``index`` of the block at ``height`` replaced
+    by ``tx`` and the later blocks relinked, so every header check passes."""
     txs = list(blocks[height - 1].transactions)
-    signature = bytearray(txs[index].signature)
-    signature[0] ^= 1
-    txs[index] = dataclasses.replace(txs[index], signature=Signature(bytes(signature)))
+    txs[index] = tx
     out = blocks[: height - 1] + [with_txs(blocks[height - 1], txs)]
     for block in blocks[height:]:
         header = dataclasses.replace(block.header, prev_hash=out[-1].hash)
         out.append(Block(header, block.transactions))
     return out
+
+
+def with_bad_signature(blocks, height, index):
+    """``blocks`` with one tx's signature flipped, so the first failure is
+    that tx's ``bad-signature``."""
+    tx = blocks[height - 1].transactions[index]
+    signature = bytearray(tx.signature)
+    signature[0] ^= 1
+    return with_tx(blocks, height, index, dataclasses.replace(tx, signature=Signature(bytes(signature))))
 
 
 class TestForkedSignaturePrePass:
@@ -719,6 +779,18 @@ class TestForkedSignaturePrePass:
             validate_chain(blocks)
         assert (err.value.height, err.value.reason) == (3, "merkle-mismatch")
         assert len(parent_checks) == 2
+
+    def test_rule_failure_checks_no_signature_past_it(self, long_chain, parent_checks, monkeypatch):
+        self.cpus(monkeypatch, 2)
+        stranger = make_anchor(keypair_for("nobody"), b"unregistered")
+        blocks = with_tx(long_chain.blocks, 3, 10, stranger)
+        assert tx_count(blocks) >= 2 * ledger.MIN_TXS_PER_WORKER
+        with pytest.raises(ChainValidationError) as err:
+            validate_chain(blocks)
+        assert (err.value.height, err.value.reason) == (3, "unregistered-submitter")
+        # Heights 1-2 before the fold reaches block 3, which checks its txs
+        # in order up to the stranger's validly signed anchor.
+        assert len(parent_checks) == 2 + 11
 
     def test_failed_child_leaves_its_share_to_the_parent(
         self, long_chain, parent_checks, monkeypatch

@@ -154,7 +154,8 @@ class TestDeltaSync:
         assert ahead.handle_message(MSG_CHAIN_REQUEST, tip + b"\x00", "b") == []
         too_long = tip * (LOCATOR_MAX_HASHES + 1)
         assert ahead.handle_message(MSG_CHAIN_REQUEST, too_long, "b") == []
-        [(_, reply, _)] = ahead.handle_message(MSG_CHAIN_REQUEST, tip * LOCATOR_MAX_HASHES, "b")
+        full = tip * (LOCATOR_MAX_HASHES - 1) + longer.genesis_hash
+        [(_, reply, _)] = ahead.handle_message(MSG_CHAIN_REQUEST, full, "b")
         assert decode_blocks(reply) == longer.blocks[41:]
 
     def test_empty_request_gets_whole_chain(self, miner, chains):
@@ -169,6 +170,21 @@ class TestDeltaSync:
         ahead = NodeLogic("a", miner, NodeRole.CSP_MINER, longer)
         assert ahead.handle_message(MSG_CHAIN_REQUEST, longer.tip.hash, "b") == []
         assert ahead.handle_message(MSG_CHAIN_REQUEST, bytes(32) * 3, "b") == []
+
+    def test_locator_without_this_genesis_costs_no_walk(self, miner, chains):
+        _, longer = chains
+        ahead = NodeLogic("a", miner, NodeRole.CSP_MINER, longer)
+        reads = []
+
+        class CountingBlocks(list):
+            def __getitem__(self, index):
+                reads.append(index)
+                return super().__getitem__(index)
+
+        ahead.state.best = SimpleNamespace(blocks=CountingBlocks(longer.blocks))
+        assert len(ahead.chain.blocks) == 46
+        assert ahead.handle_message(MSG_CHAIN_REQUEST, bytes(32) * 3, "b") == []
+        assert len(reads) <= 1
 
     def test_reorg_reply_and_push_start_at_fork_point(self, miner, device, chains):
         """A node on a losing 2-block side branch off height 39 gets, and then

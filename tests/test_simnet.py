@@ -3,7 +3,7 @@
 import pytest
 
 from bloff.ledger import NodeRole
-from bloff.node import MSG_CHAIN_RESPONSE, MSG_TX, NodeLogic
+from bloff.node import BROADCAST, MSG_CHAIN_RESPONSE, MSG_TX, NodeLogic
 from bloff.simnet import SimNetwork, build_sim, run_scenario, sim_keypair
 from conftest import partition_scenario
 
@@ -69,7 +69,7 @@ class TestDelivery:
     def test_unknown_origin_rejected(self):
         net = two_node_line()
         with pytest.raises(ValueError):
-            net.broadcast("zz", MSG_TX, b"payload")
+            net.send_from("zz", [(MSG_TX, b"payload", BROADCAST)])
 
     def test_block_reaches_ring_within_3_ticks(self):
         net = ring_of_five()
