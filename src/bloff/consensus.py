@@ -27,7 +27,6 @@ from .ledger import (
     merkle_root,
     registry_walk,
     tx_id,
-    validate_chain,
     verify_tx,
 )
 
@@ -145,81 +144,58 @@ def mine_block(
     raise MiningError("nonce-exhausted")  # pragma: no cover - 2**64 attempts
 
 
-def choose_chain(candidate_a: Chain, candidate_b: Chain) -> Chain:
-    """Deterministic fork choice between two validated chains.
-
-    Longer wins; equal length falls back to the byte-lexicographically
-    smaller tip hash. Chains must share a genesis block.
-    """
-    if candidate_a.genesis_hash != candidate_b.genesis_hash:
-        raise ValueError("incompatible-genesis")
-    if candidate_a.height != candidate_b.height:
-        return candidate_a if candidate_a.height > candidate_b.height else candidate_b
-    if bytes(candidate_a.tip.hash) <= bytes(candidate_b.tip.hash):
-        return candidate_a
-    return candidate_b
-
-
-def fork_height(a: Chain, b: Chain) -> int:
-    """How many leading blocks ``a`` and ``b`` share: the height of their fork
-    point. Both must share a genesis block."""
-    height = min(a.height, b.height)
-    while a.blocks[height - 1].hash != b.blocks[height - 1].hash:
-        height -= 1
-    return height
+def fork_rank(height: int, tip: Digest) -> tuple[int, bytes]:
+    """Fork choice as a sort key: the chain of the smaller rank wins, which
+    is the longer one or, at equal length, the one of the byte-smaller tip."""
+    return (-height, bytes(tip))
 
 
 @dataclass
 class NodeState:
     """Fork-choice state plus the best chain and the mempool of one node.
 
-    ``known_blocks`` holds every accepted block; ``best`` is the validated
-    chain selected by ``choose_chain`` over everything known. A gossiped
-    block and the blocks a peer's chain adds take one path, ``_connect_run``:
-    the new blocks are checked once, onto their parent's validated chain.
+    ``known_blocks`` holds every accepted block; ``best`` is the node's own
+    copy of the chain it was given, moved in place to the chain of the
+    smallest ``fork_rank`` over everything known. A gossiped block and the
+    blocks a peer's chain adds take one path, ``_connect_run``: the new
+    blocks are checked once, with ``best`` moved onto their parent.
     """
 
     best: Chain
     mempool: Mempool = field(default_factory=Mempool)
     known_blocks: dict[Digest, Block] = field(default_factory=dict)
     orphans: dict[Digest, list[Block]] = field(default_factory=dict)
-    orphan_cap: int = DEFAULT_ORPHAN_CAP
 
     def __post_init__(self) -> None:
+        self.best = self.best.copy()
         self.known_blocks.update((b.hash, b) for b in self.best.blocks)
         # ``best`` is a validated chain, so its txs have passed their checks.
         for block in self.best.blocks:
             for txid in block.tx_ids:
                 self.mempool.verified.add(txid)
-        # Validated chains by tip hash, for the best tip and the run accepted
-        # last; a run on any other parent replays that parent's ancestry.
-        self._built: dict[Digest, Chain] = {self.best_tip: self.best}
 
     @property
     def best_tip(self) -> Digest:
         return self.best.tip.hash
 
-    def _ancestry(self, tip: Block) -> list[Block] | None:
-        """Walk prev_hash links back to genesis; None if any link is missing."""
-        blocks = [tip]
-        genesis_hash = self.best.blocks[0].hash
-        while blocks[-1].hash != genesis_hash:
-            parent = self.known_blocks.get(blocks[-1].header.prev_hash)
-            if parent is None:
-                return None
-            blocks.append(parent)
-        return list(reversed(blocks))
+    def fork_from(self, tip: Digest) -> tuple[int, list[Block]]:
+        """Walk from known block ``tip`` back to the best chain: the height
+        where the walk meets it, and the known blocks above that, oldest first."""
+        branch = []
+        while tip not in self.best.heights:
+            branch.append(self.known_blocks[tip])
+            tip = branch[-1].header.prev_hash
+        branch.reverse()
+        return self.best.heights[tip], branch
 
-    def _switch_to(self, new_best: Chain) -> None:
-        """Adopt ``new_best``: re-inject the txs of the blocks it drops that it
-        does not hold, and evict the txs of the blocks it adds."""
-        fork = fork_height(self.best, new_best)
-        for block in self.best.blocks[fork:]:
-            for tx, txid in zip(block.transactions, block.tx_ids):
-                if txid not in new_best.tx_ids:
-                    self.mempool.readd(tx)
-        self.mempool.evict(txid for block in new_best.blocks[fork:] for txid in block.tx_ids)
-        self.best = new_best
+    def _move(self, fork: int, blocks: list[Block]) -> list[Block]:
+        """Disconnect ``best`` down to height ``fork`` and advance it by
+        ``blocks``, known to be valid there; returns the blocks removed,
+        oldest first."""
+        removed = [self.best.disconnect() for _ in range(self.best.height - fork)]
+        for block in blocks:
+            self.best.advance(block)
+        return removed[::-1]
 
     def apply_block(self, block: Block) -> str:
         """Store a block and update fork choice.
@@ -233,7 +209,7 @@ class NodeState:
             return "duplicate"
         if block.header.prev_hash not in self.known_blocks:
             self.orphans.setdefault(block.header.prev_hash, []).append(block)
-            for _ in range(sum(map(len, self.orphans.values())) - self.orphan_cap):
+            for _ in range(sum(map(len, self.orphans.values())) - DEFAULT_ORPHAN_CAP):
                 oldest_key = next(iter(self.orphans))
                 self.orphans[oldest_key].pop(0)
                 if not self.orphans[oldest_key]:
@@ -242,34 +218,37 @@ class NodeState:
         return self._connect_run([block])
 
     def _connect_run(self, blocks: list[Block]) -> str:
-        """Check ``blocks``, a linked run on a known block, onto that block's
-        chain with one copy; keep it up to its first invalid block (none: state
-        unchanged) and make it best if fork choice prefers it."""
-        prev_hash = blocks[0].header.prev_hash
-        verified = self.mempool.verified
-        parent_chain = self._built.get(prev_hash)
-        if parent_chain is None:
-            ancestry = self._ancestry(self.known_blocks[prev_hash])
-            if ancestry is None:
-                return "rejected:missing-ancestry"
-            parent_chain = validate_chain(ancestry, verified)  # known blocks, all valid
-        try:
-            candidate = parent_chain.extend(blocks[0], verified)
-        except ChainValidationError as exc:
-            return f"rejected:{exc.reason}"
-        for block in blocks[1:]:
+        """Move ``best`` onto the parent of ``blocks``, a linked run on a known
+        block, and connect the run up to its first invalid block. Keep the
+        result if fork choice prefers it, re-injecting the txs of the blocks it
+        dropped and evicting those of the blocks it added; otherwise move back.
+        (Known blocks alone never win: ``best`` already ranks first of them.)"""
+        best = self.best
+        old_rank = fork_rank(best.height, best.tip.hash)
+        fork, branch = self.fork_from(blocks[0].header.prev_hash)
+        dropped = self._move(fork, branch)
+        added = []
+        for block in blocks:
             try:
-                candidate._connect(block, verified)  # in place on the copy extend made
-            except ChainValidationError:
+                best.connect(block, self.mempool.verified)
+            except ChainValidationError as exc:
+                reason = exc.reason
                 break
-        added = candidate.blocks[parent_chain.height :]
+            added.append(block)
         self.known_blocks.update((b.hash, b) for b in added)
 
-        status = "accepted-side"
-        if choose_chain(candidate, self.best) is candidate:
-            self._switch_to(candidate)
+        if fork_rank(best.height, best.tip.hash) < old_rank:
+            for block in dropped:
+                for tx, txid in zip(block.transactions, block.tx_ids):
+                    if txid not in best.tx_ids:
+                        self.mempool.readd(tx)
+            self.mempool.evict(txid for block in best.blocks[fork:] for txid in block.tx_ids)
             status = "accepted-best"
-        self._built = {self.best_tip: self.best, candidate.tip.hash: candidate}
+        else:
+            self._move(fork, dropped)
+            if not added:
+                return f"rejected:{reason}"
+            status = "accepted-side"
 
         # Grown chain may unblock held orphans.
         for block in added:

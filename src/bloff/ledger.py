@@ -5,11 +5,11 @@ Transactions carry either a log digest (anchor) or a node admission
 JSON-lines chain file is a carrier whose hashes and signatures are always
 computed over the canonical bytes, never over the JSON.
 
-One validation path: ``Chain.extend`` checks a new block once, against its
-parent's state. ``validate_chain`` folds the same step from genesis, for a
-whole chain loaded from a file and for the ancestry a node replays under a
-side branch. A constructed ``Chain`` is treated as immutable; concurrent
-readers are safe.
+One validation path: ``Chain.connect`` checks a new block once, against its
+parent's state, and moves the chain onto it in place; ``Chain.disconnect``
+moves it back. ``validate_chain`` folds the same step from genesis, for a
+whole chain loaded from a file. A ``Chain`` has one owner, which moves it;
+a reader elsewhere takes a ``copy``.
 
 A node passes its ``VerifiedTxs`` record down these calls, so each tx
 signature costs it one Ed25519 check. ``load_chain`` passes none and checks
@@ -686,14 +686,15 @@ def leading_zero_bits(digest: bytes) -> int:
 class Chain:
     """A fully validated block sequence plus the indexes derived by replay.
 
-    Treated as immutable after construction: fork handling builds new Chain
-    values instead of mutating, so concurrent verification reads are safe.
+    Its one owner moves it in place with ``connect`` and ``disconnect``, one
+    block at a time; ``copy`` gives another owner a chain of its own.
     """
 
     blocks: list[Block]
     registered_nodes: dict[bytes, NodeRole] = field(default_factory=dict)
     anchor_index: dict[Digest, list[tuple[int, int]]] = field(default_factory=dict)
     tx_ids: set[Digest] = field(default_factory=set)
+    heights: dict[Digest, int] = field(default_factory=dict)  # block hash -> height
 
     @property
     def height(self) -> int:
@@ -703,35 +704,53 @@ class Chain:
     def tip(self) -> Block:
         return self.blocks[-1]
 
-    @property
-    def genesis_hash(self) -> Digest:
-        return self.blocks[0].hash
-
     def anchor_locations(self, log_hash: Digest) -> list[tuple[int, int]]:
         """All (height, tx index) pairs anchoring ``log_hash``; heights are 1-based."""
         return list(self.anchor_index.get(log_hash, ()))
 
-    def extend(self, block: Block, verified: VerifiedTxs | None = None) -> Chain:
-        """This chain plus ``block``, checked once against the tip's state.
-        Raises ChainValidationError at the new height; ``self`` is unchanged."""
+    def copy(self) -> Chain:
         index = {log_hash: list(locations) for log_hash, locations in self.anchor_index.items()}
-        child = Chain(list(self.blocks), dict(self.registered_nodes), index, set(self.tx_ids))
-        child._connect(block, verified)
-        return child
+        return Chain(
+            list(self.blocks), dict(self.registered_nodes), index, set(self.tx_ids), dict(self.heights)
+        )
 
-    def _connect(self, block: Block, verified: VerifiedTxs | None = None) -> None:
+    def connect(self, block: Block, verified: VerifiedTxs | None = None) -> None:
         """The one validation step: check ``block`` against this chain's
-        state, then advance the blocks and the three indexes in place."""
-        height = self.height + 1
+        state, then ``advance`` onto it. Raises ChainValidationError at the
+        new height and leaves the chain unchanged."""
         reason = validate_block(block, self, verified)
         if reason is not None:
-            raise ChainValidationError(height, reason)
+            raise ChainValidationError(self.height + 1, reason)
+        self.advance(block)
+
+    def advance(self, block: Block) -> None:
+        """Add ``block``, already known to be valid on this tip, to the
+        blocks and the four indexes."""
+        height = self.height + 1
         checks = registry_walk(block.transactions, self.registered_nodes, genesis=not self.blocks)
         for tx_index, (tx, _) in enumerate(checks):
             if isinstance(tx, AnchorTransaction):
                 self.anchor_index.setdefault(tx.log_hash, []).append((height, tx_index))
         self.tx_ids.update(block.tx_ids)
+        self.heights[block.hash] = height
         self.blocks.append(block)
+
+    def disconnect(self) -> Block:
+        """Pop the tip and remove exactly what ``advance`` added for it: its
+        tx ids, its anchors (the last entries of their lists) and its
+        registrations (a valid block admitted every one)."""
+        block = self.blocks.pop()
+        del self.heights[block.hash]
+        self.tx_ids.difference_update(block.tx_ids)
+        for tx in block.transactions:
+            if isinstance(tx, AnchorTransaction):
+                locations = self.anchor_index[tx.log_hash]
+                locations.pop()
+                if not locations:
+                    del self.anchor_index[tx.log_hash]
+            else:
+                del self.registered_nodes[tx.new_node_pubkey]
+        return block
 
 
 def tx_context_reason(
@@ -843,10 +862,10 @@ def validate_chain(blocks: list[Block], verified: VerifiedTxs | None = None) -> 
 
 
 def _fold(blocks: list[Block], verified: VerifiedTxs) -> Chain:
-    """``Chain._connect`` of each block in order, from an empty chain."""
+    """``Chain.connect`` of each block in order, from an empty chain."""
     chain = Chain(blocks=[])
     for block in blocks:
-        chain._connect(block, verified)
+        chain.connect(block, verified)
     return chain
 
 

@@ -4,7 +4,7 @@
 the deterministic in-process simulator and the live TCP runtime, so both
 modes exercise identical behavior. The live runtime wraps it in a single
 serialized event loop: inbound gossip, submissions and mining all pass
-through one queue; verification elsewhere reads immutable chain snapshots.
+through one queue, and only the loop's thread reads or moves the chain.
 
 Wire protocol (live mode): newline-delimited JSON over TCP, one message per
 line, ``{"kind": ..., "payload": "<hex>", "from": ..., "to": ...}`` with the
@@ -29,13 +29,8 @@ import time
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 
-from .consensus import (
-    MiningError,
-    NodeState,
-    fork_height,
-    mine_block,
-)
-from .crypto import DIGEST_LEN, ZERO_DIGEST, KeyPair, sha256_digest
+from .consensus import MiningError, NodeState, mine_block
+from .crypto import DIGEST_LEN, ZERO_DIGEST, Digest, KeyPair, sha256_digest
 from .ledger import (
     Block,
     Chain,
@@ -61,6 +56,9 @@ MSG_CHAIN_REQUEST = "chain-request"
 MSG_CHAIN_RESPONSE = "chain-response"
 
 BROADCAST = "*"
+
+# An inbox event kind that no wire line decodes to: a new outbound connection.
+_CONNECTED = object()
 
 _SEEN_CAP = 100_000
 
@@ -125,10 +123,7 @@ class NodeLogic:
     def chain_request(self, dest: str = BROADCAST) -> tuple[str, bytes, str]:
         """Ask ``dest`` for the blocks this node lacks. The payload is the
         block locator of the best chain: the tip, its nine nearest ancestors,
-        then ancestors at doubling distances, and genesis last.
-
-        Safe off the event-loop thread: a best ``Chain`` is never mutated.
-        """
+        then ancestors at doubling distances, and genesis last."""
         blocks = self.chain.blocks
         hashes, index, step = [], len(blocks) - 1, 1
         while index > 0 and len(hashes) < LOCATOR_MAX_HASHES - 1:
@@ -229,7 +224,7 @@ class NodeLogic:
         except (ValueError, TxDecodeError) as exc:
             logger.debug("%s: dropping undecodable block: %s", self.node_id, exc)
             return []
-        old_best = self.chain
+        old_tip = self.chain.tip.hash
         status = self.state.apply_block(block)
         if status.startswith("rejected"):
             logger.debug("%s: block rejected: %s", self.node_id, status)
@@ -241,9 +236,13 @@ class NodeLogic:
         # The block connected held orphans past it: push the whole new run,
         # as after an adopt, so the orphans go out too.
         if status == "accepted-best" and self.chain.tip.hash != block.hash:
-            run = self.chain.blocks[fork_height(old_best, self.chain) :]
-            return [(MSG_CHAIN_RESPONSE, encode_blocks(run), BROADCAST)]
+            return [self._push_run_from(old_tip)]
         return [(MSG_BLOCK, payload, BROADCAST)]
+
+    def _push_run_from(self, old_tip: Digest) -> tuple[str, bytes, str]:
+        """The best chain's blocks after its fork point with ``old_tip``."""
+        fork, _ = self.state.fork_from(old_tip)
+        return (MSG_CHAIN_RESPONSE, encode_blocks(self.chain.blocks[fork:]), BROADCAST)
 
     def _handle_chain_request(self, payload: bytes, sender: str) -> list[tuple[str, bytes, str]]:
         blocks = self.chain.blocks
@@ -253,15 +252,12 @@ class NodeLogic:
             logger.debug("%s: dropping malformed locator", self.node_id)
             return []
         # A locator ends in its sender's genesis. One that ends in another
-        # hash shares no block with this chain, and is answered unwalked.
+        # hash shares no block with this chain, and gets no reply.
         if payload[-DIGEST_LEN:] != blocks[0].hash:
             return []
-        locator = {payload[i : i + DIGEST_LEN] for i in range(0, len(payload), DIGEST_LEN)}
-        for height in range(len(blocks), 0, -1):
-            if blocks[height - 1].hash in locator:
-                run = blocks[height:]
-                return [(MSG_CHAIN_RESPONSE, encode_blocks(run), sender)] if run else []
-        return []
+        hashes = (payload[i : i + DIGEST_LEN] for i in range(0, len(payload), DIGEST_LEN))
+        run = blocks[max(self.chain.heights.get(h, 0) for h in hashes) :]
+        return [(MSG_CHAIN_RESPONSE, encode_blocks(run), sender)] if run else []
 
     def _handle_chain_response(self, payload: bytes, sender: str) -> list[tuple[str, bytes, str]]:
         try:
@@ -272,10 +268,9 @@ class NodeLogic:
         # Only the blocks this node lacks are validated; if they change the
         # best tip, push the new run from the fork point with the old best,
         # so the winner floods outward hop by hop.
-        old_best = self.chain
+        old_tip = self.chain.tip.hash
         if self.state.adopt_chain(blocks):
-            run = self.chain.blocks[fork_height(old_best, self.chain) :]
-            return [(MSG_CHAIN_RESPONSE, encode_blocks(run), BROADCAST)]
+            return [self._push_run_from(old_tip)]
         # A run that starts past a block this node lacks: ask the sender for
         # the gap. A genesis block has no parent to ask for.
         parent = blocks[0].header.prev_hash if blocks else ZERO_DIGEST
@@ -344,11 +339,12 @@ class _Conn:
 class LiveNode:
     """A running node: TCP server, peer connections, one event loop thread.
 
-    All chain and mempool mutations happen on the event loop thread; socket
-    readers only enqueue. Every connection is bidirectional: gossip flows to
-    outbound peers and inbound connections alike, and replies travel back on
-    the connection the request arrived on. Mining runs inline on the loop
-    whenever the node is a csp-miner and has pending work.
+    The chain and the mempool are read and moved only on the event loop
+    thread; socket readers and the peer dialer only enqueue. Every
+    connection is bidirectional: gossip flows to outbound peers and inbound
+    connections alike, and replies travel back on the connection the request
+    arrived on. Mining runs inline on the loop whenever the node is a
+    csp-miner and has pending work.
     """
 
     def __init__(self, config: NodeConfig, keypair: KeyPair, store: BlockStore):
@@ -368,16 +364,13 @@ class LiveNode:
         self._conns_lock = threading.Lock()
         self._server: socket.socket | None = None
         self._stop = threading.Event()
-        self._threads: list[threading.Thread] = []
 
     # -- transport ----------------------------------------------------------
 
     def _track(self, conn: _Conn) -> None:
         with self._conns_lock:
             self._conns = [c for c in self._conns if c.alive] + [conn]
-        thread = threading.Thread(target=self._read_conn, args=(conn,), daemon=True)
-        thread.start()
-        self._threads.append(thread)
+        threading.Thread(target=self._read_conn, args=(conn,), daemon=True).start()
 
     def _serve(self) -> None:
         assert self._server is not None
@@ -404,9 +397,9 @@ class LiveNode:
                 conn = _Conn(sock)
                 established[address] = conn
                 self._track(conn)
-                # A fresh link is a chance to catch up on missed blocks.
-                kind, payload, dest = self.logic.chain_request()
-                conn.send(encode_wire(kind, payload, self.logic.node_id, dest))
+                # A fresh link is a chance to catch up on missed blocks. The
+                # loop's thread, which owns the chain, builds the locator.
+                self.inbox.put((_CONNECTED, b"", "", conn))
             self._stop.wait(1.0)
 
     def _read_conn(self, conn: _Conn) -> None:
@@ -444,7 +437,7 @@ class LiveNode:
         stored = self.store.chain
         if best.tip.hash == stored.tip.hash:
             return
-        if best.height > stored.height and best.blocks[: stored.height] == stored.blocks:
+        if stored.tip.hash in best.heights:
             for block in best.blocks[stored.height:]:
                 self.store.append_block(block, self.logic.state.mempool.verified)
         else:
@@ -459,13 +452,9 @@ class LiveNode:
             self._server.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
             self._server.bind((host, int(port)))
             self._server.listen(16)
-            thread = threading.Thread(target=self._serve, daemon=True)
-            thread.start()
-            self._threads.append(thread)
+            threading.Thread(target=self._serve, daemon=True).start()
         if self.config.peers:
-            thread = threading.Thread(target=self._connect_peers, daemon=True)
-            thread.start()
-            self._threads.append(thread)
+            threading.Thread(target=self._connect_peers, daemon=True).start()
 
     def stop(self) -> None:
         self._stop.set()
@@ -489,9 +478,13 @@ class LiveNode:
                     event = None
                 if event is not None:
                     kind, payload, from_id, conn = event
-                    out = self.logic.handle_message(kind, payload, from_id)
-                    self._persist_if_changed()
-                    self._send_out(out, origin=conn)
+                    if kind is _CONNECTED:
+                        kind, payload, dest = self.logic.chain_request()
+                        conn.send(encode_wire(kind, payload, self.logic.node_id, dest))
+                    else:
+                        out = self.logic.handle_message(kind, payload, from_id)
+                        self._persist_if_changed()
+                        self._send_out(out, origin=conn)
                 mined = self.logic.maybe_mine(int(time.time()))
                 if mined is not None:
                     logger.info(

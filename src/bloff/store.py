@@ -7,8 +7,8 @@ before being acknowledged; reorgs rewrite through a temp file and an atomic
 rename, so a crash leaves either the old or the new file state.
 
 Indexes are in-memory only. ``load_chain`` is the one full replay; after
-it, ``BlockStore.append_block`` checks only the new block, extending the
-loaded chain.
+it, ``BlockStore.append_block`` checks only the new block, connecting the
+loaded chain onto it in place.
 """
 
 from __future__ import annotations
@@ -97,31 +97,35 @@ class BlockStore:
         return cls(path, chain)
 
     def append_block(self, block: Block, verified: VerifiedTxs | None = None) -> None:
-        """Check ``block`` against the stored tip, then persist it.
+        """Connect ``block`` on the stored tip, then persist it.
 
         An invalid block raises ChainValidationError before anything is
-        written. The line is flushed and fsynced before the in-memory chain
-        advances, so an I/O failure surfaces without corrupting state.
-        ``verified`` is passed on to ``Chain.extend``.
+        written. The line is flushed and fsynced before this returns; if the
+        write raises OSError, the in-memory chain is disconnected again, so
+        the failure surfaces without corrupting state. ``verified`` is
+        passed on to ``Chain.connect``.
         """
         if block.header.prev_hash != self.chain.tip.hash:
             raise StoreError("block does not extend the stored tip")
-        new_chain = self.chain.extend(block, verified)
-        _write_lines(self.path, [block_to_json_line(block)])
-        self.chain = new_chain
+        self.chain.connect(block, verified)
+        try:
+            _write_lines(self.path, [block_to_json_line(block)])
+        except OSError:
+            self.chain.disconnect()
+            raise
 
     def record_fork(self, block: Block) -> None:
         """Append a losing-fork block to the sidecar file."""
         _write_lines(self.forks_path, [block_to_json_line(block)])
 
     def replace_chain(self, chain: Chain) -> None:
-        """Reorg: atomically rewrite the main file; displaced blocks become forks."""
-        new_hashes = {b.hash for b in chain.blocks}
-        displaced = [b for b in self.chain.blocks if b.hash not in new_hashes]
+        """Reorg: atomically rewrite the main file; displaced blocks become
+        forks. The store keeps a copy of ``chain``."""
+        displaced = [b for b in self.chain.blocks if b.hash not in chain.heights]
         write_chain(self.path, chain.blocks)
         for block in displaced:
             self.record_fork(block)
-        self.chain = chain
+        self.chain = chain.copy()
 
 
 # ---------------------------------------------------------------------------

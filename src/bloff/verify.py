@@ -6,7 +6,7 @@ path (``verify_log``) uses the replay-built anchor index; the court path
 (``court_recheck``) deliberately shares nothing with it and scans the blocks
 directly, so the two verdicts are computed independently.
 
-Everything here is a pure read over an immutable validated Chain.
+Everything here is a pure read of a validated Chain; nothing here moves it.
 """
 
 from __future__ import annotations

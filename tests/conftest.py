@@ -140,11 +140,12 @@ def build_chain(miner, device, log_lines, difficulty=0, txs_per_block=100):
 
 
 def grow(chain, miner, device, labels):
-    """``chain`` plus one single-anchor block per label."""
+    """A copy of ``chain`` plus one single-anchor block per label."""
+    chain = chain.copy()
     for label in labels:
         pool = Mempool()
         ts = chain.tip.header.timestamp + 1
         pool.add(build_anchor_tx(sha256_digest(label.encode()), "dev", ts, device))
         block = mine_block(pool, chain.tip.header, 0, miner, ts, chain.registered_nodes)
-        chain = chain.extend(block)
+        chain.connect(block)
     return chain

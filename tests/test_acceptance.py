@@ -204,7 +204,8 @@ def test_criterion_5_privacy_sentinel_never_serialized(tmp_path, miner, device):
     store.record_fork(fork_block)
 
     assert sentinel not in path.read_bytes()
-    assert sentinel not in open(store.forks_path, "rb").read()
+    with open(store.forks_path, "rb") as fh:
+        assert sentinel not in fh.read()
     report(5, "privacy-sentinel")
 
 

@@ -3,22 +3,24 @@
 import pytest
 
 from bloff.consensus import (
+    DEFAULT_ORPHAN_CAP,
     Mempool,
     MiningError,
     NodeState,
-    choose_chain,
+    fork_rank,
     mine_block,
 )
 from bloff.crypto import Digest, Signature, sha256_digest
 from bloff.ledger import (
     AnchorTransaction,
+    Block,
     BlockHeader,
     NodeRole,
     block_hash,
     build_anchor_tx,
     build_registration_tx,
     leading_zero_bits,
-    make_genesis,
+    merkle_root,
     tx_id,
     validate_chain,
 )
@@ -204,29 +206,33 @@ def extend(chain, miner, device, payloads, difficulty=0, ts_offset=10):
     return validate_chain(chain.blocks + [block])
 
 
+def rank(chain):
+    return fork_rank(chain.height, chain.tip.hash)
+
+
+def preferred(a, b):
+    """The chain fork choice picks of two: the one of the smaller rank."""
+    return a if rank(a) <= rank(b) else b
+
+
 class TestChooseChain:
     def test_reflexive(self, miner, device, base):
-        assert choose_chain(base, base) is base
+        assert rank(base) == rank(validate_chain(base.blocks))
+        assert not rank(base) < rank(base)
 
     def test_longer_wins(self, miner, device, base):
         longer = extend(base, miner, device, [b"x"])
-        assert choose_chain(longer, base) is longer
-        assert choose_chain(base, longer) is longer
+        assert rank(longer) < rank(base)
+        assert preferred(longer, base) is longer
+        assert preferred(base, longer) is longer
 
     def test_equal_length_smaller_tip_hash_wins(self, miner, device, base):
         fork_a = extend(base, miner, device, [b"side a"])
         fork_b = extend(base, miner, device, [b"side b"])
         assert fork_a.tip.hash != fork_b.tip.hash
         expected = fork_a if bytes(fork_a.tip.hash) < bytes(fork_b.tip.hash) else fork_b
-        assert choose_chain(fork_a, fork_b) is expected
-        assert choose_chain(fork_b, fork_a) is expected
-
-    def test_incompatible_genesis(self, miner, device):
-        chain_a, _ = build_chain(miner, device, [])
-        other_miner = keypair_for("other-miner")
-        chain_b = validate_chain([make_genesis([other_miner], GENESIS_TS)])
-        with pytest.raises(ValueError, match="incompatible-genesis"):
-            choose_chain(chain_a, chain_b)
+        assert preferred(fork_a, fork_b) is expected
+        assert preferred(fork_b, fork_a) is expected
 
     def test_total_order_over_random_forks(self, miner, device, base, rng):
         """Fork choice must behave like a sort key: antisymmetric, transitive."""
@@ -240,17 +246,19 @@ class TestChooseChain:
 
         for a in forks:
             for b in forks:
-                winner = choose_chain(a, b)
+                winner = preferred(a, b)
                 expected = min((a, b), key=sort_key)
                 assert winner.tip.hash == expected.tip.hash
                 # antisymmetry: order of arguments never changes the winner
-                assert choose_chain(b, a).tip.hash == winner.tip.hash
+                assert preferred(b, a).tip.hash == winner.tip.hash
+                # distinct tips never tie
+                assert (rank(a) == rank(b)) == (a.tip.hash == b.tip.hash)
         for a in forks:
             for b in forks:
                 for c in forks:
-                    ab = choose_chain(a, b)
-                    bc = choose_chain(b, c)
-                    ac = choose_chain(a, c)
+                    ab = preferred(a, b)
+                    bc = preferred(b, c)
+                    ac = preferred(a, c)
                     if ab.tip.hash == a.tip.hash and bc.tip.hash == b.tip.hash:
                         assert ac.tip.hash == a.tip.hash  # transitivity
 
@@ -268,7 +276,7 @@ class TestApplyBlock:
     def test_losing_fork_leaves_tip(self, miner, device, base):
         fork_a = extend(base, miner, device, [b"a"])
         fork_b = extend(base, miner, device, [b"b"])
-        winner = choose_chain(fork_a, fork_b)
+        winner = preferred(fork_a, fork_b)
         loser = fork_a if winner is fork_b else fork_b
         state = NodeState(best=base)
         assert state.apply_block(winner.tip) == "accepted-best"
@@ -280,6 +288,44 @@ class TestApplyBlock:
         block = extend(base, miner, device, [b"x"]).tip
         assert state.apply_block(block) == "accepted-best"
         assert state.apply_block(block) == "duplicate"
+
+    def test_invalid_first_block_of_side_run_leaves_state_unchanged(self, miner, device, base):
+        """A run on an interior block whose first block is invalid: ``best``
+        is moved to the fork point and back, field-equal, pool untouched."""
+        main = extend(extend(base, miner, device, [b"m1"]), miner, device, [b"m2"], ts_offset=11)
+        side = extend(base, miner, device, [b"s1"], ts_offset=12)
+        bad = Block(
+            header=BlockHeader(
+                prev_hash=side.tip.header.prev_hash, merkle_root=Digest(bytes(32)),
+                timestamp=side.tip.header.timestamp, difficulty=0, nonce=0,
+            ),
+            transactions=side.tip.transactions,
+        )
+        pool = Mempool()
+        pool.add(anchor_for(device, b"s2", ts=GENESIS_TS + 13))
+        after = mine_block(pool, bad.header, 0, miner, GENESIS_TS + 13, side.registered_nodes)
+        state = NodeState(best=main)
+        state.mempool.add(anchor_for(device, b"pending"))
+        pooled = state.mempool.oldest()
+        assert state.adopt_chain([bad, after]) is False
+        assert state.apply_block(bad) == "rejected:merkle-mismatch"
+        assert state.best == main
+        assert state.mempool.oldest() == pooled
+        assert bad.hash not in state.known_blocks
+
+    def test_losing_side_block_leaves_state_unchanged(self, miner, device, base):
+        """A side block that loses fork choice becomes known; ``best`` is
+        moved to the fork point and back, field-equal, pool untouched."""
+        main = extend(extend(base, miner, device, [b"m1"]), miner, device, [b"m2"], ts_offset=11)
+        side = extend(base, miner, device, [b"s1"], ts_offset=12)
+        state = NodeState(best=main)
+        state.mempool.add(anchor_for(device, b"s1", ts=GENESIS_TS + 12))
+        state.mempool.add(anchor_for(device, b"pending"))
+        pooled = state.mempool.oldest()
+        assert state.apply_block(side.tip) == "accepted-side"
+        assert side.tip.hash in state.known_blocks
+        assert state.best == main
+        assert state.mempool.oldest() == pooled
 
     def test_invalid_block_rejected_state_unchanged(self, miner, device, base):
         state = NodeState(best=base)
@@ -310,17 +356,25 @@ class TestApplyBlock:
         assert state.best_tip == grandchild.tip.hash
         assert state.best.height == base.height + 2
 
-    def test_orphan_cap_bounds_memory(self, miner, device, base):
-        state = NodeState(best=base, orphan_cap=5)
-        chain = base
-        orphans = []
-        for i in range(8):
-            chain = extend(chain, miner, device, [f"deep {i}".encode()], ts_offset=10 + i)
-            orphans.append(chain.tip)
+    def test_orphan_cap_bounds_memory(self, miner, device, base, rng):
+        """Blocks on unknown parents beyond the cap push out the oldest held."""
+        state = NodeState(best=base)
+        tx = anchor_for(device, b"orphan")
+        orphans = [
+            Block(
+                header=BlockHeader(
+                    prev_hash=Digest(rng.randbytes(32)), merkle_root=merkle_root([tx]),
+                    timestamp=GENESIS_TS + 10, difficulty=0, nonce=0,
+                ),
+                transactions=(tx,),
+            )
+            for _ in range(DEFAULT_ORPHAN_CAP + 3)
+        ]
         for block in orphans:
-            state.apply_block(block)  # none connect: their parents arrive never
-        held = sum(len(v) for v in state.orphans.values())
-        assert held <= 5
+            assert state.apply_block(block) == "orphaned"
+        held = [block for blocks in state.orphans.values() for block in blocks]
+        assert held == orphans[3:]
+        assert state.best == base
 
     def test_two_block_reorg_restores_anchors(self, miner, device, base):
         """A losing branch's anchors go back to the pool; the index only ever
@@ -334,7 +388,7 @@ class TestApplyBlock:
         long_1 = extend(base, miner, device, [b"long one"])
         long_2 = extend(long_1, miner, device, [b"long two"], ts_offset=11)
         state.apply_block(long_1.tip)
-        assert state.best_tip == choose_chain(short, long_1).tip.hash
+        assert state.best_tip == preferred(short, long_1).tip.hash
         assert state.apply_block(long_2.tip) == "accepted-best"
         assert state.best_tip == long_2.tip.hash
 
@@ -370,6 +424,8 @@ class TestApplyBlock:
         assert revalidated.blocks == state.best.blocks
         assert revalidated.registered_nodes == state.best.registered_nodes
         assert revalidated.anchor_index == state.best.anchor_index
+        assert revalidated.tx_ids == state.best.tx_ids
+        assert revalidated.heights == state.best.heights
 
     def test_no_accepted_tx_lost(self, miner, device, base):
         """Every tx accepted into the pool ends up on the best chain or back
@@ -441,7 +497,7 @@ class TestAdoptChain:
         known = dict(state.known_blocks)
         assert state.adopt_chain(other.blocks) is False
         assert state.adopt_chain([]) is False
-        assert state.best is base
+        assert state.best == base
         assert state.known_blocks == known
         assert state.orphans == {}
         assert len(state.mempool) == 0
@@ -488,6 +544,6 @@ class TestAdoptChain:
         state = NodeState(best=base)
         known = dict(state.known_blocks)
         assert state.adopt_chain(two.blocks[one.height :]) is False
-        assert state.best is base
+        assert state.best == base
         assert state.known_blocks == known
         assert state.orphans == {}

@@ -497,7 +497,7 @@ class TestValidateBlock:
             transactions=replayed,
         )
         with pytest.raises(ChainValidationError) as exc:
-            chain.extend(block)
+            chain.connect(block)
         assert (exc.value.height, exc.value.reason) == (chain.height + 1, "duplicate-tx")
         assert chain.anchor_locations(replayed[0].log_hash) == [(chain.height, 0)]
 
@@ -656,6 +656,70 @@ class TestValidateChain:
             assert ok_impl == ok_oracle
             if not ok_impl:
                 assert height_impl == height_oracle
+
+
+def chain_fields(chain):
+    """The values of every ``Chain`` field, by name."""
+    return {f.name: getattr(chain, f.name) for f in dataclasses.fields(chain)}
+
+
+class TestConnectDisconnect:
+    """``disconnect`` removes exactly what ``connect`` added, so a chain moved
+    onto a block and back is equal to what it was in every field."""
+
+    def blocks_to_connect(self, miner, device, chain):
+        """Two blocks on ``chain``: one registers a fresh device, which anchors
+        a log in it, and anchors another log twice; the next anchors that
+        log a third time."""
+        fresh = keypair_for("fresh-device")
+        twice = sha256_digest(b"anchored twice")
+        first = [
+            build_registration_tx(fresh.public_key, NodeRole.DEVICE, miner),
+            make_anchor(fresh, b"fresh device's log", GENESIS_TS + 10),
+            build_anchor_tx(twice, "dev-a", GENESIS_TS + 10, device),
+            build_anchor_tx(twice, "dev-b", GENESIS_TS + 10, device),
+        ]
+        second = [build_anchor_tx(twice, "dev-c", GENESIS_TS + 11, device)]
+        blocks, working = [], chain.copy()
+        for txs, ts in ((first, GENESIS_TS + 10), (second, GENESIS_TS + 11)):
+            header = BlockHeader(
+                prev_hash=working.tip.hash, merkle_root=merkle_root(txs), timestamp=ts,
+                difficulty=0, nonce=0,
+            )
+            blocks.append(Block(header=header, transactions=tuple(txs)))
+            working.connect(blocks[-1])
+        assert working.anchor_locations(twice) == [(3, 2), (3, 3), (4, 0)]
+        assert fresh.public_key in working.registered_nodes
+        return blocks
+
+    def test_connect_then_disconnect_restores_every_field(self, miner, device):
+        chain, _ = build_chain(miner, device, [])
+        assert len(dataclasses.fields(chain)) == 5
+        for block in self.blocks_to_connect(miner, device, chain):
+            before = chain_fields(chain.copy())
+            chain.connect(block)
+            assert chain_fields(chain) != before
+            assert chain.disconnect() is block
+            assert chain_fields(chain) == before
+            chain.connect(block)
+        assert chain_fields(chain) == chain_fields(validate_chain(chain.blocks))
+
+    def test_disconnect_down_to_empty(self, miner, device):
+        chain, _ = build_chain(miner, device, [])
+        blocks = list(chain.blocks) + self.blocks_to_connect(miner, device, chain)
+        chain = validate_chain(blocks)
+        for height in range(len(blocks) - 1, -1, -1):
+            chain.disconnect()
+            expected = validate_chain(blocks[:height]) if height else ledger.Chain(blocks=[])
+            assert chain_fields(chain) == chain_fields(expected)
+
+    def test_copy_is_independent(self, miner, device):
+        chain, _ = build_chain(miner, device, [])
+        copy = chain.copy()
+        assert copy == chain
+        copy.connect(self.blocks_to_connect(miner, device, chain)[0])
+        assert chain_fields(chain) == chain_fields(validate_chain(chain.blocks))
+        assert copy.height == chain.height + 1
 
 
 @pytest.fixture(scope="module")

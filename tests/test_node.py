@@ -154,7 +154,7 @@ class TestDeltaSync:
         assert ahead.handle_message(MSG_CHAIN_REQUEST, tip + b"\x00", "b") == []
         too_long = tip * (LOCATOR_MAX_HASHES + 1)
         assert ahead.handle_message(MSG_CHAIN_REQUEST, too_long, "b") == []
-        full = tip * (LOCATOR_MAX_HASHES - 1) + longer.genesis_hash
+        full = tip * (LOCATOR_MAX_HASHES - 1) + longer.blocks[0].hash
         [(_, reply, _)] = ahead.handle_message(MSG_CHAIN_REQUEST, full, "b")
         assert decode_blocks(reply) == longer.blocks[41:]
 
@@ -243,14 +243,14 @@ class TestDeltaSync:
         logic = NodeLogic("b", miner, NodeRole.CSP_MINER, chain)
         known = dict(logic.state.known_blocks)
         assert logic.handle_message(MSG_CHAIN_RESPONSE, encode_blocks(other.blocks), "x") == []
-        assert logic.chain is chain
+        assert logic.chain == chain
         assert logic.state.known_blocks == known
         # A delta from the other chain draws a locator that matches nothing
         # there, so the exchange ends.
         out = logic.handle_message(MSG_CHAIN_RESPONSE, encode_blocks(other.blocks[2:]), "x")
         assert out == [logic.chain_request("x")]
         assert stranger.handle_message(*out[0][:2], "b") == []
-        assert logic.chain is chain
+        assert logic.chain == chain
 
 
 class TestRolePolicy:

@@ -2,9 +2,10 @@
 node checks each signature once.
 
 Wall-clock is not assertable; the number of ``validate_block`` and
-``verify_signature`` calls is. The block store and the node extend a
-validated chain by each new block instead of replaying the whole chain, and
-a peer's chain costs only the blocks the node lacks, each once. A node, or
+``verify_signature`` calls is. The block store and the node move one
+validated chain onto each new block in place, instead of copying or
+replaying the whole chain, and a peer's chain costs only the blocks the node
+lacks, each once. A node, or
 one ``bloff mine`` run, records the txs whose checks passed, so gossip,
 submission, mining, block validation and replays check each tx once.
 """
@@ -62,6 +63,34 @@ def test_store_append_validates_one_block(tmp_path, miner, device, counted):
     store.append_block(block)
     assert counted == [block]
     assert store.chain.height == 42
+
+
+def count_chains(monkeypatch):
+    """Record every ``Chain`` constructed, by the number of its blocks."""
+    calls = []
+    original = ledger.Chain.__init__
+
+    def counting(self, blocks, *args, **kwargs):
+        calls.append(len(blocks))
+        original(self, blocks, *args, **kwargs)
+
+    monkeypatch.setattr(ledger.Chain, "__init__", counting)
+    return calls
+
+
+def test_block_on_best_tip_copies_no_chain(tmp_path, miner, device, monkeypatch):
+    """Block 42 on the best tip, applied by a node and appended by the block
+    store, moves their chains in place: no ``Chain`` is constructed."""
+    chain, block = chain_and_next_block(miner, device)
+    state = NodeState(best=chain)
+    path = tmp_path / "chain.jsonl"
+    write_chain(str(path), chain.blocks)
+    store = BlockStore.open(str(path))
+    constructed = count_chains(monkeypatch)
+    assert state.apply_block(block) == "accepted-best"
+    store.append_block(block)
+    assert constructed == []
+    assert state.best.height == store.chain.height == 42
 
 
 def test_node_apply_on_best_tip_validates_one_block(miner, device, counted):
@@ -139,10 +168,10 @@ def test_node_k_blocks_behind_receives_and_validates_k(miner, device, counted):
     assert behind.chain.tip.hash == longer.tip.hash
 
 
-def test_side_branch_replays_its_fork_point_once(miner, device, counted):
+def test_side_branch_validates_only_its_own_blocks(miner, device, counted):
     """A 15-block branch off height 30 of the 41-block chain, applied block
-    by block: the first block replays its 30-block ancestry, every later
-    block extends the one before it."""
+    by block: the best chain is moved to the fork point and onto the known
+    branch without checks, so only each new block is validated, once."""
     chain, _ = chain_and_next_block(miner, device)
     fork_point = ledger.validate_chain(chain.blocks[:30])
     branch = grow(fork_point, miner, device, [f"side {i}" for i in range(15)])
@@ -150,13 +179,13 @@ def test_side_branch_replays_its_fork_point_once(miner, device, counted):
     counted.clear()
     for block in branch.blocks[30:]:
         assert state.apply_block(block).startswith("accepted")
-    assert len(counted) == 30 + 15
+    assert counted == branch.blocks[30:]
     assert state.best_tip == branch.tip.hash
 
 
 def test_side_branch_replay_of_known_blocks_checks_no_signature(miner, device, monkeypatch):
-    """Replaying a side branch's 30-block ancestry checks no signature the
-    node has checked before; only the branch's own 15 anchors are new."""
+    """Moving onto a side branch's known blocks checks no signature the node
+    has checked before; only the branch's own 15 anchors are new."""
     chain, _ = chain_and_next_block(miner, device)
     fork_point = ledger.validate_chain(chain.blocks[:30])
     branch = grow(fork_point, miner, device, [f"side {i}" for i in range(15)])

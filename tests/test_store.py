@@ -93,6 +93,28 @@ class TestLoadChain:
 
 
 class TestBlockStore:
+    def test_failed_write_disconnects_the_block(self, tmp_path, miner, device, monkeypatch):
+        """A write that raises OSError leaves the in-memory chain as it was
+        before the append, and the file unchanged."""
+        from bloff import store as store_mod
+
+        chain, _ = build_chain(miner, device, [b"a", b"b"], txs_per_block=1)
+        path = write_chain_file(tmp_path, validate_chain(chain.blocks[:3]))
+        store = BlockStore.open(str(path))
+        before, data = store.chain.copy(), path.read_bytes()
+
+        def failing_write(*args, **kwargs):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(store_mod, "_write_lines", failing_write)
+        with pytest.raises(OSError, match="disk full"):
+            store.append_block(chain.blocks[3])
+        assert store.chain == before
+        assert path.read_bytes() == data
+        monkeypatch.undo()
+        store.append_block(chain.blocks[3])
+        assert store.chain == load_chain(str(path)) == chain
+
     def test_append_requires_tip_extension(self, tmp_path, miner, device):
         chain, _ = build_chain(miner, device, [b"a", b"b"], txs_per_block=1)
         path = write_chain_file(tmp_path, validate_chain(chain.blocks[:2]))
@@ -151,7 +173,8 @@ class TestBlockStore:
         store.record_fork(fork_block)
 
         main_lines = path.read_text().splitlines()
-        fork_lines = open(store.forks_path).read().splitlines()
+        with open(store.forks_path) as fh:
+            fork_lines = fh.read().splitlines()
         assert block_to_json_line(fork_block) in fork_lines
         assert block_to_json_line(fork_block) not in main_lines
         load_chain(str(path))  # main file still the untouched best chain
@@ -186,7 +209,11 @@ class TestBlockStore:
         store.replace_chain(working)
         assert load_chain(str(path)).tip.hash == working.tip.hash
         displaced_line = block_to_json_line(short.blocks[2])
-        assert displaced_line in open(store.forks_path).read().splitlines()
+        with open(store.forks_path) as fh:
+            assert displaced_line in fh.read().splitlines()
+        # The store keeps a copy: the given chain moving later leaves it be.
+        working.disconnect()
+        assert store.chain.tip.hash == load_chain(str(path)).tip.hash != working.tip.hash
 
     def test_create_refuses_overwrite(self, tmp_path, miner):
         genesis = make_genesis([miner], GENESIS_TS)
