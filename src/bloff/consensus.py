@@ -2,7 +2,9 @@
 
 Mining is restricted to keys registered with the csp-miner role. Fork choice
 is a strict total order: longer chain wins, ties broken by the byte-smaller
-tip hash, so every node picks the same winner without coordination.
+tip hash, so every node picks the same winner without coordination. A node
+keeps its best chain and mempool only: a block whose parent is off the best
+chain is not held, and a run that could not win is not checked.
 
 State mutation is expected to be serialized by one logical owner; nothing in
 this module is internally locked.
@@ -32,7 +34,6 @@ from .ledger import (
 
 DEFAULT_MEMPOOL_CAP = 10_000
 DEFAULT_BLOCK_TX_CAP = 100
-DEFAULT_ORPHAN_CAP = 100
 
 MAX_NONCE = 2**64
 
@@ -152,23 +153,19 @@ def fork_rank(height: int, tip: Digest) -> tuple[int, bytes]:
 
 @dataclass
 class NodeState:
-    """Fork-choice state plus the best chain and the mempool of one node.
+    """The best chain and the mempool of one node, and nothing else.
 
-    ``known_blocks`` holds every accepted block; ``best`` is the node's own
-    copy of the chain it was given, moved in place to the chain of the
-    smallest ``fork_rank`` over everything known. A gossiped block and the
-    blocks a peer's chain adds take one path, ``_connect_run``: the new
-    blocks are checked once, with ``best`` moved onto their parent.
+    ``best`` is the node's own copy of the chain it was given, moved in place.
+    A gossiped block and a peer's run take one path, ``_connect_run``: a run
+    that cannot win is dropped unchecked, any other is checked once, with
+    ``best`` moved onto its parent.
     """
 
     best: Chain
     mempool: Mempool = field(default_factory=Mempool)
-    known_blocks: dict[Digest, Block] = field(default_factory=dict)
-    orphans: dict[Digest, list[Block]] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         self.best = self.best.copy()
-        self.known_blocks.update((b.hash, b) for b in self.best.blocks)
         # ``best`` is a validated chain, so its txs have passed their checks.
         for block in self.best.blocks:
             for txid in block.tx_ids:
@@ -177,16 +174,6 @@ class NodeState:
     @property
     def best_tip(self) -> Digest:
         return self.best.tip.hash
-
-    def fork_from(self, tip: Digest) -> tuple[int, list[Block]]:
-        """Walk from known block ``tip`` back to the best chain: the height
-        where the walk meets it, and the known blocks above that, oldest first."""
-        branch = []
-        while tip not in self.best.heights:
-            branch.append(self.known_blocks[tip])
-            tip = branch[-1].header.prev_hash
-        branch.reverse()
-        return self.best.heights[tip], branch
 
     def _move(self, fork: int, blocks: list[Block]) -> list[Block]:
         """Disconnect ``best`` down to height ``fork`` and advance it by
@@ -198,71 +185,55 @@ class NodeState:
         return removed[::-1]
 
     def apply_block(self, block: Block) -> str:
-        """Store a block and update fork choice.
+        """Update fork choice with one block.
 
-        Returns "accepted-best", "accepted-side", "duplicate", "orphaned" or
-        "rejected:<reason>". Orphans (unknown parent) are held, bounded, and
-        retried once their parent arrives. Invalid blocks leave the state
-        unchanged.
+        Returns "accepted-best", "duplicate" (already on ``best``), "orphaned"
+        (its parent is not on ``best``), "stale" (it would not outrank
+        ``best`` even if valid, so it is not checked) or "rejected:<reason>".
+        Any status but "accepted-best" leaves the state unchanged.
         """
-        if block.hash in self.known_blocks:
-            return "duplicate"
-        if block.header.prev_hash not in self.known_blocks:
-            self.orphans.setdefault(block.header.prev_hash, []).append(block)
-            for _ in range(sum(map(len, self.orphans.values())) - DEFAULT_ORPHAN_CAP):
-                oldest_key = next(iter(self.orphans))
-                self.orphans[oldest_key].pop(0)
-                if not self.orphans[oldest_key]:
-                    del self.orphans[oldest_key]
-            return "orphaned"
-        return self._connect_run([block])
+        return self._connect_run([block])[0]
 
-    def _connect_run(self, blocks: list[Block]) -> str:
-        """Move ``best`` onto the parent of ``blocks``, a linked run on a known
-        block, and connect the run up to its first invalid block. Keep the
-        result if fork choice prefers it, re-injecting the txs of the blocks it
-        dropped and evicting those of the blocks it added; otherwise move back.
-        (Known blocks alone never win: ``best`` already ranks first of them.)"""
+    def adopt_chain(self, blocks: list[Block]) -> list[Block]:
+        """Connect the blocks of a peer's linked run that are not on ``best``,
+        up to the first invalid one, by the rules of ``apply_block``. The run
+        may start anywhere, but the parent of its first new block must be on
+        ``best``; a run from another genesis never connects. Returns the
+        blocks ``best`` gained, oldest first; none when its tip did not
+        change."""
+        return self._connect_run(blocks)[1]
+
+    def _connect_run(self, blocks: list[Block]) -> tuple[str, list[Block]]:
+        """Unless the run's new blocks are none, on a parent off ``best`` or
+        unable to win, move ``best`` onto their parent and connect them up to
+        the first invalid one. Keep the result if fork choice prefers it,
+        re-injecting the txs of the blocks it dropped and evicting those of
+        the blocks it added; otherwise move back. Returns the status and the
+        blocks ``best`` gained."""
         best = self.best
+        new = [b for b in blocks if b.hash not in best.heights]
+        if not new:
+            return "duplicate", []
+        fork = best.heights.get(new[0].header.prev_hash)
+        if fork is None:
+            return "orphaned", []
         old_rank = fork_rank(best.height, best.tip.hash)
-        fork, branch = self.fork_from(blocks[0].header.prev_hash)
-        dropped = self._move(fork, branch)
-        added = []
-        for block in blocks:
+        if fork_rank(fork + len(new), new[-1].hash) >= old_rank:
+            return "stale", []
+        dropped = self._move(fork, [])
+        for block in new:
             try:
                 best.connect(block, self.mempool.verified)
             except ChainValidationError as exc:
                 reason = exc.reason
                 break
-            added.append(block)
-        self.known_blocks.update((b.hash, b) for b in added)
-
-        if fork_rank(best.height, best.tip.hash) < old_rank:
-            for block in dropped:
-                for tx, txid in zip(block.transactions, block.tx_ids):
-                    if txid not in best.tx_ids:
-                        self.mempool.readd(tx)
-            self.mempool.evict(txid for block in best.blocks[fork:] for txid in block.tx_ids)
-            status = "accepted-best"
-        else:
+        if fork_rank(best.height, best.tip.hash) >= old_rank:
             self._move(fork, dropped)
-            if not added:
-                return f"rejected:{reason}"
-            status = "accepted-side"
-
-        # Grown chain may unblock held orphans.
-        for block in added:
-            for orphan in self.orphans.pop(block.hash, []):
-                if self.apply_block(orphan) == "accepted-best":
-                    status = "accepted-best"
-        return status
-
-    def adopt_chain(self, blocks: list[Block]) -> bool:
-        """Connect the blocks of a peer's linked run that this node lacks, up to
-        the first invalid one. The run may start anywhere, but the parent of
-        its first new block must be known; a run from another genesis never
-        connects. Returns True when the best tip changed."""
-        new = [b for b in blocks if b.hash not in self.known_blocks]
-        if not new or new[0].header.prev_hash not in self.known_blocks:
-            return False
-        return self._connect_run(new) == "accepted-best"
+            return f"rejected:{reason}", []
+        for block in dropped:
+            for tx, txid in zip(block.transactions, block.tx_ids):
+                if txid not in best.tx_ids:
+                    self.mempool.readd(tx)
+        added = best.blocks[fork:]
+        self.mempool.evict(txid for block in added for txid in block.tx_ids)
+        return "accepted-best", added

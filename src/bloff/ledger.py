@@ -837,27 +837,26 @@ class _EveryId(VerifiedTxs):
         return True
 
 
-def validate_chain(blocks: list[Block], verified: VerifiedTxs | None = None) -> Chain:
+def validate_chain(blocks: list[Block]) -> Chain:
     """Replay from genesis, rebuilding the registry and the indexes.
 
     Raises ChainValidationError carrying the first failing 1-based height.
-    Without ``verified``, the rules run before the signatures: the blocks
-    are folded with every rule but ``verify_tx``, then the txs before the
-    first failing block go to ``verify_txs_forked``. A chain that passes
-    both is returned as folded; otherwise it is folded again with the ids
-    that passed, which gives the height and reason a serial fold gives.
+    The rules run before the signatures, on one path: the blocks are folded
+    with every rule but ``verify_tx``, then the txs before the first failing
+    block go to ``verify_txs_forked``. A chain that passes both is returned
+    as folded; otherwise it is folded again with the ids that passed, which
+    gives the height and reason a serial fold gives.
     """
     if not blocks:
         raise ChainValidationError(0, "empty-chain")
-    if verified is None:
-        try:
-            chain, checked = _fold(blocks, _EveryId(0)), blocks
-        except ChainValidationError as exc:
-            chain, checked = None, blocks[: exc.height - 1]
-        txs = [tx for block in checked for tx in block.transactions]
-        verified = verify_txs_forked(txs, [txid for block in checked for txid in block.tx_ids])
-        if chain is not None and len(verified) == len(txs):
-            return chain
+    try:
+        chain, checked = _fold(blocks, _EveryId(0)), blocks
+    except ChainValidationError as exc:
+        chain, checked = None, blocks[: exc.height - 1]
+    txs = [tx for block in checked for tx in block.transactions]
+    verified = verify_txs_forked(txs, [txid for block in checked for txid in block.tx_ids])
+    if chain is not None and len(verified) == len(txs):
+        return chain
     return _fold(blocks, verified)
 
 

@@ -14,7 +14,11 @@ A ``chain-request`` payload is a block locator: 32-byte best-chain hashes,
 tip first and genesis last, at most ``LOCATOR_MAX_HASHES``. The reply holds
 only the blocks after the highest best-chain block the locator names; a
 locator whose last hash is not the responder's genesis gets none. An empty
-payload asks for the whole chain.
+payload asks for the whole chain. The locator request is the only way a node
+gets a block whose parent it lacks: a gossiped block or a pushed run on such
+a parent draws one to its sender, and the node holds nothing meanwhile. A
+gossiped block is relayed only when it becomes the best tip, and a run only
+as the blocks the best chain gained.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from .consensus import MiningError, NodeState, mine_block
-from .crypto import DIGEST_LEN, ZERO_DIGEST, Digest, KeyPair, sha256_digest
+from .crypto import DIGEST_LEN, ZERO_DIGEST, KeyPair, sha256_digest
 from .ledger import (
     Block,
     Chain,
@@ -224,25 +228,15 @@ class NodeLogic:
         except (ValueError, TxDecodeError) as exc:
             logger.debug("%s: dropping undecodable block: %s", self.node_id, exc)
             return []
-        old_tip = self.chain.tip.hash
         status = self.state.apply_block(block)
-        if status.startswith("rejected"):
-            logger.debug("%s: block rejected: %s", self.node_id, status)
-            return []
         # An orphan is not yet validated, so it is not relayed: the node asks
         # the sender for the gap and pushes the block with the run it adopts.
         if status == "orphaned":
             return [self.chain_request(sender)]
-        # The block connected held orphans past it: push the whole new run,
-        # as after an adopt, so the orphans go out too.
-        if status == "accepted-best" and self.chain.tip.hash != block.hash:
-            return [self._push_run_from(old_tip)]
+        if status != "accepted-best":
+            logger.debug("%s: block not relayed: %s", self.node_id, status)
+            return []
         return [(MSG_BLOCK, payload, BROADCAST)]
-
-    def _push_run_from(self, old_tip: Digest) -> tuple[str, bytes, str]:
-        """The best chain's blocks after its fork point with ``old_tip``."""
-        fork, _ = self.state.fork_from(old_tip)
-        return (MSG_CHAIN_RESPONSE, encode_blocks(self.chain.blocks[fork:]), BROADCAST)
 
     def _handle_chain_request(self, payload: bytes, sender: str) -> list[tuple[str, bytes, str]]:
         blocks = self.chain.blocks
@@ -266,15 +260,15 @@ class NodeLogic:
             logger.debug("%s: dropping undecodable chain: %s", self.node_id, exc)
             return []
         # Only the blocks this node lacks are validated; if they change the
-        # best tip, push the new run from the fork point with the old best,
-        # so the winner floods outward hop by hop.
-        old_tip = self.chain.tip.hash
-        if self.state.adopt_chain(blocks):
-            return [self._push_run_from(old_tip)]
+        # best tip, push the blocks the best chain gained, the new run from
+        # the fork point with the old best, so the winner floods outward.
+        added = self.state.adopt_chain(blocks)
+        if added:
+            return [(MSG_CHAIN_RESPONSE, encode_blocks(added), BROADCAST)]
         # A run that starts past a block this node lacks: ask the sender for
         # the gap. A genesis block has no parent to ask for.
         parent = blocks[0].header.prev_hash if blocks else ZERO_DIGEST
-        if parent != ZERO_DIGEST and parent not in self.state.known_blocks:
+        if parent != ZERO_DIGEST and parent not in self.chain.heights:
             return [self.chain_request(sender)]
         return []
 

@@ -1,9 +1,10 @@
 """Mining, mempool, fork choice and block application."""
 
+import dataclasses
+
 import pytest
 
 from bloff.consensus import (
-    DEFAULT_ORPHAN_CAP,
     Mempool,
     MiningError,
     NodeState,
@@ -280,7 +281,7 @@ class TestApplyBlock:
         loser = fork_a if winner is fork_b else fork_b
         state = NodeState(best=base)
         assert state.apply_block(winner.tip) == "accepted-best"
-        assert state.apply_block(loser.tip) == "accepted-side"
+        assert state.apply_block(loser.tip) == "stale"
         assert state.best_tip == winner.tip.hash
 
     def test_duplicate_block(self, miner, device, base):
@@ -290,8 +291,10 @@ class TestApplyBlock:
         assert state.apply_block(block) == "duplicate"
 
     def test_invalid_first_block_of_side_run_leaves_state_unchanged(self, miner, device, base):
-        """A run on an interior block whose first block is invalid: ``best``
-        is moved to the fork point and back, field-equal, pool untouched."""
+        """A run on an interior block that would win if valid, but whose first
+        block is invalid: ``best`` is moved to the fork point and back,
+        field-equal, pool untouched. The invalid block alone could not win,
+        so it is "stale", unchecked."""
         main = extend(extend(base, miner, device, [b"m1"]), miner, device, [b"m2"], ts_offset=11)
         side = extend(base, miner, device, [b"s1"], ts_offset=12)
         bad = Block(
@@ -304,26 +307,29 @@ class TestApplyBlock:
         pool = Mempool()
         pool.add(anchor_for(device, b"s2", ts=GENESIS_TS + 13))
         after = mine_block(pool, bad.header, 0, miner, GENESIS_TS + 13, side.registered_nodes)
+        pool = Mempool()
+        pool.add(anchor_for(device, b"s3", ts=GENESIS_TS + 14))
+        last = mine_block(pool, after.header, 0, miner, GENESIS_TS + 14, side.registered_nodes)
         state = NodeState(best=main)
         state.mempool.add(anchor_for(device, b"pending"))
         pooled = state.mempool.oldest()
-        assert state.adopt_chain([bad, after]) is False
-        assert state.apply_block(bad) == "rejected:merkle-mismatch"
+        assert state.adopt_chain([bad, after, last]) == []
+        assert state.apply_block(bad) == "stale"
         assert state.best == main
         assert state.mempool.oldest() == pooled
-        assert bad.hash not in state.known_blocks
+        assert bad.hash not in state.best.heights
 
     def test_losing_side_block_leaves_state_unchanged(self, miner, device, base):
-        """A side block that loses fork choice becomes known; ``best`` is
-        moved to the fork point and back, field-equal, pool untouched."""
+        """A side block that loses fork choice is "stale": not checked, not
+        kept, ``best`` field-equal and the pool untouched."""
         main = extend(extend(base, miner, device, [b"m1"]), miner, device, [b"m2"], ts_offset=11)
         side = extend(base, miner, device, [b"s1"], ts_offset=12)
         state = NodeState(best=main)
         state.mempool.add(anchor_for(device, b"s1", ts=GENESIS_TS + 12))
         state.mempool.add(anchor_for(device, b"pending"))
         pooled = state.mempool.oldest()
-        assert state.apply_block(side.tip) == "accepted-side"
-        assert side.tip.hash in state.known_blocks
+        assert state.apply_block(side.tip) == "stale"
+        assert side.tip.hash not in state.best.heights
         assert state.best == main
         assert state.mempool.oldest() == pooled
 
@@ -344,23 +350,18 @@ class TestApplyBlock:
         assert status.startswith("rejected:")
         assert "merkle-mismatch" in status
         assert state.best_tip == base.tip.hash
-        assert bad.hash not in state.known_blocks
+        assert bad.hash not in state.best.heights
 
-    def test_orphan_held_then_connected(self, miner, device, base):
+    def test_orphaned_and_stale_blocks_are_not_held(self, miner, device, base, rng):
+        """A block whose parent is not on ``best`` is "orphaned", and a block
+        or run that could not outrank ``best`` is "stale". Neither is held:
+        the state stays field-equal and the pool unchanged. An orphan
+        re-offered after its parent connects then connects."""
+        assert [f.name for f in dataclasses.fields(NodeState)] == ["best", "mempool"]
         child = extend(base, miner, device, [b"one"])
         grandchild = extend(child, miner, device, [b"two"], ts_offset=11)
-        state = NodeState(best=base)
-        assert state.apply_block(grandchild.tip) == "orphaned"
-        assert state.best_tip == base.tip.hash
-        assert state.apply_block(child.tip) == "accepted-best"
-        assert state.best_tip == grandchild.tip.hash
-        assert state.best.height == base.height + 2
-
-    def test_orphan_cap_bounds_memory(self, miner, device, base, rng):
-        """Blocks on unknown parents beyond the cap push out the oldest held."""
-        state = NodeState(best=base)
         tx = anchor_for(device, b"orphan")
-        orphans = [
+        strays = [
             Block(
                 header=BlockHeader(
                     prev_hash=Digest(rng.randbytes(32)), merkle_root=merkle_root([tx]),
@@ -368,13 +369,31 @@ class TestApplyBlock:
                 ),
                 transactions=(tx,),
             )
-            for _ in range(DEFAULT_ORPHAN_CAP + 3)
+            for _ in range(3)
         ]
-        for block in orphans:
+        state = NodeState(best=base)
+        state.mempool.add(anchor_for(device, b"pending"))
+        pooled = state.mempool.oldest()
+        for block in [grandchild.tip, *strays]:
             assert state.apply_block(block) == "orphaned"
-        held = [block for blocks in state.orphans.values() for block in blocks]
-        assert held == orphans[3:]
+        assert state.adopt_chain(strays) == []
         assert state.best == base
+        assert state.mempool.oldest() == pooled
+        assert state.apply_block(child.tip) == "accepted-best"
+        assert state.apply_block(grandchild.tip) == "accepted-best"
+        assert state.best_tip == grandchild.tip.hash
+        assert state.best.height == base.height + 2
+
+        # A losing side block, alone or in a peer's run, is stale, so a block
+        # on it is an orphan, not a side block.
+        best, pooled = state.best.copy(), state.mempool.oldest()
+        side = extend(base, miner, device, [b"l1"], ts_offset=12)
+        on_side = extend(side, miner, device, [b"l2"], ts_offset=13).tip
+        assert state.apply_block(side.tip) == "stale"
+        assert state.adopt_chain(side.blocks) == []
+        assert state.apply_block(on_side) == "orphaned"
+        assert state.best == best
+        assert state.mempool.oldest() == pooled
 
     def test_two_block_reorg_restores_anchors(self, miner, device, base):
         """A losing branch's anchors go back to the pool; the index only ever
@@ -389,7 +408,7 @@ class TestApplyBlock:
         long_2 = extend(long_1, miner, device, [b"long two"], ts_offset=11)
         state.apply_block(long_1.tip)
         assert state.best_tip == preferred(short, long_1).tip.hash
-        assert state.apply_block(long_2.tip) == "accepted-best"
+        assert state.adopt_chain(long_2.blocks)[-1] == long_2.tip
         assert state.best_tip == long_2.tip.hash
 
         pooled = {bytes(tx.log_hash) for tx in state.mempool.oldest()}
@@ -398,8 +417,9 @@ class TestApplyBlock:
         assert {bytes(k): v for k, v in state.best.anchor_index.items()} == scanned
 
     def test_state_chain_equals_revalidated_ancestry(self, miner, device, base, rng):
-        """Oracle equivalence: after arbitrary application orders, the state's
-        chain is exactly validate_chain of the best tip's ancestry."""
+        """Oracle equivalence: after arbitrary application orders, re-offered
+        until a full pass connects none, the state's chain is exactly
+        validate_chain of the best tip's ancestry."""
         forks = [base]
         blocks = []
         for i in range(10):
@@ -409,11 +429,11 @@ class TestApplyBlock:
             blocks.append(grown.tip)
         rng.shuffle(blocks)
         state = NodeState(best=base)
-        for block in blocks:
-            state.apply_block(block)
+        while any([state.apply_block(block) == "accepted-best" for block in blocks]):
+            pass
         ancestry = []
         cursor = state.best.tip
-        index = {b.hash: b for b in state.known_blocks.values()}
+        index = {b.hash: b for b in base.blocks + blocks}
         while True:
             ancestry.append(cursor)
             if cursor.header.prev_hash == Digest(bytes(32)):
@@ -452,7 +472,7 @@ class TestApplyBlock:
 
         assert state.apply_block(block_a) == "accepted-best"
         state.apply_block(block_b1)
-        assert state.apply_block(block_b2) == "accepted-best"  # reorg to branch B
+        assert state.adopt_chain([block_b1, block_b2])[-1] == block_b2  # reorg to branch B
 
         on_chain = {tx_id(tx) for b in state.best.blocks for tx in b.transactions}
         pooled = {tx_id(tx) for tx in state.mempool.oldest()}
@@ -485,65 +505,30 @@ class TestAdoptChain:
         pool.add(anchor_for(device, b"p4", ts=GENESIS_TS + 13))
         after = mine_block(pool, bad.header, 0, miner, GENESIS_TS + 13, good.registered_nodes)
         state = NodeState(best=base)
-        assert state.adopt_chain(good.blocks + [bad, after]) is True
+        assert state.adopt_chain(good.blocks + [bad, after]) == good.blocks[base.height :]
         assert state.best_tip == good.tip.hash
-        assert bad.hash not in state.known_blocks
-        assert after.hash not in state.known_blocks
-        assert state.orphans == {}
+        assert bad.hash not in state.best.heights
+        assert after.hash not in state.best.heights
 
     def test_different_genesis_refused_state_unchanged(self, miner, device, base):
         other, _ = build_chain(keypair_for("other-miner"), device, [b"x", b"y"])
         state = NodeState(best=base)
-        known = dict(state.known_blocks)
-        assert state.adopt_chain(other.blocks) is False
-        assert state.adopt_chain([]) is False
+        assert state.adopt_chain(other.blocks) == []
+        assert state.adopt_chain([]) == []
         assert state.best == base
-        assert state.known_blocks == known
-        assert state.orphans == {}
         assert len(state.mempool) == 0
-
-    def test_losing_branch_blocks_become_known(self, miner, device, base):
-        """A peer chain that loses fork choice lands as side blocks, so a later
-        block on that branch connects instead of waiting as an orphan."""
-        winner = base
-        for i in range(3):
-            winner = extend(winner, miner, device, [f"w{i}".encode()], ts_offset=10 + i)
-        loser = extend(base, miner, device, [b"l1"])
-        state = NodeState(best=winner)
-        assert state.adopt_chain(loser.blocks) is False
-        assert loser.tip.hash in state.known_blocks
-        assert state.best_tip == winner.tip.hash
-        next_block = extend(loser, miner, device, [b"l2"], ts_offset=11).tip
-        assert state.apply_block(next_block) == "accepted-side"
-        assert next_block.hash in state.known_blocks
-
-    def test_orphan_on_interior_block_connects(self, miner, device, base):
-        """A block held as an orphan connects once a peer chain brings its
-        parent, also when that parent is not the peer chain's tip."""
-        one = extend(base, miner, device, [b"a1"])
-        two = extend(one, miner, device, [b"a2"], ts_offset=11)
-        sibling = extend(one, miner, device, [b"s2"], ts_offset=12).tip
-        state = NodeState(best=base)
-        assert state.apply_block(sibling) == "orphaned"
-        assert state.adopt_chain(two.blocks) is True
-        assert sibling.hash in state.known_blocks
-        assert state.orphans == {}
-        assert state.best_tip in (two.tip.hash, sibling.hash)
 
     def test_run_past_genesis_connects_only_its_blocks(self, miner, device, base):
         """A delta run, starting on a block the node holds, connects."""
         one = extend(base, miner, device, [b"d1"])
         two = extend(one, miner, device, [b"d2"], ts_offset=11)
         state = NodeState(best=base)
-        assert state.adopt_chain(two.blocks[base.height :]) is True
+        assert state.adopt_chain(two.blocks[base.height :]) == two.blocks[base.height :]
         assert state.best_tip == two.tip.hash
 
     def test_run_on_unknown_parent_refused_state_unchanged(self, miner, device, base):
         one = extend(base, miner, device, [b"d1"])
         two = extend(one, miner, device, [b"d2"], ts_offset=11)
         state = NodeState(best=base)
-        known = dict(state.known_blocks)
-        assert state.adopt_chain(two.blocks[one.height :]) is False
+        assert state.adopt_chain(two.blocks[one.height :]) == []
         assert state.best == base
-        assert state.known_blocks == known
-        assert state.orphans == {}

@@ -106,7 +106,7 @@ def test_adopt_own_chain_validates_nothing(miner, device, counted):
     chain, _ = chain_and_next_block(miner, device)
     state = NodeState(best=chain)
     counted.clear()
-    assert state.adopt_chain(chain.blocks) is False
+    assert state.adopt_chain(chain.blocks) == []
     assert counted == []
 
 
@@ -115,7 +115,7 @@ def test_adopt_longer_chain_validates_only_new_blocks(miner, device, counted):
     longer = grow(chain, miner, device, [f"new {i}" for i in range(5)])
     state = NodeState(best=chain)
     counted.clear()
-    assert state.adopt_chain(longer.blocks) is True
+    assert state.adopt_chain(longer.blocks) == longer.blocks[41:]
     assert counted == longer.blocks[41:]
     assert state.best_tip == longer.tip.hash
 
@@ -131,7 +131,7 @@ def test_fresh_node_catches_up_in_one_pass(miner, device, counted, monkeypatch):
     ledger_txids = count_calls(monkeypatch, "tx_id")
     consensus_txids = count_calls(monkeypatch, "tx_id", module=consensus)
     counted.clear()
-    assert state.adopt_chain(peer_blocks) is True
+    assert state.adopt_chain(peer_blocks) == peer_blocks[1:]
     assert counted == chain.blocks[1:]
     assert state.best_tip == chain.tip.hash
     assert ledger_txids == [tx for block in peer_blocks[1:] for tx in block.transactions]
@@ -145,7 +145,7 @@ def test_fresh_node_hashes_each_header_once(miner, device, monkeypatch):
     state = NodeState(best=ledger.validate_chain(chain.blocks[:1]))
     peer_blocks = decode_blocks(encode_blocks(chain.blocks))
     calls = count_calls(monkeypatch, "block_hash")
-    assert state.adopt_chain(peer_blocks) is True
+    assert state.adopt_chain(peer_blocks) == peer_blocks[1:]
     assert calls == [block.header for block in peer_blocks]
 
 
@@ -169,32 +169,46 @@ def test_node_k_blocks_behind_receives_and_validates_k(miner, device, counted):
 
 
 def test_side_branch_validates_only_its_own_blocks(miner, device, counted):
-    """A 15-block branch off height 30 of the 41-block chain, applied block
-    by block: the best chain is moved to the fork point and onto the known
-    branch without checks, so only each new block is validated, once."""
+    """A 15-block branch off height 30 of the 41-block chain, delivered as
+    one run: the best chain is moved to the fork point without checks, so
+    only each new block is validated, once."""
     chain, _ = chain_and_next_block(miner, device)
     fork_point = ledger.validate_chain(chain.blocks[:30])
     branch = grow(fork_point, miner, device, [f"side {i}" for i in range(15)])
     state = NodeState(best=chain)
     counted.clear()
-    for block in branch.blocks[30:]:
-        assert state.apply_block(block).startswith("accepted")
+    assert state.adopt_chain(branch.blocks[30:]) == branch.blocks[30:]
     assert counted == branch.blocks[30:]
     assert state.best_tip == branch.tip.hash
 
 
 def test_side_branch_replay_of_known_blocks_checks_no_signature(miner, device, monkeypatch):
-    """Moving onto a side branch's known blocks checks no signature the node
-    has checked before; only the branch's own 15 anchors are new."""
+    """Moving onto a 15-block side branch, delivered as one run, checks no
+    signature the node has checked before; only the branch's own 15 anchors
+    are new."""
     chain, _ = chain_and_next_block(miner, device)
     fork_point = ledger.validate_chain(chain.blocks[:30])
     branch = grow(fork_point, miner, device, [f"side {i}" for i in range(15)])
     state = NodeState(best=chain)
     calls = count_calls(monkeypatch, "verify_signature")
-    for block in branch.blocks[30:]:
-        assert state.apply_block(block).startswith("accepted")
+    assert state.adopt_chain(branch.blocks) == branch.blocks[30:]
     assert calls == [device.public_key] * 15
     assert state.best_tip == branch.tip.hash
+
+
+def test_side_block_far_from_tip_costs_a_rank_comparison(miner, device, counted, monkeypatch):
+    """A valid side block on the registration block (height 2) of the
+    41-block chain cannot outrank it: it is "stale" without a
+    ``validate_block`` call, a signature check or a move of ``best``."""
+    chain, _ = chain_and_next_block(miner, device)
+    side = grow(ledger.validate_chain(chain.blocks[:2]), miner, device, ["far side"])
+    state = NodeState(best=chain)
+    signatures = count_calls(monkeypatch, "verify_signature")
+    moves = count_calls(monkeypatch, "disconnect", module=ledger.Chain)
+    counted.clear()
+    assert state.apply_block(side.tip) == "stale"
+    assert counted == signatures == moves == []
+    assert state.best == chain
 
 
 def test_gossiped_tx_verified_once(miner, device, monkeypatch):

@@ -1,5 +1,8 @@
 """Deterministic network fabric: latency, drops, partitions, convergence."""
 
+import hashlib
+import json
+
 import pytest
 
 from bloff.ledger import NodeRole
@@ -186,6 +189,23 @@ class TestScenarioDeterminism:
         b = run_scenario(scenario, seed_override=99)
         assert a.report["converged"] and b.report["converged"]
         assert a.report["nodes"]["m1"]["tip"] != b.report["nodes"]["m1"]["tip"]
+
+    def test_partition_scenario_traffic_is_pinned(self):
+        """The reports and event traces of ``partition_scenario`` at seeds 1-4,
+        difficulty 0 and 2 and drop rate 0 and 0.05 hash to the digest recorded
+        when gossip last changed. A change to gossip made on purpose updates
+        the digest; any other change to it is a regression."""
+        digest = hashlib.sha256()
+        for seed in range(1, 5):
+            for difficulty in (0, 2):
+                for drop_rate in (0.0, 0.05):
+                    scenario = {**partition_scenario(seed, difficulty), "drop_rate": drop_rate}
+                    result = run_scenario(scenario)
+                    digest.update(json.dumps(result.report, sort_keys=True).encode())
+                    digest.update("".join(f"{line}\n" for line in result.events).encode())
+        assert digest.hexdigest() == (
+            "ba821943cc0af79cb19236dc58cdca6773014cad6fd2652cd5f153460d42d0d6"
+        )
 
     def test_sim_keys_deterministic(self):
         assert sim_keypair(7, "m1") == sim_keypair(7, "m1")
