@@ -282,14 +282,13 @@ def run_scenario(scenario: dict, seed_override: int | None = None) -> ScenarioRe
     by_tick: dict[int, list[dict]] = {}
     for action in scenario.get("actions", ()):
         by_tick.setdefault(int(action["tick"]), []).append(action)
-    last_action_tick = max(by_tick) if by_tick else 0
+    last_action_tick = max([0, *by_tick])
 
-    while net.tick <= max(last_action_tick, 0) or (net.pending() and net.tick < max_ticks):
-        if net.tick >= max_ticks:
-            break
+    while net.tick <= last_action_tick and net.tick < max_ticks:
         for action in by_tick.get(net.tick, ()):
             _apply_action(net, action)
         net.step()
+    net.run_to_quiescence(max_ticks)
 
     tips = {node_id: node.logic.chain.tip.hash.hex() for node_id, node in net.nodes.items()}
     digests = {node_id: _index_digest(node.logic) for node_id, node in net.nodes.items()}
