@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import os
 from dataclasses import dataclass
+from functools import cached_property
 
 from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives import serialization
@@ -89,6 +90,12 @@ class KeyPair:
         if len(self.public_key) != KEY_LEN:
             raise ValueError(f"public key must be {KEY_LEN} bytes")
 
+    @cached_property
+    def private_key(self) -> Ed25519PrivateKey:
+        """The signing key object, built once per keypair: building it
+        derives the public key again, which costs more than a signature."""
+        return Ed25519PrivateKey.from_private_bytes(self.secret_key)
+
 
 def generate_keypair(seed: bytes) -> KeyPair:
     """Derive a keypair deterministically from a 32-byte seed."""
@@ -102,12 +109,9 @@ def generate_keypair(seed: bytes) -> KeyPair:
     return KeyPair(secret_key=seed, public_key=public)
 
 
-def sign(secret_key: bytes, message: bytes) -> Signature:
-    """Deterministic Ed25519 signature over ``message``."""
-    if len(secret_key) != KEY_LEN:
-        raise ValueError(f"secret key must be {KEY_LEN} bytes")
-    private = Ed25519PrivateKey.from_private_bytes(secret_key)
-    return Signature(private.sign(message))
+def sign(keypair: KeyPair, message: bytes) -> Signature:
+    """Deterministic Ed25519 signature over ``message`` by ``keypair``."""
+    return Signature(keypair.private_key.sign(message))
 
 
 def verify_signature(public_key: bytes, message: bytes, sig: bytes) -> bool:

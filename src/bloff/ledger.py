@@ -415,7 +415,7 @@ def build_anchor_tx(
         submitter_pubkey=keypair.public_key,
         signature=Signature(bytes(SIGNATURE_LEN)),
     )
-    return replace(unsigned, signature=sign(keypair.secret_key, tx_preamble_bytes(unsigned)))
+    return replace(unsigned, signature=sign(keypair, tx_preamble_bytes(unsigned)))
 
 
 def build_registration_tx(
@@ -430,7 +430,7 @@ def build_registration_tx(
         submitter_pubkey=sponsor.public_key,
         signature=Signature(bytes(SIGNATURE_LEN)),
     )
-    return replace(unsigned, signature=sign(sponsor.secret_key, tx_preamble_bytes(unsigned)))
+    return replace(unsigned, signature=sign(sponsor, tx_preamble_bytes(unsigned)))
 
 
 # ---------------------------------------------------------------------------

@@ -278,10 +278,7 @@ def attestation_message(log_hash: Digest, holder_pubkey: bytes, received_timesta
 
 
 def make_attestation(log_hash: Digest, holder: KeyPair, received_timestamp: int) -> CustodyAttestation:
-    signature = sign(
-        holder.secret_key,
-        attestation_message(log_hash, holder.public_key, received_timestamp),
-    )
+    signature = sign(holder, attestation_message(log_hash, holder.public_key, received_timestamp))
     return CustodyAttestation(
         log_hash=log_hash,
         holder_pubkey=holder.public_key,

@@ -302,13 +302,13 @@ def test_criterion_8_crypto_conformance():
     for _ in range(1000):
         pair = generate_keypair(rng.randbytes(32))
         message = rng.randbytes(rng.randrange(0, 96))
-        assert verify_signature(pair.public_key, message, sign(pair.secret_key, message))
+        assert verify_signature(pair.public_key, message, sign(pair, message))
 
     accepted = 0
     for _ in range(1000):
         pair = generate_keypair(rng.randbytes(32))
         message = rng.randbytes(rng.randrange(1, 64))
-        signature = sign(pair.secret_key, message)
+        signature = sign(pair, message)
         which = rng.randrange(3)
         blob = bytearray((message, signature, pair.public_key)[which])
         bit = rng.randrange(len(blob) * 8)

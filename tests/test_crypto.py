@@ -106,28 +106,40 @@ class TestSignatures:
     def test_sign_verify_roundtrip(self):
         pair = generate_keypair(os.urandom(32))
         message = b"device log entry"
-        sig = sign(pair.secret_key, message)
+        sig = sign(pair, message)
         assert len(sig) == 64
         assert verify_signature(pair.public_key, message, sig)
 
     def test_signing_is_deterministic(self):
         pair = generate_keypair(bytes(32))
-        assert sign(pair.secret_key, b"m") == sign(pair.secret_key, b"m")
+        assert sign(pair, b"m") == sign(pair, b"m")
+
+    def test_fixed_seed_signature_bytes_pinned(self):
+        """The signature of a fixed key and message, as recorded when a
+        signature was made from the raw secret key on every call."""
+        pair = generate_keypair(bytes(range(32)))
+        assert pair.public_key.hex() == (
+            "03a107bff3ce10be1d70dd18e74bc09967e4d6309ba50d5f1ddc8664125531b8"
+        )
+        assert sign(pair, b"bloff fixed-seed signature").hex() == (
+            "27612856279f1e5a13b63e0932a4ac81afccb69ed330411f7764ea3552a310eb"
+            "41a0ca0a03bca6ae8ac6a44dac2595d7d185f68256b10cebdd357c7489dc970b"
+        )
 
     def test_wrong_message_rejected(self):
         pair = generate_keypair(bytes(32))
-        sig = sign(pair.secret_key, b"genuine")
+        sig = sign(pair, b"genuine")
         assert not verify_signature(pair.public_key, b"forged", sig)
 
     def test_cross_key_rejected(self):
         a = generate_keypair(bytes([1]) * 32)
         b = generate_keypair(bytes([2]) * 32)
-        sig = sign(a.secret_key, b"m")
+        sig = sign(a, b"m")
         assert not verify_signature(b.public_key, b"m", sig)
 
     def test_malformed_inputs_return_false_not_raise(self):
         pair = generate_keypair(bytes(32))
-        sig = sign(pair.secret_key, b"m")
+        sig = sign(pair, b"m")
         assert not verify_signature(pair.public_key[:-1], b"m", sig)
         assert not verify_signature(pair.public_key, b"m", sig[:-1])
         assert not verify_signature(b"", b"m", b"")
@@ -136,14 +148,14 @@ class TestSignatures:
         for _ in range(1000):
             pair = generate_keypair(rng.randbytes(32))
             message = rng.randbytes(rng.randrange(0, 128))
-            assert verify_signature(pair.public_key, message, sign(pair.secret_key, message))
+            assert verify_signature(pair.public_key, message, sign(pair, message))
 
     def test_single_bit_mutations_all_rejected(self, rng):
         accepted = 0
         for _ in range(1000):
             pair = generate_keypair(rng.randbytes(32))
             message = rng.randbytes(rng.randrange(1, 64))
-            sig = sign(pair.secret_key, message)
+            sig = sign(pair, message)
             target = rng.randrange(3)
             if target == 0:
                 mutated = bytearray(message)
