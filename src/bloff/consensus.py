@@ -47,6 +47,10 @@ class MiningError(Exception):
 class Mempool:
     """Pending valid transactions, deduplicated by tx id, oldest first.
 
+    A gossiped block names its txs by id only; a node rebuilds it from its
+    pool with ``get``, and asks its sender for the full block when an id is
+    not pooled.
+
     ``verified`` records the ids of the txs whose checks passed. The pool's
     owner, one node or one ``bloff mine`` run, also passes it to block
     validation, so a pooled tx is not checked again in its block. It holds
@@ -64,6 +68,10 @@ class Mempool:
 
     def __contains__(self, txid: Digest) -> bool:
         return txid in self._txs
+
+    def get(self, txid: Digest) -> Transaction | None:
+        """The pooled tx of id ``txid``, or None."""
+        return self._txs.get(txid)
 
     def add(self, tx: Transaction, chain_tx_ids: AbstractSet[Digest] = frozenset()) -> str:
         """Admit ``tx`` if valid, new and within capacity; a tx whose id is in

@@ -50,6 +50,7 @@ from .crypto import (
 
 TX_VERSION = 1
 BLOCK_VERSION = 1
+COMPACT_BLOCK_VERSION = 1
 
 KIND_ANCHOR = 0x01
 KIND_REGISTRATION = 0x02
@@ -586,6 +587,34 @@ def encode_block(block: Block) -> bytes:
 def decode_block(raw: bytes) -> Block:
     txs = _unframe(raw, HEADER_LEN, "block", decode_tx)
     return Block(header=decode_header(raw[:HEADER_LEN]), transactions=tuple(txs))
+
+
+def encode_compact_block(block: Block) -> bytes:
+    """Gossiped block: version, header, u32 tx count, then each tx id in
+    block order. The receiver takes the txs from its own mempool."""
+    return (
+        bytes([COMPACT_BLOCK_VERSION])
+        + header_bytes(block.header)
+        + struct.pack(">I", len(block.tx_ids))
+        + b"".join(block.tx_ids)
+    )
+
+
+def decode_compact_block(raw: bytes) -> tuple[BlockHeader, list[Digest]]:
+    """The header and the tx ids of ``encode_compact_block`` bytes."""
+    start = 1 + HEADER_LEN + 4
+    if len(raw) < start:
+        raise ValueError("compact block bytes too short")
+    if raw[0] != COMPACT_BLOCK_VERSION:
+        raise ValueError(f"unknown compact block version {raw[0]}")
+    (count,) = struct.unpack(">I", raw[1 + HEADER_LEN : start])
+    end = start + count * DIGEST_LEN
+    if end > len(raw):
+        raise ValueError("truncated compact block bytes")
+    if end < len(raw):
+        raise ValueError("trailing bytes after compact block")
+    txids = [Digest(raw[i : i + DIGEST_LEN]) for i in range(start, end, DIGEST_LEN)]
+    return decode_header(raw[1 : 1 + HEADER_LEN]), txids
 
 
 def encode_blocks(blocks: list[Block]) -> bytes:

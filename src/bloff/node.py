@@ -10,15 +10,20 @@ Wire protocol (live mode): newline-delimited JSON over TCP, one message per
 line, ``{"kind": ..., "payload": "<hex>", "from": ..., "to": ...}`` with the
 same four kinds as the simulator fabric.
 
+A ``block-gossip`` payload is a compact block, the header and the tx ids
+(``encode_compact_block``): each tx has already crossed the edge as
+``tx-gossip``, so the receiver rebuilds the block from its mempool. A
+``chain-response`` carries blocks with their txs in full.
+
 A ``chain-request`` payload is a block locator: 32-byte best-chain hashes,
 tip first and genesis last, at most ``LOCATOR_MAX_HASHES``. The reply holds
 only the blocks after the highest best-chain block the locator names; a
 locator whose last hash is not the responder's genesis gets none. An empty
 payload asks for the whole chain. The locator request is the only way a node
-gets a block whose parent it lacks: a gossiped block or a pushed run on such
-a parent draws one to its sender, and the node holds nothing meanwhile. A
-gossiped block is relayed only when it becomes the best tip, and a run only
-as the blocks the best chain gained.
+gets a block whose parent or one of whose txs it lacks: such a gossiped
+block, or a pushed run on such a parent, draws one to its sender, and the
+node holds nothing meanwhile. A gossiped block is relayed only when it
+becomes the best tip, and a run only as the blocks the best chain gained.
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ import queue
 import socket
 import threading
 import time
+from collections import OrderedDict
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 
@@ -41,12 +47,13 @@ from .ledger import (
     NodeRole,
     Transaction,
     TxDecodeError,
+    block_hash,
     canonical_tx_bytes,
-    decode_block,
     decode_blocks,
+    decode_compact_block,
     decode_tx,
-    encode_block,
     encode_blocks,
+    encode_compact_block,
     tx_context_reason,
     verify_tx,
 )
@@ -106,7 +113,7 @@ class NodeLogic:
         self.role = role
         self.difficulty = difficulty
         self.state = NodeState(best=chain)
-        self._seen: set[bytes] = set()
+        self._seen: OrderedDict[bytes, None] = OrderedDict()
 
     # -- helpers ------------------------------------------------------------
 
@@ -115,13 +122,14 @@ class NodeLogic:
         return self.state.best
 
     def _mark_seen(self, payload: bytes) -> bool:
-        """Dedup flood gossip by payload hash; True when already seen."""
+        """Dedup flood gossip by payload hash; True when already seen. Past
+        ``_SEEN_CAP`` hashes, the oldest is forgotten first."""
         key = bytes(sha256_digest(payload))
         if key in self._seen:
             return True
-        if len(self._seen) >= _SEEN_CAP:
-            self._seen.clear()
-        self._seen.add(key)
+        self._seen[key] = None
+        if len(self._seen) > _SEEN_CAP:
+            self._seen.popitem(last=False)
         return False
 
     def chain_request(self, dest: str = BROADCAST) -> tuple[str, bytes, str]:
@@ -184,11 +192,11 @@ class NodeLogic:
         if status != "accepted-best":  # pragma: no cover - defensive
             logger.warning("own mined block not adopted: %s", status)
             return None
-        self._mark_seen(encode_block(block))
+        self._mark_seen(encode_compact_block(block))
         return block
 
     def block_messages(self, block: Block) -> list[tuple[str, bytes, str]]:
-        return [(MSG_BLOCK, encode_block(block), BROADCAST)]
+        return [(MSG_BLOCK, encode_compact_block(block), BROADCAST)]
 
     # -- inbound messages ------------------------------------------------------
 
@@ -224,13 +232,19 @@ class NodeLogic:
         if self._mark_seen(payload):
             return []
         try:
-            block = decode_block(payload)
-        except (ValueError, TxDecodeError) as exc:
+            header, txids = decode_compact_block(payload)
+        except ValueError as exc:
             logger.debug("%s: dropping undecodable block: %s", self.node_id, exc)
             return []
-        status = self.state.apply_block(block)
-        # An orphan is not yet validated, so it is not relayed: the node asks
-        # the sender for the gap and pushes the block with the run it adopts.
+        if block_hash(header) in self.chain.heights:
+            return []
+        txs = [self.state.mempool.get(txid) for txid in txids]
+        # A block with a tx this node has not pooled, or on a parent it
+        # lacks, is not relayed: the node asks the sender for the blocks
+        # after its best chain, in full, and pushes the run it adopts.
+        if None in txs:
+            return [self.chain_request(sender)]
+        status = self.state.apply_block(Block(header=header, transactions=tuple(txs)))
         if status == "orphaned":
             return [self.chain_request(sender)]
         if status != "accepted-best":

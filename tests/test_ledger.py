@@ -29,10 +29,12 @@ from bloff.ledger import (
     canonical_tx_bytes,
     decode_block,
     decode_blocks,
+    decode_compact_block,
     decode_header,
     decode_tx,
     encode_block,
     encode_blocks,
+    encode_compact_block,
     header_bytes,
     make_genesis,
     merkle_leaf,
@@ -349,6 +351,33 @@ class TestBlockEncoding:
         for bad, message in cases:
             with pytest.raises(ValueError) as err:
                 decode_block(bad)
+            assert str(err.value) == message
+
+    def test_compact_block_layout_hand_checked(self, miner, device):
+        chain, _ = build_chain(miner, device, [b"a", b"bb", b"ccc"])
+        block = chain.tip
+        txids = [tx_id(tx) for tx in block.transactions]
+        expected = struct.pack(">B", 1) + header_bytes(block.header) + struct.pack(">I", 3)
+        expected += b"".join(txids)
+        raw = encode_compact_block(block)
+        assert raw == expected
+        assert len(raw) == 1 + HEADER_LEN + 4 + 3 * 32
+        assert decode_compact_block(raw) == (block.header, txids)
+
+    def test_malformed_compact_block_bytes_rejected_with_reason(self, miner, device):
+        chain, _ = build_chain(miner, device, [b"a", b"b"])
+        raw = encode_compact_block(chain.tip)
+        cases = [
+            (b"", "compact block bytes too short"),
+            (raw[: HEADER_LEN + 4], "compact block bytes too short"),
+            (b"\x02" + raw[1:], "unknown compact block version 2"),
+            (raw[:-1], "truncated compact block bytes"),
+            (raw + b"\x00", "trailing bytes after compact block"),
+            (raw + bytes(32), "trailing bytes after compact block"),
+        ]
+        for bad, message in cases:
+            with pytest.raises(ValueError) as err:
+                decode_compact_block(bad)
             assert str(err.value) == message
 
     def test_malformed_chain_bytes_rejected_with_reason(self, miner, device):

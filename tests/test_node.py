@@ -10,16 +10,20 @@ import pytest
 
 from types import SimpleNamespace
 
-from bloff.crypto import ZERO_DIGEST, save_keypair
+from bloff import node as node_module
+from bloff.consensus import Mempool, mine_block
+from bloff.crypto import ZERO_DIGEST, save_keypair, sha256_digest
 from bloff.ingest import LogRecord, build_anchor_for_record
 from bloff.ledger import (
+    HEADER_LEN,
     Block,
     BlockHeader,
     NodeRole,
+    build_anchor_tx,
     canonical_tx_bytes,
     decode_blocks,
-    encode_block,
     encode_blocks,
+    encode_compact_block,
     make_genesis,
     validate_chain,
 )
@@ -105,6 +109,13 @@ class TestSendOut:
         assert [decode_wire(line[:-1])[0] for line in origin.sent] == [MSG_CHAIN_RESPONSE]
         node._send_out([(MSG_BLOCK, b"mined", BROADCAST)])
         assert len(origin.sent) == len(other.sent) == 2
+
+
+def pool_txs(logic, blocks):
+    """Pool the txs of ``blocks`` at ``logic``, as their tx gossip would."""
+    for block in blocks:
+        for tx in block.transactions:
+            assert logic.state.mempool.add(tx, logic.chain.tx_ids) == "accepted"
 
 
 class LongChain:
@@ -216,9 +227,11 @@ class TestDeltaSync:
         chain, longer = chains
         ahead = NodeLogic("a", miner, NodeRole.CSP_MINER, longer)
         behind = NodeLogic("b", miner, NodeRole.CSP_MINER, chain)
-        payload = encode_block(longer.tip)
+        pool_txs(behind, longer.blocks[45:])
+        payload = encode_compact_block(longer.tip)
         out = behind.handle_message(MSG_BLOCK, payload, "a")
         assert out == [behind.chain_request("a")]
+        assert len(behind.state.mempool) == 1
         [(_, reply, _)] = ahead.handle_message(*out[0][:2], "b")
         behind.handle_message(MSG_CHAIN_RESPONSE, reply, "a")
         assert behind.chain.tip.hash == longer.tip.hash
@@ -233,10 +246,12 @@ class TestDeltaSync:
         b = NodeLogic("b", miner, NodeRole.CSP_MINER, chain)
         c = NodeLogic("c", miner, NodeRole.CSP_MINER, chain)
         orphan, parent = longer.blocks[42], longer.blocks[41]
-        request = b.handle_message(MSG_BLOCK, encode_block(orphan), "a")
+        pool_txs(b, longer.blocks[41:])
+        pool_txs(c, longer.blocks[41:])
+        request = b.handle_message(MSG_BLOCK, encode_compact_block(orphan), "a")
         assert request == [b.chain_request("a")]
-        out = b.handle_message(MSG_BLOCK, encode_block(parent), "a")
-        assert out == [(MSG_BLOCK, encode_block(parent), BROADCAST)]
+        out = b.handle_message(MSG_BLOCK, encode_compact_block(parent), "a")
+        assert out == [(MSG_BLOCK, encode_compact_block(parent), BROADCAST)]
         c.handle_message(*out[0][:2], "b")
         [(_, reply, _)] = a.handle_message(*request[0][:2], "b")
         out = b.handle_message(MSG_CHAIN_RESPONSE, reply, "a")
@@ -258,6 +273,93 @@ class TestDeltaSync:
         assert out == [logic.chain_request("x")]
         assert stranger.handle_message(*out[0][:2], "b") == []
         assert logic.chain == chain
+
+
+class TestCompactBlocks:
+    """A ``block-gossip`` payload holds the header and the tx ids; a node
+    rebuilds the block from its mempool, or asks the sender with its
+    locator when an id is not pooled."""
+
+    @pytest.fixture
+    def nodes(self, miner, device):
+        """A node ``b`` at a 3-block chain, a node ``a`` one block ahead, and
+        that block, which holds two anchors."""
+        chain, _ = build_chain(miner, device, [b"x"])
+        pool = Mempool()
+        for label in (b"one", b"two"):
+            pool.add(build_anchor_tx(sha256_digest(label), "dev", GENESIS_TS + 100, device))
+        block = mine_block(pool, chain.tip.header, 0, miner, GENESIS_TS + 100, chain.registered_nodes)
+        ahead = chain.copy()
+        ahead.connect(block)
+        behind = NodeLogic("b", miner, NodeRole.CSP_MINER, chain)
+        return behind, NodeLogic("a", miner, NodeRole.CSP_MINER, ahead), block
+
+    def test_pooled_block_rebuilt_applied_and_relayed(self, nodes):
+        behind, _, block = nodes
+        pool_txs(behind, [block])
+        payload = encode_compact_block(block)
+        assert behind.handle_message(MSG_BLOCK, payload, "a") == [(MSG_BLOCK, payload, BROADCAST)]
+        assert behind.chain.tip == block
+        assert len(behind.state.mempool) == 0
+
+    def test_block_on_best_dropped_without_request(self, nodes):
+        _, ahead, block = nodes
+        assert ahead.handle_message(MSG_BLOCK, encode_compact_block(block), "b") == []
+
+    def test_miss_asks_sender_then_connects_from_reply(self, nodes):
+        behind, ahead, block = nodes
+        pool_txs(behind, [block])
+        behind.state.mempool.evict(block.tx_ids[:1])
+        tip = behind.chain.tip
+        out = behind.handle_message(MSG_BLOCK, encode_compact_block(block), "a")
+        assert out == [behind.chain_request("a")]
+        assert behind.chain.tip == tip
+        assert len(behind.state.mempool) == 1
+        [(_, reply, _)] = ahead.handle_message(*out[0][:2], "b")
+        assert decode_blocks(reply) == [block]
+        behind.handle_message(MSG_CHAIN_RESPONSE, reply, "a")
+        assert behind.chain.tip == block
+        assert len(behind.state.mempool) == 0
+
+    def test_malformed_payload_dropped(self, nodes):
+        behind, _, block = nodes
+        pool_txs(behind, [block])
+        raw = encode_compact_block(block)
+        tip = behind.chain.tip
+        for bad in (raw[:-1], raw[:40], raw + b"\x00", b"\x02" + raw[1:]):
+            assert behind.handle_message(MSG_BLOCK, bad, "a") == []
+        assert behind.chain.tip == tip
+        assert len(behind.state.mempool) == 2
+
+    def test_ids_off_the_header_root_rejected_not_relayed(self, nodes):
+        behind, _, block = nodes
+        pool_txs(behind, [block])
+        statuses = []
+        apply_block = behind.state.apply_block
+
+        def recording(rebuilt):
+            statuses.append(apply_block(rebuilt))
+            return statuses[-1]
+
+        behind.state.apply_block = recording
+        raw = encode_compact_block(block)
+        swapped = raw[: 1 + HEADER_LEN + 4] + block.tx_ids[1] + block.tx_ids[0]
+        tip = behind.chain.tip
+        assert behind.handle_message(MSG_BLOCK, swapped, "a") == []
+        assert statuses == ["rejected:merkle-mismatch"]
+        assert behind.chain.tip == tip
+        assert len(behind.state.mempool) == 2
+
+
+class TestSeen:
+    def test_seen_forgets_oldest_first(self, miner, monkeypatch):
+        monkeypatch.setattr(node_module, "_SEEN_CAP", 3)
+        chain = validate_chain([make_genesis([miner], GENESIS_TS)])
+        logic = NodeLogic("n", miner, NodeRole.CSP_MINER, chain)
+        payloads = [b"payload %d" % i for i in range(4)]
+        assert [logic._mark_seen(p) for p in payloads] == [False] * 4
+        assert [logic._mark_seen(p) for p in payloads[1:]] == [True] * 3
+        assert logic._mark_seen(payloads[0]) is False
 
 
 class TestRolePolicy:

@@ -16,7 +16,13 @@ from bloff import consensus, ledger
 from bloff.cli import handle_command
 from bloff.consensus import Mempool, NodeState, mine_block
 from bloff.crypto import save_keypair, sha256_digest
-from bloff.ledger import NodeRole, canonical_tx_bytes, decode_blocks, encode_block, encode_blocks
+from bloff.ledger import (
+    NodeRole,
+    canonical_tx_bytes,
+    decode_blocks,
+    encode_blocks,
+    encode_compact_block,
+)
 from bloff.node import MSG_BLOCK, MSG_CHAIN_RESPONSE, MSG_TX, NodeLogic
 from bloff.simnet import run_scenario
 from bloff.store import BlockStore, append_mempool_file, write_chain
@@ -224,9 +230,26 @@ def test_gossiped_tx_verified_once(miner, device, monkeypatch):
     assert logic.handle_message(MSG_TX, payload, "peer") == [(MSG_TX, payload, "*")]
     assert calls == [device.public_key]
     assert ledger.tx_id(tx) in logic.state.mempool
-    logic.handle_message(MSG_BLOCK, encode_block(block), "peer")
+    logic.handle_message(MSG_BLOCK, encode_compact_block(block), "peer")
     assert logic.chain.tip.hash == block.hash
     assert calls == [device.public_key]
+
+
+def test_compact_block_of_pooled_txs_checks_no_signature(miner, device, counted, monkeypatch):
+    """Block 42 gossiped as its header and tx ids to a node that pooled its
+    tx: the node rebuilds it from the pool and validates it once, checks no
+    signature again, sends no request and relays the same payload."""
+    chain, block = chain_and_next_block(miner, device)
+    logic = NodeLogic("n1", miner, NodeRole.CSP_MINER, chain)
+    for tx in block.transactions:
+        assert logic.state.mempool.add(tx, chain.tx_ids) == "accepted"
+    calls = count_calls(monkeypatch, "verify_signature")
+    counted.clear()
+    payload = encode_compact_block(block)
+    assert logic.handle_message(MSG_BLOCK, payload, "peer") == [(MSG_BLOCK, payload, "*")]
+    assert calls == []
+    assert counted == [block]
+    assert logic.chain.tip.hash == block.hash
 
 
 def test_local_submission_verified_once(miner, device, monkeypatch):
