@@ -19,6 +19,7 @@ import os
 import re
 import sys
 import time
+from typing import Sequence
 
 from . import store as store_mod
 from .consensus import Mempool, MiningError, mine_block
@@ -39,6 +40,8 @@ from .ledger import (
     NodeRole,
     RegistrationTransaction,
     Transaction,
+    TxDecodeError,
+    VerifiedTxs,
     block_to_json_line,
     build_registration_tx,
     canonical_tx_bytes,
@@ -77,11 +80,26 @@ def mempool_path_for(chain_path: str, override: str | None) -> str:
     return os.path.join(os.path.dirname(chain_path) or ".", "mempool.jsonl")
 
 
-def load_chain_target(target: str) -> Chain:
-    """Load and validate a chain from a file or a running node."""
+def load_chain_target(
+    target: str, pending: Sequence[Transaction] = (), record: VerifiedTxs | None = None
+) -> Chain:
+    """Load and validate a chain from a file or a running node; ``pending``
+    and ``record`` are passed on to ``validate_chain``."""
     if is_address(target):
-        return validate_chain(fetch_chain(target))
-    return store_mod.load_chain(target)
+        return validate_chain(fetch_chain(target), pending, record)
+    return store_mod.load_chain(target, pending, record)
+
+
+def load_pending(pool_path: str) -> list[Transaction | str]:
+    """The txs of a mempool file, in order; a line that does not decode as a
+    tx stands as its "invalid:<reason>" status instead."""
+    pending: list[Transaction | str] = []
+    for raw in store_mod.load_mempool_file(pool_path):
+        try:
+            pending.append(decode_tx(raw))
+        except TxDecodeError as exc:
+            pending.append(f"invalid:{exc.reason}")
+    return pending
 
 
 def read_input_bytes(path: str) -> bytes:
@@ -209,18 +227,20 @@ def cmd_submit(args) -> int:
         print("nothing to submit", file=sys.stderr)
         return 2
 
-    chain = load_chain_target(target)
     pending: list[Transaction] = []
     if not is_address(target):
         pool_path = mempool_path_for(target, args.mempool)
-        pending = [decode_tx(raw) for raw in store_mod.load_mempool_file(pool_path)]
+        pending = [tx for tx in load_pending(pool_path) if isinstance(tx, RegistrationTransaction)]
+    # Checked with the chain's txs; those that pass are in ``record``.
+    record = VerifiedTxs(len(pending) + len(txs))
+    chain = load_chain_target(target, [*pending, *txs], record)
     # Pending registrations count first, as a miner drawing from the same pool would take them.
     registry = dict(chain.registered_nodes)
-    pending = [tx for tx in pending if isinstance(tx, RegistrationTransaction) and verify_tx(tx) is None]
+    pending = [tx for tx in pending if verify_tx(tx, record) is None]
     for _ in registry_walk(pending, registry):
         pass
     for tx, reason in registry_walk(txs, registry):
-        reason = verify_tx(tx) or reason
+        reason = verify_tx(tx, record) or reason
         if reason is not None:
             print(f"rejected: {reason}", file=sys.stderr)
             return 2
@@ -243,11 +263,14 @@ def cmd_mine(args) -> int:
     if is_address(target):
         print("mine needs a local chain file; nodes mine on their own", file=sys.stderr)
         return 2
-    store = BlockStore.open(target)
     pool_path = mempool_path_for(target, args.mempool)
+    pending = load_pending(pool_path)
     pool = Mempool()
-    for raw in store_mod.load_mempool_file(pool_path):
-        status = pool.add(decode_tx(raw), store.chain.tx_ids)
+    # The pending txs are checked with the chain's; those that pass are in
+    # ``pool.verified``, so ``pool.add`` does not check them again.
+    store = BlockStore.open(target, [tx for tx in pending if not isinstance(tx, str)], pool.verified)
+    for tx in pending:
+        status = tx if isinstance(tx, str) else pool.add(tx, store.chain.tx_ids)
         if status.startswith("invalid"):
             print(f"skipping pending tx: {status}", file=sys.stderr)
 

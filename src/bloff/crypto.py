@@ -58,15 +58,18 @@ class Signature(bytes):
 
 ZERO_DIGEST = Digest(ZERO_DIGEST_BYTES)
 
-_HEX_DIGITS = set("0123456789abcdef")
-
 
 def hex_to_bytes(text: str, expected_len: int | None = None) -> bytes:
     """Decode strict lowercase hex. Uppercase or stray characters are rejected
-    so that serialized artifacts have exactly one accepted byte rendering."""
-    if not isinstance(text, str) or len(text) % 2 != 0 or not set(text) <= _HEX_DIGITS:
+    so that serialized artifacts have exactly one accepted byte rendering:
+    ``bytes.fromhex`` also takes uppercase and whitespace, so its result is
+    kept only when it renders back to ``text``."""
+    try:
+        raw = bytes.fromhex(text)
+    except (TypeError, ValueError):
+        raw = None
+    if raw is None or raw.hex() != text:
         raise ValueError(f"not lowercase hex: {text!r}")
-    raw = bytes.fromhex(text)
     if expected_len is not None and len(raw) != expected_len:
         raise ValueError(f"expected {expected_len} bytes of hex, got {len(raw)}")
     return raw

@@ -15,11 +15,13 @@ from __future__ import annotations
 
 import json
 import os
+from typing import Sequence
 
 from .ledger import (
     Block,
     Chain,
     ChainFileError,
+    Transaction,
     VerifiedTxs,
     block_from_json_line,
     block_to_json_line,
@@ -31,11 +33,14 @@ class StoreError(Exception):
     pass
 
 
-def load_chain(path: str) -> Chain:
+def load_chain(
+    path: str, pending: Sequence[Transaction] = (), record: VerifiedTxs | None = None
+) -> Chain:
     """Parse and fully re-validate a chain file.
 
     Raises ChainFileError (with the 1-based line number) for lines that do
     not decode, and ChainValidationError (height, reason) when replay fails.
+    ``pending`` and ``record`` are passed on to ``validate_chain``.
     """
     if not os.path.exists(path):
         raise StoreError(f"chain file not found: {path}")
@@ -51,7 +56,7 @@ def load_chain(path: str) -> Chain:
     blocks = []
     for line_no, line in enumerate(text.split("\n")[:-1], start=1):
         blocks.append(block_from_json_line(line, line_no))
-    return validate_chain(blocks)
+    return validate_chain(blocks, pending, record)
 
 
 def _write_lines(path: str, lines, replace: bool = False) -> None:
@@ -85,8 +90,10 @@ class BlockStore:
         return os.path.join(os.path.dirname(self.path) or ".", "forks.jsonl")
 
     @classmethod
-    def open(cls, path: str) -> "BlockStore":
-        return cls(path, load_chain(path))
+    def open(
+        cls, path: str, pending: Sequence[Transaction] = (), record: VerifiedTxs | None = None
+    ) -> "BlockStore":
+        return cls(path, load_chain(path, pending, record))
 
     @classmethod
     def create(cls, path: str, genesis: Block) -> "BlockStore":

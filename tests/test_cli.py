@@ -244,6 +244,28 @@ class TestSubmitMineVerifyPipeline:
         assert code == 0
         assert len(json.loads(out)["matches"]) == 1
 
+    def test_undecodable_pending_tx_is_skipped(self, workspace, tmp_path, capsys):
+        """A pending line that is hex but no tx does not wedge the pipeline:
+        ``submit`` ignores it and ``mine`` skips it, drops it and mines the
+        valid tx beside it."""
+        chain, mempool = str(workspace["chain"]), workspace["dir"] / "mempool.jsonl"
+        key = str(workspace["key"])
+        first, second = tmp_path / "first.log", tmp_path / "second.log"
+        first.write_text("first\n")
+        second.write_text("second\n")
+        assert run_cli(capsys, "submit", "--key", key, "--chain", chain, "--log", str(first))[0] == 0
+        with open(mempool, "a", encoding="utf-8") as fh:
+            fh.write('{"tx": "0101"}\n')
+        code, _, err = run_cli(capsys, "submit", "--key", key, "--chain", chain, "--log", str(second))
+        assert (code, err) == (0, "")
+        code, out, err = run_cli(capsys, "mine", "--key", key, "--chain", chain)
+        assert code == 0, err
+        assert err == "skipping pending tx: invalid:bad-length\n"
+        assert json.loads(out)["txs"] == 2
+        assert mempool.read_text() == ""
+        for log in (first, second):
+            assert run_cli(capsys, "verify", "--chain", chain, "--log", str(log))[0] == 0
+
     def test_mine_empty_pool_is_error(self, workspace, capsys):
         code, _, err = run_cli(
             capsys,

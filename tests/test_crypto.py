@@ -78,6 +78,42 @@ class TestDigestValues:
         with pytest.raises(ValueError):
             hex_to_bytes("00ff", expected_len=3)
 
+    @pytest.mark.parametrize(
+        "text,expected",
+        [
+            ("", b""),
+            ("00ff", b"\x00\xff"),
+            ("0123456789abcdef", bytes.fromhex("0123456789abcdef")),
+            ("00FF", None),
+            ("Ab", None),
+            ("00 ff", None),
+            (" 00", None),
+            ("00\n", None),
+            ("\t", None),
+            ("abc", None),
+            ("0", None),
+            ("0g", None),
+            ("\u0660\u0660", None),
+            (b"00", None),
+            (bytearray(b"00"), None),
+            (0, None),
+            (None, None),
+        ],
+    )
+    def test_hex_to_bytes_accepts_only_lowercase_pairs(self, text, expected):
+        if expected is None:
+            with pytest.raises(ValueError, match="not lowercase hex"):
+                hex_to_bytes(text)
+        else:
+            assert hex_to_bytes(text) == expected
+
+    def test_hex_to_bytes_checks_length_after_decoding(self):
+        assert hex_to_bytes("00ff", expected_len=2) == b"\x00\xff"
+        with pytest.raises(ValueError, match="expected 3 bytes of hex, got 2"):
+            hex_to_bytes("00ff", expected_len=3)
+        with pytest.raises(ValueError, match="not lowercase hex"):
+            hex_to_bytes("00FF", expected_len=2)
+
 
 class TestKeypairs:
     def test_deterministic_from_seed(self):

@@ -10,12 +10,16 @@ one ``bloff mine`` run, records the txs whose checks passed, so gossip,
 submission, mining, block validation and replays check each tx once.
 """
 
+import dataclasses
+import json
+import os
+
 import pytest
 
 from bloff import consensus, ledger
 from bloff.cli import handle_command
 from bloff.consensus import Mempool, NodeState, mine_block
-from bloff.crypto import save_keypair, sha256_digest
+from bloff.crypto import Signature, save_keypair, sha256_digest
 from bloff.ledger import (
     NodeRole,
     canonical_tx_bytes,
@@ -26,7 +30,7 @@ from bloff.ledger import (
 from bloff.node import MSG_BLOCK, MSG_CHAIN_RESPONSE, MSG_TX, NodeLogic
 from bloff.simnet import run_scenario
 from bloff.store import BlockStore, append_mempool_file, write_chain
-from conftest import GENESIS_TS, build_chain, grow, partition_scenario
+from conftest import GENESIS_TS, build_chain, grow, keypair_for, partition_scenario
 
 
 def count_calls(monkeypatch, name, module=ledger):
@@ -279,6 +283,125 @@ def test_mine_all_verifies_each_pending_tx_once(tmp_path, miner, device, monkeyp
     assert handle_command(["mine", "--key", str(key), "--chain", str(path), "--all"]) == 0
     assert len(capsys.readouterr().out.splitlines()) == 2
     assert len(calls) == 2 + 150
+
+
+class TestOwnTxsJoinTheLoadPass:
+    """``submit`` and ``mine`` check their own txs in the forked pass of the
+    chain load; the affinity mask is patched to two CPUs, as in
+    ``TestForkedSignaturePrePass``. The chain has 2 txs and the call 200, so
+    the parent checks the first 101 and one worker the other 101."""
+
+    @pytest.fixture(autouse=True)
+    def two_cpus(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+
+    @staticmethod
+    def anchors(device, count=200):
+        return [
+            ledger.build_anchor_tx(sha256_digest(b"%d" % i), "dev", GENESIS_TS + 10, device)
+            for i in range(count)
+        ]
+
+    @staticmethod
+    def workspace(directory, miner, blocks, pending):
+        """A chain file of ``blocks``, a mempool file of ``pending`` and the
+        miner's key file in ``directory``; the paths of the chain and key."""
+        directory.mkdir(exist_ok=True)
+        path, key = directory / "chain.jsonl", directory / "miner.key"
+        write_chain(str(path), blocks)
+        save_keypair(str(key), miner)
+        append_mempool_file(str(directory / "mempool.jsonl"), [canonical_tx_bytes(tx) for tx in pending])
+        return str(path), str(key)
+
+    @staticmethod
+    def mine(path, key):
+        return handle_command(
+            ["mine", "--key", key, "--chain", path, "--all", "--timestamp", str(GENESIS_TS + 20)]
+        )
+
+    def test_mine_checks_half_in_the_parent_and_matches_a_serial_run(
+        self, tmp_path, miner, device, monkeypatch, capsys
+    ):
+        chain, _ = build_chain(miner, device, [])
+        pending = self.anchors(device)
+        calls = count_calls(monkeypatch, "verify_signature")
+        path, key = self.workspace(tmp_path / "forked", miner, chain.blocks, pending)
+        assert self.mine(path, key) == 0
+        forked = capsys.readouterr()
+        assert len(calls) == 101
+
+        def no_fork():
+            raise OSError("no fork")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        calls.clear()
+        serial_path, key = self.workspace(tmp_path / "serial", miner, chain.blocks, pending)
+        assert self.mine(serial_path, key) == 0
+        serial = capsys.readouterr()
+        # The worker's share is left to ``Mempool.add``.
+        assert len(calls) == 202
+        assert [json.loads(line)["txs"] for line in forked.out.splitlines()] == [100, 100]
+        assert (forked.out, forked.err) == (serial.out, serial.err)
+        with open(path, "rb") as fh, open(serial_path, "rb") as serial_fh:
+            assert fh.read() == serial_fh.read()
+
+    def submit(self, tmp_path, miner, submitter, monkeypatch):
+        """``submit`` of a 200-line log by ``submitter`` on a 2-tx chain; its
+        exit code and the signature checks made in this process."""
+        chain, _ = build_chain(miner, keypair_for("device-0"), [])
+        path, _ = self.workspace(tmp_path, miner, chain.blocks, [])
+        key, log = tmp_path / "submitter.key", tmp_path / "batch.log"
+        save_keypair(str(key), submitter)
+        log.write_text("".join(f"line {i}\n" for i in range(200)))
+        calls = count_calls(monkeypatch, "verify_signature")
+        return handle_command(["submit", "--key", str(key), "--chain", path, "--log", str(log)]), calls
+
+    def test_submit_checks_half_in_the_parent(self, tmp_path, miner, device, monkeypatch, capsys):
+        code, calls = self.submit(tmp_path, miner, device, monkeypatch)
+        assert (code, len(calls)) == (0, 101)
+        assert len(capsys.readouterr().out.splitlines()) == 200
+
+    def test_rejected_submit_checks_one_of_its_txs(self, tmp_path, miner, monkeypatch, capsys):
+        code, calls = self.submit(tmp_path, miner, keypair_for("nobody"), monkeypatch)
+        assert code == 2
+        assert capsys.readouterr().err == "rejected: unregistered-submitter\n"
+        # The stranger's txs break a registry rule, so none joins the pass:
+        # the chain's 2 txs, then the first of the batch before its rule.
+        assert len(calls) == 2 + 1
+
+    def test_bad_pending_signature_is_skipped_and_checked_again(
+        self, tmp_path, miner, device, monkeypatch, capsys
+    ):
+        chain, _ = build_chain(miner, device, [])
+        pending = self.anchors(device)
+        signature = bytearray(pending[10].signature)
+        signature[0] ^= 1
+        pending[10] = dataclasses.replace(pending[10], signature=Signature(bytes(signature)))
+        path, key = self.workspace(tmp_path, miner, chain.blocks, pending)
+        calls = count_calls(monkeypatch, "verify_signature")
+        assert self.mine(path, key) == 0
+        out, err = capsys.readouterr()
+        assert err == "skipping pending tx: invalid:bad-signature\n"
+        assert [json.loads(line)["txs"] for line in out.splitlines()] == [100, 99]
+        # The bad tx stops nothing: the parent's share (2 chain txs and 99
+        # pending) is checked in full, the worker's 101 verdicts count, and
+        # ``Mempool.add`` checks the bad tx once more.
+        assert len(calls) == 101 + 1
+
+    def test_rule_failure_checks_no_pending_tx(self, tmp_path, miner, device, monkeypatch, capsys):
+        chain, _ = build_chain(miner, device, [])
+        stranger = keypair_for("nobody")
+        pool = Mempool()
+        pool.add(ledger.build_anchor_tx(sha256_digest(b"stranger"), "s", GENESIS_TS + 5, stranger))
+        registry = {**chain.registered_nodes, stranger.public_key: NodeRole.DEVICE}
+        block = mine_block(pool, chain.tip.header, 0, miner, GENESIS_TS + 5, registry)
+        path, key = self.workspace(tmp_path, miner, chain.blocks + [block], self.anchors(device))
+        calls = count_calls(monkeypatch, "verify_signature")
+        assert self.mine(path, key) == 2
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", "error: invalid chain at height 3: unregistered-submitter\n")
+        # Heights 1-2, then block 3 up to its validly signed anchor.
+        assert len(calls) == 2 + 1
 
 
 def test_partition_scenario_checks_each_signature_once_per_node(monkeypatch):
