@@ -48,7 +48,6 @@ from .ledger import (
     decode_tx,
     make_genesis,
     registry_walk,
-    tx_id,
     tx_to_dict,
     validate_chain,
     verify_tx,
@@ -92,9 +91,13 @@ def load_chain_target(
 
 def load_pending(pool_path: str) -> list[Transaction | str]:
     """The txs of a mempool file, in order; a line that does not decode as a
-    tx stands as its "invalid:<reason>" status instead."""
+    tx stands as its "invalid:<reason>" status instead, "invalid:bad-line"
+    when it holds no tx bytes at all."""
     pending: list[Transaction | str] = []
     for raw in store_mod.load_mempool_file(pool_path):
+        if raw is None:
+            pending.append("invalid:bad-line")
+            continue
         try:
             pending.append(decode_tx(raw))
         except TxDecodeError as exc:
@@ -251,9 +254,9 @@ def cmd_submit(args) -> int:
 
     for tx in txs:
         if isinstance(tx, AnchorTransaction):
-            print(f"{tx_id(tx).hex()} {tx.log_hash.hex()}")
+            print(f"{tx.id.hex()} {tx.log_hash.hex()}")
         else:
-            print(f"{tx_id(tx).hex()} registration:{tx.new_node_pubkey.hex()}")
+            print(f"{tx.id.hex()} registration:{tx.new_node_pubkey.hex()}")
     return 0
 
 
@@ -355,7 +358,7 @@ def cmd_inspect(args) -> int:
         wanted = Digest.from_hex(args.tx)
         for height, block in enumerate(chain.blocks, start=1):
             for tx in block.transactions:
-                if tx_id(tx) == wanted:
+                if tx.id == wanted:
                     obj = tx_to_dict(tx)
                     obj["height"] = height
                     print(json.dumps(obj, indent=2))

@@ -28,7 +28,6 @@ from .ledger import (
     leading_zero_bits,
     merkle_root,
     registry_walk,
-    tx_id,
     verify_tx,
 )
 
@@ -81,17 +80,16 @@ class Mempool:
 
         Returns "accepted", "duplicate", "full" or "invalid:<reason>".
         """
-        txid = tx_id(tx)
-        if txid in self._txs:
+        if tx.id in self._txs:
             return "duplicate"
-        if txid in chain_tx_ids:
+        if tx.id in chain_tx_ids:
             return "invalid:duplicate-tx"
-        reason = verify_tx(tx, self.verified, txid)
+        reason = verify_tx(tx, self.verified)
         if reason is not None:
             return f"invalid:{reason}"
         if len(self._txs) >= self.capacity:
             return "full"
-        self._txs[txid] = tx
+        self._txs[tx.id] = tx
         return "accepted"
 
     def readd(self, tx: Transaction) -> None:
@@ -100,9 +98,8 @@ class Mempool:
         Ignores the capacity cap: an anchored digest must never be silently
         lost just because the pool happens to be full at reorg time.
         """
-        txid = tx_id(tx)
-        if txid not in self._txs and verify_tx(tx, self.verified, txid) is None:
-            self._txs[txid] = tx
+        if tx.id not in self._txs and verify_tx(tx, self.verified) is None:
+            self._txs[tx.id] = tx
 
     def evict(self, txids) -> None:
         for txid in txids:
@@ -181,10 +178,6 @@ class NodeState:
             for txid in block.tx_ids:
                 self.mempool.verified.add(txid)
 
-    @property
-    def best_tip(self) -> Digest:
-        return self.best.tip.hash
-
     def _move(self, fork: int, blocks: list[Block]) -> list[Block]:
         """Disconnect ``best`` down to height ``fork`` and advance it by
         ``blocks``, known to be valid there; returns the blocks removed,
@@ -241,8 +234,8 @@ class NodeState:
             self._move(fork, dropped)
             return f"rejected:{reason}", []
         for block in dropped:
-            for tx, txid in zip(block.transactions, block.tx_ids):
-                if txid not in best.tx_ids:
+            for tx in block.transactions:
+                if tx.id not in best.tx_ids:
                     self.mempool.readd(tx)
         added = best.blocks[fork:]
         self.mempool.evict(txid for block in added for txid in block.tx_ids)

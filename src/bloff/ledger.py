@@ -19,9 +19,9 @@ before the first failing one over forked workers, one per CPU. A file that
 breaks a rule thus costs no more checks than serially. A CLI call's own
 txs (``bloff mine``'s pending txs, ``bloff submit``'s new ones) join that
 pass once the rules pass, theirs and the chain's, and those that pass go
-into the record the call keeps. The checks stay serial on one CPU, below ``MIN_TXS_PER_WORKER`` txs
-per worker, where ``os.fork`` is missing, and while another thread is
-alive.
+into the record the call keeps. The checks stay serial on one CPU, below
+``MIN_TXS_PER_WORKER`` txs per worker, where ``os.fork`` is missing, and
+while another thread is alive.
 """
 
 from __future__ import annotations
@@ -126,7 +126,11 @@ def _check_u64(value: int, what: str) -> None:
 
 @dataclass(frozen=True)
 class AnchorTransaction:
-    """Signed record binding a log digest to a submitter key and capture time."""
+    """Signed record binding a log digest to a submitter key and capture time.
+
+    ``id``, on both tx kinds, is the hash of the full canonical bytes,
+    signature included, set once when the tx is made; ``==`` ignores it.
+    """
 
     log_hash: Digest
     source_id: str
@@ -134,6 +138,7 @@ class AnchorTransaction:
     submitter_pubkey: bytes
     signature: Signature
     version: int = TX_VERSION
+    id: Digest = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.source_id.encode("utf-8")) > MAX_SOURCE_ID_BYTES:
@@ -141,6 +146,7 @@ class AnchorTransaction:
         _check_u64(self.capture_timestamp, "capture_timestamp")
         if len(self.submitter_pubkey) != KEY_LEN:
             raise ValueError("submitter_pubkey must be 32 bytes")
+        object.__setattr__(self, "id", sha256_digest(canonical_tx_bytes(self)))
 
     @property
     def kind(self) -> int:
@@ -160,6 +166,7 @@ class RegistrationTransaction:
     submitter_pubkey: bytes
     signature: Signature
     version: int = TX_VERSION
+    id: Digest = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.new_node_pubkey) != KEY_LEN:
@@ -168,6 +175,7 @@ class RegistrationTransaction:
             raise ValueError("role_byte out of range")
         if len(self.submitter_pubkey) != KEY_LEN:
             raise ValueError("submitter_pubkey must be 32 bytes")
+        object.__setattr__(self, "id", sha256_digest(canonical_tx_bytes(self)))
 
     @property
     def kind(self) -> int:
@@ -200,11 +208,6 @@ def tx_preamble_bytes(tx: Transaction) -> bytes:
 
 def canonical_tx_bytes(tx: Transaction) -> bytes:
     return tx_preamble_bytes(tx) + bytes(tx.signature)
-
-
-def tx_id(tx: Transaction) -> Digest:
-    """Stable transaction id: hash of the full canonical bytes, signature included."""
-    return sha256_digest(canonical_tx_bytes(tx))
 
 
 def decode_tx(raw: bytes) -> Transaction:
@@ -290,21 +293,16 @@ class VerifiedTxs:
             self._ids.popitem(last=False)
 
 
-def verify_tx(
-    tx: Transaction, verified: VerifiedTxs | None = None, txid: Digest | None = None
-) -> str | None:
+def verify_tx(tx: Transaction, verified: VerifiedTxs | None = None) -> str | None:
     """Validate one transaction in isolation. Returns a reason tag or None.
 
     Checks version, field ranges and the signature over the canonical
     preamble. Registration sponsorship is a chain-context rule checked by
     ``validate_block``, not here. With a ``verified`` record, a tx whose id
-    (``txid``, hashed here when not given) is in it passes unchecked, and a
-    tx that passes is added to it.
+    is in it passes unchecked, and a tx that passes is added to it.
     """
-    if verified is not None:
-        txid = txid or tx_id(tx)
-        if txid in verified:
-            return None
+    if verified is not None and tx.id in verified:
+        return None
     if tx.version != TX_VERSION:
         return "bad-version"
     if isinstance(tx, RegistrationTransaction) and tx.role is None:
@@ -315,7 +313,7 @@ def verify_tx(
     if not verify_signature(tx.submitter_pubkey, tx_preamble_bytes(tx), tx.signature):
         return "bad-signature"
     if verified is not None:
-        verified.add(txid)
+        verified.add(tx.id)
     return None
 
 
@@ -326,9 +324,7 @@ def verify_tx(
 MIN_TXS_PER_WORKER = 96
 
 
-def verify_txs_forked(
-    txs: Sequence[Transaction], txids: Sequence[Digest], fatal: int | None = None
-) -> VerifiedTxs:
+def verify_txs_forked(txs: Sequence[Transaction], fatal: int | None = None) -> VerifiedTxs:
     """Run ``verify_tx`` over ``txs`` on every CPU; return the ids that passed.
 
     ``cryptography``'s Ed25519 verify holds the GIL, so the work goes to
@@ -358,8 +354,8 @@ def verify_txs_forked(
                 children.append((start, end, *_fork_checker(txs[start:end])))
             except OSError:  # out of processes or descriptors
                 pass
-        for index, (tx, txid) in enumerate(zip(txs[: bounds[1]], txids)):
-            if verify_tx(tx, record, txid) is not None and index < fatal:
+        for index, tx in enumerate(txs[: bounds[1]]):
+            if verify_tx(tx, record) is not None and index < fatal:
                 for _, _, pid, _ in children:
                     os.kill(pid, signal.SIGKILL)  # not yet reaped, so still ours
                 break
@@ -367,9 +363,9 @@ def verify_txs_forked(
         results = [(start, end, _reap(pid, fd)) for start, end, pid, fd in children]
     for start, end, verdicts in results:
         if len(verdicts) == end - start:
-            for txid, passed in zip(txids[start:end], verdicts):
+            for tx, passed in zip(txs[start:end], verdicts):
                 if passed:
-                    record.add(txid)
+                    record.add(tx.id)
     return record
 
 
@@ -458,7 +454,7 @@ def merkle_node(left: Digest, right: Digest) -> Digest:
 
 def merkle_root(transactions: list[Transaction]) -> Digest:
     """Binary hash tree over tx ids; an odd level duplicates its last node."""
-    return merkle_levels([tx_id(tx) for tx in transactions])[-1][0]
+    return merkle_levels([tx.id for tx in transactions])[-1][0]
 
 
 def merkle_levels(txids: Sequence[Digest]) -> list[list[Digest]]:
@@ -544,8 +540,8 @@ class Block:
 
     @cached_property
     def tx_ids(self) -> tuple[Digest, ...]:
-        """Each tx's id, hashed once per block object."""
-        return tuple(tx_id(tx) for tx in self.transactions)
+        """Each tx's id, in block order."""
+        return tuple(tx.id for tx in self.transactions)
 
     @cached_property
     def tx_root(self) -> Digest:
@@ -855,8 +851,8 @@ def validate_block(
         return "bad-timestamp"
     registry = dict(parent.registered_nodes)
     checks = registry_walk(block.transactions, registry, genesis=not parent.blocks)
-    for (tx, reason), txid in zip(checks, block.tx_ids):
-        reason = verify_tx(tx, verified, txid) or reason
+    for tx, reason in checks:
+        reason = verify_tx(tx, verified) or reason
         if reason is not None:
             return reason
     if len(set(block.tx_ids)) < len(block.tx_ids) or not parent.tx_ids.isdisjoint(block.tx_ids):
@@ -898,14 +894,12 @@ def validate_chain(
     except ChainValidationError as exc:
         chain, checked = None, blocks[: exc.height - 1]
     txs = [tx for block in checked for tx in block.transactions]
-    txids = [txid for block in checked for txid in block.tx_ids]
     own: dict[Digest, Transaction] = {}
     if chain is not None and record is not None:
         for tx, reason in registry_walk(pending, dict(chain.registered_nodes)):
-            txid = tx_id(tx)
-            if reason is None and txid not in chain.tx_ids and txid not in record:
-                own.setdefault(txid, tx)
-    verified = verify_txs_forked([*txs, *own.values()], [*txids, *own], fatal=len(txs))
+            if reason is None and tx.id not in chain.tx_ids and tx.id not in record:
+                own.setdefault(tx.id, tx)
+    verified = verify_txs_forked([*txs, *own.values()], fatal=len(txs))
     passed = [txid for txid in own if txid in verified]
     if chain is None or len(verified) < len(txs) + len(passed):
         chain = _fold(blocks, verified)
@@ -951,7 +945,7 @@ def make_genesis(authorities: list[KeyPair], timestamp: int) -> Block:
 def tx_to_dict(tx: Transaction) -> dict:
     """JSON-friendly view of a transaction, used by inspect and reports."""
     base = {
-        "tx_id": tx_id(tx).hex(),
+        "tx_id": tx.id.hex(),
         "version": tx.version,
         "submitter_pubkey": tx.submitter_pubkey.hex(),
         "signature": tx.signature.hex(),

@@ -151,9 +151,6 @@ class SimNetwork:
             for target in targets:
                 self._enqueue(SimMessage(kind=kind, payload=payload, sender=origin, recipient=target))
 
-    def pending(self) -> int:
-        return len(self._queue)
-
     def step(self) -> int:
         """Advance one tick and deliver everything due, in enqueue order.
 

@@ -140,20 +140,21 @@ class BlockStore:
 # ---------------------------------------------------------------------------
 
 
-def load_mempool_file(path: str) -> list[bytes]:
-    """Read pending raw transactions (one ``{"tx": hex}`` object per line)."""
+def load_mempool_file(path: str) -> list[bytes | None]:
+    """Read pending raw transactions (one ``{"tx": hex}`` object per line).
+    A line that is not UTF-8 or JSON, or holds no ``tx`` hex, stands as
+    None in its place, so one bad line does not hide the others."""
     if not os.path.exists(path):
         return []
-    raw_txs = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh.read().splitlines(), start=1):
+    raw_txs: list[bytes | None] = []
+    with open(path, "r", encoding="utf-8", errors="replace") as fh:
+        for line in fh.read().splitlines():
             if not line:
                 continue
             try:
-                obj = json.loads(line)
-                raw_txs.append(bytes.fromhex(obj["tx"]))
-            except (ValueError, KeyError, TypeError) as exc:
-                raise StoreError(f"mempool file line {line_no}: {exc}") from None
+                raw_txs.append(bytes.fromhex(json.loads(line)["tx"]))
+            except (ValueError, KeyError, TypeError):
+                raw_txs.append(None)
     return raw_txs
 
 

@@ -33,7 +33,6 @@ from .ledger import (
     merkle_leaf,
     merkle_levels,
     merkle_node,
-    tx_id,
 )
 
 OUTCOME_ACCEPTED = "Accepted"
@@ -129,7 +128,7 @@ def verify_log(
         matches.append(
             AnchorMatch(
                 height=height,
-                tx_id=tx_id(tx),
+                tx_id=tx.id,
                 submitter_pubkey=tx.submitter_pubkey,
                 capture_timestamp=tx.capture_timestamp,
                 confirmations=chain.height - height + 1,
@@ -159,7 +158,7 @@ def court_recheck(
             matches.append(
                 AnchorMatch(
                     height=height,
-                    tx_id=tx_id(tx),
+                    tx_id=tx.id,
                     submitter_pubkey=tx.submitter_pubkey,
                     capture_timestamp=tx.capture_timestamp,
                     confirmations=len(chain.blocks) - height + 1,

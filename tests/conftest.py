@@ -12,7 +12,6 @@ from bloff.ledger import (
     build_anchor_tx,
     build_registration_tx,
     make_genesis,
-    tx_id,
     validate_chain,
 )
 
@@ -135,7 +134,7 @@ def build_chain(miner, device, log_lines, difficulty=0, txs_per_block=100):
             block_tx_cap=txs_per_block,
         )
         blocks.append(block)
-        pool.evict({tx_id(tx) for tx in block.transactions})
+        pool.evict({tx.id for tx in block.transactions})
     return validate_chain(blocks), records
 
 

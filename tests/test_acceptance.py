@@ -24,7 +24,6 @@ from bloff.ledger import (
     encode_block,
     decode_block,
     leading_zero_bits,
-    tx_id,
     validate_chain,
 )
 from bloff.simnet import run_scenario
@@ -265,7 +264,7 @@ def test_criterion_7_inclusion_proofs(miner, device):
     proofs = []
     for height, block in enumerate(chain.blocks, start=1):
         for tx in block.transactions:
-            proof = make_inclusion_proof(chain, height, tx_id(tx))
+            proof = make_inclusion_proof(chain, height, tx.id)
             assert verify_inclusion_proof(proof, block.header)
             proofs.append((proof, block.header))
 

@@ -245,22 +245,25 @@ class TestSubmitMineVerifyPipeline:
         assert len(json.loads(out)["matches"]) == 1
 
     def test_undecodable_pending_tx_is_skipped(self, workspace, tmp_path, capsys):
-        """A pending line that is hex but no tx does not wedge the pipeline:
-        ``submit`` ignores it and ``mine`` skips it, drops it and mines the
-        valid tx beside it."""
+        """A pending line that is hex but no tx, not hex, not JSON, has no
+        ``tx`` key or is not UTF-8 does not wedge the pipeline: ``submit``
+        ignores it and ``mine`` skips it, drops it and mines the valid tx
+        beside it."""
         chain, mempool = str(workspace["chain"]), workspace["dir"] / "mempool.jsonl"
         key = str(workspace["key"])
         first, second = tmp_path / "first.log", tmp_path / "second.log"
         first.write_text("first\n")
         second.write_text("second\n")
         assert run_cli(capsys, "submit", "--key", key, "--chain", chain, "--log", str(first))[0] == 0
-        with open(mempool, "a", encoding="utf-8") as fh:
-            fh.write('{"tx": "0101"}\n')
+        bad_lines = b'{"tx": "0101"}\n{"tx": "01zz"}\nnot json\n{"raw": "0101"}\n["0101"]\n\xff\n'
+        with open(mempool, "ab") as fh:
+            fh.write(bad_lines)
         code, _, err = run_cli(capsys, "submit", "--key", key, "--chain", chain, "--log", str(second))
         assert (code, err) == (0, "")
         code, out, err = run_cli(capsys, "mine", "--key", key, "--chain", chain)
         assert code == 0, err
-        assert err == "skipping pending tx: invalid:bad-length\n"
+        skipped = ["invalid:bad-length"] + 5 * ["invalid:bad-line"]
+        assert err == "".join(f"skipping pending tx: {status}\n" for status in skipped)
         assert json.loads(out)["txs"] == 2
         assert mempool.read_text() == ""
         for log in (first, second):

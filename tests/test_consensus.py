@@ -22,7 +22,6 @@ from bloff.ledger import (
     build_registration_tx,
     leading_zero_bits,
     merkle_root,
-    tx_id,
     validate_chain,
 )
 from conftest import GENESIS_TS, build_chain, keypair_for
@@ -145,7 +144,7 @@ class TestMineBlock:
         pool.add(good_tx)
         block = mine_block(pool, base.tip.header, 0, miner, GENESIS_TS + 5, base.registered_nodes)
         assert list(block.transactions) == [good_tx]
-        assert tx_id(orphan_tx) in pool
+        assert orphan_tx.id in pool
 
     def test_registration_then_anchor_same_block(self, miner, base):
         fresh = keypair_for("fresh-device")
@@ -272,7 +271,7 @@ class TestApplyBlock:
         block = mine_block(pool, base.tip.header, 0, miner, GENESIS_TS + 5, base.registered_nodes)
         assert state.apply_block(block) == "accepted-best"
         assert state.best.height == base.height + 1
-        assert state.best_tip == block.hash
+        assert state.best.tip.hash == block.hash
 
     def test_losing_fork_leaves_tip(self, miner, device, base):
         fork_a = extend(base, miner, device, [b"a"])
@@ -282,7 +281,7 @@ class TestApplyBlock:
         state = NodeState(best=base)
         assert state.apply_block(winner.tip) == "accepted-best"
         assert state.apply_block(loser.tip) == "stale"
-        assert state.best_tip == winner.tip.hash
+        assert state.best.tip.hash == winner.tip.hash
 
     def test_duplicate_block(self, miner, device, base):
         state = NodeState(best=base)
@@ -349,7 +348,7 @@ class TestApplyBlock:
         status = state.apply_block(bad)
         assert status.startswith("rejected:")
         assert "merkle-mismatch" in status
-        assert state.best_tip == base.tip.hash
+        assert state.best.tip.hash == base.tip.hash
         assert bad.hash not in state.best.heights
 
     def test_orphaned_and_stale_blocks_are_not_held(self, miner, device, base, rng):
@@ -381,7 +380,7 @@ class TestApplyBlock:
         assert state.mempool.oldest() == pooled
         assert state.apply_block(child.tip) == "accepted-best"
         assert state.apply_block(grandchild.tip) == "accepted-best"
-        assert state.best_tip == grandchild.tip.hash
+        assert state.best.tip.hash == grandchild.tip.hash
         assert state.best.height == base.height + 2
 
         # A losing side block, alone or in a peer's run, is stale, so a block
@@ -407,9 +406,9 @@ class TestApplyBlock:
         long_1 = extend(base, miner, device, [b"long one"])
         long_2 = extend(long_1, miner, device, [b"long two"], ts_offset=11)
         state.apply_block(long_1.tip)
-        assert state.best_tip == preferred(short, long_1).tip.hash
+        assert state.best.tip.hash == preferred(short, long_1).tip.hash
         assert state.adopt_chain(long_2.blocks)[-1] == long_2.tip
-        assert state.best_tip == long_2.tip.hash
+        assert state.best.tip.hash == long_2.tip.hash
 
         pooled = {bytes(tx.log_hash) for tx in state.mempool.oldest()}
         assert bytes(sha256_digest(b"short lived")) in pooled
@@ -455,7 +454,7 @@ class TestApplyBlock:
         accepted = []
         for tx in txs:
             assert state.mempool.add(tx) == "accepted"
-            accepted.append(tx_id(tx))
+            accepted.append(tx.id)
 
         def mined(parent_chain, subset, ts):
             pool = Mempool()
@@ -474,15 +473,15 @@ class TestApplyBlock:
         state.apply_block(block_b1)
         assert state.adopt_chain([block_b1, block_b2])[-1] == block_b2  # reorg to branch B
 
-        on_chain = {tx_id(tx) for b in state.best.blocks for tx in b.transactions}
-        pooled = {tx_id(tx) for tx in state.mempool.oldest()}
+        on_chain = {tx.id for b in state.best.blocks for tx in b.transactions}
+        pooled = {tx.id for tx in state.mempool.oldest()}
         for txid in accepted:
             assert txid in on_chain or txid in pooled
         # The displaced branch's exclusive txs are back in the pool,
         # and everything branch B mined has left it.
-        assert tx_id(txs[0]) in pooled and tx_id(txs[1]) in pooled
+        assert txs[0].id in pooled and txs[1].id in pooled
         for tx in txs[2:7]:
-            assert tx_id(tx) not in pooled
+            assert tx.id not in pooled
 
 
 class TestAdoptChain:
@@ -506,7 +505,7 @@ class TestAdoptChain:
         after = mine_block(pool, bad.header, 0, miner, GENESIS_TS + 13, good.registered_nodes)
         state = NodeState(best=base)
         assert state.adopt_chain(good.blocks + [bad, after]) == good.blocks[base.height :]
-        assert state.best_tip == good.tip.hash
+        assert state.best.tip.hash == good.tip.hash
         assert bad.hash not in state.best.heights
         assert after.hash not in state.best.heights
 
@@ -524,7 +523,7 @@ class TestAdoptChain:
         two = extend(one, miner, device, [b"d2"], ts_offset=11)
         state = NodeState(best=base)
         assert state.adopt_chain(two.blocks[base.height :]) == two.blocks[base.height :]
-        assert state.best_tip == two.tip.hash
+        assert state.best.tip.hash == two.tip.hash
 
     def test_run_on_unknown_parent_refused_state_unchanged(self, miner, device, base):
         one = extend(base, miner, device, [b"d1"])

@@ -12,7 +12,7 @@ from bloff.ingest import (
     canonicalize_record,
     ingest,
 )
-from bloff.ledger import NodeRole, tx_id
+from bloff.ledger import NodeRole
 from bloff.node import NodeLogic
 from conftest import GENESIS_TS, build_chain, keypair_for
 
@@ -114,7 +114,7 @@ def submit_record(logic, record, keypair):
     """Sign ``record`` with ``keypair`` and submit it to ``logic``; the tx id
     and the submission's ``(accepted, reason)``."""
     tx = build_anchor_for_record(record, keypair)
-    return tx_id(tx), logic.submit_tx(tx)
+    return tx.id, logic.submit_tx(tx)
 
 
 class TestAnchorRecord:
@@ -125,7 +125,7 @@ class TestAnchorRecord:
         txid, result = submit_record(logic, record, device)
         assert result == (True, None)
         (pooled,) = logic.state.mempool.oldest()
-        assert tx_id(pooled) == txid
+        assert pooled.id == txid
         assert pooled.log_hash == sha256_digest(b"payload")
 
     def test_same_bytes_twice_distinct_ids_one_digest(self, miner, device):

@@ -39,14 +39,13 @@ from bloff.ledger import (
     make_genesis,
     merkle_leaf,
     merkle_root,
-    tx_id,
     tx_preamble_bytes,
     validate_block,
     validate_chain,
     verify_tx,
 )
 from conftest import GENESIS_TS, build_chain, keypair_for
-from oracles import oracle_anchor_scan, oracle_merkle_root, oracle_validate_chain
+from oracles import oracle_anchor_scan, oracle_merkle_root, oracle_tx_id, oracle_validate_chain
 
 # Frozen on first implementation run; genesis construction is deterministic,
 # so this hash must never drift.
@@ -103,7 +102,28 @@ class TestCanonicalTxBytes:
     def test_timestamp_changes_tx_id(self, device):
         a = make_anchor(device, ts=GENESIS_TS)
         b = make_anchor(device, ts=GENESIS_TS + 1)
-        assert tx_id(a) != tx_id(b)
+        assert a.id != b.id
+
+    def test_tx_id_is_the_hash_of_its_bytes(self, miner, device):
+        """Built or decoded, each kind of tx carries the hash of its full
+        canonical bytes as its id."""
+        registration = build_registration_tx(device.public_key, NodeRole.DEVICE, miner)
+        for tx in (make_anchor(device), registration):
+            decoded = decode_tx(canonical_tx_bytes(tx))
+            assert tx.id == decoded.id == oracle_tx_id(tx)
+
+    def test_signed_tx_carries_its_own_id(self, miner, device):
+        """The builders sign a placeholder with a zero signature; the signed
+        tx's id covers its own signature, not the placeholder's."""
+        registration = build_registration_tx(device.public_key, NodeRole.DEVICE, miner)
+        for tx in (make_anchor(device), registration):
+            placeholder = dataclasses.replace(tx, signature=Signature(bytes(64)))
+            assert tx.id == oracle_tx_id(tx) != placeholder.id == oracle_tx_id(placeholder)
+
+    def test_field_equal_txs_compare_and_hash_equal(self, device):
+        a = make_anchor(device)
+        b = decode_tx(canonical_tx_bytes(a))
+        assert a is not b and a == b and hash(a) == hash(b) and len({a, b}) == 1
 
     def test_oversize_source_id_rejected(self, device):
         with pytest.raises(ValueError):
@@ -177,13 +197,13 @@ class TestVerifiedTxs:
         for tx in txs:
             assert verify_tx(tx, record) is None
             assert len(record) <= 4
-        assert [tx_id(tx) in record for tx in txs] == [False, False, True, True, True, True]
+        assert [tx.id in record for tx in txs] == [False, False, True, True, True, True]
         assert len(calls) == 6
         assert verify_tx(txs[5], record) is None
         assert len(calls) == 6
         assert verify_tx(txs[0], record) is None
         assert len(calls) == 7
-        assert tx_id(txs[0]) in record and len(record) == 4
+        assert txs[0].id in record and len(record) == 4
         for original_tx in (txs[1], txs[5]):  # evicted, recorded
             tampered = AnchorTransaction(
                 log_hash=original_tx.log_hash,
@@ -193,21 +213,21 @@ class TestVerifiedTxs:
                 signature=original_tx.signature,
             )
             assert verify_tx(tampered, record) == "bad-signature"
-            assert tx_id(tampered) not in record
+            assert tampered.id not in record
         assert len(record) == 4
 
 
 class TestMerkle:
     def test_single_leaf_is_the_root(self, device):
         tx = make_anchor(device)
-        assert merkle_root([tx]) == merkle_leaf(tx_id(tx))
+        assert merkle_root([tx]) == merkle_leaf(tx.id)
 
     def test_two_leaves_hand_computed(self, device):
         t1, t2 = make_anchor(device, b"a"), make_anchor(device, b"b")
         expected = sha256_digest(
             b"\x01"
-            + sha256_digest(b"\x00" + tx_id(t1))
-            + sha256_digest(b"\x00" + tx_id(t2))
+            + sha256_digest(b"\x00" + t1.id)
+            + sha256_digest(b"\x00" + t2.id)
         )
         assert merkle_root([t1, t2]) == expected
 
@@ -222,7 +242,7 @@ class TestMerkle:
     def test_oracle_agreement_all_small_sizes(self, rng, device):
         for size in range(1, 18):
             txs = [random_anchor(rng, device) for _ in range(size)]
-            assert bytes(merkle_root(txs)) == oracle_merkle_root([bytes(tx_id(t)) for t in txs])
+            assert bytes(merkle_root(txs)) == oracle_merkle_root([bytes(t.id) for t in txs])
 
     def test_mutation_insertion_deletion_reorder_all_change_root(self, rng, device):
         unchanged = 0
@@ -356,7 +376,7 @@ class TestBlockEncoding:
     def test_compact_block_layout_hand_checked(self, miner, device):
         chain, _ = build_chain(miner, device, [b"a", b"bb", b"ccc"])
         block = chain.tip
-        txids = [tx_id(tx) for tx in block.transactions]
+        txids = [tx.id for tx in block.transactions]
         expected = struct.pack(">B", 1) + header_bytes(block.header) + struct.pack(">I", 3)
         expected += b"".join(txids)
         raw = encode_compact_block(block)
@@ -925,14 +945,14 @@ class TestForkedSignaturePrePass:
         on_chain = long_chain.blocks[2].transactions[0]
         stranger = make_anchor(keypair_for("nobody"), b"unregistered")
         record = ledger.VerifiedTxs(10)
-        record.add(tx_id(known))
+        record.add(known.id)
         pending = [fresh[0], bad, on_chain, stranger, fresh[1], known, fresh[0]]
         chain = validate_chain(long_chain.blocks, pending, record)
         self.assert_same_chain(chain, long_chain)
         # The two fresh txs and the bad one join the pass; the chain's tx,
         # the stranger's, the recorded one and the repeat do not.
         assert len(parent_checks) == -(-(tx_count(long_chain.blocks) + 3) // 2)
-        assert [tx_id(tx) in record for tx in pending] == [True, False, False, False, True, True, True]
+        assert [tx.id in record for tx in pending] == [True, False, False, False, True, True, True]
         assert len(record) == 3
 
     def test_pending_txs_wait_for_the_chain(self, long_chain, parent_checks, monkeypatch):

@@ -16,7 +16,7 @@ import os
 
 import pytest
 
-from bloff import consensus, ledger
+from bloff import ledger
 from bloff.cli import handle_command
 from bloff.consensus import Mempool, NodeState, mine_block
 from bloff.crypto import Signature, save_keypair, sha256_digest
@@ -127,25 +127,27 @@ def test_adopt_longer_chain_validates_only_new_blocks(miner, device, counted):
     counted.clear()
     assert state.adopt_chain(longer.blocks) == longer.blocks[41:]
     assert counted == longer.blocks[41:]
-    assert state.best_tip == longer.tip.hash
+    assert state.best.tip.hash == longer.tip.hash
 
 
 def test_fresh_node_catches_up_in_one_pass(miner, device, counted, monkeypatch):
     """A node holding only genesis adopts the 41-block chain as a peer sends
-    it: each new block is validated once, each new tx id is hashed once, for
-    the Merkle root and the lookups alike, and switching best chain hashes
-    none."""
+    it: decoding the ``chain-response`` builds each tx's canonical bytes
+    once, for its id, and adopting the chain builds none, for the Merkle
+    roots, the lookups and the switch of best chain alike; each new block is
+    validated once."""
     chain, _ = chain_and_next_block(miner, device)
     state = NodeState(best=ledger.validate_chain(chain.blocks[:1]))
-    peer_blocks = decode_blocks(encode_blocks(chain.blocks))
-    ledger_txids = count_calls(monkeypatch, "tx_id")
-    consensus_txids = count_calls(monkeypatch, "tx_id", module=consensus)
+    raw = encode_blocks(chain.blocks)
+    built = count_calls(monkeypatch, "canonical_tx_bytes")
+    peer_blocks = decode_blocks(raw)
+    assert built == [tx for block in chain.blocks for tx in block.transactions]
+    built.clear()
     counted.clear()
     assert state.adopt_chain(peer_blocks) == peer_blocks[1:]
     assert counted == chain.blocks[1:]
-    assert state.best_tip == chain.tip.hash
-    assert ledger_txids == [tx for block in peer_blocks[1:] for tx in block.transactions]
-    assert consensus_txids == []
+    assert state.best.tip.hash == chain.tip.hash
+    assert built == []
 
 
 def test_fresh_node_hashes_each_header_once(miner, device, monkeypatch):
@@ -189,7 +191,7 @@ def test_side_branch_validates_only_its_own_blocks(miner, device, counted):
     counted.clear()
     assert state.adopt_chain(branch.blocks[30:]) == branch.blocks[30:]
     assert counted == branch.blocks[30:]
-    assert state.best_tip == branch.tip.hash
+    assert state.best.tip.hash == branch.tip.hash
 
 
 def test_side_branch_replay_of_known_blocks_checks_no_signature(miner, device, monkeypatch):
@@ -203,7 +205,7 @@ def test_side_branch_replay_of_known_blocks_checks_no_signature(miner, device, m
     calls = count_calls(monkeypatch, "verify_signature")
     assert state.adopt_chain(branch.blocks) == branch.blocks[30:]
     assert calls == [device.public_key] * 15
-    assert state.best_tip == branch.tip.hash
+    assert state.best.tip.hash == branch.tip.hash
 
 
 def test_side_block_far_from_tip_costs_a_rank_comparison(miner, device, counted, monkeypatch):
@@ -233,7 +235,7 @@ def test_gossiped_tx_verified_once(miner, device, monkeypatch):
     payload = canonical_tx_bytes(tx)
     assert logic.handle_message(MSG_TX, payload, "peer") == [(MSG_TX, payload, "*")]
     assert calls == [device.public_key]
-    assert ledger.tx_id(tx) in logic.state.mempool
+    assert tx.id in logic.state.mempool
     logic.handle_message(MSG_BLOCK, encode_compact_block(block), "peer")
     assert logic.chain.tip.hash == block.hash
     assert calls == [device.public_key]

@@ -55,7 +55,7 @@ class TestDelivery:
     def test_latency_one_means_next_tick(self):
         net = two_node_line()
         submit_own_log(net, "a", "hello")
-        assert net.pending() == 1
+        assert len(net._queue) == 1
         assert net.step() == 1  # tick 1: b receives
         assert len(net.nodes["b"].logic.state.mempool) == 1
 

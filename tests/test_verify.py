@@ -15,7 +15,6 @@ from bloff.verify import (
     verify_log,
     ProofError,
 )
-from bloff.ledger import tx_id
 from conftest import GENESIS_TS, build_chain, keypair_for
 
 
@@ -142,7 +141,7 @@ class TestInclusionProofs:
         height = chain.height
         block = chain.blocks[-1]
         assert len(block.transactions) == 1
-        proof = make_inclusion_proof(chain, height, tx_id(block.transactions[0]))
+        proof = make_inclusion_proof(chain, height, block.transactions[0].id)
         assert proof.path == ()
         assert verify_inclusion_proof(proof, block.header)
 
@@ -150,7 +149,7 @@ class TestInclusionProofs:
         chain, _ = anchored
         for height, block in enumerate(chain.blocks, start=1):
             for tx in block.transactions:
-                proof = make_inclusion_proof(chain, height, tx_id(tx))
+                proof = make_inclusion_proof(chain, height, tx.id)
                 assert verify_inclusion_proof(proof, block.header)
 
     def test_absent_tx_is_error(self, anchored):
@@ -165,7 +164,7 @@ class TestInclusionProofs:
         proofs = []
         for height, block in enumerate(chain.blocks, start=1):
             for tx in block.transactions:
-                proofs.append((make_inclusion_proof(chain, height, tx_id(tx)), block.header))
+                proofs.append((make_inclusion_proof(chain, height, tx.id), block.header))
         accepted = 0
         for _ in range(1000):
             proof, header = proofs[rng.randrange(len(proofs))]
@@ -209,7 +208,7 @@ class TestInclusionProofs:
     def test_proof_json_roundtrip(self, anchored):
         chain, _ = anchored
         block = chain.blocks[-1]
-        proof = make_inclusion_proof(chain, chain.height, tx_id(block.transactions[0]))
+        proof = make_inclusion_proof(chain, chain.height, block.transactions[0].id)
         import json
 
         assert InclusionProof.from_dict(json.loads(proof.to_json())) == proof
