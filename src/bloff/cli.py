@@ -44,7 +44,6 @@ from .ledger import (
     VerifiedTxs,
     block_to_json_line,
     build_registration_tx,
-    canonical_tx_bytes,
     decode_tx,
     make_genesis,
     registry_walk,
@@ -250,7 +249,7 @@ def cmd_submit(args) -> int:
     if is_address(target):
         send_txs(target, txs)
     else:
-        store_mod.append_mempool_file(pool_path, [canonical_tx_bytes(tx) for tx in txs])
+        store_mod.append_mempool_file(pool_path, [tx.raw for tx in txs])
 
     for tx in txs:
         if isinstance(tx, AnchorTransaction):
@@ -311,7 +310,7 @@ def cmd_mine(args) -> int:
         if not args.all:
             break
     # Written on failure too, so txs skipped above are not read again.
-    store_mod.write_mempool_file(pool_path, [canonical_tx_bytes(tx) for tx in pool.oldest()])
+    store_mod.write_mempool_file(pool_path, [tx.raw for tx in pool.oldest()])
     return status
 
 
@@ -329,7 +328,7 @@ def cmd_verify(args) -> int:
                     continue
                 try:
                     attestations.append(parse_attestation_line(line))
-                except (ValueError, KeyError, TypeError):
+                except (ValueError, KeyError, TypeError, RecursionError):
                     attestations.append(None)
         report = verify_custody(log, attestations, chain, min_confirmations=args.min_confirmations)
         print(json.dumps(report.to_dict(), separators=(",", ":")))

@@ -3,7 +3,9 @@
 Transactions carry either a log digest (anchor) or a node admission
 (registration). Canonical byte layouts are bit-exact and normative; the
 JSON-lines chain file is a carrier whose hashes and signatures are always
-computed over the canonical bytes, never over the JSON.
+computed over the canonical bytes, never over the JSON. A tx is its
+canonical bytes: ``decode_tx`` wraps them without encoding them again, and
+only building a tx encodes one.
 
 One validation path: ``Chain.connect`` checks a new block once, against its
 parent's state, and moves the chain onto it in place; ``Chain.disconnect``
@@ -33,7 +35,7 @@ import signal
 import struct
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterator, Sequence
 
@@ -124,148 +126,162 @@ def _check_u64(value: int, what: str) -> None:
         raise ValueError(f"{what} must be an unsigned 64-bit integer")
 
 
-@dataclass(frozen=True)
-class AnchorTransaction:
+# Every tx ends with the submitter's key and the signature. In an anchor,
+# the source_id runs from after its length byte to the capture timestamp.
+_TAIL_LEN = KEY_LEN + SIGNATURE_LEN
+_SOURCE_LEN_AT = 2 + DIGEST_LEN
+_STAMP_AT = -_TAIL_LEN - 8
+
+
+class _CanonicalTx:
+    """A tx is its canonical bytes: ``raw`` and their hash ``id``, both set
+    once when the tx is made. Every field is a read-only view of ``raw``,
+    ``==`` and ``hash`` follow ``raw``, and no attribute can be assigned.
+    """
+
+    __slots__ = ("raw", "id")
+
+    def __init__(self, raw: bytes):
+        object.__setattr__(self, "raw", raw)
+        object.__setattr__(self, "id", sha256_digest(raw))
+
+    @classmethod
+    def _wrap(cls, raw: bytes):
+        """A tx of ``raw``, already checked, without encoding it again."""
+        tx = object.__new__(cls)
+        _CanonicalTx.__init__(tx, raw)
+        return tx
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is read-only")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and other.raw == self.raw
+
+    def __hash__(self) -> int:
+        return hash(self.raw)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self.raw.hex()})"
+
+    version = property(lambda tx: tx.raw[0])
+    kind = property(lambda tx: tx.raw[1])
+    submitter_pubkey = property(lambda tx: tx.raw[-_TAIL_LEN:-SIGNATURE_LEN])
+    signature = property(lambda tx: Signature(tx.raw[-SIGNATURE_LEN:]))
+
+
+def _encode_preamble(version: int, kind: int, payload: bytes, submitter_pubkey: bytes) -> bytes:
+    """Everything the submitter signs: all canonical bytes before the signature."""
+    if len(submitter_pubkey) != KEY_LEN:
+        raise ValueError("submitter_pubkey must be 32 bytes")
+    return bytes([version, kind]) + payload + submitter_pubkey
+
+
+class AnchorTransaction(_CanonicalTx):
     """Signed record binding a log digest to a submitter key and capture time.
 
-    ``id``, on both tx kinds, is the hash of the full canonical bytes,
-    signature included, set once when the tx is made; ``==`` ignores it.
+    Bytes: version, kind, log_hash (32), source_id length (1), source_id
+    (UTF-8), capture_timestamp (u64 big-endian), submitter_pubkey (32),
+    signature (64).
     """
 
-    log_hash: Digest
-    source_id: str
-    capture_timestamp: int
-    submitter_pubkey: bytes
-    signature: Signature
-    version: int = TX_VERSION
-    id: Digest = field(init=False, repr=False, compare=False)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if len(self.source_id.encode("utf-8")) > MAX_SOURCE_ID_BYTES:
-            raise ValueError(f"source_id exceeds {MAX_SOURCE_ID_BYTES} bytes")
-        _check_u64(self.capture_timestamp, "capture_timestamp")
-        if len(self.submitter_pubkey) != KEY_LEN:
-            raise ValueError("submitter_pubkey must be 32 bytes")
-        object.__setattr__(self, "id", sha256_digest(canonical_tx_bytes(self)))
+    def __init__(
+        self,
+        log_hash: Digest,
+        source_id: str,
+        capture_timestamp: int,
+        submitter_pubkey: bytes,
+        signature: Signature,
+        version: int = TX_VERSION,
+    ):
+        signed = _anchor_preamble(log_hash, source_id, capture_timestamp, submitter_pubkey, version)
+        super().__init__(signed + Signature(signature))
 
-    @property
-    def kind(self) -> int:
-        return KIND_ANCHOR
+    log_hash = property(lambda tx: Digest(tx.raw[2:_SOURCE_LEN_AT]))
+    source_id = property(lambda tx: tx.raw[_SOURCE_LEN_AT + 1 : _STAMP_AT].decode("utf-8"))
+    capture_timestamp = property(lambda tx: int.from_bytes(tx.raw[_STAMP_AT:-_TAIL_LEN], "big"))
 
 
-@dataclass(frozen=True)
-class RegistrationTransaction:
+def _anchor_preamble(
+    log_hash, source_id, capture_timestamp, submitter_pubkey, version=TX_VERSION
+) -> bytes:
+    source = source_id.encode("utf-8")
+    if len(source) > MAX_SOURCE_ID_BYTES:
+        raise ValueError(f"source_id exceeds {MAX_SOURCE_ID_BYTES} bytes")
+    _check_u64(capture_timestamp, "capture_timestamp")
+    payload = Digest(log_hash) + bytes([len(source)]) + source
+    payload += struct.pack(">Q", capture_timestamp)
+    return _encode_preamble(version, KIND_ANCHOR, payload, submitter_pubkey)
+
+
+class RegistrationTransaction(_CanonicalTx):
     """Admission of a new node key, sponsored by an existing csp-miner.
 
-    ``role_byte`` is kept raw so that wire values outside the known range can
-    be represented and reported by ``verify_tx`` instead of crashing decode.
+    Bytes: version, kind, new_node_pubkey (32), role byte (1),
+    submitter_pubkey (32), signature (64). ``role_byte`` is kept raw so that
+    wire values outside the known range can be represented and reported by
+    ``verify_tx`` instead of crashing decode.
     """
 
-    new_node_pubkey: bytes
-    role_byte: int
-    submitter_pubkey: bytes
-    signature: Signature
-    version: int = TX_VERSION
-    id: Digest = field(init=False, repr=False, compare=False)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if len(self.new_node_pubkey) != KEY_LEN:
-            raise ValueError("new_node_pubkey must be 32 bytes")
-        if not 0 <= self.role_byte <= 255:
-            raise ValueError("role_byte out of range")
-        if len(self.submitter_pubkey) != KEY_LEN:
-            raise ValueError("submitter_pubkey must be 32 bytes")
-        object.__setattr__(self, "id", sha256_digest(canonical_tx_bytes(self)))
+    def __init__(
+        self,
+        new_node_pubkey: bytes,
+        role_byte: int,
+        submitter_pubkey: bytes,
+        signature: Signature,
+        version: int = TX_VERSION,
+    ):
+        signed = _registration_preamble(new_node_pubkey, role_byte, submitter_pubkey, version)
+        super().__init__(signed + Signature(signature))
 
-    @property
-    def kind(self) -> int:
-        return KIND_REGISTRATION
+    new_node_pubkey = property(lambda tx: tx.raw[2 : 2 + KEY_LEN])
+    role_byte = property(lambda tx: tx.raw[2 + KEY_LEN])
+    role = property(lambda tx: BYTE_TO_ROLE.get(tx.role_byte))
 
-    @property
-    def role(self) -> NodeRole | None:
-        return BYTE_TO_ROLE.get(self.role_byte)
+
+def _registration_preamble(new_node_pubkey, role_byte, submitter_pubkey, version=TX_VERSION) -> bytes:
+    if len(new_node_pubkey) != KEY_LEN:
+        raise ValueError("new_node_pubkey must be 32 bytes")
+    if not 0 <= role_byte <= 255:
+        raise ValueError("role_byte out of range")
+    payload = new_node_pubkey + bytes([role_byte])
+    return _encode_preamble(version, KIND_REGISTRATION, payload, submitter_pubkey)
 
 
 Transaction = AnchorTransaction | RegistrationTransaction
 
 
-def _tx_payload_bytes(tx: Transaction) -> bytes:
-    if isinstance(tx, AnchorTransaction):
-        source = tx.source_id.encode("utf-8")
-        return (
-            bytes(tx.log_hash)
-            + bytes([len(source)])
-            + source
-            + struct.pack(">Q", tx.capture_timestamp)
-        )
-    return bytes(tx.new_node_pubkey) + bytes([tx.role_byte])
-
-
-def tx_preamble_bytes(tx: Transaction) -> bytes:
-    """Everything the submitter signs: all canonical bytes before the signature."""
-    return bytes([tx.version, tx.kind]) + _tx_payload_bytes(tx) + tx.submitter_pubkey
-
-
-def canonical_tx_bytes(tx: Transaction) -> bytes:
-    return tx_preamble_bytes(tx) + bytes(tx.signature)
-
-
 def decode_tx(raw: bytes) -> Transaction:
-    """Parse canonical transaction bytes, rejecting structural problems.
+    """Check that ``raw`` is one tx's canonical bytes and wrap them as it.
 
-    Semantic problems (unknown role byte, wrong version, bad signature) are
-    left to ``verify_tx`` so that gossip handling can report them uniformly.
+    Structural problems raise TxDecodeError. Semantic problems (unknown role
+    byte, wrong version, bad signature) are left to ``verify_tx`` so that
+    gossip handling can report them uniformly.
     """
-    if len(raw) < 2:
-        raise TxDecodeError("bad-length")
-    version, kind = raw[0], raw[1]
-    body = raw[2:]
+    raw = bytes(raw)
+    kind = raw[1] if len(raw) > 1 else None
     if kind == KIND_ANCHOR:
-        if len(body) < DIGEST_LEN + 1:
-            raise TxDecodeError("bad-length")
-        log_hash = Digest(body[:DIGEST_LEN])
-        source_len = body[DIGEST_LEN]
+        source_len = raw[_SOURCE_LEN_AT] if len(raw) > _SOURCE_LEN_AT else 0
         if source_len > MAX_SOURCE_ID_BYTES:
             raise TxDecodeError("bad-source-id")
-        offset = DIGEST_LEN + 1
-        expected = offset + source_len + 8 + KEY_LEN + SIGNATURE_LEN
-        if len(body) != expected:
+        if len(raw) != _SOURCE_LEN_AT + 1 + source_len + 8 + _TAIL_LEN:
             raise TxDecodeError("bad-length")
-        source_raw = body[offset:offset + source_len]
         try:
-            source_id = source_raw.decode("utf-8")
+            raw[_SOURCE_LEN_AT + 1 : _STAMP_AT].decode("utf-8")
         except UnicodeDecodeError:
             raise TxDecodeError("bad-source-id") from None
-        if source_id.encode("utf-8") != source_raw:
-            raise TxDecodeError("bad-source-id")
-        offset += source_len
-        (capture_timestamp,) = struct.unpack(">Q", body[offset:offset + 8])
-        offset += 8
-        pubkey = body[offset:offset + KEY_LEN]
-        signature = Signature(body[offset + KEY_LEN:])
-        return AnchorTransaction(
-            log_hash=log_hash,
-            source_id=source_id,
-            capture_timestamp=capture_timestamp,
-            submitter_pubkey=pubkey,
-            signature=signature,
-            version=version,
-        )
+        return AnchorTransaction._wrap(raw)
     if kind == KIND_REGISTRATION:
-        if len(body) != KEY_LEN + 1 + KEY_LEN + SIGNATURE_LEN:
+        if len(raw) != 2 + KEY_LEN + 1 + _TAIL_LEN:
             raise TxDecodeError("bad-length")
-        new_pubkey = body[:KEY_LEN]
-        role_byte = body[KEY_LEN]
-        pubkey = body[KEY_LEN + 1:KEY_LEN + 1 + KEY_LEN]
-        signature = Signature(body[KEY_LEN + 1 + KEY_LEN:])
-        return RegistrationTransaction(
-            new_node_pubkey=new_pubkey,
-            role_byte=role_byte,
-            submitter_pubkey=pubkey,
-            signature=signature,
-            version=version,
-        )
-    raise TxDecodeError("bad-kind")
+        return RegistrationTransaction._wrap(raw)
+    raise TxDecodeError("bad-length" if kind is None else "bad-kind")
 
 
 class VerifiedTxs:
@@ -307,10 +323,7 @@ def verify_tx(tx: Transaction, verified: VerifiedTxs | None = None) -> str | Non
         return "bad-version"
     if isinstance(tx, RegistrationTransaction) and tx.role is None:
         return "bad-role-tag"
-    if isinstance(tx, AnchorTransaction):
-        if len(tx.source_id.encode("utf-8")) > MAX_SOURCE_ID_BYTES:
-            return "bad-length"
-    if not verify_signature(tx.submitter_pubkey, tx_preamble_bytes(tx), tx.signature):
+    if not verify_signature(tx.submitter_pubkey, tx.raw[:-SIGNATURE_LEN], tx.signature):
         return "bad-signature"
     if verified is not None:
         verified.add(tx.id)
@@ -411,14 +424,8 @@ def build_anchor_tx(
     keypair: KeyPair,
 ) -> AnchorTransaction:
     """Construct and sign an anchor transaction; the result passes verify_tx."""
-    unsigned = AnchorTransaction(
-        log_hash=log_hash,
-        source_id=source_id,
-        capture_timestamp=capture_timestamp,
-        submitter_pubkey=keypair.public_key,
-        signature=Signature(bytes(SIGNATURE_LEN)),
-    )
-    return replace(unsigned, signature=sign(keypair, tx_preamble_bytes(unsigned)))
+    preamble = _anchor_preamble(log_hash, source_id, capture_timestamp, keypair.public_key)
+    return AnchorTransaction._wrap(preamble + sign(keypair, preamble))
 
 
 def build_registration_tx(
@@ -427,13 +434,8 @@ def build_registration_tx(
     sponsor: KeyPair,
 ) -> RegistrationTransaction:
     """Construct and sign a registration sponsored by ``sponsor``."""
-    unsigned = RegistrationTransaction(
-        new_node_pubkey=new_node_pubkey,
-        role_byte=ROLE_TO_BYTE[role],
-        submitter_pubkey=sponsor.public_key,
-        signature=Signature(bytes(SIGNATURE_LEN)),
-    )
-    return replace(unsigned, signature=sign(sponsor, tx_preamble_bytes(unsigned)))
+    preamble = _registration_preamble(new_node_pubkey, ROLE_TO_BYTE[role], sponsor.public_key)
+    return RegistrationTransaction._wrap(preamble + sign(sponsor, preamble))
 
 
 # ---------------------------------------------------------------------------
@@ -582,8 +584,7 @@ def _unframe(raw: bytes, offset: int, what: str, decode) -> list:
 
 def encode_block(block: Block) -> bytes:
     """Canonical binary block: header, tx count, then length-prefixed txs."""
-    txs = [canonical_tx_bytes(tx) for tx in block.transactions]
-    return header_bytes(block.header) + _frame(txs)
+    return header_bytes(block.header) + _frame([tx.raw for tx in block.transactions])
 
 
 def decode_block(raw: bytes) -> Block:
@@ -644,7 +645,7 @@ def block_to_json_line(block: Block) -> str:
         "difficulty": block.header.difficulty,
         "nonce": block.header.nonce,
         "block_hash": block.hash.hex(),
-        "txs": [canonical_tx_bytes(tx).hex() for tx in block.transactions],
+        "txs": [tx.raw.hex() for tx in block.transactions],
     }
     return json.dumps(obj, separators=(",", ":"))
 
@@ -683,9 +684,7 @@ def block_from_json_line(line: str, line_no: int = 0) -> Block:
             raise ValueError("non-canonical block line")
         if stated_hash != block.hash:
             raise ValueError("block_hash field does not match header")
-    except ChainFileError:
-        raise
-    except (ValueError, KeyError, TypeError, TxDecodeError) as exc:
+    except (ValueError, KeyError, TypeError, RecursionError) as exc:
         raise ChainFileError(line_no, str(exc)) from None
     return block
 

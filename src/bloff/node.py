@@ -48,7 +48,6 @@ from .ledger import (
     Transaction,
     TxDecodeError,
     block_hash,
-    canonical_tx_bytes,
     decode_blocks,
     decode_compact_block,
     decode_tx,
@@ -162,12 +161,12 @@ class NodeLogic:
             return False, reason
         status = self.state.mempool.add(tx, self.chain.tx_ids)
         if status in ("accepted", "duplicate"):
-            self._mark_seen(canonical_tx_bytes(tx))
+            self._mark_seen(tx.raw)
             return True, None
         return False, status
 
     def submit_messages(self, tx: Transaction) -> list[tuple[str, bytes, str]]:
-        return [(MSG_TX, canonical_tx_bytes(tx), BROADCAST)]
+        return [(MSG_TX, tx.raw, BROADCAST)]
 
     # -- mining ---------------------------------------------------------------
 
@@ -553,4 +552,4 @@ def send_txs(address: str, txs: list[Transaction], timeout: float = 10.0) -> Non
     host, port = address.rsplit(":", 1)
     with socket.create_connection((host, int(port)), timeout=timeout) as sock:
         for tx in txs:
-            sock.sendall(encode_wire(MSG_TX, canonical_tx_bytes(tx), "client", BROADCAST))
+            sock.sendall(encode_wire(MSG_TX, tx.raw, "client", BROADCAST))

@@ -45,17 +45,18 @@ def load_chain(
     if not os.path.exists(path):
         raise StoreError(f"chain file not found: {path}")
     with open(path, "rb") as fh:
-        data = fh.read()
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise ChainFileError(0, f"not utf-8: {exc}") from None
+        try:
+            text = fh.read().decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ChainFileError(0, f"not utf-8: {exc}") from None
     if not text.endswith("\n"):
-        last = text.count("\n") + 1
-        raise ChainFileError(last, "truncated line (missing terminator)")
-    blocks = []
-    for line_no, line in enumerate(text.split("\n")[:-1], start=1):
-        blocks.append(block_from_json_line(line, line_no))
+        raise ChainFileError(text.count("\n") + 1, "truncated line (missing terminator)")
+    blocks, start = [], 0
+    while start < len(text):
+        end = text.index("\n", start)
+        blocks.append(block_from_json_line(text[start:end], len(blocks) + 1))
+        start = end + 1
+    del text  # the one decoded copy of the file, dropped before replay
     return validate_chain(blocks, pending, record)
 
 
@@ -153,7 +154,7 @@ def load_mempool_file(path: str) -> list[bytes | None]:
                 continue
             try:
                 raw_txs.append(bytes.fromhex(json.loads(line)["tx"]))
-            except (ValueError, KeyError, TypeError):
+            except (ValueError, KeyError, TypeError, RecursionError):
                 raw_txs.append(None)
     return raw_txs
 

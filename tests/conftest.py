@@ -11,6 +11,7 @@ from bloff.ledger import (
     NodeRole,
     build_anchor_tx,
     build_registration_tx,
+    decode_tx,
     make_genesis,
     validate_chain,
 )
@@ -25,6 +26,11 @@ def child_env():
     first on its path, which pytest's ``pythonpath`` setting does not reach."""
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     return {**os.environ, "PYTHONPATH": path}
+
+
+def with_signature(tx, signature):
+    """``tx`` carrying ``signature`` in place of its own."""
+    return decode_tx(tx.raw[:-64] + bytes(signature))
 
 
 def keypair_for(label: str):

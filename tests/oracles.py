@@ -8,6 +8,7 @@ direct library calls) so that agreement is meaningful.
 from __future__ import annotations
 
 import hashlib
+import struct
 
 from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PublicKey
@@ -16,7 +17,6 @@ from bloff.ledger import (
     AnchorTransaction,
     Block,
     RegistrationTransaction,
-    canonical_tx_bytes,
     header_bytes,
 )
 
@@ -61,8 +61,24 @@ def oracle_verify_sig(pubkey: bytes, message: bytes, signature: bytes) -> bool:
         return False
 
 
+def oracle_tx_bytes(tx) -> bytes:
+    """The canonical layout packed from the tx's fields, one ``struct``
+    format per kind: version, kind, payload, submitter key, signature."""
+    if isinstance(tx, AnchorTransaction):
+        source = tx.source_id.encode("utf-8")
+        return struct.pack(
+            f">BB32sB{len(source)}sQ32s64s",
+            tx.version, 1, tx.log_hash, len(source), source, tx.capture_timestamp,
+            tx.submitter_pubkey, tx.signature,
+        )
+    return struct.pack(
+        ">BB32sB32s64s",
+        tx.version, 2, tx.new_node_pubkey, tx.role_byte, tx.submitter_pubkey, tx.signature,
+    )
+
+
 def oracle_tx_id(tx) -> bytes:
-    return oracle_sha256(canonical_tx_bytes(tx))
+    return oracle_sha256(oracle_tx_bytes(tx))
 
 
 def _oracle_tx_valid(tx) -> bool:
@@ -70,7 +86,7 @@ def _oracle_tx_valid(tx) -> bool:
         return False
     if isinstance(tx, RegistrationTransaction) and tx.role_byte not in (1, 2, 3):
         return False
-    preamble = canonical_tx_bytes(tx)[:-64]
+    preamble = oracle_tx_bytes(tx)[:-64]
     return oracle_verify_sig(tx.submitter_pubkey, preamble, tx.signature)
 
 

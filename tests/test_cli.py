@@ -369,6 +369,33 @@ class TestVerifyOptions:
         assert [h["passed"] for h in report["hops"]] == [True, True, False]
         assert report["verdict"]["outcome"] == "Accepted"
 
+    def test_custody_line_nested_past_the_recursion_limit(self, anchored_ws, tmp_path, capsys):
+        """A custody line nested deeper than the recursion limit is a
+        malformed hop, like any other line that is no attestation."""
+        att_path = tmp_path / "att.jsonl"
+        att_path.write_text("[" * 200_000 + "]" * 200_000 + "\n")
+        present = tmp_path / "p.log"
+        present.write_text("alpha\n")
+        code, out, err = run_cli(
+            capsys,
+            "verify",
+            "--chain", str(anchored_ws["chain"]),
+            "--log", str(present),
+            "--custody", str(att_path),
+        )
+        assert (code, err) == (1, "")
+        assert [h["passed"] for h in json.loads(out)["hops"]] == [False]
+
+    def test_chain_line_nested_past_the_recursion_limit_is_error_2(self, anchored_ws, tmp_path, capsys):
+        chain = anchored_ws["chain"]
+        lines = chain.read_text().splitlines(keepends=True)
+        chain.write_text(lines[0] + "[" * 200_000 + "]" * 200_000 + "\n" + "".join(lines[1:]))
+        present = tmp_path / "p.log"
+        present.write_text("alpha\n")
+        code, out, err = run_cli(capsys, "verify", "--chain", str(chain), "--log", str(present))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: chain file line 2: ")
+
     def test_missing_chain_is_error_2(self, tmp_path, capsys):
         log = tmp_path / "x.log"
         log.write_text("x\n")

@@ -1,6 +1,7 @@
 """Canonical encodings, Merkle tree, block and chain validation."""
 
 import dataclasses
+import json
 import os
 import struct
 import threading
@@ -16,6 +17,7 @@ from bloff.ledger import (
     AnchorTransaction,
     Block,
     BlockHeader,
+    ChainFileError,
     ChainValidationError,
     NodeRole,
     RegistrationTransaction,
@@ -26,7 +28,6 @@ from bloff.ledger import (
     block_to_json_line,
     build_anchor_tx,
     build_registration_tx,
-    canonical_tx_bytes,
     decode_block,
     decode_blocks,
     decode_compact_block,
@@ -39,13 +40,19 @@ from bloff.ledger import (
     make_genesis,
     merkle_leaf,
     merkle_root,
-    tx_preamble_bytes,
     validate_block,
     validate_chain,
     verify_tx,
 )
-from conftest import GENESIS_TS, build_chain, keypair_for
-from oracles import oracle_anchor_scan, oracle_merkle_root, oracle_tx_id, oracle_validate_chain
+from conftest import GENESIS_TS, build_chain, keypair_for, with_signature
+from oracles import (
+    oracle_anchor_scan,
+    oracle_merkle_root,
+    oracle_tx_bytes,
+    oracle_tx_id,
+    oracle_validate_chain,
+    oracle_verify_sig,
+)
 
 # Frozen on first implementation run; genesis construction is deterministic,
 # so this hash must never drift.
@@ -71,10 +78,30 @@ def random_anchor(rng, keypair):
     )
 
 
+def rebuild(tx):
+    """``tx`` made again through its kind's keyword constructor."""
+    if isinstance(tx, AnchorTransaction):
+        return AnchorTransaction(
+            log_hash=tx.log_hash,
+            source_id=tx.source_id,
+            capture_timestamp=tx.capture_timestamp,
+            submitter_pubkey=tx.submitter_pubkey,
+            signature=tx.signature,
+            version=tx.version,
+        )
+    return RegistrationTransaction(
+        new_node_pubkey=tx.new_node_pubkey,
+        role_byte=tx.role_byte,
+        submitter_pubkey=tx.submitter_pubkey,
+        signature=tx.signature,
+        version=tx.version,
+    )
+
+
 class TestCanonicalTxBytes:
     def test_anchor_layout_hand_checked(self, device):
         tx = make_anchor(device, source="")
-        raw = canonical_tx_bytes(tx)
+        raw = tx.raw
         assert raw[0] == 1  # version
         assert raw[1] == KIND_ANCHOR
         assert raw[2:34] == bytes(tx.log_hash)
@@ -85,7 +112,7 @@ class TestCanonicalTxBytes:
 
     def test_registration_layout_hand_checked(self, miner, device):
         tx = build_registration_tx(device.public_key, NodeRole.DEVICE, miner)
-        raw = canonical_tx_bytes(tx)
+        raw = tx.raw
         assert raw[0] == 1
         assert raw[1] == KIND_REGISTRATION
         assert raw[2:34] == device.public_key
@@ -96,8 +123,7 @@ class TestCanonicalTxBytes:
     def test_reencode_is_identical(self, rng, device):
         for _ in range(400):
             tx = random_anchor(rng, device)
-            raw = canonical_tx_bytes(tx)
-            assert canonical_tx_bytes(decode_tx(raw)) == raw
+            assert oracle_tx_bytes(decode_tx(tx.raw)) == tx.raw
 
     def test_timestamp_changes_tx_id(self, device):
         a = make_anchor(device, ts=GENESIS_TS)
@@ -109,20 +135,44 @@ class TestCanonicalTxBytes:
         canonical bytes as its id."""
         registration = build_registration_tx(device.public_key, NodeRole.DEVICE, miner)
         for tx in (make_anchor(device), registration):
-            decoded = decode_tx(canonical_tx_bytes(tx))
+            decoded = decode_tx(tx.raw)
             assert tx.id == decoded.id == oracle_tx_id(tx)
 
     def test_signed_tx_carries_its_own_id(self, miner, device):
-        """The builders sign a placeholder with a zero signature; the signed
-        tx's id covers its own signature, not the placeholder's."""
+        """A tx's id covers its own signature: the same tx with a zero
+        signature has another id."""
         registration = build_registration_tx(device.public_key, NodeRole.DEVICE, miner)
         for tx in (make_anchor(device), registration):
-            placeholder = dataclasses.replace(tx, signature=Signature(bytes(64)))
+            placeholder = with_signature(tx, Signature(bytes(64)))
             assert tx.id == oracle_tx_id(tx) != placeholder.id == oracle_tx_id(placeholder)
+
+    def test_bytes_fields_and_identity_round_trip(self, rng, miner, device):
+        """For random anchors and registrations: decoding ``raw`` gives it
+        back, the keyword constructor rebuilds the same ``raw`` and ``id``
+        from the fields, ``id`` is the oracle's, ``==`` and ``hash`` follow
+        the bytes, and no attribute can be assigned."""
+        roles = [NodeRole.CSP_MINER, NodeRole.DEVICE, NodeRole.STAKEHOLDER]
+        for _ in range(100):
+            anchor = random_anchor(rng, device)
+            registration = build_registration_tx(rng.randbytes(32), rng.choice(roles), miner)
+            for tx in (anchor, registration):
+                decoded = decode_tx(tx.raw)
+                assert decoded.raw == tx.raw
+                rebuilt = rebuild(tx)
+                assert (rebuilt.raw, rebuilt.id) == (tx.raw, tx.id)
+                assert tx.id == oracle_tx_id(tx)
+                assert decoded is not tx and decoded == rebuilt == tx
+                assert hash(decoded) == hash(tx) and len({decoded, rebuilt, tx}) == 1
+                other = with_signature(tx, rng.randbytes(64))
+                assert other != tx and len({other, tx}) == 2
+                for name in ("raw", "id", "version", "signature", "submitter_pubkey", "extra"):
+                    with pytest.raises(AttributeError):
+                        setattr(tx, name, getattr(other, name, None))
+                assert tx.raw == decoded.raw
 
     def test_field_equal_txs_compare_and_hash_equal(self, device):
         a = make_anchor(device)
-        b = decode_tx(canonical_tx_bytes(a))
+        b = decode_tx(a.raw)
         assert a is not b and a == b and hash(a) == hash(b) and len({a, b}) == 1
 
     def test_oversize_source_id_rejected(self, device):
@@ -132,7 +182,7 @@ class TestCanonicalTxBytes:
 
     def test_non_ascii_source_id_roundtrips(self, device):
         tx = make_anchor(device, source="capteur-été")
-        assert decode_tx(canonical_tx_bytes(tx)) == tx
+        assert decode_tx(tx.raw) == tx
 
 
 class TestVerifyTx:
@@ -143,7 +193,7 @@ class TestVerifyTx:
     def test_log_hash_bitflip_is_bad_signature(self, rng, device):
         for _ in range(100):
             tx = random_anchor(rng, device)
-            raw = bytearray(canonical_tx_bytes(tx))
+            raw = bytearray(tx.raw)
             bit = rng.randrange(2 * 8, 34 * 8)  # inside the log_hash field
             raw[bit // 8] ^= 1 << (bit % 8)
             assert verify_tx(decode_tx(bytes(raw))) == "bad-signature"
@@ -161,25 +211,26 @@ class TestVerifyTx:
 
     def test_bad_role_tag(self, miner, device):
         good = build_registration_tx(device.public_key, NodeRole.DEVICE, miner)
-        raw = bytearray(canonical_tx_bytes(good))
+        raw = bytearray(good.raw)
         raw[34] = 0x09
         assert verify_tx(decode_tx(bytes(raw))) == "bad-role-tag"
 
     def test_bad_version(self, device):
-        raw = bytearray(canonical_tx_bytes(make_anchor(device)))
+        raw = bytearray(make_anchor(device).raw)
         raw[0] = 2
         assert verify_tx(decode_tx(bytes(raw))) == "bad-version"
 
     def test_bad_kind_and_length(self, device):
-        raw = bytearray(canonical_tx_bytes(make_anchor(device)))
+        raw = bytearray(make_anchor(device).raw)
         raw[1] = 0x07
         assert decode_error_reason(bytes(raw)) == "bad-kind"
-        assert decode_error_reason(canonical_tx_bytes(make_anchor(device))[:-1]) == "bad-length"
+        assert decode_error_reason(make_anchor(device).raw[:-1]) == "bad-length"
         assert decode_error_reason(b"") == "bad-length"
 
     def test_signed_over_preamble_only(self, device):
         tx = make_anchor(device)
-        assert tx_preamble_bytes(tx) == canonical_tx_bytes(tx)[:-64]
+        assert oracle_verify_sig(tx.submitter_pubkey, tx.raw[:-64], tx.signature)
+        assert not oracle_verify_sig(tx.submitter_pubkey, tx.raw, tx.signature)
 
 
 class TestVerifiedTxs:
@@ -340,7 +391,7 @@ class TestBlockEncoding:
     def test_block_layout_hand_checked(self, miner, device):
         chain, _ = build_chain(miner, device, [b"a", b"bb", b"ccc"])
         block = chain.tip
-        raws = [canonical_tx_bytes(tx) for tx in block.transactions]
+        raws = [tx.raw for tx in block.transactions]
         assert len(raws) == 3
         expected = header_bytes(block.header) + struct.pack(">I", 3)
         for raw in raws:
@@ -418,17 +469,40 @@ class TestBlockEncoding:
             assert str(err.value) == message
 
     def test_json_line_rejects_non_canonical_renderings(self, miner):
+        """Each other rendering of the genesis line is a ChainFileError with
+        its own reason, even where it parses to the same block."""
         genesis = make_genesis([miner], GENESIS_TS)
         line = block_to_json_line(genesis)
         block_from_json_line(line, 1)
-        for bad in [
-            line.replace(",", ", ", 1),  # cosmetic whitespace
-            line.replace('"version":1', '"version": 1'),
-            line[:-1] + " }",
-            line.replace("a", "A", 1),  # uppercase hex
-        ]:
-            with pytest.raises(Exception):
+        obj = json.loads(line)
+        tx_hex = obj["txs"][0]
+        at = tx_hex.index("a")
+        reordered = json.dumps(dict(reversed(list(obj.items()))), separators=(",", ":"))
+        non_canonical = "non-canonical block line"
+        cases = [
+            (line.replace(",", ", ", 1), non_canonical),  # cosmetic whitespace
+            (line.replace('"version":1', '"version": 1'), non_canonical),
+            (line[:-1] + " }", non_canonical),
+            (line.replace("a", "A", 1), "unexpected fields"),  # "prev_hAsh"
+            (line.replace(tx_hex, tx_hex[:at] + "\\u0061" + tx_hex[at + 1 :]), non_canonical),
+            (reordered, non_canonical),
+            ('{"version":1,' + line[1:], non_canonical),  # a repeated key
+            (line.replace(tx_hex, tx_hex.upper()), f"not lowercase hex: {tx_hex.upper()!r}"),
+            (line.replace('"difficulty":0', '"difficulty":0.0'), "difficulty is not an integer in range"),
+        ]
+        for bad, reason in cases:
+            assert bad != line
+            with pytest.raises(ChainFileError) as err:
                 block_from_json_line(bad, 1)
+            assert (err.value.line_no, err.value.reason) == (1, reason), bad
+
+    def test_json_line_nested_past_the_recursion_limit(self):
+        """A line nested deeper than the interpreter's recursion limit is a
+        ChainFileError naming its line, not a RecursionError."""
+        with pytest.raises(ChainFileError) as err:
+            block_from_json_line("[" * 200_000 + "]" * 200_000, 2)
+        assert err.value.line_no == 2
+        assert "recursion" in err.value.reason
 
     def test_json_line_rejects_wrong_block_hash_field(self, miner):
         genesis = make_genesis([miner], GENESIS_TS)
@@ -452,7 +526,7 @@ class TestValidateBlock:
         parent = validate_chain(chain.blocks[:-1])
         assert len(block.transactions) == 2
         for which in range(2):
-            raw = bytearray(canonical_tx_bytes(block.transactions[which]))
+            raw = bytearray(block.transactions[which].raw)
             for position in range(len(raw)):
                 mutated_raw = bytearray(raw)
                 mutated_raw[position] ^= 0x01
@@ -808,7 +882,7 @@ def flipped(tx):
     """``tx`` with the first byte of its signature flipped."""
     signature = bytearray(tx.signature)
     signature[0] ^= 1
-    return dataclasses.replace(tx, signature=Signature(bytes(signature)))
+    return with_signature(tx, signature)
 
 
 def with_bad_signature(blocks, height, index):

@@ -20,7 +20,6 @@ from bloff.ledger import (
     BlockHeader,
     NodeRole,
     build_anchor_tx,
-    canonical_tx_bytes,
     decode_blocks,
     encode_blocks,
     encode_compact_block,
@@ -386,7 +385,7 @@ class TestAnchorReplay:
     def test_gossiped_mined_anchor_not_mined_again(self, miner, device):
         chain, _ = build_chain(miner, device, [b"evidence"])
         logic = NodeLogic("m", miner, NodeRole.CSP_MINER, chain)
-        payload = canonical_tx_bytes(chain.tip.transactions[0])
+        payload = chain.tip.transactions[0].raw
         assert logic.handle_message(MSG_TX, payload, "peer") == []
         assert len(logic.state.mempool) == 0
         assert logic.maybe_mine(GENESIS_TS + 50) is None

@@ -10,27 +10,26 @@ one ``bloff mine`` run, records the txs whose checks passed, so gossip,
 submission, mining, block validation and replays check each tx once.
 """
 
-import dataclasses
 import json
 import os
+import tracemalloc
 
 import pytest
 
 from bloff import ledger
 from bloff.cli import handle_command
 from bloff.consensus import Mempool, NodeState, mine_block
-from bloff.crypto import Signature, save_keypair, sha256_digest
+from bloff.crypto import save_keypair, sha256_digest
 from bloff.ledger import (
     NodeRole,
-    canonical_tx_bytes,
     decode_blocks,
     encode_blocks,
     encode_compact_block,
 )
 from bloff.node import MSG_BLOCK, MSG_CHAIN_RESPONSE, MSG_TX, NodeLogic
 from bloff.simnet import run_scenario
-from bloff.store import BlockStore, append_mempool_file, write_chain
-from conftest import GENESIS_TS, build_chain, grow, keypair_for, partition_scenario
+from bloff.store import BlockStore, append_mempool_file, load_chain, write_chain
+from conftest import GENESIS_TS, build_chain, grow, keypair_for, partition_scenario, with_signature
 
 
 def count_calls(monkeypatch, name, module=ledger):
@@ -132,22 +131,56 @@ def test_adopt_longer_chain_validates_only_new_blocks(miner, device, counted):
 
 def test_fresh_node_catches_up_in_one_pass(miner, device, counted, monkeypatch):
     """A node holding only genesis adopts the 41-block chain as a peer sends
-    it: decoding the ``chain-response`` builds each tx's canonical bytes
-    once, for its id, and adopting the chain builds none, for the Merkle
-    roots, the lookups and the switch of best chain alike; each new block is
-    validated once."""
+    it: decoding the ``chain-response`` wraps each tx's bytes as they came,
+    and adopting the chain encodes no tx either, for the Merkle roots, the
+    lookups and the switch of best chain alike; each new block is validated
+    once."""
     chain, _ = chain_and_next_block(miner, device)
     state = NodeState(best=ledger.validate_chain(chain.blocks[:1]))
     raw = encode_blocks(chain.blocks)
-    built = count_calls(monkeypatch, "canonical_tx_bytes")
+    encoded = count_calls(monkeypatch, "_encode_preamble")
     peer_blocks = decode_blocks(raw)
-    assert built == [tx for block in chain.blocks for tx in block.transactions]
-    built.clear()
     counted.clear()
     assert state.adopt_chain(peer_blocks) == peer_blocks[1:]
     assert counted == chain.blocks[1:]
     assert state.best.tip.hash == chain.tip.hash
-    assert built == []
+    assert encoded == []
+
+
+@pytest.fixture(scope="module")
+def thousand_tx_file(tmp_path_factory):
+    """A chain file of 1,000 txs: genesis, the registration block and 998
+    anchors in blocks of 100."""
+    chain, _ = build_chain(
+        keypair_for("miner-0"), keypair_for("device-0"), [b"entry %d" % i for i in range(998)]
+    )
+    path = tmp_path_factory.mktemp("chain") / "chain.jsonl"
+    write_chain(str(path), chain.blocks)
+    return chain, str(path)
+
+
+def test_chain_load_encodes_no_tx(thousand_tx_file, monkeypatch):
+    """Loading the 1,000-tx file wraps each tx's bytes as the file holds
+    them: no tx is encoded, for ids, the canonical-line check or replay."""
+    chain, path = thousand_tx_file
+    encoded = count_calls(monkeypatch, "_encode_preamble")
+    assert load_chain(path).blocks == chain.blocks
+    assert encoded == []
+
+
+def test_chain_load_holds_one_copy_of_the_file(thousand_tx_file):
+    """The most a load of the 1,000-tx file holds beyond the chain it
+    returns stays below the file's size: the file is parsed from one
+    decoded copy, dropped before replay."""
+    chain, path = thousand_tx_file
+    tracemalloc.start()
+    try:
+        loaded = load_chain(path)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert loaded.blocks == chain.blocks
+    assert peak - held < os.path.getsize(path)
 
 
 def test_fresh_node_hashes_each_header_once(miner, device, monkeypatch):
@@ -232,7 +265,7 @@ def test_gossiped_tx_verified_once(miner, device, monkeypatch):
     pool.add(tx)
     block = mine_block(pool, chain.tip.header, 0, miner, GENESIS_TS + 100, chain.registered_nodes)
     calls = count_calls(monkeypatch, "verify_signature")
-    payload = canonical_tx_bytes(tx)
+    payload = tx.raw
     assert logic.handle_message(MSG_TX, payload, "peer") == [(MSG_TX, payload, "*")]
     assert calls == [device.public_key]
     assert tx.id in logic.state.mempool
@@ -279,7 +312,7 @@ def test_mine_all_verifies_each_pending_tx_once(tmp_path, miner, device, monkeyp
         ledger.build_anchor_tx(sha256_digest(b"%d" % i), "dev", GENESIS_TS + 10, device)
         for i in range(150)
     ]
-    raw = [canonical_tx_bytes(tx) for tx in pending]
+    raw = [tx.raw for tx in pending]
     append_mempool_file(str(tmp_path / "mempool.jsonl"), raw)
     calls = count_calls(monkeypatch, "verify_signature")
     assert handle_command(["mine", "--key", str(key), "--chain", str(path), "--all"]) == 0
@@ -312,7 +345,7 @@ class TestOwnTxsJoinTheLoadPass:
         path, key = directory / "chain.jsonl", directory / "miner.key"
         write_chain(str(path), blocks)
         save_keypair(str(key), miner)
-        append_mempool_file(str(directory / "mempool.jsonl"), [canonical_tx_bytes(tx) for tx in pending])
+        append_mempool_file(str(directory / "mempool.jsonl"), [tx.raw for tx in pending])
         return str(path), str(key)
 
     @staticmethod
@@ -378,7 +411,7 @@ class TestOwnTxsJoinTheLoadPass:
         pending = self.anchors(device)
         signature = bytearray(pending[10].signature)
         signature[0] ^= 1
-        pending[10] = dataclasses.replace(pending[10], signature=Signature(bytes(signature)))
+        pending[10] = with_signature(pending[10], signature)
         path, key = self.workspace(tmp_path, miner, chain.blocks, pending)
         calls = count_calls(monkeypatch, "verify_signature")
         assert self.mine(path, key) == 0

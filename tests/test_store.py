@@ -273,3 +273,9 @@ class TestMempoolFile:
         path = tmp_path / "mempool.jsonl"
         path.write_bytes(b'{"tx": "01"}\n{"tx": "zz"}\nnot json\n{}\n[]\n\xff\n{"tx": "02"}\n')
         assert load_mempool_file(str(path)) == [b"\x01", None, None, None, None, None, b"\x02"]
+
+    def test_line_nested_past_the_recursion_limit_reported(self, tmp_path):
+        path = tmp_path / "mempool.jsonl"
+        nested = "[" * 200_000 + "]" * 200_000
+        path.write_text('{"tx": "01"}\n' + nested + '\n{"tx": "02"}\n')
+        assert load_mempool_file(str(path)) == [b"\x01", None, b"\x02"]
