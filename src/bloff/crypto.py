@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from cryptography.exceptions import InvalidSignature
-from cryptography.hazmat.primitives import serialization
 from cryptography.hazmat.primitives.asymmetric.ed25519 import (
     Ed25519PrivateKey,
     Ed25519PublicKey,
@@ -105,10 +104,7 @@ def generate_keypair(seed: bytes) -> KeyPair:
     if len(seed) != KEY_LEN:
         raise ValueError(f"seed must be {KEY_LEN} bytes, got {len(seed)}")
     private = Ed25519PrivateKey.from_private_bytes(seed)
-    public = private.public_key().public_bytes(
-        encoding=serialization.Encoding.Raw,
-        format=serialization.PublicFormat.Raw,
-    )
+    public = private.public_key().public_bytes_raw()
     return KeyPair(secret_key=seed, public_key=public)
 
 

@@ -754,13 +754,14 @@ class Chain:
         self.advance(block)
 
     def advance(self, block: Block) -> None:
-        """Add ``block``, already known to be valid on this tip, to the
-        blocks and the four indexes."""
+        """Add ``block``, already known to be valid on this tip (so it admits
+        each of its registrations), to the blocks and the four indexes."""
         height = self.height + 1
-        checks = registry_walk(block.transactions, self.registered_nodes, genesis=not self.blocks)
-        for tx_index, (tx, _) in enumerate(checks):
+        for tx_index, tx in enumerate(block.transactions):
             if isinstance(tx, AnchorTransaction):
                 self.anchor_index.setdefault(tx.log_hash, []).append((height, tx_index))
+            else:
+                self.registered_nodes[tx.new_node_pubkey] = tx.role
         self.tx_ids.update(block.tx_ids)
         self.heights[block.hash] = height
         self.blocks.append(block)

@@ -2,9 +2,10 @@
 
 ``NodeLogic`` is the transport-agnostic message handler shared verbatim by
 the deterministic in-process simulator and the live TCP runtime, so both
-modes exercise identical behavior. The live runtime wraps it in a single
-serialized event loop: inbound gossip, submissions and mining all pass
-through one queue, and only the loop's thread reads or moves the chain.
+modes exercise identical behavior. The live runtime drives it from one
+``selectors`` loop on one thread, which owns every socket, the peer dials,
+mining and the chain: each line a peer completes is handled, persisted and
+answered before the next is read.
 
 Wire protocol (live mode): newline-delimited JSON over TCP, one message per
 line, ``{"kind": ..., "payload": "<hex>", "from": ..., "to": ...}`` with the
@@ -28,12 +29,12 @@ becomes the best tip, and a run only as the blocks the best chain gained.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import logging
 import os
-import queue
+import selectors
 import socket
-import threading
 import time
 from collections import OrderedDict
 from collections.abc import Iterator
@@ -66,9 +67,6 @@ MSG_CHAIN_REQUEST = "chain-request"
 MSG_CHAIN_RESPONSE = "chain-response"
 
 BROADCAST = "*"
-
-# An inbox event kind that no wire line decodes to: a new outbound connection.
-_CONNECTED = object()
 
 _SEEN_CAP = 100_000
 
@@ -301,57 +299,49 @@ def decode_wire(line: bytes) -> tuple[str, bytes, str, str]:
     return obj["kind"], bytes.fromhex(obj["payload"]), obj["from"], obj["to"]
 
 
+def split_lines(buf: bytearray, data: bytes) -> list[bytes]:
+    """Append ``data`` to ``buf`` and return the non-empty lines it completes,
+    without their newlines; the partial line stays in ``buf``. Each byte is
+    scanned once."""
+    scan = len(buf)  # the bytes before this hold no newline
+    buf += data
+    lines, start = [], 0
+    while (end := buf.find(b"\n", scan)) != -1:
+        if end > start:
+            lines.append(bytes(buf[start:end]))
+        start = scan = end + 1
+    del buf[:start]
+    return lines
+
+
 def read_lines(sock: socket.socket) -> Iterator[bytes]:
     """Yield each non-empty line received on ``sock`` until EOF, without its
-    newline; a partial line at EOF is dropped. Each byte is scanned once."""
+    newline; a partial line at EOF is dropped."""
     buf = bytearray()
     while data := sock.recv(1 << 16):
-        scan = len(buf)  # the bytes before this hold no newline
-        buf += data
-        start = 0
-        while (end := buf.find(b"\n", scan)) != -1:
-            if end > start:
-                yield bytes(buf[start:end])
-            start = scan = end + 1
-        del buf[:start]
+        yield from split_lines(buf, data)
 
 
 class _Conn:
-    """One bidirectional line connection, inbound or outbound."""
+    """One peer connection on the loop: its socket, the partial line it has
+    sent, and, for a dial, the peer's address. A dial is not ``connected``
+    until its socket turns writable."""
 
-    def __init__(self, sock: socket.socket):
+    def __init__(self, sock: socket.socket, address: str | None = None):
         self.sock = sock
-        self.alive = True
-        self._lock = threading.Lock()
-
-    def send(self, data: bytes) -> bool:
-        with self._lock:
-            if not self.alive:
-                return False
-            try:
-                self.sock.sendall(data)
-                return True
-            except OSError:
-                self.close()
-                return False
-
-    def close(self) -> None:
-        self.alive = False
-        try:
-            self.sock.close()
-        except OSError:
-            pass
+        self.address = address
+        self.connected = address is None
+        self.partial = bytearray()
 
 
 class LiveNode:
-    """A running node: TCP server, peer connections, one event loop thread.
+    """A running node: one event loop, on the thread that calls ``run()``.
 
-    The chain and the mempool are read and moved only on the event loop
-    thread; socket readers and the peer dialer only enqueue. Every
-    connection is bidirectional: gossip flows to outbound peers and inbound
-    connections alike, and replies travel back on the connection the request
-    arrived on. Mining runs inline on the loop whenever the node is a
-    csp-miner and has pending work.
+    The loop owns the listening socket, every peer connection, the peer
+    dials, mining and the chain. Every connection is bidirectional: gossip
+    flows to dialled peers and inbound connections alike, and replies travel
+    back on the connection the request arrived on. Mining runs inline on the
+    loop whenever the node is a csp-miner and has pending work.
     """
 
     def __init__(self, config: NodeConfig, keypair: KeyPair, store: BlockStore):
@@ -366,76 +356,90 @@ class LiveNode:
             chain=store.chain,
             difficulty=config.difficulty,
         )
-        self.inbox: queue.Queue = queue.Queue()
         self._conns: list[_Conn] = []
-        self._conns_lock = threading.Lock()
-        self._server: socket.socket | None = None
-        self._stop = threading.Event()
+        self._stopped = False
 
     # -- transport ----------------------------------------------------------
 
-    def _track(self, conn: _Conn) -> None:
-        with self._conns_lock:
-            self._conns = [c for c in self._conns if c.alive] + [conn]
-        threading.Thread(target=self._read_conn, args=(conn,), daemon=True).start()
+    def _add(self, conn: _Conn, events: int) -> None:
+        self._conns.append(conn)
+        self._selector.register(conn.sock, events, conn)
 
-    def _serve(self) -> None:
-        assert self._server is not None
-        while not self._stop.is_set():
-            try:
-                sock, _ = self._server.accept()
-            except OSError:
-                return
-            self._track(_Conn(sock))
+    def _drop(self, conn: _Conn) -> None:
+        if conn in self._conns:
+            self._conns.remove(conn)
+            self._selector.unregister(conn.sock)
+            conn.sock.close()
 
-    def _connect_peers(self) -> None:
-        """Keep outbound connections to the configured peers alive."""
-        established: dict[str, _Conn] = {}
-        while not self._stop.is_set():
-            for address in self.config.peers:
-                current = established.get(address)
-                if current is not None and current.alive:
-                    continue
-                host, port = address.rsplit(":", 1)
-                try:
-                    sock = socket.create_connection((host, int(port)), timeout=2)
-                except OSError:
-                    continue
-                conn = _Conn(sock)
-                established[address] = conn
-                self._track(conn)
-                # A fresh link is a chance to catch up on missed blocks. The
-                # loop's thread, which owns the chain, builds the locator.
-                self.inbox.put((_CONNECTED, b"", "", conn))
-            self._stop.wait(1.0)
-
-    def _read_conn(self, conn: _Conn) -> None:
+    def _send(self, conn: _Conn, data: bytes) -> None:
         try:
-            for line in read_lines(conn.sock):
-                if self._stop.is_set() or not conn.alive:
-                    break
-                try:
-                    kind, payload, from_id, _ = decode_wire(line)
-                except (ValueError, KeyError) as exc:
-                    logger.debug("dropping malformed wire line: %s", exc)
-                    continue
-                self.inbox.put((kind, payload, from_id, conn))
+            conn.sock.sendall(data)
         except OSError:
-            pass
-        conn.close()
+            self._drop(conn)
+
+    def _accept(self, server: socket.socket) -> None:
+        try:
+            sock, _ = server.accept()
+        except OSError:
+            return
+        self._add(_Conn(sock), selectors.EVENT_READ)
+
+    def _dial_peers(self) -> None:
+        """Dial each configured peer that has no connection from this node,
+        without blocking: the dial ends when its socket turns writable."""
+        dialled = {conn.address for conn in self._conns}
+        for address in self.config.peers:
+            if address in dialled:
+                continue
+            host, port = address.rsplit(":", 1)
+            sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+            sock.setblocking(False)
+            with contextlib.suppress(OSError):  # a failed dial is seen when it ends
+                sock.connect_ex((host, int(port)))
+            self._add(_Conn(sock, address), selectors.EVENT_WRITE)
+
+    def _finish_dial(self, conn: _Conn) -> None:
+        try:
+            conn.sock.getpeername()
+        except OSError:  # the dial failed
+            self._drop(conn)
+            return
+        conn.sock.setblocking(True)
+        conn.connected = True
+        self._selector.modify(conn.sock, selectors.EVENT_READ, conn)
+        # A fresh link is a chance to catch up on missed blocks.
+        kind, payload, dest = self.logic.chain_request()
+        self._send(conn, encode_wire(kind, payload, self.logic.node_id, dest))
+
+    def _read(self, conn: _Conn) -> None:
+        try:
+            data = conn.sock.recv(1 << 16)
+        except OSError:
+            data = b""
+        if not data:
+            self._drop(conn)
+            return
+        for line in split_lines(conn.partial, data):
+            try:
+                kind, payload, from_id, _ = decode_wire(line)
+            except (ValueError, KeyError) as exc:
+                logger.debug("dropping malformed wire line: %s", exc)
+                continue
+            out = self.logic.handle_message(kind, payload, from_id)
+            self._persist_if_changed()
+            self._send_out(out, origin=conn)
 
     def _send_out(self, messages, origin: _Conn | None = None) -> None:
         """Send handler output; a broadcast skips ``origin``, the connection
-        the handled message came from, whose peer already holds it."""
+        the handled message came from, whose peer already holds it. A
+        connection that fails a send is dropped."""
         for kind, payload, dest in messages:
             data = encode_wire(kind, payload, self.logic.node_id, dest)
+            targets = [origin]
             if dest == BROADCAST:
-                with self._conns_lock:
-                    targets = [c for c in self._conns if c.alive and c is not origin]
-                for conn in targets:
-                    conn.send(data)
-            elif origin is not None:
-                origin.send(data)
+                targets = [c for c in self._conns if c.connected and c is not origin]
+            for conn in targets:
+                self._send(conn, data)
 
     # -- persistence ----------------------------------------------------------
 
@@ -452,46 +456,31 @@ class LiveNode:
 
     # -- lifecycle ----------------------------------------------------------
 
-    def start(self) -> None:
-        if self.config.listen:
-            host, port = self.config.listen.rsplit(":", 1)
-            self._server = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-            self._server.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-            self._server.bind((host, int(port)))
-            self._server.listen(16)
-            threading.Thread(target=self._serve, daemon=True).start()
-        if self.config.peers:
-            threading.Thread(target=self._connect_peers, daemon=True).start()
-
     def stop(self) -> None:
-        self._stop.set()
-        if self._server is not None:
-            try:
-                self._server.close()
-            except OSError:
-                pass
-        with self._conns_lock:
-            for conn in self._conns:
-                conn.close()
+        """Ask ``run()`` to return; safe from any thread."""
+        self._stopped = True
 
     def run(self) -> None:
-        """Serialized event loop; returns when ``stop()`` is called."""
-        self.start()
+        """The event loop: serve, dial every second, read, mine and persist
+        until ``stop()``, then close every socket."""
+        self._selector = selectors.DefaultSelector()
         try:
-            while not self._stop.is_set():
-                try:
-                    event = self.inbox.get(timeout=0.05)
-                except queue.Empty:
-                    event = None
-                if event is not None:
-                    kind, payload, from_id, conn = event
-                    if kind is _CONNECTED:
-                        kind, payload, dest = self.logic.chain_request()
-                        conn.send(encode_wire(kind, payload, self.logic.node_id, dest))
+            if self.config.listen:
+                host, port = self.config.listen.rsplit(":", 1)
+                server = socket.create_server((host, int(port)), backlog=16)
+                self._selector.register(server, selectors.EVENT_READ)
+            next_dial = 0.0
+            while not self._stopped:
+                if self.config.peers and time.monotonic() >= next_dial:
+                    self._dial_peers()
+                    next_dial = time.monotonic() + 1.0
+                for key, _ in self._selector.select(timeout=0.05):
+                    if key.data is None:
+                        self._accept(key.fileobj)
+                    elif key.data.connected:
+                        self._read(key.data)
                     else:
-                        out = self.logic.handle_message(kind, payload, from_id)
-                        self._persist_if_changed()
-                        self._send_out(out, origin=conn)
+                        self._finish_dial(key.data)
                 mined = self.logic.maybe_mine(int(time.time()))
                 if mined is not None:
                     logger.info(
@@ -502,7 +491,10 @@ class LiveNode:
                     self._persist_if_changed()
                     self._send_out(self.logic.block_messages(mined))
         finally:
-            self.stop()
+            for key in self._selector.get_map().values():
+                key.fileobj.close()
+            self._conns.clear()
+            self._selector.close()
 
 
 def run_node(config: NodeConfig) -> None:
@@ -516,10 +508,8 @@ def run_node(config: NodeConfig) -> None:
     keypair = load_keypair(config.key_path)
     store = BlockStore.open(config.chain_path)
     node = LiveNode(config, keypair, store)
-    try:
+    with contextlib.suppress(KeyboardInterrupt):
         node.run()
-    except KeyboardInterrupt:
-        node.stop()
 
 
 # ---------------------------------------------------------------------------

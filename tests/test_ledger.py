@@ -945,6 +945,28 @@ class TestForkedSignaturePrePass:
             failures.append((err.value.height, err.value.reason))
         assert failures == [(height, "bad-signature")] * 2
 
+    @pytest.mark.parametrize(
+        "height,index,label",
+        [(2, 0, "device-0"), (3, 10, "fresh-device")],
+        ids=["registers-the-anchoring-device", "registers-a-fresh-key"],
+    )
+    def test_bad_role_tag_fails_as_serial(
+        self, long_chain, miner, monkeypatch, height, index, label
+    ):
+        """The rules fold skips ``verify_tx``, so it connects a registration
+        whose role byte names no role; the chain still fails at its block."""
+        good = build_registration_tx(keypair_for(label).public_key, NodeRole.DEVICE, miner)
+        raw = bytearray(good.raw)
+        raw[34] = 0x09
+        blocks = with_tx(long_chain.blocks, height, index, decode_tx(bytes(raw)))
+        failures = []
+        for cpus in (1, 2):
+            self.cpus(monkeypatch, cpus)
+            with pytest.raises(ChainValidationError) as err:
+                validate_chain(blocks)
+            failures.append((err.value.height, err.value.reason))
+        assert failures == [(height, "bad-role-tag")] * 2
+
     def test_bad_signature_in_parent_share_stops_the_pre_pass(
         self, long_chain, parent_checks, monkeypatch
     ):

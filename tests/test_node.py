@@ -4,6 +4,7 @@ import json
 import socket
 import subprocess
 import sys
+import threading
 import time
 
 import pytest
@@ -20,6 +21,7 @@ from bloff.ledger import (
     BlockHeader,
     NodeRole,
     build_anchor_tx,
+    build_registration_tx,
     decode_blocks,
     encode_blocks,
     encode_compact_block,
@@ -40,6 +42,8 @@ from bloff.node import (
     encode_wire,
     fetch_chain,
     read_lines,
+    send_txs,
+    split_lines,
 )
 from bloff.verify import verify_log
 from bloff.store import BlockStore, write_chain
@@ -70,29 +74,42 @@ class FakeSocket:
 
 
 class TestReadLines:
+    @staticmethod
+    def lines(chunks):
+        return list(read_lines(FakeSocket(chunks)))
+
     def test_line_split_across_many_chunks(self):
         line = encode_wire(MSG_TX, bytes(range(200)), "a", "*")
         chunks = [line[i : i + 3] for i in range(0, len(line), 3)]
-        assert list(read_lines(FakeSocket(chunks))) == [line[:-1]]
+        assert self.lines(chunks) == [line[:-1]]
 
     def test_two_lines_in_one_chunk(self):
-        assert list(read_lines(FakeSocket([b"one\ntwo\n"]))) == [b"one", b"two"]
+        assert self.lines([b"one\ntwo\n"]) == [b"one", b"two"]
 
     def test_empty_line_skipped(self):
-        assert list(read_lines(FakeSocket([b"a\n", b"\nb", b"\n"]))) == [b"a", b"b"]
+        assert self.lines([b"a\n", b"\nb", b"\n"]) == [b"a", b"b"]
 
     def test_partial_line_at_eof_dropped(self):
-        assert list(read_lines(FakeSocket([b"a\npart", b"ial"]))) == [b"a"]
+        assert self.lines([b"a\npart", b"ial"]) == [b"a"]
+
+
+class TestSplitLines(TestReadLines):
+    """The same cases against ``split_lines``, which the live loop feeds one
+    received chunk at a time."""
+
+    @staticmethod
+    def lines(chunks):
+        buf, lines = bytearray(), []
+        for chunk in chunks:
+            lines += split_lines(buf, chunk)
+        return lines
 
 
 class FakeConn:
     def __init__(self):
-        self.alive = True
+        self.connected = True
         self.sent = []
-
-    def send(self, data):
-        self.sent.append(data)
-        return True
+        self.sock = SimpleNamespace(sendall=self.sent.append)
 
 
 class TestSendOut:
@@ -628,3 +645,93 @@ class TestLiveSmoke:
         )
         assert result.returncode == 2
         assert "unregistered-submitter" in result.stderr
+
+
+@pytest.fixture
+def loop_node(tmp_path, miner):
+    """Start a ``LiveNode`` in this process on a genesis of ``miner``, its
+    ``run()`` on a thread of its own; every node started is stopped and
+    joined at teardown."""
+    genesis = make_genesis([miner], GENESIS_TS)
+    started = []
+
+    def start(name, role, keypair, peers=()):
+        path = tmp_path / f"{name}.jsonl"
+        write_chain(str(path), [genesis])
+        address = f"127.0.0.1:{free_port()}"
+        config = NodeConfig(role, "unused.key", str(path), listen=address, peers=list(peers))
+        node = LiveNode(config, keypair, BlockStore.open(str(path)))
+        thread = threading.Thread(target=node.run)
+        thread.start()
+        started.append((node, thread))
+        wait_for_port(int(address.rsplit(":", 1)[1]))
+        return node, thread, address
+
+    yield start
+    for node, _ in started:
+        node.stop()
+    for _, thread in started:
+        thread.join(5)
+        assert not thread.is_alive()
+
+
+def connect(address):
+    host, port = address.rsplit(":", 1)
+    sock = socket.create_connection((host, int(port)), timeout=5)
+    sock.settimeout(5)
+    return sock
+
+
+class TestEventLoop:
+    """``LiveNode.run()`` is the whole node: it starts no thread."""
+
+    def test_two_nodes_gossip_a_tx_and_a_block_on_one_thread_each(
+        self, loop_node, miner, device, stakeholder
+    ):
+        before = threading.active_count()
+        a, _, addr_a = loop_node("a", NodeRole.CSP_MINER, miner)
+        b, _, addr_b = loop_node("b", NodeRole.STAKEHOLDER, stakeholder, peers=[addr_a])
+
+        def on_two_threads(predicate):
+            assert threading.active_count() == before + 2
+            return predicate()
+
+        wait_until(lambda: on_two_threads(lambda: any(c.connected for c in b._conns)))
+        # The tx reaches the miner only as b's gossip; the block reaches b
+        # only as the miner's.
+        tx = build_registration_tx(device.public_key, NodeRole.DEVICE, miner)
+        send_txs(addr_b, [tx])
+        wait_until(lambda: on_two_threads(lambda: b.store.chain.height == 2))
+        assert b.store.chain.tip.transactions == (tx,)
+        assert a.logic.chain.tip.hash == b.logic.chain.tip.hash
+        assert threading.active_count() == before + 2
+
+    def test_stop_from_another_thread_closes_every_socket(self, loop_node, miner):
+        with socket.create_server(("127.0.0.1", 0)) as peer:
+            peer.settimeout(5)
+            node, thread, address = loop_node(
+                "a", NodeRole.CSP_MINER, miner, peers=[f"127.0.0.1:{peer.getsockname()[1]}"]
+            )
+            dialled = peer.accept()[0]
+            client = connect(address)
+        with dialled, client:
+            dialled.settimeout(5)
+            from_dial, from_client = read_lines(dialled), read_lines(client)
+            assert decode_wire(next(from_dial))[0] == MSG_CHAIN_REQUEST
+            client.sendall(encode_wire(MSG_CHAIN_REQUEST, b"", "client", BROADCAST))
+            assert decode_wire(next(from_client))[0] == MSG_CHAIN_RESPONSE
+            node.stop()
+            thread.join(1.0)
+            assert not thread.is_alive()
+            assert list(from_dial) == list(from_client) == []
+        assert node._conns == []
+        with pytest.raises(ConnectionRefusedError):
+            connect(address)
+
+    def test_peer_sending_half_a_line_is_dropped(self, loop_node, miner):
+        _, _, address = loop_node("a", NodeRole.CSP_MINER, miner)
+        with connect(address) as half:
+            half.sendall(encode_wire(MSG_CHAIN_REQUEST, b"", "half", BROADCAST)[:20])
+            half.shutdown(socket.SHUT_WR)
+            assert half.recv(1) == b""
+        assert len(fetch_chain(address)) == 1

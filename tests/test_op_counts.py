@@ -168,6 +168,15 @@ def test_chain_load_encodes_no_tx(thousand_tx_file, monkeypatch):
     assert encoded == []
 
 
+def test_chain_load_walks_the_registry_once_per_tx(thousand_tx_file, monkeypatch):
+    """Loading the 1,000-tx file applies the registry rules to each tx once:
+    ``Chain.advance`` admits the registrations ``validate_block`` checked."""
+    chain, path = thousand_tx_file
+    calls = count_calls(monkeypatch, "tx_context_reason")
+    assert load_chain(path).blocks == chain.blocks
+    assert calls == [tx for block in chain.blocks for tx in block.transactions]
+
+
 def test_chain_load_holds_one_copy_of_the_file(thousand_tx_file):
     """The most a load of the 1,000-tx file holds beyond the chain it
     returns stays below the file's size: the file is parsed from one
