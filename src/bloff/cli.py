@@ -267,9 +267,11 @@ def cmd_mine(args) -> int:
         return 2
     pool_path = mempool_path_for(target, args.mempool)
     pending = load_pending(pool_path)
-    pool = Mempool()
-    # The pending txs are checked with the chain's; those that pass are in
-    # ``pool.verified``, so ``pool.add`` does not check them again.
+    # The pool holds the whole file, so a pending tx leaves it only when it
+    # is mined or invalid. The pending txs are checked with the chain's;
+    # those that pass are in ``pool.verified``, so ``pool.add`` does not
+    # check them again.
+    pool = Mempool(capacity=len(pending))
     store = BlockStore.open(target, [tx for tx in pending if not isinstance(tx, str)], pool.verified)
     for tx in pending:
         status = tx if isinstance(tx, str) else pool.add(tx, store.chain.tx_ids)

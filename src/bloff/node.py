@@ -220,8 +220,9 @@ class NodeLogic:
             logger.debug("%s: dropping undecodable tx: %s", self.node_id, exc.reason)
             return []
         # Context rules (registration ordering) are re-checked at mining time,
-        # so structurally valid gossip is pooled even if not yet minable.
-        if self.state.mempool.add(tx, self.chain.tx_ids).startswith("invalid"):
+        # so structurally valid gossip is pooled even if not yet minable. Only
+        # a tx the pool admits is relayed: not one it holds or has no room for.
+        if self.state.mempool.add(tx, self.chain.tx_ids) != "accepted":
             return []
         return [(MSG_TX, payload, BROADCAST)]
 
@@ -295,7 +296,16 @@ def encode_wire(kind: str, payload: bytes, from_id: str, to_id: str) -> bytes:
 
 
 def decode_wire(line: bytes) -> tuple[str, bytes, str, str]:
-    obj = json.loads(line.decode("utf-8"))
+    """Raises ValueError for a line that is not a JSON object with string
+    ``kind``, ``from`` and ``to`` and a hex-string ``payload``."""
+    try:
+        obj = json.loads(line.decode("utf-8"))
+    except RecursionError:
+        raise ValueError("wire line nested too deeply") from None
+    if not isinstance(obj, dict) or not all(
+        isinstance(obj.get(name), str) for name in ("kind", "payload", "from", "to")
+    ):
+        raise ValueError("wire line is not an object of four strings")
     return obj["kind"], bytes.fromhex(obj["payload"]), obj["from"], obj["to"]
 
 
@@ -341,7 +351,13 @@ class LiveNode:
     dials, mining and the chain. Every connection is bidirectional: gossip
     flows to dialled peers and inbound connections alike, and replies travel
     back on the connection the request arrived on. Mining runs inline on the
-    loop whenever the node is a csp-miner and has pending work.
+    loop whenever the node is a csp-miner and has pending work. A line that
+    is not a wire message is dropped.
+
+    The store writes the node's own best chain, which it holds as
+    ``store.chain``: after each handled line and each mined block,
+    ``store.sync`` appends the blocks the chain gained, or rewrites the file
+    on a reorg. Each block is validated once, by ``NodeLogic``.
     """
 
     def __init__(self, config: NodeConfig, keypair: KeyPair, store: BlockStore):
@@ -356,6 +372,7 @@ class LiveNode:
             chain=store.chain,
             difficulty=config.difficulty,
         )
+        store.chain = self.logic.chain  # the node's own copy, moved in place
         self._conns: list[_Conn] = []
         self._stopped = False
 
@@ -422,11 +439,11 @@ class LiveNode:
         for line in split_lines(conn.partial, data):
             try:
                 kind, payload, from_id, _ = decode_wire(line)
-            except (ValueError, KeyError) as exc:
+            except ValueError as exc:
                 logger.debug("dropping malformed wire line: %s", exc)
                 continue
             out = self.logic.handle_message(kind, payload, from_id)
-            self._persist_if_changed()
+            self.store.sync()
             self._send_out(out, origin=conn)
 
     def _send_out(self, messages, origin: _Conn | None = None) -> None:
@@ -440,19 +457,6 @@ class LiveNode:
                 targets = [c for c in self._conns if c.connected and c is not origin]
             for conn in targets:
                 self._send(conn, data)
-
-    # -- persistence ----------------------------------------------------------
-
-    def _persist_if_changed(self) -> None:
-        best = self.logic.chain
-        stored = self.store.chain
-        if best.tip.hash == stored.tip.hash:
-            return
-        if stored.tip.hash in best.heights:
-            for block in best.blocks[stored.height:]:
-                self.store.append_block(block, self.logic.state.mempool.verified)
-        else:
-            self.store.replace_chain(best)
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -488,7 +492,7 @@ class LiveNode:
                         mined.hash.hex()[:16],
                         self.logic.chain.height,
                     )
-                    self._persist_if_changed()
+                    self.store.sync()
                     self._send_out(self.logic.block_messages(mined))
         finally:
             for key in self._selector.get_map().values():
@@ -529,7 +533,10 @@ def fetch_chain(address: str, timeout: float = 10.0) -> list[Block]:
         sock.sendall(encode_wire(MSG_CHAIN_REQUEST, b"", "client", BROADCAST))
         sock.settimeout(timeout)
         for line in read_lines(sock):
-            kind, payload, _, _ = decode_wire(line)
+            try:
+                kind, payload, _, _ = decode_wire(line)
+            except ValueError:  # skipped, as a line of another kind is
+                kind = ""
             if kind == MSG_CHAIN_RESPONSE:
                 return decode_blocks(payload)
             if time.monotonic() >= deadline:

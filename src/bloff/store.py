@@ -1,10 +1,10 @@
 """Append-only chain persistence as JSON Lines, one block per line.
 
-The main file always holds exactly the current best chain; blocks displaced
-or beaten by fork choice go to a ``forks.jsonl`` sidecar so the audit
-artifact stays linear and human-inspectable. Appends are flushed and fsynced
-before being acknowledged; reorgs rewrite through a temp file and an atomic
-rename, so a crash leaves either the old or the new file state.
+The main file always holds exactly the chain its owner moves, and blocks a
+reorg displaced go to a ``forks.jsonl`` sidecar, so the audit artifact stays
+linear and human-inspectable. ``BlockStore.sync`` appends the blocks gained
+on the file's tip, flushed and fsynced; any other move rewrites through a
+temp file and an atomic rename, so a crash leaves the old or the new file.
 
 Indexes are in-memory only. ``load_chain`` is the one full replay; after
 it, ``BlockStore.append_block`` checks only the new block, connecting the
@@ -80,11 +80,14 @@ def write_chain(path: str, blocks: list[Block]) -> None:
 
 
 class BlockStore:
-    """Chain file plus its in-memory validated Chain and fork sidecar."""
+    """The chain file of its owner's ``Chain``, and the fork sidecar. The
+    owner moves ``chain`` in place, by ``append_block`` or as a live node's
+    best chain, and ``sync`` makes the file hold it."""
 
     def __init__(self, path: str, chain: Chain):
         self.path = path
         self.chain = chain
+        self._filed = list(chain.blocks)  # the blocks the file holds
 
     @property
     def forks_path(self) -> str:
@@ -104,8 +107,24 @@ class BlockStore:
         write_chain(path, [genesis])
         return cls(path, chain)
 
+    def sync(self) -> None:
+        """Make the file hold ``chain``: append what it gained on the file's
+        tip, or else rewrite the file and send each filed block it no longer
+        holds to the fork sidecar. A failed write leaves ``_filed`` as it
+        was, so the next call retries."""
+        blocks, filed = self.chain.blocks, self._filed
+        if self.chain.heights.get(filed[-1].hash) != len(filed):
+            write_chain(self.path, blocks)
+            for block in filed:
+                if block.hash not in self.chain.heights:
+                    self.record_fork(block)
+            self._filed = list(blocks)
+        elif gained := blocks[len(filed) :]:
+            _write_lines(self.path, map(block_to_json_line, gained))
+            filed += gained
+
     def append_block(self, block: Block, verified: VerifiedTxs | None = None) -> None:
-        """Connect ``block`` on the stored tip, then persist it.
+        """Connect ``block`` on the stored tip, then ``sync``.
 
         An invalid block raises ChainValidationError before anything is
         written. The line is flushed and fsynced before this returns; if the
@@ -117,7 +136,7 @@ class BlockStore:
             raise StoreError("block does not extend the stored tip")
         self.chain.connect(block, verified)
         try:
-            _write_lines(self.path, [block_to_json_line(block)])
+            self.sync()
         except OSError:
             self.chain.disconnect()
             raise
@@ -125,15 +144,6 @@ class BlockStore:
     def record_fork(self, block: Block) -> None:
         """Append a losing-fork block to the sidecar file."""
         _write_lines(self.forks_path, [block_to_json_line(block)])
-
-    def replace_chain(self, chain: Chain) -> None:
-        """Reorg: atomically rewrite the main file; displaced blocks become
-        forks. The store keeps a copy of ``chain``."""
-        displaced = [b for b in self.chain.blocks if b.hash not in chain.heights]
-        write_chain(self.path, chain.blocks)
-        for block in displaced:
-            self.record_fork(block)
-        self.chain = chain.copy()
 
 
 # ---------------------------------------------------------------------------

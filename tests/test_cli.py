@@ -1,10 +1,13 @@
 """Command-line surface: pipelines, exit codes, JSON output."""
 
+import functools
 import json
 
 import pytest
 
+from bloff import cli
 from bloff.cli import handle_command, is_address
+from bloff.consensus import Mempool
 from bloff.crypto import load_keypair, save_keypair, sha256_digest
 from bloff.store import load_chain
 from bloff.verify import InclusionProof, verify_inclusion_proof
@@ -268,6 +271,20 @@ class TestSubmitMineVerifyPipeline:
         assert mempool.read_text() == ""
         for log in (first, second):
             assert run_cli(capsys, "verify", "--chain", chain, "--log", str(log))[0] == 0
+
+    def test_mine_keeps_pending_txs_past_a_pool_cap(self, workspace, tmp_path, capsys, monkeypatch):
+        """More pending txs than a pool of the default size holds: ``mine``
+        seals them all, and the mempool file loses none."""
+        monkeypatch.setattr(cli, "Mempool", functools.partial(Mempool, capacity=5))
+        chain, mempool = str(workspace["chain"]), workspace["dir"] / "mempool.jsonl"
+        key = str(workspace["key"])
+        log = tmp_path / "eight.log"
+        log.write_text("".join(f"line {i}\n" for i in range(8)))
+        assert run_cli(capsys, "submit", "--key", key, "--chain", chain, "--log", str(log))[0] == 0
+        code, out, err = run_cli(capsys, "mine", "--key", key, "--chain", chain)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["txs"] == 8
+        assert mempool.read_text() == ""
 
     def test_mine_empty_pool_is_error(self, workspace, capsys):
         code, _, err = run_cli(

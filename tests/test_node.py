@@ -1,6 +1,7 @@
 """Live TCP nodes: wire codec, role checks, multi-process smoke and restart."""
 
 import json
+import random
 import socket
 import subprocess
 import sys
@@ -50,6 +51,25 @@ from bloff.store import BlockStore, write_chain
 from conftest import GENESIS_TS, build_chain, child_env, grow, keypair_for
 
 
+BAD_WIRE_LINES = [
+    b"[]",
+    b'"x"',
+    b"7",
+    b"null",
+    b"not json",
+    b"\xff\xfe",
+    b"[" * 100_000 + b"]" * 100_000,
+    b'{"kind": "tx-gossip", "from": "a", "to": "*"}',
+    b'{"kind": "tx-gossip", "payload": 7, "from": "a", "to": "*"}',
+    b'{"kind": "tx-gossip", "payload": null, "from": "a", "to": "*"}',
+    b'{"kind": "tx-gossip", "payload": ["00"], "from": "a", "to": "*"}',
+    b'{"kind": "tx-gossip", "payload": "zz", "from": "a", "to": "*"}',
+    b'{"kind": 1, "payload": "00", "from": "a", "to": "*"}',
+    b'{"kind": "tx-gossip", "payload": "00", "from": null, "to": "*"}',
+    b'{"kind": "tx-gossip", "payload": "00", "from": "a", "to": ["*"]}',
+]
+
+
 class TestWireCodec:
     def test_roundtrip(self):
         line = encode_wire("tx-gossip", b"\x00\x01\xff", "abc", "*")
@@ -61,6 +81,50 @@ class TestWireCodec:
         line = encode_wire("block-gossip", bytes(100), "a", "b")
         obj = json.loads(line)
         assert set(obj) == {"kind", "payload", "from", "to"}
+
+    @pytest.mark.parametrize("line", BAD_WIRE_LINES, ids=range(len(BAD_WIRE_LINES)))
+    def test_malformed_line_raises_value_error(self, line):
+        with pytest.raises(ValueError):
+            decode_wire(line)
+
+    def test_mutated_lines_raise_nothing_but_value_error(self, miner, device):
+        """2,000 valid lines of every kind, each with bytes flipped, cut
+        short or one field's JSON type swapped: ``decode_wire`` raises only
+        ValueError, and a node handles whatever it decodes."""
+        chain, _ = build_chain(miner, device, [b"x", b"y"], txs_per_block=1)
+        tx = build_anchor_tx(sha256_digest(b"fuzz"), "dev", GENESIS_TS + 50, device)
+        start = validate_chain(chain.blocks[:2])
+        lines = [
+            encode_wire(kind, payload, "peer", BROADCAST)[:-1]
+            for kind, payload in [
+                (MSG_TX, tx.raw),
+                (MSG_BLOCK, encode_compact_block(chain.tip)),
+                NodeLogic("a", miner, NodeRole.CSP_MINER, chain).chain_request()[:2],
+                (MSG_CHAIN_RESPONSE, encode_blocks(chain.blocks[1:])),
+            ]
+        ]
+        swaps = [None, 7, 1.5, True, [], {}, "", "zz"]
+        rng = random.Random(0xB10FF)
+        decoded = 0
+        for _ in range(2000):
+            line = bytearray(rng.choice(lines))
+            mutation = rng.randrange(3)
+            if mutation == 0:
+                for _ in range(rng.randint(1, 3)):
+                    line[rng.randrange(len(line))] = rng.choice(b'0123456789abcdef"{}[],:\x00\xff')
+            elif mutation == 1:
+                del line[rng.randrange(len(line)) :]
+            else:
+                obj = json.loads(line)
+                obj[rng.choice(sorted(obj))] = rng.choice(swaps)
+                line = bytearray(json.dumps(obj).encode())
+            try:
+                kind, payload, from_id, _ = decode_wire(bytes(line))
+            except ValueError:
+                continue
+            decoded += 1
+            NodeLogic("b", miner, NodeRole.CSP_MINER, start).handle_message(kind, payload, from_id)
+        assert decoded > 300
 
 
 class FakeSocket:
@@ -376,6 +440,32 @@ class TestSeen:
         assert [logic._mark_seen(p) for p in payloads] == [False] * 4
         assert [logic._mark_seen(p) for p in payloads[1:]] == [True] * 3
         assert logic._mark_seen(payloads[0]) is False
+
+
+class TestTxRelay:
+    """A gossiped tx is relayed only when the pool admits it."""
+
+    @pytest.fixture
+    def logic(self, miner, device):
+        chain, _ = build_chain(miner, device, [])
+        logic = NodeLogic("m", miner, NodeRole.CSP_MINER, chain)
+        logic.state.mempool = Mempool(capacity=1)
+        return logic
+
+    @staticmethod
+    def anchor(device, label):
+        return build_anchor_tx(sha256_digest(label), "dev", GENESIS_TS + 50, device)
+
+    def test_tx_a_full_pool_refuses_is_not_relayed(self, logic, device):
+        first, second = self.anchor(device, b"first"), self.anchor(device, b"second")
+        assert logic.handle_message(MSG_TX, first.raw, "peer") == [(MSG_TX, first.raw, BROADCAST)]
+        assert logic.handle_message(MSG_TX, second.raw, "peer") == []
+        assert second.id not in logic.state.mempool
+
+    def test_tx_already_pooled_is_not_relayed(self, logic, device):
+        tx = self.anchor(device, b"pooled")
+        assert logic.state.mempool.add(tx, logic.chain.tx_ids) == "accepted"
+        assert logic.handle_message(MSG_TX, tx.raw, "peer") == []
 
 
 class TestRolePolicy:
@@ -735,3 +825,31 @@ class TestEventLoop:
             half.shutdown(socket.SHUT_WR)
             assert half.recv(1) == b""
         assert len(fetch_chain(address)) == 1
+
+    def test_malformed_lines_are_dropped_and_the_node_serves_on(self, loop_node, miner):
+        _, thread, address = loop_node("a", NodeRole.CSP_MINER, miner)
+        with connect(address) as bad:
+            bad.sendall(b"\n".join(BAD_WIRE_LINES) + b"\n")
+            bad.sendall(encode_wire(MSG_CHAIN_REQUEST, b"", "bad", BROADCAST))
+            # Lines on one connection are handled in order, so this reply
+            # comes after every bad line was read.
+            assert decode_wire(next(read_lines(bad)))[0] == MSG_CHAIN_RESPONSE
+        assert len(fetch_chain(address)) == 1
+        assert thread.is_alive()
+
+
+def test_fetch_chain_skips_malformed_lines(miner):
+    genesis = make_genesis([miner], GENESIS_TS)
+    response = encode_wire(MSG_CHAIN_RESPONSE, encode_blocks([genesis]), "n", "client")
+    with socket.create_server(("127.0.0.1", 0)) as server:
+
+        def serve():
+            conn, _ = server.accept()
+            with conn:
+                conn.recv(1 << 16)
+                conn.sendall(b"\n".join(BAD_WIRE_LINES) + b"\n" + response)
+
+        thread = threading.Thread(target=serve)
+        thread.start()
+        assert fetch_chain(f"127.0.0.1:{server.getsockname()[1]}", timeout=5) == [genesis]
+        thread.join(5)

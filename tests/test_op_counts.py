@@ -13,6 +13,7 @@ submission, mining, block validation and replays check each tx once.
 import json
 import os
 import tracemalloc
+from types import SimpleNamespace
 
 import pytest
 
@@ -22,11 +23,22 @@ from bloff.consensus import Mempool, NodeState, mine_block
 from bloff.crypto import save_keypair, sha256_digest
 from bloff.ledger import (
     NodeRole,
+    block_to_json_line,
     decode_blocks,
     encode_blocks,
     encode_compact_block,
 )
-from bloff.node import MSG_BLOCK, MSG_CHAIN_RESPONSE, MSG_TX, NodeLogic
+from bloff.node import (
+    BROADCAST,
+    MSG_BLOCK,
+    MSG_CHAIN_RESPONSE,
+    MSG_TX,
+    LiveNode,
+    NodeConfig,
+    NodeLogic,
+    _Conn,
+    encode_wire,
+)
 from bloff.simnet import run_scenario
 from bloff.store import BlockStore, append_mempool_file, load_chain, write_chain
 from conftest import GENESIS_TS, build_chain, grow, keypair_for, partition_scenario, with_signature
@@ -298,6 +310,53 @@ def test_compact_block_of_pooled_txs_checks_no_signature(miner, device, counted,
     assert calls == []
     assert counted == [block]
     assert logic.chain.tip.hash == block.hash
+
+
+def live_node(tmp_path, blocks):
+    """A ``LiveNode`` that is not running, on a chain file of ``blocks``."""
+    path = tmp_path / "chain.jsonl"
+    write_chain(str(path), blocks)
+    config = NodeConfig(NodeRole.STAKEHOLDER, "unused.key", str(path))
+    return LiveNode(config, keypair_for("stakeholder-0"), BlockStore.open(str(path)))
+
+
+def deliver(node, kind, payload):
+    """Have ``node`` read one wire line from a peer, as its loop does."""
+    line = encode_wire(kind, payload, "peer", BROADCAST)
+    sock = SimpleNamespace(recv=lambda size: line, sendall=lambda data: None)
+    node._read(_Conn(sock))
+
+
+def test_live_node_validates_a_gossiped_block_once(tmp_path, miner, device, counted):
+    """Block 42 gossiped to a live node that pooled its tx is validated
+    once, by the node; the store only writes it."""
+    chain, block = chain_and_next_block(miner, device)
+    node = live_node(tmp_path, chain.blocks)
+    for tx in block.transactions:
+        assert node.logic.state.mempool.add(tx, chain.tx_ids) == "accepted"
+    counted.clear()
+    deliver(node, MSG_BLOCK, encode_compact_block(block))
+    assert counted == [block]
+    assert load_chain(node.store.path) == node.logic.chain
+    assert node.logic.chain.tip.hash == block.hash
+
+
+def test_live_node_reorg_writes_the_one_chain(tmp_path, miner, device, monkeypatch):
+    """A live node that reorgs onto a peer's longer run: the store writes
+    the node's own chain, which the file then holds, the displaced block
+    goes to the fork sidecar, and no ``Chain`` is constructed."""
+    chain, _ = chain_and_next_block(miner, device)
+    own = grow(chain, miner, device, ["own 42"])
+    longer = grow(chain, miner, device, ["peer 42", "peer 43"])
+    node = live_node(tmp_path, own.blocks)
+    constructed = count_chains(monkeypatch)
+    deliver(node, MSG_CHAIN_RESPONSE, encode_blocks(longer.blocks[41:]))
+    assert constructed == []
+    assert node.store.chain is node.logic.chain
+    assert node.logic.chain.tip.hash == longer.tip.hash
+    assert load_chain(node.store.path) == node.logic.chain
+    with open(node.store.forks_path) as fh:
+        assert fh.read().splitlines() == [block_to_json_line(own.tip)]
 
 
 def test_local_submission_verified_once(miner, device, monkeypatch):

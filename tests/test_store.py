@@ -1,5 +1,6 @@
 """Chain file persistence: load/append roundtrips and corruption detection."""
 
+import os
 import time
 
 import pytest
@@ -22,7 +23,7 @@ from bloff.store import (
     write_chain,
     write_mempool_file,
 )
-from conftest import GENESIS_TS, build_chain, keypair_for
+from conftest import GENESIS_TS, build_chain, grow, keypair_for
 
 
 def write_chain_file(tmp_path, chain, name="chain.jsonl"):
@@ -179,41 +180,67 @@ class TestBlockStore:
         assert block_to_json_line(fork_block) not in main_lines
         load_chain(str(path))  # main file still the untouched best chain
 
-    def test_replace_chain_moves_displaced_blocks_to_forks(self, tmp_path, miner, device):
+    def test_sync_after_reorg_moves_displaced_blocks_to_forks(self, tmp_path, miner, device):
         chain, _ = build_chain(miner, device, [b"one", b"two"], txs_per_block=1)
         short = validate_chain(chain.blocks[:3])
         path = write_chain_file(tmp_path, short)
         store = BlockStore.open(str(path))
 
-        # A competing longer branch from height 2.
-        base = validate_chain(chain.blocks[:2])
-        pool = Mempool()
-        from bloff.ingest import LogRecord, build_anchor_for_record
-
-        for i in range(2):
-            record = LogRecord(
-                raw=f"branch {i}".encode(), source_id="dev", capture_timestamp=GENESIS_TS + 60 + i
-            )
-            pool.add(build_anchor_for_record(record, device))
-        blocks = list(base.blocks)
-        working = base
-        for i in range(2):
-            block = mine_block(
-                pool, working.tip.header, 0, miner, GENESIS_TS + 60 + i,
-                working.registered_nodes, block_tx_cap=1,
-            )
-            blocks.append(block)
-            working = validate_chain(blocks)
-            pool.evict({t.id for t in block.transactions})
-
-        store.replace_chain(working)
-        assert load_chain(str(path)).tip.hash == working.tip.hash
-        displaced_line = block_to_json_line(short.blocks[2])
+        # The owner moves the store's chain onto a longer branch from height 2.
+        branch = grow(validate_chain(chain.blocks[:2]), miner, device, ["branch 0", "branch 1"])
+        store.chain.disconnect()
+        for block in branch.blocks[2:]:
+            store.chain.connect(block)
+        store.sync()
+        assert load_chain(str(path)) == store.chain == branch
         with open(store.forks_path) as fh:
-            assert displaced_line in fh.read().splitlines()
-        # The store keeps a copy: the given chain moving later leaves it be.
-        working.disconnect()
-        assert store.chain.tip.hash == load_chain(str(path)).tip.hash != working.tip.hash
+            assert fh.read().splitlines() == [block_to_json_line(short.blocks[2])]
+
+    def test_sync_appends_only_what_the_chain_gained(self, tmp_path, miner, device, monkeypatch):
+        from bloff import store as store_mod
+
+        chain, _ = build_chain(miner, device, [b"a"])
+        path = write_chain_file(tmp_path, chain)
+        store = BlockStore.open(str(path))
+        writes, write_lines = [], store_mod._write_lines
+
+        def recording_write(path, lines, replace=False):
+            lines = list(lines)
+            writes.append((len(lines), replace))
+            write_lines(path, lines, replace)
+
+        monkeypatch.setattr(store_mod, "_write_lines", recording_write)
+        store.sync()
+        for block in grow(chain, miner, device, ["x", "y"]).blocks[chain.height :]:
+            store.chain.connect(block)
+        store.sync()
+        store.sync()
+        assert writes == [(2, False)]
+        assert load_chain(str(path)) == store.chain
+
+    def test_failed_sync_is_retried(self, tmp_path, miner, device, monkeypatch):
+        """A write that raises leaves the store's record of the file as it
+        was, so the next ``sync`` writes what the failed one did not."""
+        from bloff import store as store_mod
+
+        chain, _ = build_chain(miner, device, [b"a"])
+        path = write_chain_file(tmp_path, chain)
+        store = BlockStore.open(str(path))
+        data = path.read_bytes()
+        for block in grow(chain, miner, device, ["x", "y"]).blocks[chain.height :]:
+            store.chain.connect(block)
+
+        def failing_write(*args, **kwargs):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(store_mod, "_write_lines", failing_write)
+        with pytest.raises(OSError, match="disk full"):
+            store.sync()
+        assert path.read_bytes() == data
+        monkeypatch.undo()
+        store.sync()
+        assert load_chain(str(path)) == store.chain
+        assert not os.path.exists(store.forks_path)
 
     def test_create_refuses_overwrite(self, tmp_path, miner):
         genesis = make_genesis([miner], GENESIS_TS)
