@@ -4,8 +4,11 @@ Transactions carry either a log digest (anchor) or a node admission
 (registration). Canonical byte layouts are bit-exact and normative; the
 JSON-lines chain file is a carrier whose hashes and signatures are always
 computed over the canonical bytes, never over the JSON. A tx is its
-canonical bytes: ``decode_tx`` wraps them without encoding them again, and
-only building a tx encodes one.
+canonical bytes and is made only from them: its kind's constructor runs the
+kind's structural check, ``decode_tx`` picks the kind by its byte, and only
+building a tx encodes one. A header is made only within its fields' widths,
+and a chain-file line is read only when it is the exact rendering of the
+block it reads as.
 
 One validation path: ``Chain.connect`` checks a new block once, against its
 parent's state, and moves the chain onto it in place; ``Chain.disconnect``
@@ -46,8 +49,6 @@ from .crypto import (
     ZERO_DIGEST,
     Digest,
     KeyPair,
-    Signature,
-    hex_to_bytes,
     sha256_digest,
     sign,
     verify_signature,
@@ -61,21 +62,11 @@ KIND_ANCHOR = 0x01
 KIND_REGISTRATION = 0x02
 
 MAX_SOURCE_ID_BYTES = 64
-MAX_U64 = 2**64 - 1
 
-HEADER_LEN = 1 + DIGEST_LEN + DIGEST_LEN + 8 + 1 + 8  # 82 bytes
-
-# Fixed JSON key order for canonical chain-file lines.
-_BLOCK_JSON_KEYS = (
-    "version",
-    "prev_hash",
-    "merkle_root",
-    "timestamp",
-    "difficulty",
-    "nonce",
-    "block_hash",
-    "txs",
-)
+# The 82-byte header: version u8, prev_hash, merkle_root, timestamp u64,
+# difficulty u8, nonce u64, big-endian.
+_HEADER = struct.Struct(">B32s32sQBQ")
+HEADER_LEN = _HEADER.size
 
 
 class NodeRole(enum.Enum):
@@ -121,9 +112,9 @@ class ChainFileError(Exception):
         self.reason = reason
 
 
-def _check_u64(value: int, what: str) -> None:
-    if not isinstance(value, int) or isinstance(value, bool) or not 0 <= value <= MAX_U64:
-        raise ValueError(f"{what} must be an unsigned 64-bit integer")
+def _check_uint(value: object, bits: int, what: str) -> None:
+    if not isinstance(value, int) or isinstance(value, bool) or not 0 <= value < 1 << bits:
+        raise ValueError(f"{what} must be an unsigned {bits}-bit integer")
 
 
 # Every tx ends with the submitter's key and the signature. In an anchor,
@@ -135,22 +126,24 @@ _STAMP_AT = -_TAIL_LEN - 8
 
 class _CanonicalTx:
     """A tx is its canonical bytes: ``raw`` and their hash ``id``, both set
-    once when the tx is made. Every field is a read-only view of ``raw``,
-    ``==`` and ``hash`` follow ``raw``, and no attribute can be assigned.
+    once when the tx is made, and the one way to make it is from ``raw``,
+    which must pass its kind's structural check (``_check``); TxDecodeError
+    otherwise. Every field is a read-only view of ``raw``, ``==`` and
+    ``hash`` follow ``raw``, and no attribute can be assigned.
     """
 
     __slots__ = ("raw", "id")
+    KIND: int
 
     def __init__(self, raw: bytes):
+        raw = bytes(raw)
+        if len(raw) < 2:
+            raise TxDecodeError("bad-length")
+        if raw[1] != self.KIND:
+            raise TxDecodeError("bad-kind")
+        self._check(raw)
         object.__setattr__(self, "raw", raw)
         object.__setattr__(self, "id", sha256_digest(raw))
-
-    @classmethod
-    def _wrap(cls, raw: bytes):
-        """A tx of ``raw``, already checked, without encoding it again."""
-        tx = object.__new__(cls)
-        _CanonicalTx.__init__(tx, raw)
-        return tx
 
     def __setattr__(self, name, value=None):
         raise AttributeError(f"{type(self).__name__} is read-only")
@@ -169,14 +162,12 @@ class _CanonicalTx:
     version = property(lambda tx: tx.raw[0])
     kind = property(lambda tx: tx.raw[1])
     submitter_pubkey = property(lambda tx: tx.raw[-_TAIL_LEN:-SIGNATURE_LEN])
-    signature = property(lambda tx: Signature(tx.raw[-SIGNATURE_LEN:]))
+    signature = property(lambda tx: tx.raw[-SIGNATURE_LEN:])
 
 
-def _encode_preamble(version: int, kind: int, payload: bytes, submitter_pubkey: bytes) -> bytes:
+def _encode_preamble(kind: int, payload: bytes, submitter_pubkey: bytes) -> bytes:
     """Everything the submitter signs: all canonical bytes before the signature."""
-    if len(submitter_pubkey) != KEY_LEN:
-        raise ValueError("submitter_pubkey must be 32 bytes")
-    return bytes([version, kind]) + payload + submitter_pubkey
+    return bytes([TX_VERSION, kind]) + payload + submitter_pubkey
 
 
 class AnchorTransaction(_CanonicalTx):
@@ -188,34 +179,23 @@ class AnchorTransaction(_CanonicalTx):
     """
 
     __slots__ = ()
+    KIND = KIND_ANCHOR
 
-    def __init__(
-        self,
-        log_hash: Digest,
-        source_id: str,
-        capture_timestamp: int,
-        submitter_pubkey: bytes,
-        signature: Signature,
-        version: int = TX_VERSION,
-    ):
-        signed = _anchor_preamble(log_hash, source_id, capture_timestamp, submitter_pubkey, version)
-        super().__init__(signed + Signature(signature))
+    @staticmethod
+    def _check(raw: bytes) -> None:
+        source_len = raw[_SOURCE_LEN_AT] if len(raw) > _SOURCE_LEN_AT else 0
+        if source_len > MAX_SOURCE_ID_BYTES:
+            raise TxDecodeError("bad-source-id")
+        if len(raw) != _SOURCE_LEN_AT + 1 + source_len + 8 + _TAIL_LEN:
+            raise TxDecodeError("bad-length")
+        try:
+            raw[_SOURCE_LEN_AT + 1 : _STAMP_AT].decode("utf-8")
+        except UnicodeDecodeError:
+            raise TxDecodeError("bad-source-id") from None
 
-    log_hash = property(lambda tx: Digest(tx.raw[2:_SOURCE_LEN_AT]))
+    log_hash = property(lambda tx: tx.raw[2:_SOURCE_LEN_AT])
     source_id = property(lambda tx: tx.raw[_SOURCE_LEN_AT + 1 : _STAMP_AT].decode("utf-8"))
     capture_timestamp = property(lambda tx: int.from_bytes(tx.raw[_STAMP_AT:-_TAIL_LEN], "big"))
-
-
-def _anchor_preamble(
-    log_hash, source_id, capture_timestamp, submitter_pubkey, version=TX_VERSION
-) -> bytes:
-    source = source_id.encode("utf-8")
-    if len(source) > MAX_SOURCE_ID_BYTES:
-        raise ValueError(f"source_id exceeds {MAX_SOURCE_ID_BYTES} bytes")
-    _check_u64(capture_timestamp, "capture_timestamp")
-    payload = Digest(log_hash) + bytes([len(source)]) + source
-    payload += struct.pack(">Q", capture_timestamp)
-    return _encode_preamble(version, KIND_ANCHOR, payload, submitter_pubkey)
 
 
 class RegistrationTransaction(_CanonicalTx):
@@ -228,60 +208,34 @@ class RegistrationTransaction(_CanonicalTx):
     """
 
     __slots__ = ()
+    KIND = KIND_REGISTRATION
 
-    def __init__(
-        self,
-        new_node_pubkey: bytes,
-        role_byte: int,
-        submitter_pubkey: bytes,
-        signature: Signature,
-        version: int = TX_VERSION,
-    ):
-        signed = _registration_preamble(new_node_pubkey, role_byte, submitter_pubkey, version)
-        super().__init__(signed + Signature(signature))
+    @staticmethod
+    def _check(raw: bytes) -> None:
+        if len(raw) != 2 + KEY_LEN + 1 + _TAIL_LEN:
+            raise TxDecodeError("bad-length")
 
     new_node_pubkey = property(lambda tx: tx.raw[2 : 2 + KEY_LEN])
     role_byte = property(lambda tx: tx.raw[2 + KEY_LEN])
     role = property(lambda tx: BYTE_TO_ROLE.get(tx.role_byte))
 
 
-def _registration_preamble(new_node_pubkey, role_byte, submitter_pubkey, version=TX_VERSION) -> bytes:
-    if len(new_node_pubkey) != KEY_LEN:
-        raise ValueError("new_node_pubkey must be 32 bytes")
-    if not 0 <= role_byte <= 255:
-        raise ValueError("role_byte out of range")
-    payload = new_node_pubkey + bytes([role_byte])
-    return _encode_preamble(version, KIND_REGISTRATION, payload, submitter_pubkey)
-
-
 Transaction = AnchorTransaction | RegistrationTransaction
+_TX_KINDS = {KIND_ANCHOR: AnchorTransaction, KIND_REGISTRATION: RegistrationTransaction}
 
 
 def decode_tx(raw: bytes) -> Transaction:
-    """Check that ``raw`` is one tx's canonical bytes and wrap them as it.
+    """The tx of ``raw``, made by the class its kind byte names.
 
     Structural problems raise TxDecodeError. Semantic problems (unknown role
     byte, wrong version, bad signature) are left to ``verify_tx`` so that
     gossip handling can report them uniformly.
     """
-    raw = bytes(raw)
-    kind = raw[1] if len(raw) > 1 else None
-    if kind == KIND_ANCHOR:
-        source_len = raw[_SOURCE_LEN_AT] if len(raw) > _SOURCE_LEN_AT else 0
-        if source_len > MAX_SOURCE_ID_BYTES:
-            raise TxDecodeError("bad-source-id")
-        if len(raw) != _SOURCE_LEN_AT + 1 + source_len + 8 + _TAIL_LEN:
-            raise TxDecodeError("bad-length")
-        try:
-            raw[_SOURCE_LEN_AT + 1 : _STAMP_AT].decode("utf-8")
-        except UnicodeDecodeError:
-            raise TxDecodeError("bad-source-id") from None
-        return AnchorTransaction._wrap(raw)
-    if kind == KIND_REGISTRATION:
-        if len(raw) != 2 + KEY_LEN + 1 + _TAIL_LEN:
-            raise TxDecodeError("bad-length")
-        return RegistrationTransaction._wrap(raw)
-    raise TxDecodeError("bad-length" if kind is None else "bad-kind")
+    # A raw too short for a kind byte gets its bad-length from the constructor.
+    cls = _TX_KINDS.get(raw[1]) if len(raw) > 1 else AnchorTransaction
+    if cls is None:
+        raise TxDecodeError("bad-kind")
+    return cls(raw)
 
 
 class VerifiedTxs:
@@ -424,8 +378,13 @@ def build_anchor_tx(
     keypair: KeyPair,
 ) -> AnchorTransaction:
     """Construct and sign an anchor transaction; the result passes verify_tx."""
-    preamble = _anchor_preamble(log_hash, source_id, capture_timestamp, keypair.public_key)
-    return AnchorTransaction._wrap(preamble + sign(keypair, preamble))
+    source = source_id.encode("utf-8")
+    if len(source) > MAX_SOURCE_ID_BYTES:
+        raise ValueError(f"source_id exceeds {MAX_SOURCE_ID_BYTES} bytes")
+    _check_uint(capture_timestamp, 64, "capture_timestamp")
+    payload = Digest(log_hash) + bytes([len(source)]) + source + struct.pack(">Q", capture_timestamp)
+    preamble = _encode_preamble(KIND_ANCHOR, payload, keypair.public_key)
+    return AnchorTransaction(preamble + sign(keypair, preamble))
 
 
 def build_registration_tx(
@@ -434,8 +393,11 @@ def build_registration_tx(
     sponsor: KeyPair,
 ) -> RegistrationTransaction:
     """Construct and sign a registration sponsored by ``sponsor``."""
-    preamble = _registration_preamble(new_node_pubkey, ROLE_TO_BYTE[role], sponsor.public_key)
-    return RegistrationTransaction._wrap(preamble + sign(sponsor, preamble))
+    if len(new_node_pubkey) != KEY_LEN:
+        raise ValueError("new_node_pubkey must be 32 bytes")
+    payload = new_node_pubkey + bytes([ROLE_TO_BYTE[role]])
+    preamble = _encode_preamble(KIND_REGISTRATION, payload, sponsor.public_key)
+    return RegistrationTransaction(preamble + sign(sponsor, preamble))
 
 
 # ---------------------------------------------------------------------------
@@ -480,50 +442,42 @@ def merkle_levels(txids: Sequence[Digest]) -> list[list[Digest]]:
 
 @dataclass(frozen=True)
 class BlockHeader:
-    prev_hash: Digest
-    merkle_root: Digest
+    """The fields ``_HEADER`` packs; a header exists only with each field
+    within its width."""
+
+    prev_hash: bytes
+    merkle_root: bytes
     timestamp: int
     difficulty: int
     nonce: int
     version: int = BLOCK_VERSION
 
     def __post_init__(self) -> None:
-        _check_u64(self.timestamp, "timestamp")
-        _check_u64(self.nonce, "nonce")
-        if not 0 <= self.difficulty <= 255:
-            raise ValueError("difficulty must be in 0..255")
-        if not 0 <= self.version <= 255:
-            raise ValueError("version must be in 0..255")
+        _check_uint(self.version, 8, "version")
+        # ``32s`` would pad a short digest, or cut a long one, silently.
+        if len(self.prev_hash) != DIGEST_LEN or len(self.merkle_root) != DIGEST_LEN:
+            raise ValueError(f"prev_hash and merkle_root must be {DIGEST_LEN} bytes")
+        _check_uint(self.timestamp, 64, "timestamp")
+        _check_uint(self.difficulty, 8, "difficulty")
+        _check_uint(self.nonce, 64, "nonce")
 
 
 def header_bytes(header: BlockHeader) -> bytes:
-    return (
-        bytes([header.version])
-        + bytes(header.prev_hash)
-        + bytes(header.merkle_root)
-        + struct.pack(">Q", header.timestamp)
-        + bytes([header.difficulty])
-        + struct.pack(">Q", header.nonce)
+    return _HEADER.pack(
+        header.version,
+        header.prev_hash,
+        header.merkle_root,
+        header.timestamp,
+        header.difficulty,
+        header.nonce,
     )
 
 
 def decode_header(raw: bytes) -> BlockHeader:
     if len(raw) != HEADER_LEN:
         raise ValueError(f"header must be {HEADER_LEN} bytes, got {len(raw)}")
-    version = raw[0]
-    prev_hash = Digest(raw[1:33])
-    root = Digest(raw[33:65])
-    (timestamp,) = struct.unpack(">Q", raw[65:73])
-    difficulty = raw[73]
-    (nonce,) = struct.unpack(">Q", raw[74:82])
-    return BlockHeader(
-        prev_hash=prev_hash,
-        merkle_root=root,
-        timestamp=timestamp,
-        difficulty=difficulty,
-        nonce=nonce,
-        version=version,
-    )
+    version, prev_hash, root, timestamp, difficulty, nonce = _HEADER.unpack(raw)
+    return BlockHeader(prev_hash, root, timestamp, difficulty, nonce, version)
 
 
 def block_hash(header: BlockHeader) -> Digest:
@@ -636,7 +590,7 @@ def decode_blocks(raw: bytes) -> list[Block]:
 
 def block_to_json_line(block: Block) -> str:
     """One canonical JSON line per block: fixed key order, compact separators,
-    lowercase hex. The loader rejects any other rendering byte-for-byte."""
+    lowercase hex. ``block_from_json_line`` rejects any other rendering."""
     obj = {
         "version": block.header.version,
         "prev_hash": block.header.prev_hash.hex(),
@@ -650,41 +604,33 @@ def block_to_json_line(block: Block) -> str:
     return json.dumps(obj, separators=(",", ":"))
 
 
-def _strict_int(value: object, what: str, upper: int) -> int:
-    if not isinstance(value, int) or isinstance(value, bool) or not 0 <= value <= upper:
-        raise ValueError(f"{what} is not an integer in range")
-    return value
-
-
 def block_from_json_line(line: str, line_no: int = 0) -> Block:
-    """Parse one chain-file line, enforcing the canonical rendering.
+    """Parse one chain-file line into the block it renders.
 
-    The stored block_hash field must equal the hash recomputed from the
-    canonical header bytes; with that, any single-byte change to a serialized
-    header is detectable without relying on probabilistic checks.
+    One check makes the line canonical: the block must render back to
+    exactly ``line``. The re-render rejects any other key set, key order,
+    spacing, escape or hex case, and a stated block_hash that is not the
+    header's; the header and tx constructors reject any field outside its
+    layout.
     """
     try:
         obj = json.loads(line)
-        if not isinstance(obj, dict) or set(obj) != set(_BLOCK_JSON_KEYS):
+        if not isinstance(obj, dict):
             raise ValueError("unexpected fields")
         header = BlockHeader(
-            prev_hash=Digest.from_hex(obj["prev_hash"]),
-            merkle_root=Digest.from_hex(obj["merkle_root"]),
-            timestamp=_strict_int(obj["timestamp"], "timestamp", MAX_U64),
-            difficulty=_strict_int(obj["difficulty"], "difficulty", 255),
-            nonce=_strict_int(obj["nonce"], "nonce", MAX_U64),
-            version=_strict_int(obj["version"], "version", 255),
+            prev_hash=bytes.fromhex(obj["prev_hash"]),
+            merkle_root=bytes.fromhex(obj["merkle_root"]),
+            timestamp=obj["timestamp"],
+            difficulty=obj["difficulty"],
+            nonce=obj["nonce"],
+            version=obj["version"],
         )
-        stated_hash = Digest.from_hex(obj["block_hash"])
-        if not isinstance(obj["txs"], list):
-            raise ValueError("txs is not a list")
-        txs = tuple(decode_tx(hex_to_bytes(item)) for item in obj["txs"])
-        block = Block(header=header, transactions=txs)
+        block = Block(header, tuple(decode_tx(bytes.fromhex(item)) for item in obj["txs"]))
         if block_to_json_line(block) != line:
             raise ValueError("non-canonical block line")
-        if stated_hash != block.hash:
-            raise ValueError("block_hash field does not match header")
-    except (ValueError, KeyError, TypeError, RecursionError) as exc:
+    except KeyError:
+        raise ChainFileError(line_no, "unexpected fields") from None
+    except (ValueError, TypeError, RecursionError) as exc:
         raise ChainFileError(line_no, str(exc)) from None
     return block
 
@@ -722,7 +668,7 @@ class Chain:
 
     blocks: list[Block]
     registered_nodes: dict[bytes, NodeRole] = field(default_factory=dict)
-    anchor_index: dict[Digest, list[tuple[int, int]]] = field(default_factory=dict)
+    anchor_index: dict[bytes, list[tuple[int, int]]] = field(default_factory=dict)
     tx_ids: set[Digest] = field(default_factory=set)
     heights: dict[Digest, int] = field(default_factory=dict)  # block hash -> height
 
@@ -734,7 +680,7 @@ class Chain:
     def tip(self) -> Block:
         return self.blocks[-1]
 
-    def anchor_locations(self, log_hash: Digest) -> list[tuple[int, int]]:
+    def anchor_locations(self, log_hash: bytes) -> list[tuple[int, int]]:
         """All (height, tx index) pairs anchoring ``log_hash``; heights are 1-based."""
         return list(self.anchor_index.get(log_hash, ()))
 

@@ -443,8 +443,17 @@ class LiveNode:
                 logger.debug("dropping malformed wire line: %s", exc)
                 continue
             out = self.logic.handle_message(kind, payload, from_id)
-            self.store.sync()
+            self._sync()
             self._send_out(out, origin=conn)
+
+    def _sync(self) -> None:
+        """Write what the chain gained to the chain file. A failed write (a
+        full disk) is logged, not raised: ``sync`` keeps what it did not
+        write for its next call, after the next line or block."""
+        try:
+            self.store.sync()
+        except OSError as exc:
+            logger.error("chain file write failed, to be retried: %s", exc)
 
     def _send_out(self, messages, origin: _Conn | None = None) -> None:
         """Send handler output; a broadcast skips ``origin``, the connection
@@ -492,7 +501,7 @@ class LiveNode:
                         mined.hash.hex()[:16],
                         self.logic.chain.height,
                     )
-                    self.store.sync()
+                    self._sync()
                     self._send_out(self.logic.block_messages(mined))
         finally:
             for key in self._selector.get_map().values():

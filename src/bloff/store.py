@@ -88,6 +88,7 @@ class BlockStore:
         self.path = path
         self.chain = chain
         self._filed = list(chain.blocks)  # the blocks the file holds
+        self._torn = False  # a failed append may have left part of its lines
 
     @property
     def forks_path(self) -> str:
@@ -111,16 +112,23 @@ class BlockStore:
         """Make the file hold ``chain``: append what it gained on the file's
         tip, or else rewrite the file and send each filed block it no longer
         holds to the fork sidecar. A failed write leaves ``_filed`` as it
-        was, so the next call retries."""
+        was, so the next call retries; after a failed append, which may have
+        written some or all of its lines, the retry rewrites the file. A
+        failed sidecar write comes after the rewrite and is not retried, so
+        no block is filed there twice."""
         blocks, filed = self.chain.blocks, self._filed
-        if self.chain.heights.get(filed[-1].hash) != len(filed):
+        if self._torn or self.chain.heights.get(filed[-1].hash) != len(filed):
             write_chain(self.path, blocks)
+            self._filed, self._torn = list(blocks), False
             for block in filed:
                 if block.hash not in self.chain.heights:
                     self.record_fork(block)
-            self._filed = list(blocks)
         elif gained := blocks[len(filed) :]:
-            _write_lines(self.path, map(block_to_json_line, gained))
+            try:
+                _write_lines(self.path, map(block_to_json_line, gained))
+            except OSError:
+                self._torn = True
+                raise
             filed += gained
 
     def append_block(self, block: Block, verified: VerifiedTxs | None = None) -> None:

@@ -11,9 +11,8 @@ from bloff.consensus import (
     fork_rank,
     mine_block,
 )
-from bloff.crypto import Digest, Signature, sha256_digest
+from bloff.crypto import Digest, sha256_digest
 from bloff.ledger import (
-    AnchorTransaction,
     Block,
     BlockHeader,
     NodeRole,
@@ -24,7 +23,7 @@ from bloff.ledger import (
     merkle_root,
     validate_chain,
 )
-from conftest import GENESIS_TS, build_chain, keypair_for
+from conftest import GENESIS_TS, build_chain, keypair_for, with_signature
 from oracles import oracle_leading_zero_bits
 
 
@@ -53,13 +52,7 @@ class TestMempool:
             tx = anchor_for(device, rng.randbytes(8))
             raw = bytearray(tx.signature)
             raw[rng.randrange(64)] ^= 1 << rng.randrange(8)
-            bad = AnchorTransaction(
-                log_hash=tx.log_hash,
-                source_id=tx.source_id,
-                capture_timestamp=tx.capture_timestamp,
-                submitter_pubkey=tx.submitter_pubkey,
-                signature=Signature(bytes(raw)),
-            )
+            bad = with_signature(tx, raw)
             assert pool.add(bad) == "invalid:bad-signature"
         assert len(pool) == 0
 

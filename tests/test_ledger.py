@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import os
+import random
 import struct
 import threading
 
@@ -79,23 +80,8 @@ def random_anchor(rng, keypair):
 
 
 def rebuild(tx):
-    """``tx`` made again through its kind's keyword constructor."""
-    if isinstance(tx, AnchorTransaction):
-        return AnchorTransaction(
-            log_hash=tx.log_hash,
-            source_id=tx.source_id,
-            capture_timestamp=tx.capture_timestamp,
-            submitter_pubkey=tx.submitter_pubkey,
-            signature=tx.signature,
-            version=tx.version,
-        )
-    return RegistrationTransaction(
-        new_node_pubkey=tx.new_node_pubkey,
-        role_byte=tx.role_byte,
-        submitter_pubkey=tx.submitter_pubkey,
-        signature=tx.signature,
-        version=tx.version,
-    )
+    """``tx`` made again from its bytes through its kind's constructor."""
+    return type(tx)(tx.raw)
 
 
 class TestCanonicalTxBytes:
@@ -148,8 +134,8 @@ class TestCanonicalTxBytes:
 
     def test_bytes_fields_and_identity_round_trip(self, rng, miner, device):
         """For random anchors and registrations: decoding ``raw`` gives it
-        back, the keyword constructor rebuilds the same ``raw`` and ``id``
-        from the fields, ``id`` is the oracle's, ``==`` and ``hash`` follow
+        back, its kind's constructor rebuilds the same ``raw`` and ``id``
+        from those bytes, ``id`` is the oracle's, ``==`` and ``hash`` follow
         the bytes, and no attribute can be assigned."""
         roles = [NodeRole.CSP_MINER, NodeRole.DEVICE, NodeRole.STAKEHOLDER]
         for _ in range(100):
@@ -184,6 +170,32 @@ class TestCanonicalTxBytes:
         tx = make_anchor(device, source="capteur-été")
         assert decode_tx(tx.raw) == tx
 
+    def test_each_kind_is_made_only_from_bytes_that_pass_its_check(self, miner, device):
+        """A tx class takes only bytes that pass its kind's structural check:
+        the other kind's bytes, a truncated tx or a bad source_id raises
+        TxDecodeError with the reason ``decode_tx`` gives."""
+        anchor = make_anchor(device, source="").raw  # source_id length 0 at 34
+        registration = build_registration_tx(device.public_key, NodeRole.DEVICE, miner).raw
+        oversize = anchor[:34] + bytes([65]) + b"x" * 65 + anchor[35:]
+        not_utf8 = anchor[:34] + b"\x02\xff\xfe" + anchor[35:]
+        assert AnchorTransaction(anchor) == decode_tx(anchor)
+        assert RegistrationTransaction(registration) == decode_tx(registration)
+        cases = [
+            (AnchorTransaction, registration, "bad-kind"),
+            (RegistrationTransaction, anchor, "bad-kind"),
+            (AnchorTransaction, anchor[:-1], "bad-length"),
+            (AnchorTransaction, anchor[:1], "bad-length"),
+            (RegistrationTransaction, registration + b"\x00", "bad-length"),
+            (AnchorTransaction, oversize, "bad-source-id"),
+            (AnchorTransaction, not_utf8, "bad-source-id"),
+        ]
+        for cls, raw, reason in cases:
+            with pytest.raises(TxDecodeError) as err:
+                cls(raw)
+            assert err.value.reason == reason, (cls, raw)
+            if reason != "bad-kind":
+                assert decode_error_reason(raw) == reason
+
 
 class TestVerifyTx:
     def test_fresh_txs_are_valid(self, miner, device):
@@ -199,14 +211,8 @@ class TestVerifyTx:
             assert verify_tx(decode_tx(bytes(raw))) == "bad-signature"
 
     def test_mutated_source_id_fails(self, device):
-        tx = make_anchor(device, source="gateway")
-        tampered = AnchorTransaction(
-            log_hash=tx.log_hash,
-            source_id="gateweb",
-            capture_timestamp=tx.capture_timestamp,
-            submitter_pubkey=tx.submitter_pubkey,
-            signature=tx.signature,
-        )
+        tx = make_anchor(device, source="gateway")  # source_id at 35..42
+        tampered = decode_tx(tx.raw[:35] + b"gateweb" + tx.raw[42:])
         assert verify_tx(tampered) == "bad-signature"
 
     def test_bad_role_tag(self, miner, device):
@@ -256,13 +262,8 @@ class TestVerifiedTxs:
         assert len(calls) == 7
         assert txs[0].id in record and len(record) == 4
         for original_tx in (txs[1], txs[5]):  # evicted, recorded
-            tampered = AnchorTransaction(
-                log_hash=original_tx.log_hash,
-                source_id="tampered",
-                capture_timestamp=original_tx.capture_timestamp,
-                submitter_pubkey=original_tx.submitter_pubkey,
-                signature=original_tx.signature,
-            )
+            raw = original_tx.raw  # source_id "dev" at 35..38, its length at 34
+            tampered = decode_tx(raw[:34] + b"\x08tampered" + raw[38:])
             assert verify_tx(tampered, record) == "bad-signature"
             assert tampered.id not in record
         assert len(record) == 4
@@ -365,6 +366,24 @@ class TestBlockHashAndHeaders:
         with pytest.raises(ValueError):
             self._header(nonce=2**64)
 
+    def test_header_exists_only_within_its_layout(self):
+        """Each int field is an int, not a bool, within its width, and each
+        digest is 32 bytes, which ``32s`` would otherwise pad or cut."""
+        cases = [
+            dict(version=True),
+            dict(version=256),
+            dict(difficulty=0.0),
+            dict(difficulty=-1),
+            dict(timestamp=1.0),
+            dict(nonce=False),
+            dict(prev_hash=bytes(31)),
+            dict(prev_hash=bytes(33)),
+            dict(merkle_root=bytes(31)),
+            dict(merkle_root=bytes(33)),
+        ]
+        for overrides in cases:
+            with pytest.raises(ValueError):
+                self._header(**overrides)
 
 class TestBlockEncoding:
     def test_block_roundtrip_fuzz(self, rng, device):
@@ -487,14 +506,31 @@ class TestBlockEncoding:
             (line.replace(tx_hex, tx_hex[:at] + "\\u0061" + tx_hex[at + 1 :]), non_canonical),
             (reordered, non_canonical),
             ('{"version":1,' + line[1:], non_canonical),  # a repeated key
-            (line.replace(tx_hex, tx_hex.upper()), f"not lowercase hex: {tx_hex.upper()!r}"),
-            (line.replace('"difficulty":0', '"difficulty":0.0'), "difficulty is not an integer in range"),
+            (line.replace(tx_hex, tx_hex.upper()), non_canonical),
+            (line.replace('"difficulty":0', '"difficulty":0.0'), "difficulty must be an unsigned 8-bit integer"),
         ]
         for bad, reason in cases:
             assert bad != line
             with pytest.raises(ChainFileError) as err:
                 block_from_json_line(bad, 1)
             assert (err.value.line_no, err.value.reason) == (1, reason), bad
+
+    def test_json_line_rejects_a_wrong_type_or_key_set(self, miner):
+        """A bool field, a missing key, an extra key or a line that is no
+        object is a ChainFileError naming its line."""
+        line = block_to_json_line(make_genesis([miner], GENESIS_TS))
+        obj = json.loads(line)
+        del obj["nonce"]
+        cases = [
+            (line.replace('"version":1', '"version":true'), "version must be an unsigned 8-bit integer"),
+            (json.dumps(obj, separators=(",", ":")), "unexpected fields"),
+            (line[:-1] + ',"miner":"00"}', "non-canonical block line"),
+            ("[" + line + "]", "unexpected fields"),
+        ]
+        for bad, reason in cases:
+            with pytest.raises(ChainFileError) as err:
+                block_from_json_line(bad, 7)
+            assert (err.value.line_no, err.value.reason) == (7, reason), bad
 
     def test_json_line_nested_past_the_recursion_limit(self):
         """A line nested deeper than the interpreter's recursion limit is a
@@ -511,6 +547,75 @@ class TestBlockEncoding:
         flipped = ("0" if stated[0] != "0" else "1") + stated[1:]
         with pytest.raises(Exception):
             block_from_json_line(line.replace(stated, flipped), 1)
+
+
+class TestOneWayIn:
+    """A tx and a chain-file line exist only in their canonical form: any
+    input either is refused or reads back as exactly itself."""
+
+    ANCHOR_FIELDS = ("log_hash", "source_id", "capture_timestamp")
+    REGISTRATION_FIELDS = ("new_node_pubkey", "role_byte", "role")
+
+    def test_decode_tx_returns_only_txs_of_exactly_its_input(self, miner, device):
+        rng = random.Random(19)
+        valid = [
+            make_anchor(device, source="").raw,
+            make_anchor(device, source="capteur-été").raw,
+            build_registration_tx(device.public_key, NodeRole.DEVICE, miner).raw,
+        ]
+        decoded = 0
+        for _ in range(2000):
+            raw = bytearray(rng.choice(valid))
+            op = rng.randrange(4)
+            if op == 0:  # random bytes, half of them with a known kind byte
+                raw = bytearray(rng.randbytes(rng.randrange(0, 200)))
+                if len(raw) > 1 and rng.randrange(2):
+                    raw[1] = rng.choice((KIND_ANCHOR, KIND_REGISTRATION))
+            elif op == 1:  # byte flips
+                for _ in range(rng.randrange(1, 4)):
+                    raw[rng.randrange(len(raw))] ^= 1 << rng.randrange(8)
+            elif op == 2:  # truncation
+                del raw[rng.randrange(len(raw)) :]
+            else:  # extension
+                raw += rng.randbytes(rng.randrange(1, 70))
+            raw = bytes(raw)
+            try:
+                tx = decode_tx(raw)
+            except TxDecodeError:
+                continue
+            decoded += 1
+            assert tx.raw == raw and tx.kind == raw[1]
+            fields = self.ANCHOR_FIELDS if tx.kind == KIND_ANCHOR else self.REGISTRATION_FIELDS
+            for name in ("version", "kind", "submitter_pubkey", "signature", "id", *fields):
+                getattr(tx, name)
+        assert decoded > 100  # the flips inside fields keep many inputs valid
+
+    def test_block_from_json_line_returns_only_blocks_of_exactly_its_line(self, miner, device):
+        rng = random.Random(19)
+        chain, _ = build_chain(miner, device, [b"a", b"bb"])
+        lines = [block_to_json_line(chain.blocks[0]), block_to_json_line(chain.tip)]
+        alphabet = '0123456789abcdefABCDEF{}[]",:. -+etrufalsn\\'
+        parsed = 0
+        for _ in range(500):
+            line = rng.choice(lines)
+            at = rng.randrange(len(line))
+            op = rng.randrange(4)
+            if op == 0:  # replace one character
+                line = line[:at] + rng.choice(alphabet) + line[at + 1 :]
+            elif op == 1:  # insert one
+                line = line[:at] + rng.choice(alphabet) + line[at:]
+            elif op == 2:  # delete a span
+                line = line[:at] + line[at + rng.randrange(1, 4) :]
+            else:  # repeat a span
+                line = line[:at] + line[at : at + rng.randrange(1, 12)] + line[at:]
+            try:
+                block = block_from_json_line(line, 3)
+            except ChainFileError as err:
+                assert err.line_no == 3
+                continue
+            parsed += 1
+            assert block_to_json_line(block) == line
+        assert parsed > 0  # some mutations leave the line as it was
 
 
 class TestValidateBlock:

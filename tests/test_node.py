@@ -13,6 +13,7 @@ import pytest
 from types import SimpleNamespace
 
 from bloff import node as node_module
+from bloff import store as store_module
 from bloff.consensus import Mempool, mine_block
 from bloff.crypto import ZERO_DIGEST, save_keypair, sha256_digest
 from bloff.ingest import LogRecord, build_anchor_for_record
@@ -47,7 +48,7 @@ from bloff.node import (
     split_lines,
 )
 from bloff.verify import verify_log
-from bloff.store import BlockStore, write_chain
+from bloff.store import BlockStore, load_chain, write_chain
 from conftest import GENESIS_TS, build_chain, child_env, grow, keypair_for
 
 
@@ -835,6 +836,33 @@ class TestEventLoop:
             # comes after every bad line was read.
             assert decode_wire(next(read_lines(bad)))[0] == MSG_CHAIN_RESPONSE
         assert len(fetch_chain(address)) == 1
+        assert thread.is_alive()
+
+    def test_failed_chain_write_leaves_the_node_serving(
+        self, loop_node, miner, device, stakeholder, monkeypatch
+    ):
+        """A chain-file write that raises OSError (a failed fsync, after the
+        lines were written) does not end ``run()``: the node moves, serves
+        on, and makes the file hold its chain once a later handled line
+        finds the disk writable again, not filing the same blocks twice."""
+        node, thread, address = loop_node("a", NodeRole.STAKEHOLDER, stakeholder)
+        chain, _ = build_chain(miner, device, [b"a", b"b"])
+        response = encode_wire(MSG_CHAIN_RESPONSE, encode_blocks(chain.blocks), "peer", BROADCAST)
+        write_lines = store_module._write_lines
+
+        def failing_fsync(path, lines, replace=False):
+            write_lines(path, lines, replace)
+            raise OSError(5, "Input/output error")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(store_module, "_write_lines", failing_fsync)
+            with connect(address) as peer:
+                peer.sendall(response)
+                wait_until(lambda: node.logic.chain.height == chain.height)
+                assert thread.is_alive()
+                assert fetch_chain(address) == chain.blocks
+        assert fetch_chain(address) == chain.blocks  # a handled line: the file is written
+        wait_until(lambda: load_chain(node.store.path).blocks == node.logic.chain.blocks)
         assert thread.is_alive()
 
 

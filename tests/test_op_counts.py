@@ -189,6 +189,19 @@ def test_chain_load_walks_the_registry_once_per_tx(thousand_tx_file, monkeypatch
     assert calls == [tx for block in chain.blocks for tx in block.transactions]
 
 
+def test_chain_fold_builds_no_digest_per_anchor(monkeypatch):
+    """A ``validate_chain`` fold over 1,000 anchors keys ``anchor_index`` by
+    each anchor's ``log_hash`` bytes, a slice of its ``raw``: it builds no
+    ``Digest``."""
+    chain, _ = build_chain(
+        keypair_for("miner-0"), keypair_for("device-0"), [b"entry %d" % i for i in range(1000)]
+    )
+    built = count_calls(monkeypatch, "Digest")
+    folded = ledger.validate_chain(chain.blocks)
+    assert sum(map(len, folded.anchor_index.values())) == 1000
+    assert built == []
+
+
 def test_chain_load_holds_one_copy_of_the_file(thousand_tx_file):
     """The most a load of the 1,000-tx file holds beyond the chain it
     returns stays below the file's size: the file is parsed from one

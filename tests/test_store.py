@@ -242,6 +242,64 @@ class TestBlockStore:
         assert load_chain(str(path)) == store.chain
         assert not os.path.exists(store.forks_path)
 
+    def test_torn_append_is_rewritten(self, tmp_path, miner, device, monkeypatch):
+        """An append that raises after writing part of its lines (a full
+        disk) leaves a torn file; the next ``sync`` rewrites it whole, not
+        appending the same blocks after the torn line."""
+        from bloff import store as store_mod
+
+        chain, _ = build_chain(miner, device, [b"a"])
+        path = write_chain_file(tmp_path, chain)
+        store = BlockStore.open(str(path))
+        for block in grow(chain, miner, device, ["x", "y"]).blocks[chain.height :]:
+            store.chain.connect(block)
+
+        def torn_write(path, lines, replace=False):
+            text = "".join(line + "\n" for line in lines)
+            with open(path, "a", encoding="utf-8") as fh:
+                fh.write(text[:-1])  # the last line loses its newline
+            raise OSError("disk full")
+
+        monkeypatch.setattr(store_mod, "_write_lines", torn_write)
+        with pytest.raises(OSError, match="disk full"):
+            store.sync()
+        with pytest.raises(ChainFileError):
+            load_chain(str(path))
+        monkeypatch.undo()
+        store.sync()
+        assert load_chain(str(path)) == store.chain
+
+    def test_failed_fork_write_files_no_block_twice(self, tmp_path, miner, device, monkeypatch):
+        """A fork-sidecar write that raises after writing its line (a failed
+        fsync) comes after the chain file was rewritten; a later ``sync``
+        neither rewrites the file nor files the displaced block again."""
+        from bloff import store as store_mod
+
+        chain, _ = build_chain(miner, device, [b"one", b"two"], txs_per_block=1)
+        short = validate_chain(chain.blocks[:3])
+        path = write_chain_file(tmp_path, short)
+        store = BlockStore.open(str(path))
+        branch = grow(validate_chain(chain.blocks[:2]), miner, device, ["branch 0", "branch 1"])
+        store.chain.disconnect()
+        for block in branch.blocks[2:]:
+            store.chain.connect(block)
+        writes, write_lines = [], store_mod._write_lines
+
+        def failing_fsync(path, lines, replace=False):
+            writes.append(path)
+            write_lines(path, lines, replace)
+            if path == store.forks_path:
+                raise OSError("fsync failed")
+
+        monkeypatch.setattr(store_mod, "_write_lines", failing_fsync)
+        with pytest.raises(OSError, match="fsync failed"):
+            store.sync()
+        store.sync()
+        assert writes == [str(path), store.forks_path]
+        assert load_chain(str(path)) == store.chain == branch
+        with open(store.forks_path) as fh:
+            assert fh.read().splitlines() == [block_to_json_line(short.blocks[2])]
+
     def test_create_refuses_overwrite(self, tmp_path, miner):
         genesis = make_genesis([miner], GENESIS_TS)
         BlockStore.create(str(tmp_path / "chain.jsonl"), genesis)
