@@ -13,13 +13,13 @@ Exit codes: 0 success (verify: Accepted), 1 verify Rejected, 2 error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import logging
 import os
 import re
 import sys
 import time
-from typing import Sequence
 
 from . import store as store_mod
 from .consensus import Mempool, MiningError, mine_block
@@ -41,7 +41,6 @@ from .ledger import (
     RegistrationTransaction,
     Transaction,
     TxDecodeError,
-    VerifiedTxs,
     block_to_json_line,
     build_registration_tx,
     decode_tx,
@@ -78,14 +77,11 @@ def mempool_path_for(chain_path: str, override: str | None) -> str:
     return os.path.join(os.path.dirname(chain_path) or ".", "mempool.jsonl")
 
 
-def load_chain_target(
-    target: str, pending: Sequence[Transaction] = (), record: VerifiedTxs | None = None
-) -> Chain:
-    """Load and validate a chain from a file or a running node; ``pending``
-    and ``record`` are passed on to ``validate_chain``."""
+def load_chain_target(target: str) -> Chain:
+    """Load and validate a chain from a file or a running node."""
     if is_address(target):
-        return validate_chain(fetch_chain(target), pending, record)
-    return store_mod.load_chain(target, pending, record)
+        return validate_chain(fetch_chain(target))
+    return store_mod.load_chain(target)
 
 
 def load_pending(pool_path: str) -> list[Transaction | str]:
@@ -193,7 +189,8 @@ def cmd_genesis(args) -> int:
     timestamp = args.timestamp if args.timestamp is not None else int(time.time())
     genesis = make_genesis(authorities, timestamp)
     out = args.out or default_chain_path()
-    BlockStore.create(out, genesis)
+    with store_mod.writer_lock(out):
+        BlockStore.create(out, genesis)
     print(f"genesis: {genesis.hash.hex()}")
     print(f"chain: {out}")
     return 0
@@ -229,27 +226,26 @@ def cmd_submit(args) -> int:
         print("nothing to submit", file=sys.stderr)
         return 2
 
-    pending: list[Transaction] = []
-    if not is_address(target):
-        pool_path = mempool_path_for(target, args.mempool)
-        pending = [tx for tx in load_pending(pool_path) if isinstance(tx, RegistrationTransaction)]
-    # Checked with the chain's txs; those that pass are in ``record``.
-    record = VerifiedTxs(len(pending) + len(txs))
-    chain = load_chain_target(target, [*pending, *txs], record)
-    # Pending registrations count first, as a miner drawing from the same pool would take them.
-    registry = dict(chain.registered_nodes)
-    pending = [tx for tx in pending if verify_tx(tx, record) is None]
-    for _ in registry_walk(pending, registry):
-        pass
-    for tx, reason in registry_walk(txs, registry):
-        reason = verify_tx(tx, record) or reason
-        if reason is not None:
-            print(f"rejected: {reason}", file=sys.stderr)
-            return 2
-    if is_address(target):
-        send_txs(target, txs)
-    else:
-        store_mod.append_mempool_file(pool_path, [tx.raw for tx in txs])
+    to_node = is_address(target)
+    with contextlib.nullcontext() if to_node else store_mod.writer_lock(target):
+        chain = load_chain_target(target)
+        pending: list[Transaction] = []
+        if not to_node:
+            pool_path = mempool_path_for(target, args.mempool)
+            pending = [tx for tx in load_pending(pool_path) if isinstance(tx, RegistrationTransaction)]
+        # Pending registrations count first, as a miner drawing from the same pool would take them.
+        registry = dict(chain.registered_nodes)
+        for _ in registry_walk([tx for tx in pending if verify_tx(tx) is None], registry):
+            pass
+        # Signed just now by the loaded key, so only the registry rules can refuse them.
+        for _, reason in registry_walk(txs, registry):
+            if reason is not None:
+                print(f"rejected: {reason}", file=sys.stderr)
+                return 2
+        if to_node:
+            send_txs(target, txs)
+        else:
+            store_mod.append_mempool_file(pool_path, [tx.raw for tx in txs])
 
     for tx in txs:
         if isinstance(tx, AnchorTransaction):
@@ -266,53 +262,52 @@ def cmd_mine(args) -> int:
         print("mine needs a local chain file; nodes mine on their own", file=sys.stderr)
         return 2
     pool_path = mempool_path_for(target, args.mempool)
-    pending = load_pending(pool_path)
-    # The pool holds the whole file, so a pending tx leaves it only when it
-    # is mined or invalid. The pending txs are checked with the chain's;
-    # those that pass are in ``pool.verified``, so ``pool.add`` does not
-    # check them again.
-    pool = Mempool(capacity=len(pending))
-    store = BlockStore.open(target, [tx for tx in pending if not isinstance(tx, str)], pool.verified)
-    for tx in pending:
-        status = tx if isinstance(tx, str) else pool.add(tx, store.chain.tx_ids)
-        if status.startswith("invalid"):
-            print(f"skipping pending tx: {status}", file=sys.stderr)
+    with store_mod.writer_lock(target):
+        pending = load_pending(pool_path)
+        # The pool holds the whole file, so a pending tx leaves it only when it
+        # is mined or invalid.
+        pool = Mempool(capacity=len(pending))
+        store = BlockStore.open(target)
+        for tx in pending:
+            status = tx if isinstance(tx, str) else pool.add(tx, store.chain.tx_ids)
+            if status.startswith("invalid"):
+                print(f"skipping pending tx: {status}", file=sys.stderr)
 
-    mined_any = False
-    status = 0
-    while True:
-        timestamp = args.timestamp if args.timestamp is not None else int(time.time())
-        try:
-            block = mine_block(
-                pool,
-                store.chain.tip.header,
-                args.difficulty,
-                keypair,
-                timestamp,
-                store.chain.registered_nodes,
+        mined_any = False
+        status = 0
+        while True:
+            timestamp = args.timestamp if args.timestamp is not None else int(time.time())
+            try:
+                block = mine_block(
+                    pool,
+                    store.chain.tip.header,
+                    args.difficulty,
+                    keypair,
+                    timestamp,
+                    store.chain.registered_nodes,
+                )
+            except MiningError as exc:
+                if not mined_any or exc.reason != "no-work":
+                    print(f"mining failed: {exc.reason}", file=sys.stderr)
+                    status = 2
+                break
+            store.append_block(block, pool.verified)
+            pool.evict(block.tx_ids)
+            mined_any = True
+            print(
+                json.dumps(
+                    {
+                        "height": store.chain.height,
+                        "block_hash": block.hash.hex(),
+                        "nonce": block.header.nonce,
+                        "txs": len(block.transactions),
+                    }
+                )
             )
-        except MiningError as exc:
-            if not mined_any or exc.reason != "no-work":
-                print(f"mining failed: {exc.reason}", file=sys.stderr)
-                status = 2
-            break
-        store.append_block(block, pool.verified)
-        pool.evict(block.tx_ids)
-        mined_any = True
-        print(
-            json.dumps(
-                {
-                    "height": store.chain.height,
-                    "block_hash": block.hash.hex(),
-                    "nonce": block.header.nonce,
-                    "txs": len(block.transactions),
-                }
-            )
-        )
-        if not args.all:
-            break
-    # Written on failure too, so txs skipped above are not read again.
-    store_mod.write_mempool_file(pool_path, [tx.raw for tx in pool.oldest()])
+            if not args.all:
+                break
+        # Written on failure too, so txs skipped above are not read again.
+        store_mod.write_mempool_file(pool_path, [tx.raw for tx in pool.oldest()])
     return status
 
 

@@ -52,9 +52,7 @@ class Mempool:
 
     ``verified`` records the ids of the txs whose checks passed. The pool's
     owner, one node or one ``bloff mine`` run, also passes it to block
-    validation, so a pooled tx is not checked again in its block. ``bloff
-    mine`` first passes it to the chain load, which checks the pending txs
-    with the chain's, so ``add`` finds those that passed already in it. It holds
+    validation, so a pooled tx is not checked again in its block. It holds
     twice the pool's capacity: every pooled tx, and as many again from
     blocks that arrive before their txs do.
     """

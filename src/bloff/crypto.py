@@ -23,8 +23,6 @@ DIGEST_LEN = 32
 KEY_LEN = 32
 SIGNATURE_LEN = 64
 
-ZERO_DIGEST_BYTES = b"\x00" * DIGEST_LEN
-
 
 class Digest(bytes):
     """A 32-byte SHA-256 value. Equality is byte equality."""
@@ -42,20 +40,7 @@ class Digest(bytes):
         return f"Digest({self.hex()})"
 
 
-class Signature(bytes):
-    """A 64-byte Ed25519 signature."""
-
-    def __new__(cls, value: bytes) -> "Signature":
-        if len(value) != SIGNATURE_LEN:
-            raise ValueError(f"signature must be {SIGNATURE_LEN} bytes, got {len(value)}")
-        return super().__new__(cls, value)
-
-    @classmethod
-    def from_hex(cls, text: str) -> "Signature":
-        return cls(hex_to_bytes(text, SIGNATURE_LEN))
-
-
-ZERO_DIGEST = Digest(ZERO_DIGEST_BYTES)
+ZERO_DIGEST = Digest(bytes(DIGEST_LEN))
 
 
 def hex_to_bytes(text: str, expected_len: int | None = None) -> bytes:
@@ -108,9 +93,9 @@ def generate_keypair(seed: bytes) -> KeyPair:
     return KeyPair(secret_key=seed, public_key=public)
 
 
-def sign(keypair: KeyPair, message: bytes) -> Signature:
-    """Deterministic Ed25519 signature over ``message`` by ``keypair``."""
-    return Signature(keypair.private_key.sign(message))
+def sign(keypair: KeyPair, message: bytes) -> bytes:
+    """Deterministic 64-byte Ed25519 signature over ``message`` by ``keypair``."""
+    return keypair.private_key.sign(message)
 
 
 def verify_signature(public_key: bytes, message: bytes, sig: bytes) -> bool:

@@ -21,12 +21,9 @@ signature costs it one Ed25519 check. ``load_chain`` passes none and checks
 every signature, rules first: ``validate_chain`` folds the blocks with every
 rule but ``verify_tx``, then spreads the ``verify_tx`` checks of the blocks
 before the first failing one over forked workers, one per CPU. A file that
-breaks a rule thus costs no more checks than serially. A CLI call's own
-txs (``bloff mine``'s pending txs, ``bloff submit``'s new ones) join that
-pass once the rules pass, theirs and the chain's, and those that pass go
-into the record the call keeps. The checks stay serial on one CPU, below
-``MIN_TXS_PER_WORKER`` txs per worker, where ``os.fork`` is missing, and
-while another thread is alive.
+breaks a rule thus costs no more checks than serially. The checks stay
+serial on one CPU, below ``MIN_TXS_PER_WORKER`` txs per worker, where
+``os.fork`` is missing, and while another thread is alive.
 """
 
 from __future__ import annotations
@@ -291,7 +288,7 @@ def verify_tx(tx: Transaction, verified: VerifiedTxs | None = None) -> str | Non
 MIN_TXS_PER_WORKER = 96
 
 
-def verify_txs_forked(txs: Sequence[Transaction], fatal: int | None = None) -> VerifiedTxs:
+def verify_txs_forked(txs: Sequence[Transaction]) -> VerifiedTxs:
     """Run ``verify_tx`` over ``txs`` on every CPU; return the ids that passed.
 
     ``cryptography``'s Ed25519 verify holds the GIL, so the work goes to
@@ -299,16 +296,13 @@ def verify_txs_forked(txs: Sequence[Transaction], fatal: int | None = None) -> V
     byte per tx to a pipe, and the parent checks the first share itself. A
     child's bytes count only if it exited 0 and wrote exactly its share;
     any other outcome, and any failing tx, leaves those ids unrecorded for
-    the caller's in-order pass to check. A failing tx among the first
-    ``fatal`` (default all) fails the chain at or before it, so when one is
-    in the parent's share the parent stops there and kills the children; a
-    later one is just left unrecorded. The parent checks every tx itself,
-    and forks nothing, when fewer than two workers would have
-    ``MIN_TXS_PER_WORKER`` txs each, when the platform cannot fork, or while
-    another thread is alive (a child forked from a threaded process can
-    deadlock).
+    the caller's in-order pass to check. A failing tx in the parent's share
+    fails the chain at or before it, so the parent stops there and kills
+    the children. The parent checks every tx itself, and forks nothing,
+    when fewer than two workers would have ``MIN_TXS_PER_WORKER`` txs each,
+    when the platform cannot fork, or while another thread is alive (a
+    child forked from a threaded process can deadlock).
     """
-    fatal = len(txs) if fatal is None else fatal
     workers = 1
     if hasattr(os, "fork") and hasattr(os, "sched_getaffinity") and threading.active_count() == 1:
         workers = max(1, min(len(os.sched_getaffinity(0)), len(txs) // MIN_TXS_PER_WORKER))
@@ -321,8 +315,8 @@ def verify_txs_forked(txs: Sequence[Transaction], fatal: int | None = None) -> V
                 children.append((start, end, *_fork_checker(txs[start:end])))
             except OSError:  # out of processes or descriptors
                 pass
-        for index, tx in enumerate(txs[: bounds[1]]):
-            if verify_tx(tx, record) is not None and index < fatal:
+        for tx in txs[: bounds[1]]:
+            if verify_tx(tx, record) is not None:
                 for _, _, pid, _ in children:
                     os.kill(pid, signal.SIGKILL)  # not yet reaped, so still ours
                 break
@@ -814,9 +808,7 @@ class _EveryId(VerifiedTxs):
         return True
 
 
-def validate_chain(
-    blocks: list[Block], pending: Sequence[Transaction] = (), record: VerifiedTxs | None = None
-) -> Chain:
+def validate_chain(blocks: list[Block]) -> Chain:
     """Replay from genesis, rebuilding the registry and the indexes.
 
     Raises ChainValidationError carrying the first failing 1-based height.
@@ -825,13 +817,6 @@ def validate_chain(
     block go to ``verify_txs_forked``. A chain that passes both is returned
     as folded; otherwise it is folded again with the ids that passed, which
     gives the height and reason a serial fold gives.
-
-    ``pending`` are the caller's own txs. When the chain's rules pass, those
-    that pass the registry rules too, in order on the chain's registry, join
-    the same pass, skipping any already on the chain or in ``record``. A
-    failing one stops nothing; the ids of those that pass go into
-    ``record`` once the chain is valid. A tx left out is for the caller to
-    check, as without a pass.
     """
     if not blocks:
         raise ChainValidationError(0, "empty-chain")
@@ -840,17 +825,9 @@ def validate_chain(
     except ChainValidationError as exc:
         chain, checked = None, blocks[: exc.height - 1]
     txs = [tx for block in checked for tx in block.transactions]
-    own: dict[Digest, Transaction] = {}
-    if chain is not None and record is not None:
-        for tx, reason in registry_walk(pending, dict(chain.registered_nodes)):
-            if reason is None and tx.id not in chain.tx_ids and tx.id not in record:
-                own.setdefault(tx.id, tx)
-    verified = verify_txs_forked([*txs, *own.values()], fatal=len(txs))
-    passed = [txid for txid in own if txid in verified]
-    if chain is None or len(verified) < len(txs) + len(passed):
+    verified = verify_txs_forked(txs)
+    if chain is None or len(verified) < len(txs):
         chain = _fold(blocks, verified)
-    for txid in passed:
-        record.add(txid)
     return chain
 
 

@@ -57,7 +57,7 @@ from .ledger import (
     tx_context_reason,
     verify_tx,
 )
-from .store import BlockStore
+from .store import BlockStore, writer_lock
 
 logger = logging.getLogger(__name__)
 
@@ -513,16 +513,17 @@ class LiveNode:
 def run_node(config: NodeConfig) -> None:
     """Load keys and chain, then run the node until interrupted.
 
-    Startup failures (unreadable key, invalid chain file) raise; the CLI
+    The node holds the chain file's writer lock until it stops. Startup
+    failures (unreadable key, locked or invalid chain file) raise; the CLI
     turns them into a nonzero exit with the reason.
     """
     from .crypto import load_keypair
 
     keypair = load_keypair(config.key_path)
-    store = BlockStore.open(config.chain_path)
-    node = LiveNode(config, keypair, store)
-    with contextlib.suppress(KeyboardInterrupt):
-        node.run()
+    with writer_lock(config.chain_path):
+        node = LiveNode(config, keypair, BlockStore.open(config.chain_path))
+        with contextlib.suppress(KeyboardInterrupt):
+            node.run()
 
 
 # ---------------------------------------------------------------------------

@@ -9,19 +9,22 @@ temp file and an atomic rename, so a crash leaves the old or the new file.
 Indexes are in-memory only. ``load_chain`` is the one full replay; after
 it, ``BlockStore.append_block`` checks only the new block, connecting the
 loaded chain onto it in place.
+
+A chain file has one writer at a time: each holds ``writer_lock`` on it,
+and a second writer fails at once instead of waiting.
 """
 
 from __future__ import annotations
 
+import fcntl
 import json
 import os
-from typing import Sequence
+from contextlib import contextmanager
 
 from .ledger import (
     Block,
     Chain,
     ChainFileError,
-    Transaction,
     VerifiedTxs,
     block_from_json_line,
     block_to_json_line,
@@ -33,14 +36,27 @@ class StoreError(Exception):
     pass
 
 
-def load_chain(
-    path: str, pending: Sequence[Transaction] = (), record: VerifiedTxs | None = None
-) -> Chain:
+@contextmanager
+def writer_lock(path: str):
+    """Hold the exclusive ``flock`` on the ``<path>.lock`` sidecar of the
+    chain file ``path``. Raises StoreError at once when another holder has
+    it, in this process or another."""
+    fd = os.open(path + ".lock", os.O_RDWR | os.O_CREAT, 0o644)
+    try:
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            raise StoreError(f"chain file is locked: {path}") from None
+        yield
+    finally:
+        os.close(fd)
+
+
+def load_chain(path: str) -> Chain:
     """Parse and fully re-validate a chain file.
 
     Raises ChainFileError (with the 1-based line number) for lines that do
     not decode, and ChainValidationError (height, reason) when replay fails.
-    ``pending`` and ``record`` are passed on to ``validate_chain``.
     """
     if not os.path.exists(path):
         raise StoreError(f"chain file not found: {path}")
@@ -57,7 +73,7 @@ def load_chain(
         blocks.append(block_from_json_line(text[start:end], len(blocks) + 1))
         start = end + 1
     del text  # the one decoded copy of the file, dropped before replay
-    return validate_chain(blocks, pending, record)
+    return validate_chain(blocks)
 
 
 def _write_lines(path: str, lines, replace: bool = False) -> None:
@@ -95,10 +111,8 @@ class BlockStore:
         return os.path.join(os.path.dirname(self.path) or ".", "forks.jsonl")
 
     @classmethod
-    def open(
-        cls, path: str, pending: Sequence[Transaction] = (), record: VerifiedTxs | None = None
-    ) -> "BlockStore":
-        return cls(path, load_chain(path, pending, record))
+    def open(cls, path: str) -> "BlockStore":
+        return cls(path, load_chain(path))
 
     @classmethod
     def create(cls, path: str, genesis: Block) -> "BlockStore":

@@ -17,9 +17,9 @@ from dataclasses import dataclass
 
 from .crypto import (
     KEY_LEN,
+    SIGNATURE_LEN,
     Digest,
     KeyPair,
-    Signature,
     hex_to_bytes,
     sha256_digest,
     sign,
@@ -258,7 +258,7 @@ class CustodyAttestation:
     log_hash: Digest
     holder_pubkey: bytes
     received_timestamp: int
-    signature: Signature
+    signature: bytes
 
     def to_dict(self) -> dict:
         return {
@@ -292,7 +292,7 @@ def parse_attestation_line(line: str) -> CustodyAttestation:
         log_hash=Digest.from_hex(obj["log_hash"]),
         holder_pubkey=hex_to_bytes(obj["holder_pubkey"], KEY_LEN),
         received_timestamp=int(obj["received_timestamp"]),
-        signature=Signature.from_hex(obj["signature"]),
+        signature=hex_to_bytes(obj["signature"], SIGNATURE_LEN),
     )
 
 

@@ -297,6 +297,64 @@ class TestSubmitMineVerifyPipeline:
         assert "no-work" in err
 
 
+class TestOneWriterPerChainFile:
+    """``submit``, ``mine`` and ``genesis`` hold the chain file's writer lock
+    from their first read to their last write; a second writer started in
+    that window fails at once with the lock message and exit 2."""
+
+    @staticmethod
+    def inside_mine(monkeypatch, argv):
+        """Patch ``mine_block`` to run ``argv`` once, from within the first
+        call: after ``mine`` read the mempool file and before it rewrites
+        it. Returns the list that receives the inner exit code."""
+        codes, original = [], cli.mine_block
+
+        def mine_block(*args):
+            if not codes:
+                codes.append(None)  # before the call: an inner ``mine`` reaches here too
+                codes[0] = handle_command(argv)
+            return original(*args)
+
+        monkeypatch.setattr(cli, "mine_block", mine_block)
+        return codes
+
+    def test_submit_during_mine_is_refused_and_loses_no_tx(
+        self, workspace, tmp_path, capsys, monkeypatch
+    ):
+        chain, key = str(workspace["chain"]), str(workspace["key"])
+        first, late = tmp_path / "first.log", tmp_path / "late.log"
+        first.write_text("first\n")
+        late.write_text("late\n")
+        assert run_cli(capsys, "submit", "--key", key, "--chain", chain, "--log", str(first))[0] == 0
+        codes = self.inside_mine(
+            monkeypatch, ["submit", "--key", key, "--chain", chain, "--log", str(late)]
+        )
+        code, out, err = run_cli(capsys, "mine", "--key", key, "--chain", chain)
+        assert (code, codes) == (0, [2])
+        assert err == f"error: chain file is locked: {chain}\n"
+        printed = [line.split()[0] for line in out.splitlines() if not line.startswith("{")]
+        pending = {tx.id.hex() for tx in cli.load_pending(str(workspace["dir"] / "mempool.jsonl"))}
+        on_chain = {txid.hex() for txid in load_chain(chain).tx_ids}
+        assert [txid for txid in printed if txid not in on_chain | pending] == []
+
+    def test_overlapping_mine_is_refused_and_the_chain_still_loads(
+        self, workspace, tmp_path, capsys, monkeypatch
+    ):
+        chain, key = str(workspace["chain"]), str(workspace["key"])
+        log = tmp_path / "many.log"
+        log.write_text("".join(f"line {i}\n" for i in range(150)))
+        assert run_cli(capsys, "submit", "--key", key, "--chain", chain, "--log", str(log))[0] == 0
+        codes = self.inside_mine(monkeypatch, ["mine", "--key", key, "--chain", chain, "--all"])
+        code, out, err = run_cli(capsys, "mine", "--key", key, "--chain", chain, "--all")
+        assert (code, codes) == (0, [2])
+        assert err == f"error: chain file is locked: {chain}\n"
+        assert [json.loads(line)["height"] for line in out.splitlines()] == [2, 3]
+        assert load_chain(chain).height == 3
+        # The lock is released with the command.
+        code, _, err = run_cli(capsys, "mine", "--key", key, "--chain", chain)
+        assert (code, err) == (2, "mining failed: no-work\n")
+
+
 class TestVerifyOptions:
     @pytest.fixture
     def anchored_ws(self, workspace, tmp_path, capsys):

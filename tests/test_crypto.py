@@ -6,8 +6,8 @@ import stat
 import pytest
 
 from bloff.crypto import (
+    SIGNATURE_LEN,
     Digest,
-    Signature,
     generate_keypair,
     hex_to_bytes,
     load_keypair,
@@ -62,7 +62,7 @@ class TestDigestValues:
         with pytest.raises(ValueError):
             Digest(bytes(31))
         with pytest.raises(ValueError):
-            Signature(bytes(63))
+            hex_to_bytes(bytes(63).hex(), SIGNATURE_LEN)
 
     def test_from_hex_rejects_uppercase(self):
         good = sha256_digest(b"x").hex()

@@ -401,11 +401,12 @@ def test_mine_all_verifies_each_pending_tx_once(tmp_path, miner, device, monkeyp
     assert len(calls) == 2 + 150
 
 
-class TestOwnTxsJoinTheLoadPass:
-    """``submit`` and ``mine`` check their own txs in the forked pass of the
-    chain load; the affinity mask is patched to two CPUs, as in
-    ``TestForkedSignaturePrePass``. The chain has 2 txs and the call 200, so
-    the parent checks the first 101 and one worker the other 101."""
+class TestLoadChecksOnlyTheChain:
+    """A chain load checks the chain's txs and no tx of the calling
+    command: ``mine`` checks each pending tx once, in ``Mempool.add``, and
+    ``submit`` none of the txs it signs. The affinity mask is patched to two
+    CPUs, as in ``TestForkedSignaturePrePass``; the chain has 2 txs and the
+    call 200."""
 
     @pytest.fixture(autouse=True)
     def two_cpus(self, monkeypatch):
@@ -435,7 +436,7 @@ class TestOwnTxsJoinTheLoadPass:
             ["mine", "--key", key, "--chain", path, "--all", "--timestamp", str(GENESIS_TS + 20)]
         )
 
-    def test_mine_checks_half_in_the_parent_and_matches_a_serial_run(
+    def test_mine_checks_each_pending_tx_once_as_serially(
         self, tmp_path, miner, device, monkeypatch, capsys
     ):
         chain, _ = build_chain(miner, device, [])
@@ -444,7 +445,7 @@ class TestOwnTxsJoinTheLoadPass:
         path, key = self.workspace(tmp_path / "forked", miner, chain.blocks, pending)
         assert self.mine(path, key) == 0
         forked = capsys.readouterr()
-        assert len(calls) == 101
+        assert len(calls) == 2 + 200
 
         def no_fork():
             raise OSError("no fork")
@@ -454,8 +455,7 @@ class TestOwnTxsJoinTheLoadPass:
         serial_path, key = self.workspace(tmp_path / "serial", miner, chain.blocks, pending)
         assert self.mine(serial_path, key) == 0
         serial = capsys.readouterr()
-        # The worker's share is left to ``Mempool.add``.
-        assert len(calls) == 202
+        assert len(calls) == 2 + 200
         assert [json.loads(line)["txs"] for line in forked.out.splitlines()] == [100, 100]
         assert (forked.out, forked.err) == (serial.out, serial.err)
         with open(path, "rb") as fh, open(serial_path, "rb") as serial_fh:
@@ -472,20 +472,18 @@ class TestOwnTxsJoinTheLoadPass:
         calls = count_calls(monkeypatch, "verify_signature")
         return handle_command(["submit", "--key", str(key), "--chain", path, "--log", str(log)]), calls
 
-    def test_submit_checks_half_in_the_parent(self, tmp_path, miner, device, monkeypatch, capsys):
+    def test_submit_checks_only_the_chain(self, tmp_path, miner, device, monkeypatch, capsys):
         code, calls = self.submit(tmp_path, miner, device, monkeypatch)
-        assert (code, len(calls)) == (0, 101)
+        assert (code, len(calls)) == (0, 2)
         assert len(capsys.readouterr().out.splitlines()) == 200
 
-    def test_rejected_submit_checks_one_of_its_txs(self, tmp_path, miner, monkeypatch, capsys):
+    def test_rejected_submit_checks_only_the_chain(self, tmp_path, miner, monkeypatch, capsys):
         code, calls = self.submit(tmp_path, miner, keypair_for("nobody"), monkeypatch)
         assert code == 2
         assert capsys.readouterr().err == "rejected: unregistered-submitter\n"
-        # The stranger's txs break a registry rule, so none joins the pass:
-        # the chain's 2 txs, then the first of the batch before its rule.
-        assert len(calls) == 2 + 1
+        assert len(calls) == 2
 
-    def test_bad_pending_signature_is_skipped_and_checked_again(
+    def test_bad_pending_signature_is_skipped(
         self, tmp_path, miner, device, monkeypatch, capsys
     ):
         chain, _ = build_chain(miner, device, [])
@@ -499,10 +497,7 @@ class TestOwnTxsJoinTheLoadPass:
         out, err = capsys.readouterr()
         assert err == "skipping pending tx: invalid:bad-signature\n"
         assert [json.loads(line)["txs"] for line in out.splitlines()] == [100, 99]
-        # The bad tx stops nothing: the parent's share (2 chain txs and 99
-        # pending) is checked in full, the worker's 101 verdicts count, and
-        # ``Mempool.add`` checks the bad tx once more.
-        assert len(calls) == 101 + 1
+        assert len(calls) == 2 + 200
 
     def test_rule_failure_checks_no_pending_tx(self, tmp_path, miner, device, monkeypatch, capsys):
         chain, _ = build_chain(miner, device, [])

@@ -1,5 +1,7 @@
 """Verdicts, inclusion proofs and chain-of-custody checks."""
 
+import json
+
 import pytest
 
 from bloff.crypto import Digest, sha256_digest
@@ -267,14 +269,13 @@ class TestCustody:
         chain, lines = anchored
         digest = sha256_digest(lines[0])
         good = make_attestation(digest, keypair_for("inv"), GENESIS_TS + 100)
-        from bloff.crypto import Signature
         from bloff.verify import CustodyAttestation
 
         tampered = CustodyAttestation(
             log_hash=good.log_hash,
             holder_pubkey=good.holder_pubkey,
             received_timestamp=good.received_timestamp + 1,  # breaks the signature
-            signature=Signature(bytes(good.signature)),
+            signature=good.signature,
         )
         report = verify_custody(lines[0], [tampered], chain)
         assert report.hops[0].reason == "bad-signature"
@@ -291,3 +292,10 @@ class TestCustody:
         chain, lines = anchored
         att = make_attestation(sha256_digest(lines[0]), keypair_for("inv"), GENESIS_TS + 7)
         assert parse_attestation_line(att.to_json()) == att
+
+    def test_attestation_line_with_a_short_signature_is_refused(self, anchored):
+        _, lines = anchored
+        obj = make_attestation(sha256_digest(lines[0]), keypair_for("inv"), GENESIS_TS + 7).to_dict()
+        obj["signature"] = obj["signature"][:126]
+        with pytest.raises(ValueError, match="expected 64 bytes of hex, got 63"):
+            parse_attestation_line(json.dumps(obj))
