@@ -52,7 +52,7 @@ from .ledger import (
 )
 from .node import NodeConfig, default_home, fetch_chain, run_node, send_txs
 from .simnet import load_scenario, run_scenario
-from .store import BlockStore, StoreError
+from .store import BlockStore, Checkpoint, StoreError
 from .verify import (
     make_inclusion_proof,
     parse_attestation_line,
@@ -189,7 +189,7 @@ def cmd_genesis(args) -> int:
     timestamp = args.timestamp if args.timestamp is not None else int(time.time())
     genesis = make_genesis(authorities, timestamp)
     out = args.out or default_chain_path()
-    with store_mod.writer_lock(out):
+    with store_mod.writer_lock(out, create=True):
         BlockStore.create(out, genesis)
     print(f"genesis: {genesis.hash.hex()}")
     print(f"chain: {out}")
@@ -228,9 +228,13 @@ def cmd_submit(args) -> int:
 
     to_node = is_address(target)
     with contextlib.nullcontext() if to_node else store_mod.writer_lock(target):
-        chain = load_chain_target(target)
         pending: list[Transaction] = []
-        if not to_node:
+        if to_node:
+            chain = load_chain_target(target)
+        else:
+            checkpoint = Checkpoint(target, keypair)
+            chain = store_mod.load_chain(target, checkpoint)
+            checkpoint.write(chain)
             pool_path = mempool_path_for(target, args.mempool)
             pending = [tx for tx in load_pending(pool_path) if isinstance(tx, RegistrationTransaction)]
         # Pending registrations count first, as a miner drawing from the same pool would take them.
@@ -267,7 +271,8 @@ def cmd_mine(args) -> int:
         # The pool holds the whole file, so a pending tx leaves it only when it
         # is mined or invalid.
         pool = Mempool(capacity=len(pending))
-        store = BlockStore.open(target)
+        checkpoint = Checkpoint(target, keypair)
+        store = BlockStore.open(target, checkpoint)
         for tx in pending:
             status = tx if isinstance(tx, str) else pool.add(tx, store.chain.tx_ids)
             if status.startswith("invalid"):
@@ -306,6 +311,8 @@ def cmd_mine(args) -> int:
             )
             if not args.all:
                 break
+        # Each block mined here had its txs checked in ``pool.add``.
+        checkpoint.write(store.chain)
         # Written on failure too, so txs skipped above are not read again.
         store_mod.write_mempool_file(pool_path, [tx.raw for tx in pool.oldest()])
     return status

@@ -18,12 +18,13 @@ a reader elsewhere takes a ``copy``.
 
 A node passes its ``VerifiedTxs`` record down these calls, so each tx
 signature costs it one Ed25519 check. ``load_chain`` passes none and checks
-every signature, rules first: ``validate_chain`` folds the blocks with every
-rule but ``verify_tx``, then spreads the ``verify_tx`` checks of the blocks
-before the first failing one over forked workers, one per CPU. A file that
-breaks a rule thus costs no more checks than serially. The checks stay
-serial on one CPU, below ``MIN_TXS_PER_WORKER`` txs per worker, where
-``os.fork`` is missing, and while another thread is alive.
+every signature above the prefix its caller's checkpoint vouches for (none
+for a reader), rules first: ``validate_chain`` folds the blocks with every
+rule but ``verify_tx``, then spreads the ``verify_tx`` checks of the
+unvouched blocks before the first failing one over forked workers, one per
+CPU. A file that breaks a rule thus costs no more checks than serially. The
+checks stay serial on one CPU, below ``MIN_TXS_PER_WORKER`` txs per worker,
+where ``os.fork`` is missing, and while another thread is alive.
 """
 
 from __future__ import annotations
@@ -808,7 +809,7 @@ class _EveryId(VerifiedTxs):
         return True
 
 
-def validate_chain(blocks: list[Block]) -> Chain:
+def validate_chain(blocks: list[Block], trusted: int = 0) -> Chain:
     """Replay from genesis, rebuilding the registry and the indexes.
 
     Raises ChainValidationError carrying the first failing 1-based height.
@@ -817,6 +818,12 @@ def validate_chain(blocks: list[Block]) -> Chain:
     block go to ``verify_txs_forked``. A chain that passes both is returned
     as folded; otherwise it is folded again with the ids that passed, which
     gives the height and reason a serial fold gives.
+
+    The caller may vouch that every tx of the first ``trusted`` blocks
+    passes ``verify_tx`` (a checkpoint of their tip's hash). The vouching
+    holds only when every rule passes up to that tip, so that the tip's hash
+    commits to each of those txs' bytes: then their checks are skipped, and
+    otherwise the call checks as with no prefix trusted.
     """
     if not blocks:
         raise ChainValidationError(0, "empty-chain")
@@ -824,18 +831,22 @@ def validate_chain(blocks: list[Block]) -> Chain:
         chain, checked = _fold(blocks, _EveryId(0)), blocks
     except ChainValidationError as exc:
         chain, checked = None, blocks[: exc.height - 1]
-    txs = [tx for block in checked for tx in block.transactions]
+    if trusted > len(checked):
+        trusted = 0
+    txs = [tx for block in checked[trusted:] for tx in block.transactions]
     verified = verify_txs_forked(txs)
     if chain is None or len(verified) < len(txs):
-        chain = _fold(blocks, verified)
+        chain = _fold(blocks, verified, trusted)
     return chain
 
 
-def _fold(blocks: list[Block], verified: VerifiedTxs) -> Chain:
-    """``Chain.connect`` of each block in order, from an empty chain."""
+def _fold(blocks: list[Block], verified: VerifiedTxs, trusted: int = 0) -> Chain:
+    """``Chain.connect`` of each block in order, from an empty chain; the
+    first ``trusted`` blocks skip ``verify_tx``."""
     chain = Chain(blocks=[])
-    for block in blocks:
-        chain.connect(block, verified)
+    every = _EveryId(0)
+    for height, block in enumerate(blocks, start=1):
+        chain.connect(block, every if height <= trusted else verified)
     return chain
 
 

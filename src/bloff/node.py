@@ -57,7 +57,7 @@ from .ledger import (
     tx_context_reason,
     verify_tx,
 )
-from .store import BlockStore, writer_lock
+from .store import BlockStore, Checkpoint, writer_lock
 
 logger = logging.getLogger(__name__)
 
@@ -357,10 +357,13 @@ class LiveNode:
     The store writes the node's own best chain, which it holds as
     ``store.chain``: after each handled line and each mined block,
     ``store.sync`` appends the blocks the chain gained, or rewrites the file
-    on a reorg. Each block is validated once, by ``NodeLogic``.
+    on a reorg. Each block is validated once, by ``NodeLogic``, so the
+    key's ``checkpoint`` names the tip after the open and after each sync.
     """
 
-    def __init__(self, config: NodeConfig, keypair: KeyPair, store: BlockStore):
+    def __init__(
+        self, config: NodeConfig, keypair: KeyPair, store: BlockStore, checkpoint: Checkpoint
+    ):
         from .crypto import node_id as short_id
 
         self.config = config
@@ -373,6 +376,8 @@ class LiveNode:
             difficulty=config.difficulty,
         )
         store.chain = self.logic.chain  # the node's own copy, moved in place
+        self.checkpoint = checkpoint
+        checkpoint.write(store.chain)
         self._conns: list[_Conn] = []
         self._stopped = False
 
@@ -454,6 +459,8 @@ class LiveNode:
             self.store.sync()
         except OSError as exc:
             logger.error("chain file write failed, to be retried: %s", exc)
+            return
+        self.checkpoint.write(self.store.chain)
 
     def _send_out(self, messages, origin: _Conn | None = None) -> None:
         """Send handler output; a broadcast skips ``origin``, the connection
@@ -521,7 +528,9 @@ def run_node(config: NodeConfig) -> None:
 
     keypair = load_keypair(config.key_path)
     with writer_lock(config.chain_path):
-        node = LiveNode(config, keypair, BlockStore.open(config.chain_path))
+        checkpoint = Checkpoint(config.chain_path, keypair)
+        store = BlockStore.open(config.chain_path, checkpoint)
+        node = LiveNode(config, keypair, store, checkpoint)
         with contextlib.suppress(KeyboardInterrupt):
             node.run()
 

@@ -6,21 +6,32 @@ linear and human-inspectable. ``BlockStore.sync`` appends the blocks gained
 on the file's tip, flushed and fsynced; any other move rewrites through a
 temp file and an atomic rename, so a crash leaves the old or the new file.
 
-Indexes are in-memory only. ``load_chain`` is the one full replay; after
-it, ``BlockStore.append_block`` checks only the new block, connecting the
+Indexes are in-memory only. ``load_chain`` is the one replay; after it,
+``BlockStore.append_block`` checks only the new block, connecting the
 loaded chain onto it in place.
 
 A chain file has one writer at a time: each holds ``writer_lock`` on it,
 and a second writer fails at once instead of waiting.
+
+A writer's key keeps a ``Checkpoint`` sidecar, ``<chain>.checked.<node_id>``:
+the height and hash of the tip that key's holder last validated on the file,
+MAC'd with a key derived from its secret key. A load given a checkpoint
+whose block sits at its height on the file skips the signature checks at or
+below it, and checks every other rule on every block. Deleting the sidecar
+is always safe and costs one full check. The read path (``verify``,
+``inspect``, ``court_recheck``) never uses one.
 """
 
 from __future__ import annotations
 
 import fcntl
+import hashlib
+import hmac
 import json
 import os
 from contextlib import contextmanager
 
+from .crypto import KeyPair, node_id
 from .ledger import (
     Block,
     Chain,
@@ -37,10 +48,14 @@ class StoreError(Exception):
 
 
 @contextmanager
-def writer_lock(path: str):
+def writer_lock(path: str, create: bool = False):
     """Hold the exclusive ``flock`` on the ``<path>.lock`` sidecar of the
     chain file ``path``. Raises StoreError at once when another holder has
-    it, in this process or another."""
+    it, in this process or another, and, unless the holder is to ``create``
+    the chain file, before making the sidecar when the chain file is
+    missing."""
+    if not create and not os.path.exists(path):
+        raise StoreError(f"chain file not found: {path}")
     fd = os.open(path + ".lock", os.O_RDWR | os.O_CREAT, 0o644)
     try:
         try:
@@ -52,8 +67,69 @@ def writer_lock(path: str):
         os.close(fd)
 
 
-def load_chain(path: str) -> Chain:
-    """Parse and fully re-validate a chain file.
+# Names the MAC key's use; bump it when ``verify_tx`` comes to refuse a tx
+# it passed before, so that no older checkpoint vouches for such a tx.
+_CHECKPOINT_TAG = b"bloff chain checkpoint v1\x00"
+
+
+class Checkpoint:
+    """The ``<chain>.checked.<node_id>`` sidecar of one key on one chain
+    file: one ASCII line, the height and hash of the tip the key's holder
+    validated and an HMAC-SHA256 over the two, keyed by SHA-256 of a tag and
+    the secret key. Only that holder can write a line that verifies, and a
+    block hash commits to every tx byte at or below it, so each signature
+    check it lets a load skip is one the holder already made on the same
+    bytes. A missing, torn, foreign or stale sidecar names nothing, which
+    costs a full check and never changes a verdict."""
+
+    def __init__(self, chain_path: str, keypair: KeyPair):
+        self.path = f"{chain_path}.checked.{node_id(keypair.public_key)}"
+        self._key = hashlib.sha256(_CHECKPOINT_TAG + keypair.secret_key).digest()
+        self.named = self._read()  # (height, block hash), or None
+
+    def _line(self, height: int, tip_hash: bytes) -> str:
+        body = f"{height} {tip_hash.hex()}"
+        return f"{body} {hmac.new(self._key, body.encode(), hashlib.sha256).hexdigest()}\n"
+
+    def _read(self) -> tuple[int, bytes] | None:
+        """What the sidecar names, when it is the exact line this key writes
+        for it."""
+        try:
+            with open(self.path, "rb") as fh:
+                line = fh.read(256).decode("ascii")
+            height, tip_hex, _ = line.split(" ")
+            named = int(height), bytes.fromhex(tip_hex)
+        except (OSError, ValueError):
+            return None
+        return named if hmac.compare_digest(self._line(*named), line) else None
+
+    def trusted_height(self, blocks: list[Block]) -> int:
+        """The named height when the named block sits there in ``blocks``,
+        else 0."""
+        if self.named is None:
+            return 0
+        height, tip_hash = self.named
+        return height if 0 < height <= len(blocks) and blocks[height - 1].hash == tip_hash else 0
+
+    def write(self, chain: Chain) -> None:
+        """Name the tip of ``chain``, which its caller holds validated, unless
+        it is named already. Call it only under ``writer_lock``. Not fsynced,
+        and a failed write is not raised: a lost or torn line costs the next
+        load one full check."""
+        named = (chain.height, chain.tip.hash)
+        if named == self.named:
+            return
+        try:
+            with open(self.path, "w", encoding="ascii") as fh:
+                fh.write(self._line(*named))
+        except OSError:
+            return
+        self.named = named
+
+
+def load_chain(path: str, checkpoint: Checkpoint | None = None) -> Chain:
+    """Parse and re-validate a chain file, skipping the signature checks
+    that ``checkpoint`` vouches for.
 
     Raises ChainFileError (with the 1-based line number) for lines that do
     not decode, and ChainValidationError (height, reason) when replay fails.
@@ -73,7 +149,7 @@ def load_chain(path: str) -> Chain:
         blocks.append(block_from_json_line(text[start:end], len(blocks) + 1))
         start = end + 1
     del text  # the one decoded copy of the file, dropped before replay
-    return validate_chain(blocks)
+    return validate_chain(blocks, checkpoint.trusted_height(blocks) if checkpoint else 0)
 
 
 def _write_lines(path: str, lines, replace: bool = False) -> None:
@@ -111,8 +187,8 @@ class BlockStore:
         return os.path.join(os.path.dirname(self.path) or ".", "forks.jsonl")
 
     @classmethod
-    def open(cls, path: str) -> "BlockStore":
-        return cls(path, load_chain(path))
+    def open(cls, path: str, checkpoint: Checkpoint | None = None) -> "BlockStore":
+        return cls(path, load_chain(path, checkpoint))
 
     @classmethod
     def create(cls, path: str, genesis: Block) -> "BlockStore":

@@ -354,6 +354,20 @@ class TestOneWriterPerChainFile:
         code, _, err = run_cli(capsys, "mine", "--key", key, "--chain", chain)
         assert (code, err) == (2, "mining failed: no-work\n")
 
+    @pytest.mark.parametrize("command", ["mine", "submit"])
+    @pytest.mark.parametrize("name", ["chain.jsonl", "nodir/chain.jsonl"])
+    def test_missing_chain_is_named_and_leaves_no_sidecar(self, tmp_path, capsys, command, name):
+        home = tmp_path / "empty"
+        home.mkdir()
+        key, log = tmp_path / "k.key", tmp_path / "in.log"
+        save_keypair(str(key), keypair_for("miner-0"))
+        log.write_text("line\n")
+        chain = str(home / name)
+        argv = [command, "--key", str(key), "--chain", chain]
+        code, out, err = run_cli(capsys, *argv, *(["--log", str(log)] if command == "submit" else []))
+        assert (code, out, err) == (2, "", f"error: chain file not found: {chain}\n")
+        assert sorted(p.name for p in home.rglob("*")) == []
+
 
 class TestVerifyOptions:
     @pytest.fixture

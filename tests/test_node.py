@@ -48,7 +48,7 @@ from bloff.node import (
     split_lines,
 )
 from bloff.verify import verify_log
-from bloff.store import BlockStore, load_chain, write_chain
+from bloff.store import BlockStore, Checkpoint, load_chain, write_chain
 from conftest import GENESIS_TS, build_chain, child_env, grow, keypair_for
 
 
@@ -182,7 +182,7 @@ class TestSendOut:
         path = tmp_path / "chain.jsonl"
         write_chain(str(path), [make_genesis([miner], GENESIS_TS)])
         config = NodeConfig(NodeRole.STAKEHOLDER, "unused.key", str(path))
-        node = LiveNode(config, miner, BlockStore.open(str(path)))
+        node = LiveNode(config, miner, BlockStore.open(str(path)), Checkpoint(str(path), miner))
         origin, other = FakeConn(), FakeConn()
         node._conns = [origin, other]
         node._send_out([(MSG_TX, b"tx", BROADCAST), (MSG_CHAIN_RESPONSE, b"r", "peer")], origin)
@@ -751,7 +751,7 @@ def loop_node(tmp_path, miner):
         write_chain(str(path), [genesis])
         address = f"127.0.0.1:{free_port()}"
         config = NodeConfig(role, "unused.key", str(path), listen=address, peers=list(peers))
-        node = LiveNode(config, keypair, BlockStore.open(str(path)))
+        node = LiveNode(config, keypair, BlockStore.open(str(path)), Checkpoint(str(path), keypair))
         thread = threading.Thread(target=node.run)
         thread.start()
         started.append((node, thread))

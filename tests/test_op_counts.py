@@ -20,7 +20,7 @@ import pytest
 from bloff import ledger
 from bloff.cli import handle_command
 from bloff.consensus import Mempool, NodeState, mine_block
-from bloff.crypto import save_keypair, sha256_digest
+from bloff.crypto import node_id, save_keypair, sha256_digest
 from bloff.ledger import (
     NodeRole,
     block_to_json_line,
@@ -40,7 +40,7 @@ from bloff.node import (
     encode_wire,
 )
 from bloff.simnet import run_scenario
-from bloff.store import BlockStore, append_mempool_file, load_chain, write_chain
+from bloff.store import BlockStore, Checkpoint, append_mempool_file, load_chain, write_chain
 from conftest import GENESIS_TS, build_chain, grow, keypair_for, partition_scenario, with_signature
 
 
@@ -325,12 +325,16 @@ def test_compact_block_of_pooled_txs_checks_no_signature(miner, device, counted,
     assert logic.chain.tip.hash == block.hash
 
 
-def live_node(tmp_path, blocks):
-    """A ``LiveNode`` that is not running, on a chain file of ``blocks``."""
+def live_node(tmp_path, blocks, keypair=None):
+    """A ``LiveNode`` of ``keypair`` that is not running, on a chain file of
+    ``blocks``, or on the file as it is for None."""
     path = tmp_path / "chain.jsonl"
-    write_chain(str(path), blocks)
+    if blocks is not None:
+        write_chain(str(path), blocks)
     config = NodeConfig(NodeRole.STAKEHOLDER, "unused.key", str(path))
-    return LiveNode(config, keypair_for("stakeholder-0"), BlockStore.open(str(path)))
+    keypair = keypair or keypair_for("stakeholder-0")
+    checkpoint = Checkpoint(str(path), keypair)
+    return LiveNode(config, keypair, BlockStore.open(str(path), checkpoint), checkpoint)
 
 
 def deliver(node, kind, payload):
@@ -370,6 +374,31 @@ def test_live_node_reorg_writes_the_one_chain(tmp_path, miner, device, monkeypat
     assert load_chain(node.store.path) == node.logic.chain
     with open(node.store.forks_path) as fh:
         assert fh.read().splitlines() == [block_to_json_line(own.tip)]
+
+
+def test_restarted_live_node_checks_only_the_blocks_it_did_not_connect(
+    tmp_path, miner, device, monkeypatch
+):
+    """A live node names its tip in its key's checkpoint after its open and
+    after each sync, so a restart on its own file checks no signature; a
+    block appended by another writer meanwhile costs its own txs only."""
+    chain, block = chain_and_next_block(miner, device)
+    stakeholder = keypair_for("stakeholder-0")
+    calls = count_calls(monkeypatch, "verify_signature")
+    node = live_node(tmp_path, chain.blocks, stakeholder)
+    assert len(calls) == len(chain.tx_ids)
+    assert node.checkpoint.named == (41, chain.tip.hash)
+    deliver(node, MSG_TX, block.transactions[0].raw)
+    deliver(node, MSG_BLOCK, encode_compact_block(block))
+    assert Checkpoint(node.store.path, stakeholder).named == (42, block.hash)
+    calls.clear()
+    assert live_node(tmp_path, None, stakeholder).store.chain.tip.hash == block.hash
+    assert calls == []
+    after = grow(node.logic.chain, miner, device, ["appended"])
+    BlockStore.open(node.store.path).append_block(after.tip)
+    calls.clear()
+    assert live_node(tmp_path, None, stakeholder).store.chain.height == 43
+    assert calls == [device.public_key]
 
 
 def test_local_submission_verified_once(miner, device, monkeypatch):
@@ -513,6 +542,103 @@ class TestLoadChecksOnlyTheChain:
         assert (out, err) == ("", "error: invalid chain at height 3: unregistered-submitter\n")
         # Heights 1-2, then block 3 up to its validly signed anchor.
         assert len(calls) == 2 + 1
+
+
+class TestCheckpoint:
+    """A keyed command's load skips the signature checks of the blocks its
+    key's checkpoint vouches for, and only those. One CPU is patched in, so
+    that every check is made in this process; the chain starts with 2
+    txs."""
+
+    @pytest.fixture(autouse=True)
+    def one_cpu(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+
+    @pytest.fixture
+    def ws(self, tmp_path, miner, device, monkeypatch, capsys):
+        chain, _ = build_chain(miner, device, [])
+        path = tmp_path / "chain.jsonl"
+        write_chain(str(path), chain.blocks)
+        keys = {"miner": tmp_path / "miner.key", "device": tmp_path / "device.key"}
+        save_keypair(str(keys["miner"]), miner)
+        save_keypair(str(keys["device"]), device)
+        calls = count_calls(monkeypatch, "verify_signature")
+        batches = iter(range(1000))
+
+        def run(argv):
+            """The signature checks of one command, which must succeed."""
+            calls.clear()
+            assert handle_command(argv) == 0
+            capsys.readouterr()
+            return len(calls)
+
+        def submit(lines):
+            log = tmp_path / "batch.log"
+            batch = next(batches)
+            log.write_text("".join(f"batch {batch} line {i}\n" for i in range(lines)))
+            return run(["submit", "--key", str(keys["device"]), "--chain", str(path), "--log", str(log)])
+
+        def mine():
+            return run(["mine", "--key", str(keys["miner"]), "--chain", str(path), "--all"])
+
+        sidecars = {
+            who: tmp_path / f"chain.jsonl.checked.{node_id(pair.public_key)}"
+            for who, pair in (("miner", miner), ("device", device))
+        }
+        return SimpleNamespace(path=str(path), submit=submit, mine=mine, sidecars=sidecars)
+
+    def test_second_mine_checks_only_its_pool(self, ws):
+        assert ws.submit(150) == 2
+        assert ws.mine() == 2 + 150
+        assert ws.submit(30) == 150  # the two blocks mined since its last call
+        assert ws.mine() == 30  # no chain tx: only each pending tx, once
+
+    def test_submit_after_mine_checks_only_the_new_blocks(self, ws):
+        assert ws.submit(150) == 2
+        assert ws.mine() == 2 + 150
+        assert ws.submit(10) == 150
+        assert ws.mine() == 10
+        assert ws.submit(10) == 10
+        assert ws.submit(10) == 0  # the chain did not move
+
+    @staticmethod
+    def tampered(line, foreign, how):
+        """``line``, a sidecar's text, altered in one way ``how``."""
+        height, tip, mac = line.rstrip("\n").split(" ")
+
+        def flip(digits):
+            return ("1" if digits[0] == "0" else "0") + digits[1:]
+
+        if how == "truncated":
+            return line[: len(line) // 2]
+        if how == "foreign":
+            return foreign
+        if how == "height":
+            height = str(int(height) - 1)
+        if how == "hash":
+            tip = flip(tip)
+        if how == "mac":
+            mac = flip(mac)
+        return f"{height} {tip} {mac}\n"
+
+    @pytest.mark.parametrize("how", ["mac", "height", "hash", "truncated", "foreign"])
+    def test_a_sidecar_that_does_not_verify_costs_one_full_check(self, ws, how):
+        assert ws.submit(150) == 2
+        assert ws.mine() == 2 + 150
+        assert ws.submit(10) == 150
+        assert ws.mine() == 10
+        assert ws.submit(1) == 10
+        # Both keys' sidecars now name the same tip, at height 5.
+        full = len(load_chain(ws.path).tx_ids)
+        assert full == 2 + 150 + 10
+        own, foreign = (ws.sidecars[who].read_text() for who in ("device", "miner"))
+        assert own.split(" ")[:2] == foreign.split(" ")[:2] == ["5", load_chain(ws.path).tip.hash.hex()]
+        ws.sidecars["device"].write_text(self.tampered(own, foreign, how))
+        assert ws.submit(1) == full
+        assert ws.sidecars["device"].read_text() == own  # rewritten by the full check
+        assert ws.submit(1) == 0
+        ws.sidecars["device"].unlink()
+        assert ws.submit(1) == full
 
 
 def test_partition_scenario_checks_each_signature_once_per_node(monkeypatch):

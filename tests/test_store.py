@@ -1,5 +1,6 @@
 """Chain file persistence: load/append roundtrips and corruption detection."""
 
+import dataclasses
 import os
 import time
 
@@ -7,15 +8,18 @@ import pytest
 
 from bloff.consensus import Mempool, mine_block
 from bloff.ledger import (
+    Block,
     ChainFileError,
     ChainValidationError,
     NodeRole,
     block_to_json_line,
     make_genesis,
+    merkle_root,
     validate_chain,
 )
 from bloff.store import (
     BlockStore,
+    Checkpoint,
     StoreError,
     append_mempool_file,
     load_chain,
@@ -23,7 +27,7 @@ from bloff.store import (
     write_chain,
     write_mempool_file,
 )
-from conftest import GENESIS_TS, build_chain, grow, keypair_for
+from conftest import GENESIS_TS, build_chain, grow, keypair_for, with_signature
 
 
 def write_chain_file(tmp_path, chain, name="chain.jsonl"):
@@ -341,6 +345,93 @@ class TestBlockStore:
         elapsed = time.perf_counter() - started
         assert reloaded.height == base.height + 1000
         assert elapsed < 5.0, f"load took {elapsed:.2f}s"
+
+
+class TestCheckpoint:
+    """A load given a valid checkpoint gives the verdict of a full load: the
+    same chain, or the same error at the same height or line."""
+
+    @staticmethod
+    def outcome(path, checkpoint=None):
+        try:
+            return load_chain(str(path), checkpoint).blocks
+        except (ChainFileError, ChainValidationError) as exc:
+            return type(exc), str(exc)
+
+    @pytest.fixture(scope="class")
+    def long_chain(self):
+        """Genesis, the registration block and 300 anchors in blocks 3-5."""
+        chain, _ = build_chain(
+            keypair_for("miner-0"), keypair_for("device-0"), [b"entry %d" % i for i in range(300)]
+        )
+        assert chain.height == 5
+        return chain
+
+    @staticmethod
+    def with_bad_signature(block, reroot):
+        """``block`` with its middle tx's signature flipped, and with the
+        Merkle root of the new txs if ``reroot``."""
+        txs = list(block.transactions)
+        index = len(txs) // 2
+        signature = bytearray(txs[index].signature)
+        signature[0] ^= 1
+        txs[index] = with_signature(txs[index], signature)
+        header = block.header
+        if reroot:
+            header = dataclasses.replace(header, merkle_root=merkle_root(txs))
+        return Block(header, tuple(txs))
+
+    @pytest.mark.parametrize("fork", ["two-cpus", "fork-fails"])
+    @pytest.mark.parametrize(
+        "named,edited,reroot,reason",
+        [
+            # The edit changes block 4's hash, so block 5, the named tip, breaks
+            # linkage: the prefix the checkpoint names is not what it vouched for.
+            (5, 4, True, "bad-signature"),
+            (5, 2, True, "bad-signature"),
+            (5, 4, False, "merkle-mismatch"),
+            (5, 5, False, "merkle-mismatch"),
+            (3, 4, True, "bad-signature"),
+            (3, 5, True, "bad-signature"),
+        ],
+    )
+    def test_edited_file_fails_as_without_a_checkpoint(
+        self, tmp_path, miner, long_chain, monkeypatch, fork, named, edited, reroot, reason
+    ):
+        blocks = list(long_chain.blocks)
+        path = tmp_path / "chain.jsonl"
+        Checkpoint(str(path), miner).write(validate_chain(blocks[:named]))
+        blocks[edited - 1] = self.with_bad_signature(blocks[edited - 1], reroot)
+        assert blocks[named - 1].hash == long_chain.blocks[named - 1].hash
+        write_chain(str(path), blocks)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        if fork == "fork-fails":
+
+            def no_fork():
+                raise OSError("no fork")
+
+            monkeypatch.setattr(os, "fork", no_fork)
+        full = self.outcome(path)
+        assert full == (ChainValidationError, f"invalid chain at height {edited}: {reason}")
+        assert self.outcome(path, Checkpoint(str(path), miner)) == full
+
+    def test_every_byte_flip_fails_as_without_a_checkpoint(self, tmp_path, miner, device):
+        """Acceptance criterion 2 (every single-byte flip of the chain file is
+        rejected) with the miner's checkpoint of the original file present."""
+        chain, _ = build_chain(miner, device, [b"aa", b"bb", b"cc"], txs_per_block=1)
+        path = write_chain_file(tmp_path, chain)
+        Checkpoint(str(path), miner).write(chain)
+        checkpoint = Checkpoint(str(path), miner)
+        assert checkpoint.named == (5, chain.tip.hash)
+        original = path.read_bytes()
+        for position, byte in enumerate(original):
+            for replacement in {(byte + 1) % 256, byte ^ 0x01, byte ^ 0x20} - {byte}:
+                path.write_bytes(original[:position] + bytes([replacement]) + original[position + 1 :])
+                full = self.outcome(path)
+                assert isinstance(full, tuple), (position, replacement)
+                assert self.outcome(path, checkpoint) == full, (position, replacement)
+        path.write_bytes(original)
+        assert self.outcome(path, checkpoint) == chain.blocks
 
 
 class TestMempoolFile:
