@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import logging
 import os
@@ -107,7 +108,11 @@ def read_input_bytes(path: str) -> bytes:
         return fh.read()
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: ``parse_args`` sets each
+    call's defaults afresh and copies an ``append`` list before adding to
+    it, so no call sees another's arguments."""
     parser = argparse.ArgumentParser(
         prog="bloff",
         description="Anchor log digests on a permissioned chain and verify them later.",

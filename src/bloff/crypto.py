@@ -83,6 +83,12 @@ class KeyPair:
         derives the public key again, which costs more than a signature."""
         return Ed25519PrivateKey.from_private_bytes(self.secret_key)
 
+    @cached_property
+    def derived_public_key(self) -> bytes:
+        """The public key of ``secret_key``, which ``public_key`` need not
+        be: only this one names the key that ``sign`` signs as."""
+        return self.private_key.public_key().public_bytes_raw()
+
 
 def generate_keypair(seed: bytes) -> KeyPair:
     """Derive a keypair deterministically from a 32-byte seed."""

@@ -24,7 +24,9 @@ rule but ``verify_tx``, then spreads the ``verify_tx`` checks of the
 unvouched blocks before the first failing one over forked workers, one per
 CPU. A file that breaks a rule thus costs no more checks than serially. The
 checks stay serial on one CPU, below ``MIN_TXS_PER_WORKER`` txs per worker,
-where ``os.fork`` is missing, and while another thread is alive.
+where ``os.fork`` is missing, and while another thread is alive. A keyed
+caller's load passes its key as ``signer``: its own key's txs are checked by
+signing them again, and all others are verified; a reader passes none.
 """
 
 from __future__ import annotations
@@ -261,13 +263,20 @@ class VerifiedTxs:
             self._ids.popitem(last=False)
 
 
-def verify_tx(tx: Transaction, verified: VerifiedTxs | None = None) -> str | None:
+def verify_tx(
+    tx: Transaction, verified: VerifiedTxs | None = None, signer: KeyPair | None = None
+) -> str | None:
     """Validate one transaction in isolation. Returns a reason tag or None.
 
     Checks version, field ranges and the signature over the canonical
     preamble. Registration sponsorship is a chain-context rule checked by
     ``validate_block``, not here. With a ``verified`` record, a tx whose id
     is in it passes unchecked, and a tx that passes is added to it.
+
+    A tx of ``signer``'s own key (the one its secret derives) is checked by
+    signing its preamble again, at a quarter of a verify's cost: Ed25519
+    signing is deterministic (RFC 8032), so equal bytes are the one valid
+    signature it makes, and any other signature is verified as usual.
     """
     if verified is not None and tx.id in verified:
         return None
@@ -275,22 +284,29 @@ def verify_tx(tx: Transaction, verified: VerifiedTxs | None = None) -> str | Non
         return "bad-version"
     if isinstance(tx, RegistrationTransaction) and tx.role is None:
         return "bad-role-tag"
-    if not verify_signature(tx.submitter_pubkey, tx.raw[:-SIGNATURE_LEN], tx.signature):
+    preamble, signature = tx.raw[:-SIGNATURE_LEN], tx.signature
+    if not (
+        signer is not None
+        and tx.submitter_pubkey == signer.derived_public_key
+        and sign(signer, preamble) == signature
+    ) and not verify_signature(tx.submitter_pubkey, preamble, signature):
         return "bad-signature"
     if verified is not None:
         verified.add(tx.id)
     return None
 
 
-# Measured on a 2-vCPU host, inside a process holding a 2,014-tx chain: two
-# workers took 34 ms on 128 txs against 28 ms serially, and 34 ms on 192
-# against 40 ms. The break-even lies between 64 and 96 txs per worker, so
-# none is forked below 96.
+# Measured on a 2-vCPU host, inside a process holding a 2,014-tx chain
+# (medians of 41): two workers took 4.6 ms on 20 txs against 2.7 ms serially,
+# 5.7 against 5.4 on 40, 10.6 against 12.9 on 96 and 19.5 against 32.4 on
+# 192. The break-even lies near 20 txs per worker; the constant stays at 96
+# until a lower one shows a gain on a workload.
 MIN_TXS_PER_WORKER = 96
 
 
-def verify_txs_forked(txs: Sequence[Transaction]) -> VerifiedTxs:
-    """Run ``verify_tx`` over ``txs`` on every CPU; return the ids that passed.
+def verify_txs_forked(txs: Sequence[Transaction], signer: KeyPair | None = None) -> VerifiedTxs:
+    """Run ``verify_tx`` over ``txs``, with ``signer``, on every CPU; return
+    the ids that passed.
 
     ``cryptography``'s Ed25519 verify holds the GIL, so the work goes to
     forked processes: each child checks one contiguous share and writes one
@@ -313,11 +329,11 @@ def verify_txs_forked(txs: Sequence[Transaction]) -> VerifiedTxs:
     try:
         for start, end in zip(bounds[1:], bounds[2:]):
             try:
-                children.append((start, end, *_fork_checker(txs[start:end])))
+                children.append((start, end, *_fork_checker(txs[start:end], signer)))
             except OSError:  # out of processes or descriptors
                 pass
         for tx in txs[: bounds[1]]:
-            if verify_tx(tx, record) is not None:
+            if verify_tx(tx, record, signer) is not None:
                 for _, _, pid, _ in children:
                     os.kill(pid, signal.SIGKILL)  # not yet reaped, so still ours
                 break
@@ -331,7 +347,7 @@ def verify_txs_forked(txs: Sequence[Transaction]) -> VerifiedTxs:
     return record
 
 
-def _fork_checker(share: Sequence[Transaction]) -> tuple[int, int]:
+def _fork_checker(share: Sequence[Transaction], signer: KeyPair | None) -> tuple[int, int]:
     """Fork a child that checks ``share``; its pid and the pipe it writes
     to. The child never returns."""
     read_fd, write_fd = os.pipe()
@@ -345,7 +361,7 @@ def _fork_checker(share: Sequence[Transaction]) -> tuple[int, int]:
         code = 1
         try:
             os.close(read_fd)
-            verdicts = bytes(verify_tx(tx) is None for tx in share)
+            verdicts = bytes(verify_tx(tx, None, signer) is None for tx in share)
             with os.fdopen(write_fd, "wb") as pipe:
                 pipe.write(verdicts)
             code = 0
@@ -809,7 +825,9 @@ class _EveryId(VerifiedTxs):
         return True
 
 
-def validate_chain(blocks: list[Block], trusted: int = 0) -> Chain:
+def validate_chain(
+    blocks: list[Block], trusted: int = 0, signer: KeyPair | None = None
+) -> Chain:
     """Replay from genesis, rebuilding the registry and the indexes.
 
     Raises ChainValidationError carrying the first failing 1-based height.
@@ -823,7 +841,8 @@ def validate_chain(blocks: list[Block], trusted: int = 0) -> Chain:
     passes ``verify_tx`` (a checkpoint of their tip's hash). The vouching
     holds only when every rule passes up to that tip, so that the tip's hash
     commits to each of those txs' bytes: then their checks are skipped, and
-    otherwise the call checks as with no prefix trusted.
+    otherwise the call checks as with no prefix trusted. ``signer`` goes to
+    ``verify_tx`` in the signature pass.
     """
     if not blocks:
         raise ChainValidationError(0, "empty-chain")
@@ -834,7 +853,7 @@ def validate_chain(blocks: list[Block], trusted: int = 0) -> Chain:
     if trusted > len(checked):
         trusted = 0
     txs = [tx for block in checked[trusted:] for tx in block.transactions]
-    verified = verify_txs_forked(txs)
+    verified = verify_txs_forked(txs, signer)
     if chain is None or len(verified) < len(txs):
         chain = _fold(blocks, verified, trusted)
     return chain

@@ -5,6 +5,8 @@ reorg displaced go to a ``forks.jsonl`` sidecar, so the audit artifact stays
 linear and human-inspectable. ``BlockStore.sync`` appends the blocks gained
 on the file's tip, flushed and fsynced; any other move rewrites through a
 temp file and an atomic rename, so a crash leaves the old or the new file.
+A rename, or an append that creates its file, fsyncs the directory too, so
+the new directory entry survives a crash.
 
 Indexes are in-memory only. ``load_chain`` is the one replay; after it,
 ``BlockStore.append_block`` checks only the new block, connecting the
@@ -17,9 +19,11 @@ A writer's key keeps a ``Checkpoint`` sidecar, ``<chain>.checked.<node_id>``:
 the height and hash of the tip that key's holder last validated on the file,
 MAC'd with a key derived from its secret key. A load given a checkpoint
 whose block sits at its height on the file skips the signature checks at or
-below it, and checks every other rule on every block. Deleting the sidecar
-is always safe and costs one full check. The read path (``verify``,
-``inspect``, ``court_recheck``) never uses one.
+below it, and checks every other rule on every block; above it, the key's
+own txs are checked by signing them again and all others are verified.
+Deleting the sidecar is always safe and costs one full check. The
+read path (``verify``, ``inspect``, ``court_recheck``) never uses one, and
+verifies every signature.
 """
 
 from __future__ import annotations
@@ -84,6 +88,7 @@ class Checkpoint:
 
     def __init__(self, chain_path: str, keypair: KeyPair):
         self.path = f"{chain_path}.checked.{node_id(keypair.public_key)}"
+        self.keypair = keypair
         self._key = hashlib.sha256(_CHECKPOINT_TAG + keypair.secret_key).digest()
         self.named = self._read()  # (height, block hash), or None
 
@@ -129,7 +134,8 @@ class Checkpoint:
 
 def load_chain(path: str, checkpoint: Checkpoint | None = None) -> Chain:
     """Parse and re-validate a chain file, skipping the signature checks
-    that ``checkpoint`` vouches for.
+    that ``checkpoint`` vouches for and checking its key's own txs by
+    signing them again.
 
     Raises ChainFileError (with the 1-based line number) for lines that do
     not decode, and ChainValidationError (height, reason) when replay fails.
@@ -149,14 +155,18 @@ def load_chain(path: str, checkpoint: Checkpoint | None = None) -> Chain:
         blocks.append(block_from_json_line(text[start:end], len(blocks) + 1))
         start = end + 1
     del text  # the one decoded copy of the file, dropped before replay
-    return validate_chain(blocks, checkpoint.trusted_height(blocks) if checkpoint else 0)
+    if checkpoint is None:
+        return validate_chain(blocks)
+    return validate_chain(blocks, checkpoint.trusted_height(blocks), checkpoint.keypair)
 
 
 def _write_lines(path: str, lines, replace: bool = False) -> None:
     """Append ``lines`` to ``path``, each with a newline, flushed and
     fsynced. With ``replace``, write them to a temp file instead and rename
-    it over ``path`` atomically."""
+    it over ``path`` atomically. A rename, or an append that creates
+    ``path``, is made durable by fsyncing the parent directory too."""
     target = path + ".tmp" if replace else path
+    new_entry = replace or not os.path.exists(path)
     with open(target, "w" if replace else "a", encoding="utf-8") as fh:
         for line in lines:
             fh.write(line + "\n")
@@ -164,6 +174,12 @@ def _write_lines(path: str, lines, replace: bool = False) -> None:
         os.fsync(fh.fileno())
     if replace:
         os.replace(target, path)
+    if new_entry:
+        fd = os.open(os.path.dirname(path) or ".", os.O_RDONLY)
+        try:
+            os.fsync(fd)
+        finally:
+            os.close(fd)
 
 
 def write_chain(path: str, blocks: list[Block]) -> None:

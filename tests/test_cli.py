@@ -6,7 +6,7 @@ import json
 import pytest
 
 from bloff import cli
-from bloff.cli import handle_command, is_address
+from bloff.cli import build_parser, handle_command, is_address
 from bloff.consensus import Mempool
 from bloff.crypto import load_keypair, save_keypair, sha256_digest
 from bloff.store import load_chain
@@ -567,6 +567,17 @@ class TestUsageErrors:
 
     def test_unknown_flag(self, capsys):
         assert run_cli(capsys, "keygen", "--frob")[0] == 2
+
+    def test_one_parser_shares_no_arguments_between_calls(self):
+        """The parser is built once per process; an ``append`` option's
+        values from one call do not reach the next."""
+        parser = build_parser()
+        assert build_parser() is parser
+        argv = ["--role", "device", "--key", "k"]
+        assert parser.parse_args(["node", *argv, "--peer", "a"]).peer == ["a"]
+        assert parser.parse_args(["node", *argv]).peer == []
+        assert parser.parse_args(["genesis", "--authority", "a"]).authority == ["a"]
+        assert parser.parse_args(["genesis", "--authority", "b"]).authority == ["b"]
 
     def test_is_address_heuristic(self, tmp_path):
         assert is_address("127.0.0.1:9000")

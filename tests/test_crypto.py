@@ -162,6 +162,26 @@ class TestSignatures:
             "41a0ca0a03bca6ae8ac6a44dac2595d7d185f68256b10cebdd357c7489dc970b"
         )
 
+    def test_rfc8032_test_1(self):
+        """RFC 8032 section 7.1, TEST 1: the public key, and the signature of
+        the empty message, the same on each signing. A chain load checks its
+        own key's txs by signing again, which holds only while signing is
+        this deterministic."""
+        pair = generate_keypair(
+            bytes.fromhex("9d61b19deffd5a60ba844af492ec2cc44449c5697b326919703bac031cae7f60")
+        )
+        assert pair.public_key.hex() == (
+            "d75a980182b10ab7d54bfed3c964073a0ee172f3daa62325af021a68f707511a"
+        )
+        assert pair.derived_public_key == pair.public_key
+        expected = (
+            "e5564300c360ac729086e2cc806e828a84877f1eb8e5d974d873e065224901555"
+            "fb8821590a33bacc61e39701cf9b46bd25bf5f0595bbe24655141438e7a100b"
+        )
+        assert sign(pair, b"").hex() == expected
+        assert sign(pair, b"").hex() == expected
+        assert verify_signature(pair.public_key, b"", bytes.fromhex(expected))
+
     def test_wrong_message_rejected(self):
         pair = generate_keypair(bytes(32))
         sig = sign(pair, b"genuine")

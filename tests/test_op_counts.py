@@ -57,6 +57,32 @@ def count_calls(monkeypatch, name, module=ledger):
     return calls
 
 
+def count_checks(monkeypatch):
+    """Record the key of each signature check made in ``bloff.ledger``: an
+    Ed25519 verify in ``verifies``, or, for a tx of a load's own key, a
+    ``sign`` made within ``verify_tx`` in ``resigns``."""
+    checks = SimpleNamespace(verifies=count_calls(monkeypatch, "verify_signature"), resigns=[])
+    inside, sign, verify_tx = [], ledger.sign, ledger.verify_tx
+
+    def counting_sign(keypair, message):
+        if inside:
+            checks.resigns.append(keypair.public_key)
+        return sign(keypair, message)
+
+    def counting_verify_tx(*args, **kwargs):
+        inside.append(None)
+        try:
+            return verify_tx(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(ledger, "sign", counting_sign)
+    monkeypatch.setattr(ledger, "verify_tx", counting_verify_tx)
+    checks.counts = lambda: (len(checks.verifies), len(checks.resigns))
+    checks.clear = lambda: (checks.verifies.clear(), checks.resigns.clear())
+    return checks
+
+
 @pytest.fixture
 def counted(monkeypatch):
     """Count calls into ``bloff.ledger.validate_block``."""
@@ -412,8 +438,8 @@ def test_local_submission_verified_once(miner, device, monkeypatch):
 
 def test_mine_all_verifies_each_pending_tx_once(tmp_path, miner, device, monkeypatch, capsys):
     """``bloff mine --all`` over 150 pending anchors: ``load_chain`` checks the
-    chain's 2 txs, then each pending tx is checked once, not again when its
-    block is appended."""
+    chain's 2 txs, both the miner's own, by signing them again, then each
+    pending tx is verified once, not again when its block is appended."""
     chain, _ = build_chain(miner, device, [])
     path, key = tmp_path / "chain.jsonl", tmp_path / "miner.key"
     write_chain(str(path), chain.blocks)
@@ -424,17 +450,19 @@ def test_mine_all_verifies_each_pending_tx_once(tmp_path, miner, device, monkeyp
     ]
     raw = [tx.raw for tx in pending]
     append_mempool_file(str(tmp_path / "mempool.jsonl"), raw)
-    calls = count_calls(monkeypatch, "verify_signature")
+    checks = count_checks(monkeypatch)
     assert handle_command(["mine", "--key", str(key), "--chain", str(path), "--all"]) == 0
     assert len(capsys.readouterr().out.splitlines()) == 2
-    assert len(calls) == 2 + 150
+    assert checks.counts() == (150, 2)
+    assert set(checks.resigns) == {miner.public_key}
 
 
 class TestLoadChecksOnlyTheChain:
     """A chain load checks the chain's txs and no tx of the calling
     command: ``mine`` checks each pending tx once, in ``Mempool.add``, and
     ``submit`` none of the txs it signs. The affinity mask is patched to two
-    CPUs, as in ``TestForkedSignaturePrePass``; the chain has 2 txs and the
+    CPUs, as in ``TestForkedSignaturePrePass``; the chain has 2 txs, both
+    signed by the miner, so ``mine`` checks them by signing again, and the
     call 200."""
 
     @pytest.fixture(autouse=True)
@@ -470,21 +498,21 @@ class TestLoadChecksOnlyTheChain:
     ):
         chain, _ = build_chain(miner, device, [])
         pending = self.anchors(device)
-        calls = count_calls(monkeypatch, "verify_signature")
+        checks = count_checks(monkeypatch)
         path, key = self.workspace(tmp_path / "forked", miner, chain.blocks, pending)
         assert self.mine(path, key) == 0
         forked = capsys.readouterr()
-        assert len(calls) == 2 + 200
+        assert checks.counts() == (200, 2)
 
         def no_fork():
             raise OSError("no fork")
 
         monkeypatch.setattr(os, "fork", no_fork)
-        calls.clear()
+        checks.clear()
         serial_path, key = self.workspace(tmp_path / "serial", miner, chain.blocks, pending)
         assert self.mine(serial_path, key) == 0
         serial = capsys.readouterr()
-        assert len(calls) == 2 + 200
+        assert checks.counts() == (200, 2)
         assert [json.loads(line)["txs"] for line in forked.out.splitlines()] == [100, 100]
         assert (forked.out, forked.err) == (serial.out, serial.err)
         with open(path, "rb") as fh, open(serial_path, "rb") as serial_fh:
@@ -521,12 +549,12 @@ class TestLoadChecksOnlyTheChain:
         signature[0] ^= 1
         pending[10] = with_signature(pending[10], signature)
         path, key = self.workspace(tmp_path, miner, chain.blocks, pending)
-        calls = count_calls(monkeypatch, "verify_signature")
+        checks = count_checks(monkeypatch)
         assert self.mine(path, key) == 0
         out, err = capsys.readouterr()
         assert err == "skipping pending tx: invalid:bad-signature\n"
         assert [json.loads(line)["txs"] for line in out.splitlines()] == [100, 99]
-        assert len(calls) == 2 + 200
+        assert checks.counts() == (200, 2)
 
     def test_rule_failure_checks_no_pending_tx(self, tmp_path, miner, device, monkeypatch, capsys):
         chain, _ = build_chain(miner, device, [])
@@ -536,19 +564,22 @@ class TestLoadChecksOnlyTheChain:
         registry = {**chain.registered_nodes, stranger.public_key: NodeRole.DEVICE}
         block = mine_block(pool, chain.tip.header, 0, miner, GENESIS_TS + 5, registry)
         path, key = self.workspace(tmp_path, miner, chain.blocks + [block], self.anchors(device))
-        calls = count_calls(monkeypatch, "verify_signature")
+        checks = count_checks(monkeypatch)
         assert self.mine(path, key) == 2
         out, err = capsys.readouterr()
         assert (out, err) == ("", "error: invalid chain at height 3: unregistered-submitter\n")
-        # Heights 1-2, then block 3 up to its validly signed anchor.
-        assert len(calls) == 2 + 1
+        # Heights 1-2, the miner's own txs, then block 3 up to its validly
+        # signed anchor, which the in-order fold verifies.
+        assert checks.counts() == (1, 2)
+        assert checks.verifies == [stranger.public_key]
 
 
 class TestCheckpoint:
     """A keyed command's load skips the signature checks of the blocks its
-    key's checkpoint vouches for, and only those. One CPU is patched in, so
-    that every check is made in this process; the chain starts with 2
-    txs."""
+    key's checkpoint vouches for, and only those, and checks its key's own
+    txs by signing them again. One CPU is patched in, so that every check is
+    made in this process; the chain starts with 2 txs, both the miner's.
+    Each command's checks are counted as (verifies, re-signs)."""
 
     @pytest.fixture(autouse=True)
     def one_cpu(self, monkeypatch):
@@ -562,15 +593,15 @@ class TestCheckpoint:
         keys = {"miner": tmp_path / "miner.key", "device": tmp_path / "device.key"}
         save_keypair(str(keys["miner"]), miner)
         save_keypair(str(keys["device"]), device)
-        calls = count_calls(monkeypatch, "verify_signature")
+        checks = count_checks(monkeypatch)
         batches = iter(range(1000))
 
         def run(argv):
             """The signature checks of one command, which must succeed."""
-            calls.clear()
+            checks.clear()
             assert handle_command(argv) == 0
             capsys.readouterr()
-            return len(calls)
+            return checks.counts()
 
         def submit(lines):
             log = tmp_path / "batch.log"
@@ -588,18 +619,18 @@ class TestCheckpoint:
         return SimpleNamespace(path=str(path), submit=submit, mine=mine, sidecars=sidecars)
 
     def test_second_mine_checks_only_its_pool(self, ws):
-        assert ws.submit(150) == 2
-        assert ws.mine() == 2 + 150
-        assert ws.submit(30) == 150  # the two blocks mined since its last call
-        assert ws.mine() == 30  # no chain tx: only each pending tx, once
+        assert ws.submit(150) == (2, 0)
+        assert ws.mine() == (150, 2)
+        assert ws.submit(30) == (0, 150)  # the two blocks mined since its last call
+        assert ws.mine() == (30, 0)  # no chain tx: only each pending tx, once
 
     def test_submit_after_mine_checks_only_the_new_blocks(self, ws):
-        assert ws.submit(150) == 2
-        assert ws.mine() == 2 + 150
-        assert ws.submit(10) == 150
-        assert ws.mine() == 10
-        assert ws.submit(10) == 10
-        assert ws.submit(10) == 0  # the chain did not move
+        assert ws.submit(150) == (2, 0)
+        assert ws.mine() == (150, 2)
+        assert ws.submit(10) == (0, 150)
+        assert ws.mine() == (10, 0)
+        assert ws.submit(10) == (0, 10)
+        assert ws.submit(10) == (0, 0)  # the chain did not move
 
     @staticmethod
     def tampered(line, foreign, how):
@@ -623,20 +654,21 @@ class TestCheckpoint:
 
     @pytest.mark.parametrize("how", ["mac", "height", "hash", "truncated", "foreign"])
     def test_a_sidecar_that_does_not_verify_costs_one_full_check(self, ws, how):
-        assert ws.submit(150) == 2
-        assert ws.mine() == 2 + 150
-        assert ws.submit(10) == 150
-        assert ws.mine() == 10
-        assert ws.submit(1) == 10
-        # Both keys' sidecars now name the same tip, at height 5.
-        full = len(load_chain(ws.path).tx_ids)
-        assert full == 2 + 150 + 10
+        assert ws.submit(150) == (2, 0)
+        assert ws.mine() == (150, 2)
+        assert ws.submit(10) == (0, 150)
+        assert ws.mine() == (10, 0)
+        assert ws.submit(1) == (0, 10)
+        # Both keys' sidecars now name the same tip, at height 5: the miner's
+        # 2 txs are verified, and the device's 160 signed again.
+        full = (2, 150 + 10)
+        assert sum(full) == len(load_chain(ws.path).tx_ids)
         own, foreign = (ws.sidecars[who].read_text() for who in ("device", "miner"))
         assert own.split(" ")[:2] == foreign.split(" ")[:2] == ["5", load_chain(ws.path).tip.hash.hex()]
         ws.sidecars["device"].write_text(self.tampered(own, foreign, how))
         assert ws.submit(1) == full
         assert ws.sidecars["device"].read_text() == own  # rewritten by the full check
-        assert ws.submit(1) == 0
+        assert ws.submit(1) == (0, 0)
         ws.sidecars["device"].unlink()
         assert ws.submit(1) == full
 

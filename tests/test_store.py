@@ -2,11 +2,14 @@
 
 import dataclasses
 import os
+import stat
 import time
 
 import pytest
 
+from bloff.cli import handle_command
 from bloff.consensus import Mempool, mine_block
+from bloff.crypto import KeyPair, save_keypair, sign
 from bloff.ledger import (
     Block,
     ChainFileError,
@@ -16,6 +19,7 @@ from bloff.ledger import (
     make_genesis,
     merkle_root,
     validate_chain,
+    verify_tx,
 )
 from bloff.store import (
     BlockStore,
@@ -368,13 +372,16 @@ class TestCheckpoint:
         return chain
 
     @staticmethod
-    def with_bad_signature(block, reroot):
-        """``block`` with its middle tx's signature flipped, and with the
-        Merkle root of the new txs if ``reroot``."""
+    def with_bad_signature(block, reroot, signature_of=None):
+        """``block`` with its middle tx's signature flipped, or made by
+        ``signature_of(tx)``, and with the Merkle root of the new txs if
+        ``reroot``."""
         txs = list(block.transactions)
         index = len(txs) // 2
         signature = bytearray(txs[index].signature)
         signature[0] ^= 1
+        if signature_of is not None:
+            signature = signature_of(txs[index])
         txs[index] = with_signature(txs[index], signature)
         header = block.header
         if reroot:
@@ -415,16 +422,64 @@ class TestCheckpoint:
         assert full == (ChainValidationError, f"invalid chain at height {edited}: {reason}")
         assert self.outcome(path, Checkpoint(str(path), miner)) == full
 
-    def test_every_byte_flip_fails_as_without_a_checkpoint(self, tmp_path, miner, device):
+    @pytest.mark.parametrize("cpus", [{0}, {0, 1}])
+    def test_own_tx_with_a_flipped_signature_byte_fails_as_a_keyless_verify(
+        self, tmp_path, device, long_chain, monkeypatch, capsys, cpus
+    ):
+        """The device's own tx with one signature byte flipped fails a load
+        with the device's key at the height, and with the reason, of a
+        keyless ``verify`` of the same file, in the parent's serial pass
+        (one CPU) and in a forked worker's share (two)."""
+        blocks = list(long_chain.blocks)
+        blocks[3] = self.with_bad_signature(blocks[3], reroot=True)
+        path, key = tmp_path / "chain.jsonl", tmp_path / "device.key"
+        write_chain(str(path), blocks)
+        save_keypair(str(key), device)
+        (tmp_path / "batch.log").write_text("line\n")
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+        error = "error: invalid chain at height 4: bad-signature\n"
+        argv = ["--chain", str(path), "--log", str(tmp_path / "batch.log")]
+        assert handle_command(["verify", *argv]) == 2
+        assert capsys.readouterr() == ("", error)
+        assert handle_command(["submit", "--key", str(key), *argv]) == 2
+        assert capsys.readouterr() == ("", error)
+        full = self.outcome(path)
+        assert full == (ChainValidationError, error[len("error: ") : -1])
+        assert self.outcome(path, Checkpoint(str(path), device)) == full
+
+    def test_a_keypair_naming_another_key_vouches_for_nothing(self, tmp_path, device, long_chain):
+        """A ``KeyPair`` whose ``public_key`` field names the device, with
+        another key's secret: a tx that claims the device's key, signed by
+        that secret, is ``bad-signature`` for a load with that keypair as for
+        a keyless one. Only the key the secret derives is checked by signing
+        again."""
+        impostor = keypair_for("impostor")
+        liar = KeyPair(secret_key=impostor.secret_key, public_key=device.public_key)
+        blocks = list(long_chain.blocks)
+        blocks[3] = self.with_bad_signature(
+            blocks[3], reroot=True, signature_of=lambda tx: sign(impostor, tx.raw[:-64])
+        )
+        forged = blocks[3].transactions[len(blocks[3].transactions) // 2]
+        assert forged.submitter_pubkey == device.public_key
+        assert verify_tx(forged, signer=liar) == "bad-signature"
+        path = tmp_path / "chain.jsonl"
+        write_chain(str(path), blocks)
+        full = self.outcome(path)
+        assert full == (ChainValidationError, "invalid chain at height 4: bad-signature")
+        assert self.outcome(path, Checkpoint(str(path), liar)) == full
+
+    def flips_fail_as_without_a_checkpoint(self, tmp_path, miner, device, keypair, first_line):
         """Acceptance criterion 2 (every single-byte flip of the chain file is
-        rejected) with the miner's checkpoint of the original file present."""
+        rejected), for the bytes from line ``first_line`` on, with the
+        checkpoint of ``keypair`` naming the original file's tip present."""
         chain, _ = build_chain(miner, device, [b"aa", b"bb", b"cc"], txs_per_block=1)
         path = write_chain_file(tmp_path, chain)
-        Checkpoint(str(path), miner).write(chain)
-        checkpoint = Checkpoint(str(path), miner)
+        Checkpoint(str(path), keypair).write(chain)
+        checkpoint = Checkpoint(str(path), keypair)
         assert checkpoint.named == (5, chain.tip.hash)
         original = path.read_bytes()
-        for position, byte in enumerate(original):
+        start = sum(len(line) for line in original.splitlines(keepends=True)[: first_line - 1])
+        for position, byte in enumerate(original[start:], start):
             for replacement in {(byte + 1) % 256, byte ^ 0x01, byte ^ 0x20} - {byte}:
                 path.write_bytes(original[:position] + bytes([replacement]) + original[position + 1 :])
                 full = self.outcome(path)
@@ -432,6 +487,18 @@ class TestCheckpoint:
                 assert self.outcome(path, checkpoint) == full, (position, replacement)
         path.write_bytes(original)
         assert self.outcome(path, checkpoint) == chain.blocks
+
+    def test_every_byte_flip_fails_as_without_a_checkpoint(self, tmp_path, miner, device):
+        """The miner's checkpoint, whose key verifies every tx of the file."""
+        self.flips_fail_as_without_a_checkpoint(tmp_path, miner, device, miner, 1)
+
+    def test_every_byte_flip_of_own_txs_fails_as_without_a_checkpoint(
+        self, tmp_path, miner, device
+    ):
+        """The device's checkpoint and key, which check the device's anchors
+        in blocks 3-5 by signing them again; only those blocks' bytes are
+        flipped, since the test above covers the rest."""
+        self.flips_fail_as_without_a_checkpoint(tmp_path, miner, device, device, 3)
 
 
 class TestMempoolFile:
@@ -455,3 +522,57 @@ class TestMempoolFile:
         nested = "[" * 200_000 + "]" * 200_000
         path.write_text('{"tx": "01"}\n' + nested + '\n{"tx": "02"}\n')
         assert load_mempool_file(str(path)) == [b"\x01", None, b"\x02"]
+
+
+class TestDirectoryFsync:
+    """A rename or a new file is durable only once its directory is fsynced,
+    so each store write that makes one fsyncs the parent directory once,
+    after the file's own fsync; an append to an existing file fsyncs only
+    the file."""
+
+    @pytest.fixture
+    def fsyncs(self, monkeypatch):
+        """The inode of each fsynced fd, and whether it was a directory."""
+        synced, original = [], os.fsync
+
+        def fsync(fd):
+            st = os.fstat(fd)
+            synced.append((st.st_ino, stat.S_ISDIR(st.st_mode)))
+            return original(fd)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        return synced
+
+    @staticmethod
+    def directories(synced, directory):
+        return [ino for ino, is_dir in synced if is_dir] == [os.stat(directory).st_ino]
+
+    def test_write_chain_fsyncs_the_directory_after_the_rename(self, tmp_path, miner, fsyncs):
+        write_chain(str(tmp_path / "chain.jsonl"), [make_genesis([miner], GENESIS_TS)])
+        assert [is_dir for _, is_dir in fsyncs] == [False, True]
+        assert self.directories(fsyncs, tmp_path)
+
+    def test_write_mempool_file_fsyncs_the_directory_once(self, tmp_path, fsyncs):
+        path = tmp_path / "mempool.jsonl"
+        path.write_text("")
+        write_mempool_file(str(path), [b"\x01"])
+        assert [is_dir for _, is_dir in fsyncs] == [False, True]
+        assert self.directories(fsyncs, tmp_path)
+
+    def test_append_fsyncs_the_directory_only_when_it_creates_the_file(self, tmp_path, fsyncs):
+        path = str(tmp_path / "mempool.jsonl")
+        append_mempool_file(path, [b"\x01"])
+        assert [is_dir for _, is_dir in fsyncs] == [False, True]
+        assert self.directories(fsyncs, tmp_path)
+        fsyncs.clear()
+        append_mempool_file(path, [b"\x02"])
+        assert [is_dir for _, is_dir in fsyncs] == [False]
+        assert load_mempool_file(path) == [b"\x01", b"\x02"]
+
+    def test_block_append_fsyncs_only_the_file(self, tmp_path, miner, device, fsyncs):
+        chain, _ = build_chain(miner, device, [])
+        path = write_chain_file(tmp_path, chain)
+        store = BlockStore.open(str(path))
+        fsyncs.clear()
+        store.append_block(grow(chain, miner, device, ["next"]).tip)
+        assert [is_dir for _, is_dir in fsyncs] == [False]
