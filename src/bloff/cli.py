@@ -53,7 +53,7 @@ from .ledger import (
 )
 from .node import NodeConfig, default_home, fetch_chain, run_node, send_txs
 from .simnet import load_scenario, run_scenario
-from .store import BlockStore, Checkpoint, StoreError
+from .store import BlockStore, StoreError
 from .verify import (
     make_inclusion_proof,
     parse_attestation_line,
@@ -237,9 +237,7 @@ def cmd_submit(args) -> int:
         if to_node:
             chain = load_chain_target(target)
         else:
-            checkpoint = Checkpoint(target, keypair)
-            chain = store_mod.load_chain(target, checkpoint)
-            checkpoint.write(chain)
+            chain = BlockStore.open(target, keypair).chain
             pool_path = mempool_path_for(target, args.mempool)
             pending = [tx for tx in load_pending(pool_path) if isinstance(tx, RegistrationTransaction)]
         # Pending registrations count first, as a miner drawing from the same pool would take them.
@@ -276,8 +274,7 @@ def cmd_mine(args) -> int:
         # The pool holds the whole file, so a pending tx leaves it only when it
         # is mined or invalid.
         pool = Mempool(capacity=len(pending))
-        checkpoint = Checkpoint(target, keypair)
-        store = BlockStore.open(target, checkpoint)
+        store = BlockStore.open(target, keypair)
         for tx in pending:
             status = tx if isinstance(tx, str) else pool.add(tx, store.chain.tx_ids)
             if status.startswith("invalid"):
@@ -316,8 +313,6 @@ def cmd_mine(args) -> int:
             )
             if not args.all:
                 break
-        # Each block mined here had its txs checked in ``pool.add``.
-        checkpoint.write(store.chain)
         # Written on failure too, so txs skipped above are not read again.
         store_mod.write_mempool_file(pool_path, [tx.raw for tx in pool.oldest()])
     return status

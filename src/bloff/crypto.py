@@ -66,37 +66,30 @@ def sha256_digest(data: bytes) -> Digest:
 
 @dataclass(frozen=True)
 class KeyPair:
-    """An Ed25519 keypair; the public key doubles as the node identity."""
+    """An Ed25519 keypair, made from its secret alone; the public key doubles
+    as the node identity."""
 
     secret_key: bytes
-    public_key: bytes
 
     def __post_init__(self) -> None:
         if len(self.secret_key) != KEY_LEN:
-            raise ValueError(f"secret key must be {KEY_LEN} bytes")
-        if len(self.public_key) != KEY_LEN:
-            raise ValueError(f"public key must be {KEY_LEN} bytes")
+            raise ValueError(f"secret key must be {KEY_LEN} bytes, got {len(self.secret_key)}")
 
     @cached_property
     def private_key(self) -> Ed25519PrivateKey:
-        """The signing key object, built once per keypair: building it
-        derives the public key again, which costs more than a signature."""
+        """The signing key object, built once per keypair."""
         return Ed25519PrivateKey.from_private_bytes(self.secret_key)
 
     @cached_property
-    def derived_public_key(self) -> bytes:
-        """The public key of ``secret_key``, which ``public_key`` need not
-        be: only this one names the key that ``sign`` signs as."""
+    def public_key(self) -> bytes:
+        """The key ``secret_key`` derives, derived once per keypair: the
+        derivation costs more than a signature."""
         return self.private_key.public_key().public_bytes_raw()
 
 
 def generate_keypair(seed: bytes) -> KeyPair:
     """Derive a keypair deterministically from a 32-byte seed."""
-    if len(seed) != KEY_LEN:
-        raise ValueError(f"seed must be {KEY_LEN} bytes, got {len(seed)}")
-    private = Ed25519PrivateKey.from_private_bytes(seed)
-    public = private.public_key().public_bytes_raw()
-    return KeyPair(secret_key=seed, public_key=public)
+    return KeyPair(seed)
 
 
 def sign(keypair: KeyPair, message: bytes) -> bytes:

@@ -287,7 +287,7 @@ def verify_tx(
     preamble, signature = tx.raw[:-SIGNATURE_LEN], tx.signature
     if not (
         signer is not None
-        and tx.submitter_pubkey == signer.derived_public_key
+        and tx.submitter_pubkey == signer.public_key
         and sign(signer, preamble) == signature
     ) and not verify_signature(tx.submitter_pubkey, preamble, signature):
         return "bad-signature"

@@ -4,12 +4,13 @@
 the deterministic in-process simulator and the live TCP runtime, so both
 modes exercise identical behavior. The live runtime drives it from one
 ``selectors`` loop on one thread, which owns every socket, the peer dials,
-mining and the chain: each line a peer completes is handled, persisted and
-answered before the next is read.
+mining and the chain: each frame a peer completes is handled, persisted
+and answered before the next is read.
 
-Wire protocol (live mode): newline-delimited JSON over TCP, one message per
-line, ``{"kind": ..., "payload": "<hex>", "from": ..., "to": ...}`` with the
-same four kinds as the simulator fabric.
+Wire protocol (live mode): one binary frame per message over TCP, a header
+``>BBI`` (the wire version 2, the kind's index in ``KINDS``, the payload
+length) then the payload as it is. A bad header closes its connection.
+Frames name no sender: a reply goes back on its request's connection.
 
 A ``block-gossip`` payload is a compact block, the header and the tx ids
 (``encode_compact_block``): each tx has already crossed the edge as
@@ -30,11 +31,11 @@ becomes the best tip, and a run only as the blocks the best chain gained.
 from __future__ import annotations
 
 import contextlib
-import json
 import logging
 import os
 import selectors
 import socket
+import struct
 import time
 from collections import OrderedDict
 from collections.abc import Iterator
@@ -57,7 +58,7 @@ from .ledger import (
     tx_context_reason,
     verify_tx,
 )
-from .store import BlockStore, Checkpoint, writer_lock
+from .store import BlockStore, writer_lock
 
 logger = logging.getLogger(__name__)
 
@@ -206,10 +207,7 @@ class NodeLogic:
             return self._handle_block(payload, sender)
         if kind == MSG_CHAIN_REQUEST:
             return self._handle_chain_request(payload, sender)
-        if kind == MSG_CHAIN_RESPONSE:
-            return self._handle_chain_response(payload, sender)
-        logger.debug("%s: ignoring unknown message kind %r", self.node_id, kind)
-        return []
+        return self._handle_chain_response(payload, sender)
 
     def _handle_tx(self, payload: bytes) -> list[tuple[str, bytes, str]]:
         if self._mark_seen(payload):
@@ -290,50 +288,46 @@ class NodeLogic:
 # ---------------------------------------------------------------------------
 
 
-def encode_wire(kind: str, payload: bytes, from_id: str, to_id: str) -> bytes:
-    obj = {"kind": kind, "payload": payload.hex(), "from": from_id, "to": to_id}
-    return (json.dumps(obj, separators=(",", ":")) + "\n").encode("utf-8")
+WIRE_VERSION = 2
+_FRAME_HEADER = struct.Struct(">BBI")  # version, kind, payload length
+KINDS = (MSG_TX, MSG_BLOCK, MSG_CHAIN_REQUEST, MSG_CHAIN_RESPONSE)  # by kind byte
 
 
-def decode_wire(line: bytes) -> tuple[str, bytes, str, str]:
-    """Raises ValueError for a line that is not a JSON object with string
-    ``kind``, ``from`` and ``to`` and a hex-string ``payload``."""
-    try:
-        obj = json.loads(line.decode("utf-8"))
-    except RecursionError:
-        raise ValueError("wire line nested too deeply") from None
-    if not isinstance(obj, dict) or not all(
-        isinstance(obj.get(name), str) for name in ("kind", "payload", "from", "to")
-    ):
-        raise ValueError("wire line is not an object of four strings")
-    return obj["kind"], bytes.fromhex(obj["payload"]), obj["from"], obj["to"]
+def encode_frame(kind: str, payload: bytes) -> bytes:
+    return _FRAME_HEADER.pack(WIRE_VERSION, KINDS.index(kind), len(payload)) + payload
 
 
-def split_lines(buf: bytearray, data: bytes) -> list[bytes]:
-    """Append ``data`` to ``buf`` and return the non-empty lines it completes,
-    without their newlines; the partial line stays in ``buf``. Each byte is
-    scanned once."""
-    scan = len(buf)  # the bytes before this hold no newline
+def split_frames(buf: bytearray, data: bytes) -> list[tuple[str, bytes]]:
+    """Append ``data`` to ``buf`` and return the kind and payload of each
+    frame it completes; the partial frame stays in ``buf``. A header of
+    another version or kind raises ValueError: nothing after it can be
+    read."""
     buf += data
-    lines, start = [], 0
-    while (end := buf.find(b"\n", scan)) != -1:
-        if end > start:
-            lines.append(bytes(buf[start:end]))
-        start = scan = end + 1
+    frames, start = [], 0
+    while len(buf) - start >= _FRAME_HEADER.size:
+        version, kind, length = _FRAME_HEADER.unpack_from(buf, start)
+        if version != WIRE_VERSION or kind >= len(KINDS):
+            raise ValueError(f"bad frame header: version {version}, kind {kind}")
+        end = start + _FRAME_HEADER.size + length
+        if end > len(buf):
+            break
+        frames.append((KINDS[kind], bytes(buf[start + _FRAME_HEADER.size : end])))
+        start = end
     del buf[:start]
-    return lines
+    return frames
 
 
-def read_lines(sock: socket.socket) -> Iterator[bytes]:
-    """Yield each non-empty line received on ``sock`` until EOF, without its
-    newline; a partial line at EOF is dropped."""
+def read_frames(sock: socket.socket) -> Iterator[tuple[str, bytes]]:
+    """Yield the kind and payload of each frame received on ``sock`` until
+    EOF; a partial frame at EOF is dropped. Raises ValueError at a bad
+    header."""
     buf = bytearray()
     while data := sock.recv(1 << 16):
-        yield from split_lines(buf, data)
+        yield from split_frames(buf, data)
 
 
 class _Conn:
-    """One peer connection on the loop: its socket, the partial line it has
+    """One peer connection on the loop: its socket, the partial frame it has
     sent, and, for a dial, the peer's address. A dial is not ``connected``
     until its socket turns writable."""
 
@@ -351,19 +345,18 @@ class LiveNode:
     dials, mining and the chain. Every connection is bidirectional: gossip
     flows to dialled peers and inbound connections alike, and replies travel
     back on the connection the request arrived on. Mining runs inline on the
-    loop whenever the node is a csp-miner and has pending work. A line that
-    is not a wire message is dropped.
+    loop whenever the node is a csp-miner and has pending work. A connection
+    that sends a bad frame header is closed.
 
     The store writes the node's own best chain, which it holds as
-    ``store.chain``: after each handled line and each mined block,
+    ``store.chain``: after each handled frame and each mined block,
     ``store.sync`` appends the blocks the chain gained, or rewrites the file
-    on a reorg. Each block is validated once, by ``NodeLogic``, so the
-    key's ``checkpoint`` names the tip after the open and after each sync.
+    on a reorg. Each block is validated once, by ``NodeLogic``, so a store
+    opened with the node's key names the tip in its checkpoint after each
+    sync.
     """
 
-    def __init__(
-        self, config: NodeConfig, keypair: KeyPair, store: BlockStore, checkpoint: Checkpoint
-    ):
+    def __init__(self, config: NodeConfig, keypair: KeyPair, store: BlockStore):
         from .crypto import node_id as short_id
 
         self.config = config
@@ -376,8 +369,6 @@ class LiveNode:
             difficulty=config.difficulty,
         )
         store.chain = self.logic.chain  # the node's own copy, moved in place
-        self.checkpoint = checkpoint
-        checkpoint.write(store.chain)
         self._conns: list[_Conn] = []
         self._stopped = False
 
@@ -430,8 +421,8 @@ class LiveNode:
         conn.connected = True
         self._selector.modify(conn.sock, selectors.EVENT_READ, conn)
         # A fresh link is a chance to catch up on missed blocks.
-        kind, payload, dest = self.logic.chain_request()
-        self._send(conn, encode_wire(kind, payload, self.logic.node_id, dest))
+        kind, payload, _ = self.logic.chain_request()
+        self._send(conn, encode_frame(kind, payload))
 
     def _read(self, conn: _Conn) -> None:
         try:
@@ -441,33 +432,32 @@ class LiveNode:
         if not data:
             self._drop(conn)
             return
-        for line in split_lines(conn.partial, data):
-            try:
-                kind, payload, from_id, _ = decode_wire(line)
-            except ValueError as exc:
-                logger.debug("dropping malformed wire line: %s", exc)
-                continue
-            out = self.logic.handle_message(kind, payload, from_id)
+        try:
+            frames = split_frames(conn.partial, data)
+        except ValueError as exc:
+            logger.debug("closing a connection: %s", exc)
+            self._drop(conn)
+            return
+        for kind, payload in frames:
+            out = self.logic.handle_message(kind, payload, "peer")
             self._sync()
             self._send_out(out, origin=conn)
 
     def _sync(self) -> None:
         """Write what the chain gained to the chain file. A failed write (a
         full disk) is logged, not raised: ``sync`` keeps what it did not
-        write for its next call, after the next line or block."""
+        write for its next call, after the next frame or block."""
         try:
             self.store.sync()
         except OSError as exc:
             logger.error("chain file write failed, to be retried: %s", exc)
-            return
-        self.checkpoint.write(self.store.chain)
 
     def _send_out(self, messages, origin: _Conn | None = None) -> None:
         """Send handler output; a broadcast skips ``origin``, the connection
         the handled message came from, whose peer already holds it. A
         connection that fails a send is dropped."""
         for kind, payload, dest in messages:
-            data = encode_wire(kind, payload, self.logic.node_id, dest)
+            data = encode_frame(kind, payload)
             targets = [origin]
             if dest == BROADCAST:
                 targets = [c for c in self._conns if c.connected and c is not origin]
@@ -528,9 +518,7 @@ def run_node(config: NodeConfig) -> None:
 
     keypair = load_keypair(config.key_path)
     with writer_lock(config.chain_path):
-        checkpoint = Checkpoint(config.chain_path, keypair)
-        store = BlockStore.open(config.chain_path, checkpoint)
-        node = LiveNode(config, keypair, store, checkpoint)
+        node = LiveNode(config, keypair, BlockStore.open(config.chain_path, keypair))
         with contextlib.suppress(KeyboardInterrupt):
             node.run()
 
@@ -544,18 +532,15 @@ def fetch_chain(address: str, timeout: float = 10.0) -> list[Block]:
     """Ask a running node for its full best chain.
 
     The connection may also carry unrelated gossip the node broadcasts while
-    we wait; skip anything that is not the chain response.
+    we wait; skip any frame that is not the chain response. A bad frame
+    header raises ValueError.
     """
     host, port = address.rsplit(":", 1)
     deadline = time.monotonic() + timeout
     with socket.create_connection((host, int(port)), timeout=timeout) as sock:
-        sock.sendall(encode_wire(MSG_CHAIN_REQUEST, b"", "client", BROADCAST))
+        sock.sendall(encode_frame(MSG_CHAIN_REQUEST, b""))
         sock.settimeout(timeout)
-        for line in read_lines(sock):
-            try:
-                kind, payload, _, _ = decode_wire(line)
-            except ValueError:  # skipped, as a line of another kind is
-                kind = ""
+        for kind, payload in read_frames(sock):
             if kind == MSG_CHAIN_RESPONSE:
                 return decode_blocks(payload)
             if time.monotonic() >= deadline:
@@ -568,4 +553,4 @@ def send_txs(address: str, txs: list[Transaction], timeout: float = 10.0) -> Non
     host, port = address.rsplit(":", 1)
     with socket.create_connection((host, int(port)), timeout=timeout) as sock:
         for tx in txs:
-            sock.sendall(encode_wire(MSG_TX, tx.raw, "client", BROADCAST))
+            sock.sendall(encode_frame(MSG_TX, tx.raw))

@@ -17,13 +17,14 @@ and a second writer fails at once instead of waiting.
 
 A writer's key keeps a ``Checkpoint`` sidecar, ``<chain>.checked.<node_id>``:
 the height and hash of the tip that key's holder last validated on the file,
-MAC'd with a key derived from its secret key. A load given a checkpoint
-whose block sits at its height on the file skips the signature checks at or
-below it, and checks every other rule on every block; above it, the key's
-own txs are checked by signing them again and all others are verified.
-Deleting the sidecar is always safe and costs one full check. The
-read path (``verify``, ``inspect``, ``court_recheck``) never uses one, and
-verifies every signature.
+MAC'd with a key derived from its secret key. A store opened with that key
+keeps it: the open names the loaded tip, and each ``sync`` the tip it
+wrote. A load given a checkpoint whose block sits at its height on the file
+skips the signature checks at or below it, and checks every other rule on
+every block; above it, the key's own txs are checked by signing them again
+and all others are verified. Deleting the sidecar is always safe and costs
+one full check. The read path (``verify``, ``inspect``, ``court_recheck``)
+never uses one, and verifies every signature.
 """
 
 from __future__ import annotations
@@ -188,13 +189,15 @@ def write_chain(path: str, blocks: list[Block]) -> None:
 
 
 class BlockStore:
-    """The chain file of its owner's ``Chain``, and the fork sidecar. The
-    owner moves ``chain`` in place, by ``append_block`` or as a live node's
-    best chain, and ``sync`` makes the file hold it."""
+    """The chain file of its owner's ``Chain``, the fork sidecar and, for a
+    keyed owner, its key's ``checkpoint``. The owner moves ``chain`` in
+    place, by ``append_block`` or as a live node's best chain, and ``sync``
+    makes the file hold it and the checkpoint name its tip."""
 
-    def __init__(self, path: str, chain: Chain):
+    def __init__(self, path: str, chain: Chain, checkpoint: Checkpoint | None = None):
         self.path = path
         self.chain = chain
+        self.checkpoint = checkpoint
         self._filed = list(chain.blocks)  # the blocks the file holds
         self._torn = False  # a failed append may have left part of its lines
 
@@ -203,8 +206,15 @@ class BlockStore:
         return os.path.join(os.path.dirname(self.path) or ".", "forks.jsonl")
 
     @classmethod
-    def open(cls, path: str, checkpoint: Checkpoint | None = None) -> "BlockStore":
-        return cls(path, load_chain(path, checkpoint))
+    def open(cls, path: str, keypair: KeyPair | None = None) -> "BlockStore":
+        """Load the chain file, with ``keypair``'s checkpoint when given, and
+        have the checkpoint name the loaded tip. Call it under
+        ``writer_lock`` when keyed."""
+        checkpoint = Checkpoint(path, keypair) if keypair is not None else None
+        chain = load_chain(path, checkpoint)
+        if checkpoint is not None:
+            checkpoint.write(chain)
+        return cls(path, chain, checkpoint)
 
     @classmethod
     def create(cls, path: str, genesis: Block) -> "BlockStore":
@@ -221,7 +231,8 @@ class BlockStore:
         was, so the next call retries; after a failed append, which may have
         written some or all of its lines, the retry rewrites the file. A
         failed sidecar write comes after the rewrite and is not retried, so
-        no block is filed there twice."""
+        no block is filed there twice. The checkpoint names the tip once
+        the file holds it."""
         blocks, filed = self.chain.blocks, self._filed
         if self._torn or self.chain.heights.get(filed[-1].hash) != len(filed):
             write_chain(self.path, blocks)
@@ -236,6 +247,8 @@ class BlockStore:
                 self._torn = True
                 raise
             filed += gained
+        if self.checkpoint is not None:
+            self.checkpoint.write(self.chain)
 
     def append_block(self, block: Block, verified: VerifiedTxs | None = None) -> None:
         """Connect ``block`` on the stored tip, then ``sync``.

@@ -287,11 +287,16 @@ def make_attestation(log_hash: Digest, holder: KeyPair, received_timestamp: int)
 
 
 def parse_attestation_line(line: str) -> CustodyAttestation:
+    """Raises ValueError, among others, when ``received_timestamp`` is not a
+    JSON integer (a bool is not one) from 0 to 2**64 - 1."""
     obj = json.loads(line)
+    timestamp = obj["received_timestamp"]
+    if type(timestamp) is not int or not 0 <= timestamp < 1 << 64:
+        raise ValueError(f"received_timestamp is not a u64: {timestamp!r}")
     return CustodyAttestation(
         log_hash=Digest.from_hex(obj["log_hash"]),
         holder_pubkey=hex_to_bytes(obj["holder_pubkey"], KEY_LEN),
-        received_timestamp=int(obj["received_timestamp"]),
+        received_timestamp=timestamp,
         signature=hex_to_bytes(obj["signature"], SIGNATURE_LEN),
     )
 

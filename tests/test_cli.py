@@ -475,6 +475,32 @@ class TestVerifyOptions:
         assert (code, err) == (1, "")
         assert [h["passed"] for h in json.loads(out)["hops"]] == [False]
 
+    @pytest.mark.parametrize("timestamp", ["-5", "1e30", "1e400", "18446744073709551616"])
+    def test_custody_timestamp_out_of_range_is_a_malformed_hop(
+        self, anchored_ws, tmp_path, capsys, timestamp
+    ):
+        """A received timestamp that no u64 holds fails its hop as
+        ``malformed``, with the report printed, and never ends the command
+        with a traceback."""
+        from bloff.verify import make_attestation
+
+        line = make_attestation(sha256_digest(b"alpha"), keypair_for("cust-0"), 0).to_json()
+        att_path = tmp_path / "att.jsonl"
+        att_path.write_text(line.replace('"received_timestamp":0', f'"received_timestamp":{timestamp}') + "\n")
+        present = tmp_path / "p.log"
+        present.write_text("alpha\n")
+        code, out, err = run_cli(
+            capsys,
+            "verify",
+            "--chain", str(anchored_ws["chain"]),
+            "--log", str(present),
+            "--custody", str(att_path),
+        )
+        assert (code, err) == (1, "")
+        report = json.loads(out)
+        assert report["hops"] == [{"index": 0, "passed": False, "reason": "malformed"}]
+        assert report["verdict"]["outcome"] == "Accepted"
+
     def test_chain_line_nested_past_the_recursion_limit_is_error_2(self, anchored_ws, tmp_path, capsys):
         chain = anchored_ws["chain"]
         lines = chain.read_text().splitlines(keepends=True)

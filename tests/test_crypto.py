@@ -173,7 +173,6 @@ class TestSignatures:
         assert pair.public_key.hex() == (
             "d75a980182b10ab7d54bfed3c964073a0ee172f3daa62325af021a68f707511a"
         )
-        assert pair.derived_public_key == pair.public_key
         expected = (
             "e5564300c360ac729086e2cc806e828a84877f1eb8e5d974d873e065224901555"
             "fb8821590a33bacc61e39701cf9b46bd25bf5f0595bbe24655141438e7a100b"

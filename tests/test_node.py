@@ -1,6 +1,5 @@
 """Live TCP nodes: wire codec, role checks, multi-process smoke and restart."""
 
-import json
 import random
 import socket
 import subprocess
@@ -40,92 +39,33 @@ from bloff.node import (
     LiveNode,
     NodeConfig,
     NodeLogic,
-    decode_wire,
-    encode_wire,
+    encode_frame,
     fetch_chain,
-    read_lines,
+    read_frames,
     send_txs,
-    split_lines,
+    split_frames,
 )
 from bloff.verify import verify_log
-from bloff.store import BlockStore, Checkpoint, load_chain, write_chain
+from bloff.store import BlockStore, load_chain, write_chain
 from conftest import GENESIS_TS, build_chain, child_env, grow, keypair_for
 
 
-BAD_WIRE_LINES = [
-    b"[]",
-    b'"x"',
-    b"7",
-    b"null",
-    b"not json",
-    b"\xff\xfe",
-    b"[" * 100_000 + b"]" * 100_000,
-    b'{"kind": "tx-gossip", "from": "a", "to": "*"}',
-    b'{"kind": "tx-gossip", "payload": 7, "from": "a", "to": "*"}',
-    b'{"kind": "tx-gossip", "payload": null, "from": "a", "to": "*"}',
-    b'{"kind": "tx-gossip", "payload": ["00"], "from": "a", "to": "*"}',
-    b'{"kind": "tx-gossip", "payload": "zz", "from": "a", "to": "*"}',
-    b'{"kind": 1, "payload": "00", "from": "a", "to": "*"}',
-    b'{"kind": "tx-gossip", "payload": "00", "from": null, "to": "*"}',
-    b'{"kind": "tx-gossip", "payload": "00", "from": "a", "to": ["*"]}',
+# Headers that cannot be read past: another version (1, or the "{" of a
+# JSON line), and a kind past the four.
+BAD_HEADERS = [
+    bytes.fromhex("010000000000"),
+    b'{"kind":"tx-gossip"}\n',
+    bytes.fromhex("020400000000"),
+    bytes.fromhex("02ff00000001") + b"\x00",
 ]
 
 
-class TestWireCodec:
-    def test_roundtrip(self):
-        line = encode_wire("tx-gossip", b"\x00\x01\xff", "abc", "*")
-        assert line.endswith(b"\n")
-        kind, payload, from_id, to_id = decode_wire(line[:-1])
-        assert (kind, payload, from_id, to_id) == ("tx-gossip", b"\x00\x01\xff", "abc", "*")
-
-    def test_single_line_json(self):
-        line = encode_wire("block-gossip", bytes(100), "a", "b")
-        obj = json.loads(line)
-        assert set(obj) == {"kind", "payload", "from", "to"}
-
-    @pytest.mark.parametrize("line", BAD_WIRE_LINES, ids=range(len(BAD_WIRE_LINES)))
-    def test_malformed_line_raises_value_error(self, line):
-        with pytest.raises(ValueError):
-            decode_wire(line)
-
-    def test_mutated_lines_raise_nothing_but_value_error(self, miner, device):
-        """2,000 valid lines of every kind, each with bytes flipped, cut
-        short or one field's JSON type swapped: ``decode_wire`` raises only
-        ValueError, and a node handles whatever it decodes."""
-        chain, _ = build_chain(miner, device, [b"x", b"y"], txs_per_block=1)
-        tx = build_anchor_tx(sha256_digest(b"fuzz"), "dev", GENESIS_TS + 50, device)
-        start = validate_chain(chain.blocks[:2])
-        lines = [
-            encode_wire(kind, payload, "peer", BROADCAST)[:-1]
-            for kind, payload in [
-                (MSG_TX, tx.raw),
-                (MSG_BLOCK, encode_compact_block(chain.tip)),
-                NodeLogic("a", miner, NodeRole.CSP_MINER, chain).chain_request()[:2],
-                (MSG_CHAIN_RESPONSE, encode_blocks(chain.blocks[1:])),
-            ]
-        ]
-        swaps = [None, 7, 1.5, True, [], {}, "", "zz"]
-        rng = random.Random(0xB10FF)
-        decoded = 0
-        for _ in range(2000):
-            line = bytearray(rng.choice(lines))
-            mutation = rng.randrange(3)
-            if mutation == 0:
-                for _ in range(rng.randint(1, 3)):
-                    line[rng.randrange(len(line))] = rng.choice(b'0123456789abcdef"{}[],:\x00\xff')
-            elif mutation == 1:
-                del line[rng.randrange(len(line)) :]
-            else:
-                obj = json.loads(line)
-                obj[rng.choice(sorted(obj))] = rng.choice(swaps)
-                line = bytearray(json.dumps(obj).encode())
-            try:
-                kind, payload, from_id, _ = decode_wire(bytes(line))
-            except ValueError:
-                continue
-            decoded += 1
-            NodeLogic("b", miner, NodeRole.CSP_MINER, start).handle_message(kind, payload, from_id)
-        assert decoded > 300
+def frames_of(chunks):
+    """The frames ``split_frames`` completes when fed ``chunks`` in turn."""
+    buf, frames = bytearray(), []
+    for chunk in chunks:
+        frames += split_frames(buf, chunk)
+    return frames
 
 
 class FakeSocket:
@@ -138,36 +78,84 @@ class FakeSocket:
         return self.chunks.pop(0) if self.chunks else b""
 
 
-class TestReadLines:
-    @staticmethod
-    def lines(chunks):
-        return list(read_lines(FakeSocket(chunks)))
+class TestFrameCodec:
+    def test_layout(self):
+        assert encode_frame(MSG_TX, b"\x01\x02") == bytes.fromhex("0200000000020102")
+        kinds = [MSG_TX, MSG_BLOCK, MSG_CHAIN_REQUEST, MSG_CHAIN_RESPONSE]
+        assert [encode_frame(kind, b"")[1] for kind in kinds] == [0, 1, 2, 3]
+        assert encode_frame(MSG_CHAIN_RESPONSE, bytes(70_000))[:6] == bytes.fromhex("020300011170")
 
-    def test_line_split_across_many_chunks(self):
-        line = encode_wire(MSG_TX, bytes(range(200)), "a", "*")
-        chunks = [line[i : i + 3] for i in range(0, len(line), 3)]
-        assert self.lines(chunks) == [line[:-1]]
+    def test_frame_split_at_every_byte_boundary(self):
+        frame = encode_frame(MSG_BLOCK, bytes(range(200)))
+        for cut in range(len(frame) + 1):
+            assert frames_of([frame[:cut], frame[cut:]]) == [(MSG_BLOCK, bytes(range(200)))]
+        assert frames_of([frame[i : i + 1] for i in range(len(frame))]) == [
+            (MSG_BLOCK, bytes(range(200)))
+        ]
 
-    def test_two_lines_in_one_chunk(self):
-        assert self.lines([b"one\ntwo\n"]) == [b"one", b"two"]
+    def test_two_frames_in_one_chunk(self):
+        chunk = encode_frame(MSG_TX, b"one") + encode_frame(MSG_CHAIN_RESPONSE, b"two")
+        assert frames_of([chunk]) == [(MSG_TX, b"one"), (MSG_CHAIN_RESPONSE, b"two")]
 
-    def test_empty_line_skipped(self):
-        assert self.lines([b"a\n", b"\nb", b"\n"]) == [b"a", b"b"]
+    def test_empty_payload_is_a_frame(self):
+        """The whole-chain ``chain-request`` has no payload, and is not
+        skipped."""
+        chunk = encode_frame(MSG_CHAIN_REQUEST, b"") + encode_frame(MSG_TX, b"x")
+        assert frames_of([chunk]) == [(MSG_CHAIN_REQUEST, b""), (MSG_TX, b"x")]
 
-    def test_partial_line_at_eof_dropped(self):
-        assert self.lines([b"a\npart", b"ial"]) == [b"a"]
+    def test_partial_frame_stays_buffered(self):
+        frame = encode_frame(MSG_TX, b"payload")
+        buf = bytearray()
+        assert split_frames(buf, frame + frame[:7]) == [(MSG_TX, b"payload")]
+        assert buf == frame[:7]
 
+    @pytest.mark.parametrize("header", BAD_HEADERS, ids=range(len(BAD_HEADERS)))
+    def test_bad_header_raises_value_error(self, header):
+        with pytest.raises(ValueError, match="bad frame header"):
+            frames_of([encode_frame(MSG_TX, b"ok"), header])
 
-class TestSplitLines(TestReadLines):
-    """The same cases against ``split_lines``, which the live loop feeds one
-    received chunk at a time."""
+    def test_read_frames_drops_a_partial_frame_at_eof(self):
+        frame = encode_frame(MSG_TX, b"whole")
+        chunks = [frame + frame[:3], frame[3:9]]
+        assert list(read_frames(FakeSocket(chunks))) == [(MSG_TX, b"whole")]
 
-    @staticmethod
-    def lines(chunks):
-        buf, lines = bytearray(), []
-        for chunk in chunks:
-            lines += split_lines(buf, chunk)
-        return lines
+    def test_flipped_and_truncated_frames_raise_nothing_but_value_error(self, miner, device):
+        """2,000 valid frames of every kind, each with bytes flipped or cut
+        short, fed in random chunks: ``split_frames`` raises only
+        ValueError, and a node handles every frame it yields."""
+        chain, _ = build_chain(miner, device, [b"x", b"y"], txs_per_block=1)
+        tx = build_anchor_tx(sha256_digest(b"fuzz"), "dev", GENESIS_TS + 50, device)
+        start = validate_chain(chain.blocks[:2])
+        frames = [
+            encode_frame(kind, payload)
+            for kind, payload in [
+                (MSG_TX, tx.raw),
+                (MSG_BLOCK, encode_compact_block(chain.tip)),
+                NodeLogic("a", miner, NodeRole.CSP_MINER, chain).chain_request()[:2],
+                (MSG_CHAIN_RESPONSE, encode_blocks(chain.blocks[1:])),
+            ]
+        ]
+        rng = random.Random(0xB10FF)
+        yielded = refused = 0
+        for _ in range(2000):
+            data = bytearray(rng.choice(frames))
+            if rng.randrange(2):
+                for _ in range(rng.randint(1, 3)):
+                    data[rng.randrange(len(data))] = rng.randrange(256)
+            else:
+                del data[rng.randrange(len(data)) :]
+            cuts = sorted(rng.randint(0, len(data)) for _ in range(2))
+            chunks = [data[: cuts[0]], data[cuts[0] : cuts[1]], data[cuts[1] :]]
+            try:
+                decoded = frames_of(bytes(chunk) for chunk in chunks)
+            except ValueError:
+                refused += 1
+                continue
+            logic = NodeLogic("b", miner, NodeRole.CSP_MINER, start)
+            for kind, payload in decoded:
+                yielded += 1
+                logic.handle_message(kind, payload, "peer")
+        assert yielded > 500 and refused > 20
 
 
 class FakeConn:
@@ -182,12 +170,12 @@ class TestSendOut:
         path = tmp_path / "chain.jsonl"
         write_chain(str(path), [make_genesis([miner], GENESIS_TS)])
         config = NodeConfig(NodeRole.STAKEHOLDER, "unused.key", str(path))
-        node = LiveNode(config, miner, BlockStore.open(str(path)), Checkpoint(str(path), miner))
+        node = LiveNode(config, miner, BlockStore.open(str(path), miner))
         origin, other = FakeConn(), FakeConn()
         node._conns = [origin, other]
         node._send_out([(MSG_TX, b"tx", BROADCAST), (MSG_CHAIN_RESPONSE, b"r", "peer")], origin)
-        assert [decode_wire(line[:-1])[0] for line in other.sent] == [MSG_TX]
-        assert [decode_wire(line[:-1])[0] for line in origin.sent] == [MSG_CHAIN_RESPONSE]
+        assert other.sent == [encode_frame(MSG_TX, b"tx")]
+        assert origin.sent == [encode_frame(MSG_CHAIN_RESPONSE, b"r")]
         node._send_out([(MSG_BLOCK, b"mined", BROADCAST)])
         assert len(origin.sent) == len(other.sent) == 2
 
@@ -751,7 +739,7 @@ def loop_node(tmp_path, miner):
         write_chain(str(path), [genesis])
         address = f"127.0.0.1:{free_port()}"
         config = NodeConfig(role, "unused.key", str(path), listen=address, peers=list(peers))
-        node = LiveNode(config, keypair, BlockStore.open(str(path)), Checkpoint(str(path), keypair))
+        node = LiveNode(config, keypair, BlockStore.open(str(path), keypair))
         thread = threading.Thread(target=node.run)
         thread.start()
         started.append((node, thread))
@@ -807,10 +795,10 @@ class TestEventLoop:
             client = connect(address)
         with dialled, client:
             dialled.settimeout(5)
-            from_dial, from_client = read_lines(dialled), read_lines(client)
-            assert decode_wire(next(from_dial))[0] == MSG_CHAIN_REQUEST
-            client.sendall(encode_wire(MSG_CHAIN_REQUEST, b"", "client", BROADCAST))
-            assert decode_wire(next(from_client))[0] == MSG_CHAIN_RESPONSE
+            from_dial, from_client = read_frames(dialled), read_frames(client)
+            assert next(from_dial)[0] == MSG_CHAIN_REQUEST
+            client.sendall(encode_frame(MSG_CHAIN_REQUEST, b""))
+            assert next(from_client)[0] == MSG_CHAIN_RESPONSE
             node.stop()
             thread.join(1.0)
             assert not thread.is_alive()
@@ -819,22 +807,24 @@ class TestEventLoop:
         with pytest.raises(ConnectionRefusedError):
             connect(address)
 
-    def test_peer_sending_half_a_line_is_dropped(self, loop_node, miner):
+    def test_peer_sending_half_a_frame_is_dropped(self, loop_node, miner):
         _, _, address = loop_node("a", NodeRole.CSP_MINER, miner)
         with connect(address) as half:
-            half.sendall(encode_wire(MSG_CHAIN_REQUEST, b"", "half", BROADCAST)[:20])
+            half.sendall(encode_frame(MSG_TX, bytes(40))[:20])
             half.shutdown(socket.SHUT_WR)
             assert half.recv(1) == b""
         assert len(fetch_chain(address)) == 1
 
-    def test_malformed_lines_are_dropped_and_the_node_serves_on(self, loop_node, miner):
+    @pytest.mark.parametrize("header", BAD_HEADERS, ids=range(len(BAD_HEADERS)))
+    def test_bad_header_closes_only_its_own_connection(self, loop_node, miner, header):
+        """The node closes the connection that sent a bad header, and serves
+        a client connected before it and one connected after it."""
         _, thread, address = loop_node("a", NodeRole.CSP_MINER, miner)
-        with connect(address) as bad:
-            bad.sendall(b"\n".join(BAD_WIRE_LINES) + b"\n")
-            bad.sendall(encode_wire(MSG_CHAIN_REQUEST, b"", "bad", BROADCAST))
-            # Lines on one connection are handled in order, so this reply
-            # comes after every bad line was read.
-            assert decode_wire(next(read_lines(bad)))[0] == MSG_CHAIN_RESPONSE
+        with connect(address) as good, connect(address) as bad:
+            bad.sendall(header)
+            assert bad.recv(1 << 16) == b""
+            good.sendall(encode_frame(MSG_CHAIN_REQUEST, b""))
+            assert next(read_frames(good))[0] == MSG_CHAIN_RESPONSE
         assert len(fetch_chain(address)) == 1
         assert thread.is_alive()
 
@@ -847,7 +837,7 @@ class TestEventLoop:
         finds the disk writable again, not filing the same blocks twice."""
         node, thread, address = loop_node("a", NodeRole.STAKEHOLDER, stakeholder)
         chain, _ = build_chain(miner, device, [b"a", b"b"])
-        response = encode_wire(MSG_CHAIN_RESPONSE, encode_blocks(chain.blocks), "peer", BROADCAST)
+        response = encode_frame(MSG_CHAIN_RESPONSE, encode_blocks(chain.blocks))
         write_lines = store_module._write_lines
 
         def failing_fsync(path, lines, replace=False):
@@ -866,18 +856,36 @@ class TestEventLoop:
         assert thread.is_alive()
 
 
-def test_fetch_chain_skips_malformed_lines(miner):
-    genesis = make_genesis([miner], GENESIS_TS)
-    response = encode_wire(MSG_CHAIN_RESPONSE, encode_blocks([genesis]), "n", "client")
-    with socket.create_server(("127.0.0.1", 0)) as server:
+def serve_once(data):
+    """Serve one connection: read its request, then send ``data`` and close.
+    Returns the server's address and its thread."""
+    server = socket.create_server(("127.0.0.1", 0))
+    server.settimeout(5)
 
-        def serve():
+    def serve():
+        with server:
             conn, _ = server.accept()
             with conn:
                 conn.recv(1 << 16)
-                conn.sendall(b"\n".join(BAD_WIRE_LINES) + b"\n" + response)
+                conn.sendall(data)
 
-        thread = threading.Thread(target=serve)
-        thread.start()
-        assert fetch_chain(f"127.0.0.1:{server.getsockname()[1]}", timeout=5) == [genesis]
-        thread.join(5)
+    thread = threading.Thread(target=serve)
+    thread.start()
+    return f"127.0.0.1:{server.getsockname()[1]}", thread
+
+
+def test_fetch_chain_skips_frames_of_other_kinds(miner):
+    genesis = make_genesis([miner], GENESIS_TS)
+    gossip = encode_frame(MSG_TX, b"tx") + encode_frame(MSG_BLOCK, b"")
+    address, thread = serve_once(gossip + encode_frame(MSG_CHAIN_RESPONSE, encode_blocks([genesis])))
+    assert fetch_chain(address, timeout=5) == [genesis]
+    thread.join(5)
+
+
+@pytest.mark.parametrize("header", BAD_HEADERS, ids=range(len(BAD_HEADERS)))
+def test_fetch_chain_raises_value_error_at_a_bad_header(miner, header):
+    genesis = make_genesis([miner], GENESIS_TS)
+    address, thread = serve_once(header + encode_frame(MSG_CHAIN_RESPONSE, encode_blocks([genesis])))
+    with pytest.raises(ValueError, match="bad frame header"):
+        fetch_chain(address, timeout=5)
+    thread.join(5)

@@ -29,15 +29,15 @@ from bloff.ledger import (
     encode_compact_block,
 )
 from bloff.node import (
-    BROADCAST,
     MSG_BLOCK,
+    MSG_CHAIN_REQUEST,
     MSG_CHAIN_RESPONSE,
     MSG_TX,
     LiveNode,
     NodeConfig,
     NodeLogic,
     _Conn,
-    encode_wire,
+    encode_frame,
 )
 from bloff.simnet import run_scenario
 from bloff.store import BlockStore, Checkpoint, append_mempool_file, load_chain, write_chain
@@ -359,15 +359,35 @@ def live_node(tmp_path, blocks, keypair=None):
         write_chain(str(path), blocks)
     config = NodeConfig(NodeRole.STAKEHOLDER, "unused.key", str(path))
     keypair = keypair or keypair_for("stakeholder-0")
-    checkpoint = Checkpoint(str(path), keypair)
-    return LiveNode(config, keypair, BlockStore.open(str(path), checkpoint), checkpoint)
+    return LiveNode(config, keypair, BlockStore.open(str(path), keypair))
 
 
 def deliver(node, kind, payload):
-    """Have ``node`` read one wire line from a peer, as its loop does."""
-    line = encode_wire(kind, payload, "peer", BROADCAST)
-    sock = SimpleNamespace(recv=lambda size: line, sendall=lambda data: None)
+    """Have ``node`` read one wire frame from a peer, as its loop does."""
+    frame = encode_frame(kind, payload)
+    sock = SimpleNamespace(recv=lambda size: frame, sendall=lambda data: None)
     node._read(_Conn(sock))
+
+
+def test_live_wire_bytes_are_the_payload_and_a_six_byte_header(tmp_path, miner, device):
+    """A live node answers a whole-chain ``chain-request`` with one frame of
+    exactly 6 bytes more than the encoded blocks, and relays a gossiped tx
+    in 6 bytes more than the tx: no payload byte is hex-doubled."""
+    chain, block = chain_and_next_block(miner, device)
+    node = live_node(tmp_path, chain.blocks)
+    origin_sent, other_sent = [], []
+    origin = _Conn(SimpleNamespace(sendall=origin_sent.append))
+    node._conns = [origin, _Conn(SimpleNamespace(sendall=other_sent.append))]
+    origin.sock.recv = lambda size: encode_frame(MSG_CHAIN_REQUEST, b"")
+    node._read(origin)
+    blocks = encode_blocks(chain.blocks)
+    assert origin_sent == [encode_frame(MSG_CHAIN_RESPONSE, blocks)]
+    assert len(origin_sent[0]) == 6 + len(blocks)
+    tx = block.transactions[0]
+    origin.sock.recv = lambda size: encode_frame(MSG_TX, tx.raw)
+    node._read(origin)
+    assert other_sent == [encode_frame(MSG_TX, tx.raw)]
+    assert len(other_sent[0]) == 6 + len(tx.raw)
 
 
 def test_live_node_validates_a_gossiped_block_once(tmp_path, miner, device, counted):
@@ -413,7 +433,7 @@ def test_restarted_live_node_checks_only_the_blocks_it_did_not_connect(
     calls = count_calls(monkeypatch, "verify_signature")
     node = live_node(tmp_path, chain.blocks, stakeholder)
     assert len(calls) == len(chain.tx_ids)
-    assert node.checkpoint.named == (41, chain.tip.hash)
+    assert node.store.checkpoint.named == (41, chain.tip.hash)
     deliver(node, MSG_TX, block.transactions[0].raw)
     deliver(node, MSG_BLOCK, encode_compact_block(block))
     assert Checkpoint(node.store.path, stakeholder).named == (42, block.hash)

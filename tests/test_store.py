@@ -447,26 +447,28 @@ class TestCheckpoint:
         assert full == (ChainValidationError, error[len("error: ") : -1])
         assert self.outcome(path, Checkpoint(str(path), device)) == full
 
-    def test_a_keypair_naming_another_key_vouches_for_nothing(self, tmp_path, device, long_chain):
-        """A ``KeyPair`` whose ``public_key`` field names the device, with
-        another key's secret: a tx that claims the device's key, signed by
-        that secret, is ``bad-signature`` for a load with that keypair as for
-        a keyless one. Only the key the secret derives is checked by signing
-        again."""
+    def test_a_keypair_takes_no_public_key_and_an_impostor_vouches_for_nothing(
+        self, tmp_path, device, long_chain
+    ):
+        """A ``KeyPair`` is made from its secret alone, so it cannot name
+        another key than the one its secret derives. A tx that claims the
+        device's key, signed by an impostor, is ``bad-signature`` for a load
+        with the impostor's key as for a keyless one."""
         impostor = keypair_for("impostor")
-        liar = KeyPair(secret_key=impostor.secret_key, public_key=device.public_key)
+        with pytest.raises(TypeError):
+            KeyPair(secret_key=impostor.secret_key, public_key=device.public_key)
         blocks = list(long_chain.blocks)
         blocks[3] = self.with_bad_signature(
             blocks[3], reroot=True, signature_of=lambda tx: sign(impostor, tx.raw[:-64])
         )
         forged = blocks[3].transactions[len(blocks[3].transactions) // 2]
         assert forged.submitter_pubkey == device.public_key
-        assert verify_tx(forged, signer=liar) == "bad-signature"
+        assert verify_tx(forged, signer=impostor) == "bad-signature"
         path = tmp_path / "chain.jsonl"
         write_chain(str(path), blocks)
         full = self.outcome(path)
         assert full == (ChainValidationError, "invalid chain at height 4: bad-signature")
-        assert self.outcome(path, Checkpoint(str(path), liar)) == full
+        assert self.outcome(path, Checkpoint(str(path), impostor)) == full
 
     def flips_fail_as_without_a_checkpoint(self, tmp_path, miner, device, keypair, first_line):
         """Acceptance criterion 2 (every single-byte flip of the chain file is
@@ -499,6 +501,31 @@ class TestCheckpoint:
         in blocks 3-5 by signing them again; only those blocks' bytes are
         flipped, since the test above covers the rest."""
         self.flips_fail_as_without_a_checkpoint(tmp_path, miner, device, device, 3)
+
+    def test_keyed_store_names_its_tip_after_the_open_and_each_written_sync(
+        self, tmp_path, miner, device, monkeypatch
+    ):
+        """``BlockStore.open`` with a key names the loaded tip in the key's
+        checkpoint, and each ``sync`` that writes names the new tip; a failed
+        write names nothing. A keyless store keeps no checkpoint."""
+        from bloff import store as store_mod
+
+        chain, _ = build_chain(miner, device, [b"a", b"b"], txs_per_block=1)
+        path = write_chain_file(tmp_path, validate_chain(chain.blocks[:2]))
+        assert BlockStore.open(str(path)).checkpoint is None
+        store = BlockStore.open(str(path), miner)
+        assert Checkpoint(str(path), miner).named == (2, chain.blocks[1].hash)
+
+        def failing_write(*args, **kwargs):
+            raise OSError("disk full")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(store_mod, "_write_lines", failing_write)
+            with pytest.raises(OSError):
+                store.append_block(chain.blocks[2])
+        assert Checkpoint(str(path), miner).named == (2, chain.blocks[1].hash)
+        store.append_block(chain.blocks[2])
+        assert Checkpoint(str(path), miner).named == (3, chain.blocks[2].hash)
 
 
 class TestMempoolFile:

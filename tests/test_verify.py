@@ -299,3 +299,18 @@ class TestCustody:
         obj["signature"] = obj["signature"][:126]
         with pytest.raises(ValueError, match="expected 64 bytes of hex, got 63"):
             parse_attestation_line(json.dumps(obj))
+
+    @pytest.mark.parametrize("timestamp", ['"12"', "true", "1.5", "-1", "1e30", "1e400", str(2**64), "null"])
+    def test_attestation_timestamp_must_be_a_u64_json_integer(self, anchored, timestamp):
+        _, lines = anchored
+        line = make_attestation(sha256_digest(lines[0]), keypair_for("inv"), 7).to_json()
+        bad = line.replace('"received_timestamp":7', f'"received_timestamp":{timestamp}')
+        assert bad != line
+        with pytest.raises(ValueError, match="received_timestamp"):
+            parse_attestation_line(bad)
+
+    @pytest.mark.parametrize("timestamp", [0, 2**64 - 1])
+    def test_attestation_timestamp_bounds_are_accepted(self, anchored, timestamp):
+        _, lines = anchored
+        att = make_attestation(sha256_digest(lines[0]), keypair_for("inv"), timestamp)
+        assert parse_attestation_line(att.to_json()) == att
