@@ -224,6 +224,29 @@ class TestScenarioDeterminism:
             "2282f17e88daf4b89bffd8887316c782bff615bd9e0490852255bc0ca7fe975d"
         )
 
+    def test_mixed_latency_scenario_traffic_is_pinned(self):
+        """``partition_scenario``'s script on a five-node ring with one chord,
+        latencies 1-3 and drop rate 0.1, its partition leaving ``s1`` in the
+        implicit remainder group. Messages due on one tick were enqueued on
+        different ticks, so the digest pins delivery in tick, then enqueue,
+        order."""
+        ring = ["m1", "d1", "s1", "d2", "m2"]
+        links = [(a, b, 1 + i % 3) for i, (a, b) in enumerate(zip(ring, ring[1:] + ring[:1]))]
+        edges = [{"a": a, "b": b, "latency": latency} for a, b, latency in links]
+        edges.append({"a": "m1", "b": "s1", "latency": 3})
+        digest = hashlib.sha256()
+        for seed in range(1, 5):
+            scenario = {**partition_scenario(seed, 0), "drop_rate": 0.1, "edges": edges}
+            for action in scenario["actions"]:
+                if action["type"] == "partition":
+                    action["groups"] = [["m1", "d1"], ["m2", "d2"]]
+            result = run_scenario(scenario)
+            digest.update(json.dumps(result.report, sort_keys=True).encode())
+            digest.update("".join(f"{line}\n" for line in result.events).encode())
+        assert digest.hexdigest() == (
+            "9b6213536dc9d2a1d1193f166829e9677040ffd6987dc56b62473ad198b64a81"
+        )
+
     def test_sim_keys_deterministic(self):
         assert sim_keypair(7, "m1") == sim_keypair(7, "m1")
         assert sim_keypair(7, "m1") != sim_keypair(8, "m1")
