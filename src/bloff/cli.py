@@ -326,7 +326,7 @@ def cmd_verify(args) -> int:
 
     if args.custody:
         attestations = []
-        with open(args.custody, "r", encoding="utf-8") as fh:
+        with open(args.custody, "r", encoding="utf-8", errors="replace") as fh:
             for line in fh.read().splitlines():
                 if not line:
                     continue

@@ -653,15 +653,7 @@ def block_from_json_line(line: str, line_no: int = 0) -> Block:
 
 def leading_zero_bits(digest: bytes) -> int:
     """Count zero bits from the MSB of byte 0 downward."""
-    count = 0
-    for byte in digest:
-        if byte == 0:
-            count += 8
-            continue
-        # 8 - bit_length gives the zero bits at the top of this byte
-        count += 8 - byte.bit_length()
-        break
-    return count
+    return len(digest) * 8 - int.from_bytes(digest, "big").bit_length()
 
 
 # ---------------------------------------------------------------------------

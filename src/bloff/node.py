@@ -317,13 +317,18 @@ def split_frames(buf: bytearray, data: bytes) -> list[tuple[str, bytes]]:
     return frames
 
 
-def read_frames(sock: socket.socket) -> Iterator[tuple[str, bytes]]:
+def read_frames(sock: socket.socket, deadline: float) -> Iterator[tuple[str, bytes]]:
     """Yield the kind and payload of each frame received on ``sock`` until
     EOF; a partial frame at EOF is dropped. Raises ValueError at a bad
-    header."""
+    header, and TimeoutError once ``time.monotonic()`` reaches ``deadline``:
+    each ``recv`` waits only for the time left."""
     buf = bytearray()
-    while data := sock.recv(1 << 16):
+    while (left := deadline - time.monotonic()) > 0:
+        sock.settimeout(left)
+        if not (data := sock.recv(1 << 16)):
+            return
         yield from split_frames(buf, data)
+    raise TimeoutError("read deadline passed")
 
 
 class _Conn:
@@ -533,18 +538,17 @@ def fetch_chain(address: str, timeout: float = 10.0) -> list[Block]:
 
     The connection may also carry unrelated gossip the node broadcasts while
     we wait; skip any frame that is not the chain response. A bad frame
-    header raises ValueError.
+    header raises ValueError; no response within ``timeout`` seconds of the
+    call, or none before the node closes the connection, raises
+    TimeoutError.
     """
     host, port = address.rsplit(":", 1)
     deadline = time.monotonic() + timeout
     with socket.create_connection((host, int(port)), timeout=timeout) as sock:
         sock.sendall(encode_frame(MSG_CHAIN_REQUEST, b""))
-        sock.settimeout(timeout)
-        for kind, payload in read_frames(sock):
+        for kind, payload in read_frames(sock, deadline):
             if kind == MSG_CHAIN_RESPONSE:
                 return decode_blocks(payload)
-            if time.monotonic() >= deadline:
-                break
     raise TimeoutError(f"no chain response from {address}")
 
 

@@ -458,6 +458,26 @@ class TestVerifyOptions:
         assert [h["passed"] for h in report["hops"]] == [True, True, False]
         assert report["verdict"]["outcome"] == "Accepted"
 
+    def test_custody_line_not_utf8_is_a_malformed_hop(self, anchored_ws, tmp_path, capsys):
+        """A byte that is not UTF-8 fails only its own line's hop: the
+        report of every hop prints, and the command exits 1."""
+        from bloff.verify import make_attestation
+
+        hop = make_attestation(sha256_digest(b"alpha"), keypair_for("cust-0"), GENESIS_TS)
+        att_path = tmp_path / "att.jsonl"
+        att_path.write_bytes(hop.to_json().encode() + b"\nnot an attestation\n\xff\n")
+        present = tmp_path / "p.log"
+        present.write_text("alpha\n")
+        code, out, err = run_cli(
+            capsys,
+            "verify",
+            "--chain", str(anchored_ws["chain"]),
+            "--log", str(present),
+            "--custody", str(att_path),
+        )
+        assert (code, err) == (1, "")
+        assert [h["passed"] for h in json.loads(out)["hops"]] == [True, False, False]
+
     def test_custody_line_nested_past_the_recursion_limit(self, anchored_ws, tmp_path, capsys):
         """A custody line nested deeper than the recursion limit is a
         malformed hop, like any other line that is no attestation."""

@@ -98,7 +98,9 @@ class TestCheckPow:
             assert leading_zero_bits(digest) == oracle_leading_zero_bits(digest)
 
     def test_oracle_agreement_edge_patterns(self):
-        for digest in [bytes(32), b"\x80" + bytes(31), bytes(31) + b"\x01", b"\x01" + bytes(31)]:
+        edges = [bytes(32), b"\x80" + bytes(31), bytes(31) + b"\x01", b"\x01" + bytes(31)]
+        single_bits = [(1 << bit).to_bytes(32, "big") for bit in range(256)]
+        for digest in edges + single_bits:
             assert leading_zero_bits(digest) == oracle_leading_zero_bits(digest)
 
 

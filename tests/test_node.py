@@ -1,5 +1,6 @@
 """Live TCP nodes: wire codec, role checks, multi-process smoke and restart."""
 
+import contextlib
 import random
 import socket
 import subprocess
@@ -77,6 +78,9 @@ class FakeSocket:
     def recv(self, size):
         return self.chunks.pop(0) if self.chunks else b""
 
+    def settimeout(self, seconds):
+        pass
+
 
 class TestFrameCodec:
     def test_layout(self):
@@ -117,7 +121,7 @@ class TestFrameCodec:
     def test_read_frames_drops_a_partial_frame_at_eof(self):
         frame = encode_frame(MSG_TX, b"whole")
         chunks = [frame + frame[:3], frame[3:9]]
-        assert list(read_frames(FakeSocket(chunks))) == [(MSG_TX, b"whole")]
+        assert list(read_frames(FakeSocket(chunks), time.monotonic() + 5)) == [(MSG_TX, b"whole")]
 
     def test_flipped_and_truncated_frames_raise_nothing_but_value_error(self, miner, device):
         """2,000 valid frames of every kind, each with bytes flipped or cut
@@ -795,7 +799,9 @@ class TestEventLoop:
             client = connect(address)
         with dialled, client:
             dialled.settimeout(5)
-            from_dial, from_client = read_frames(dialled), read_frames(client)
+            from_dial, from_client = (
+                read_frames(sock, time.monotonic() + 5) for sock in (dialled, client)
+            )
             assert next(from_dial)[0] == MSG_CHAIN_REQUEST
             client.sendall(encode_frame(MSG_CHAIN_REQUEST, b""))
             assert next(from_client)[0] == MSG_CHAIN_RESPONSE
@@ -824,7 +830,7 @@ class TestEventLoop:
             bad.sendall(header)
             assert bad.recv(1 << 16) == b""
             good.sendall(encode_frame(MSG_CHAIN_REQUEST, b""))
-            assert next(read_frames(good))[0] == MSG_CHAIN_RESPONSE
+            assert next(read_frames(good, time.monotonic() + 5))[0] == MSG_CHAIN_RESPONSE
         assert len(fetch_chain(address)) == 1
         assert thread.is_alive()
 
@@ -880,6 +886,33 @@ def test_fetch_chain_skips_frames_of_other_kinds(miner):
     address, thread = serve_once(gossip + encode_frame(MSG_CHAIN_RESPONSE, encode_blocks([genesis])))
     assert fetch_chain(address, timeout=5) == [genesis]
     thread.join(5)
+
+
+def test_fetch_chain_times_out_on_a_node_that_sends_one_byte_at_a_time():
+    """A node that sends a byte every 0.2 s gets no fresh timeout per byte:
+    ``fetch_chain`` raises TimeoutError once its own timeout has passed."""
+    frame = encode_frame(MSG_TX, bytes(20))
+    server = socket.create_server(("127.0.0.1", 0))
+    server.settimeout(5)
+    stop = threading.Event()
+
+    def trickle():
+        with server, server.accept()[0] as conn, contextlib.suppress(OSError):
+            for byte in frame:
+                if stop.wait(0.2):
+                    break
+                conn.sendall(bytes([byte]))
+
+    thread = threading.Thread(target=trickle)
+    thread.start()
+    start = time.monotonic()
+    try:
+        with pytest.raises(TimeoutError):
+            fetch_chain(f"127.0.0.1:{server.getsockname()[1]}", timeout=1)
+        assert time.monotonic() - start < 2
+    finally:
+        stop.set()
+        thread.join(5)
 
 
 @pytest.mark.parametrize("header", BAD_HEADERS, ids=range(len(BAD_HEADERS)))
