@@ -55,8 +55,6 @@ from .ledger import (
     decode_tx,
     encode_blocks,
     encode_compact_block,
-    tx_context_reason,
-    verify_tx,
 )
 from .store import BlockStore, writer_lock
 
@@ -143,29 +141,6 @@ class NodeLogic:
             index -= step
         hashes.append(blocks[0].hash)
         return (MSG_CHAIN_REQUEST, b"".join(hashes), dest)
-
-    # -- local submission ----------------------------------------------------
-
-    def submit_tx(self, tx: Transaction) -> tuple[bool, str | None]:
-        """Admit a locally submitted transaction after full context checks.
-
-        Unlike gossip admission, local submission enforces the registry rules
-        up front so an unregistered or verify-only key gets an actionable
-        rejection instead of a transaction stuck in the pool.
-        """
-        reason = verify_tx(tx, self.state.mempool.verified)
-        if reason is None:
-            reason = tx_context_reason(tx, self.chain.registered_nodes)
-        if reason is not None:
-            return False, reason
-        status = self.state.mempool.add(tx, self.chain.tx_ids)
-        if status in ("accepted", "duplicate"):
-            self._mark_seen(tx.raw)
-            return True, None
-        return False, status
-
-    def submit_messages(self, tx: Transaction) -> list[tuple[str, bytes, str]]:
-        return [(MSG_TX, tx.raw, BROADCAST)]
 
     # -- mining ---------------------------------------------------------------
 

@@ -4,7 +4,9 @@ Time advances in discrete ticks; every message delivery, drop decision and
 node reaction happens inline in a fixed order, so a fixed seed, topology and
 action script gives a byte-identical event trace on every run. Nodes run the
 same ``NodeLogic`` state machine as the live TCP runtime; only the transport
-differs.
+differs. A node's only way in is a message: a ``register`` or ``submit``
+action reaches its node as a ``tx-gossip`` frame, as ``bloff submit --chain
+host:port`` sends one to a live node.
 
 Scenario files (JSON) describe the topology, seed, partition/heal schedule
 and per-node actions; ``run_scenario`` executes one and reports whether all
@@ -13,22 +15,22 @@ nodes converged to a single tip and identical anchor indexes.
 
 from __future__ import annotations
 
+import heapq
 import json
 import random
 from dataclasses import dataclass, field
 
 from .crypto import KeyPair, generate_keypair, sha256_digest
 from .ingest import LogRecord, build_anchor_for_record
-from .ledger import NodeRole, build_registration_tx, validate_chain, make_genesis
-from .node import BROADCAST, NodeLogic
-
-
-@dataclass(frozen=True)
-class SimMessage:
-    kind: str  # tx-gossip | block-gossip | chain-request | chain-response
-    payload: bytes
-    sender: str
-    recipient: str
+from .ledger import (
+    NodeRole,
+    Transaction,
+    build_registration_tx,
+    make_genesis,
+    tx_context_reason,
+    validate_chain,
+)
+from .node import BROADCAST, MSG_TX, NodeLogic
 
 
 @dataclass
@@ -39,15 +41,14 @@ class SimNode:
     logic: NodeLogic
 
 
-@dataclass
-class _Queued:
-    deliver_tick: int
-    seq: int
-    message: SimMessage
-
-
 class SimNetwork:
-    """Undirected topology of nodes with per-edge latency and seeded drops."""
+    """Undirected topology of nodes with per-edge latency and seeded drops.
+
+    ``links`` maps each node to its neighbours' latencies, in id order.
+    ``groups`` maps each node a partition lists to its group; the nodes it
+    does not list share one implicit remainder group. ``_queue`` is a heap
+    of ``(deliver tick, enqueue order, kind, payload, sender, recipient)``.
+    """
 
     def __init__(self, seed: int = 0, drop_rate: float = 0.0, genesis_timestamp: int = 1_700_000_000):
         self.seed = seed
@@ -56,12 +57,10 @@ class SimNetwork:
         self.rng = random.Random(seed)
         self.tick = 0
         self.nodes: dict[str, SimNode] = {}
-        self.edges: dict[frozenset, int] = {}
-        self.partitions: list[frozenset] = []
-        self._queue: list[_Queued] = []
-        self._seq = 0
+        self.links: dict[str, dict[str, int]] = {}
+        self.groups: dict[str, int] = {}
+        self._queue: list[tuple[int, int, str, bytes, str, str]] = []
         self.events: list[str] = []
-        self.enqueued_count = 0
         self.delivered_count = 0
         self.captured_payloads: list[bytes] = []
 
@@ -71,64 +70,43 @@ class SimNetwork:
         if node.node_id in self.nodes:
             raise ValueError(f"duplicate node id: {node.node_id}")
         self.nodes[node.node_id] = node
+        self.links[node.node_id] = {}
 
     def add_edge(self, a: str, b: str, latency: int = 1) -> None:
         if a not in self.nodes or b not in self.nodes:
             raise ValueError(f"unknown node in edge {a}-{b}")
         if a == b or latency < 1:
             raise ValueError("edges must join two distinct nodes with latency >= 1")
-        self.edges[frozenset((a, b))] = latency
-
-    def neighbors(self, node_id: str) -> list[str]:
-        out = []
-        for edge in self.edges:
-            if node_id in edge:
-                (other,) = edge - {node_id}
-                out.append(other)
-        return sorted(out)
-
-    def _group_of(self, node_id: str) -> int:
-        for index, group in enumerate(self.partitions):
-            if node_id in group:
-                return index
-        return -1
-
-    def _severed(self, a: str, b: str) -> bool:
-        if not self.partitions:
-            return False
-        return self._group_of(a) != self._group_of(b)
+        for node_id, other in ((a, b), (b, a)):
+            self.links[node_id] = dict(sorted({**self.links[node_id], other: latency}.items()))
 
     def set_partition(self, groups: list[list[str]]) -> None:
         """Sever all edges between groups until ``heal``. Unlisted nodes form
         one implicit remainder group."""
-        seen: set[str] = set()
-        for group in groups:
-            overlap = seen & set(group)
-            if overlap:
-                raise ValueError(f"overlapping partition groups: {sorted(overlap)}")
-            seen.update(group)
-        self.partitions = [frozenset(g) for g in groups]
+        group_of: dict[str, int] = {}
+        for index, group in enumerate(groups):
+            for node_id in group:
+                if group_of.setdefault(node_id, index) != index:
+                    raise ValueError(f"overlapping partition groups: {node_id}")
+        self.groups = group_of
         self.events.append(f"t={self.tick} partition {[sorted(g) for g in groups]}")
 
     def heal(self) -> None:
         """Reconnect everything and make every node ask neighbors for the
         blocks it lacks."""
-        self.partitions = []
+        self.groups = {}
         self.events.append(f"t={self.tick} heal")
         for node_id in sorted(self.nodes):
             self.send_from(node_id, [self.nodes[node_id].logic.chain_request()])
 
     # -- message plumbing ------------------------------------------------------
 
-    def _enqueue(self, message: SimMessage) -> None:
-        edge = frozenset((message.sender, message.recipient))
-        latency = self.edges[edge]
-        self._queue.append(
-            _Queued(deliver_tick=self.tick + latency, seq=self._seq, message=message)
-        )
-        self._seq += 1
-        self.enqueued_count += 1
-        self.captured_payloads.append(message.payload)
+    def _enqueue(self, kind: str, payload: bytes, sender: str, recipient: str) -> None:
+        deliver_tick = self.tick + self.links[sender][recipient]
+        # Every enqueued payload is captured, so their count is the order.
+        order = len(self.captured_payloads)
+        heapq.heappush(self._queue, (deliver_tick, order, kind, payload, sender, recipient))
+        self.captured_payloads.append(payload)
 
     def send_from(
         self, origin: str, outbound: list[tuple[str, bytes, str]], skip: str | None = None
@@ -141,15 +119,27 @@ class SimNetwork:
         """
         if origin not in self.nodes:
             raise ValueError(f"unknown node: {origin}")
+        links = self.links[origin]
         for kind, payload, dest in outbound:
             if dest == BROADCAST:
-                targets = [n for n in self.neighbors(origin) if n != skip]
-            elif frozenset((origin, dest)) in self.edges:
-                targets = [dest]
+                targets = [n for n in links if n != skip]
             else:
-                continue  # no link to the requested destination
+                targets = [dest] if dest in links else []
             for target in targets:
-                self._enqueue(SimMessage(kind=kind, payload=payload, sender=origin, recipient=target))
+                self._enqueue(kind, payload, origin, target)
+
+    def submit(self, node_id: str, tx: Transaction) -> str:
+        """Hand ``tx`` to ``node_id`` as ``bloff submit --chain host:port``
+        does: check the registry rules against the node's chain, then send
+        the node ``tx.raw`` as a ``tx-gossip`` frame and fan out its reply.
+        Returns "ok" when the node's pool holds the tx, else the rule's
+        reason, or "not-pooled" when the pool refused it."""
+        logic = self.nodes[node_id].logic
+        reason = tx_context_reason(tx, logic.chain.registered_nodes)
+        if reason is not None:
+            return reason
+        self.send_from(node_id, logic.handle_message(MSG_TX, tx.raw, "client"))
+        return "ok" if tx.id in logic.state.mempool else "not-pooled"
 
     def step(self) -> int:
         """Advance one tick and deliver everything due, in enqueue order.
@@ -159,37 +149,30 @@ class SimNetwork:
         are enqueued for later ticks.
         """
         self.tick += 1
-        due = [q for q in self._queue if q.deliver_tick <= self.tick]
-        self._queue = [q for q in self._queue if q.deliver_tick > self.tick]
         delivered = 0
-        for item in sorted(due, key=lambda q: q.seq):
-            msg = item.message
-            if self._severed(msg.sender, msg.recipient):
-                self.events.append(
-                    f"t={self.tick} sever-drop {msg.kind} {msg.sender}->{msg.recipient}"
-                )
+        while self._queue and self._queue[0][0] <= self.tick:
+            _, _, kind, payload, sender, recipient = heapq.heappop(self._queue)
+            if self.groups.get(sender, -1) != self.groups.get(recipient, -1):
+                self.events.append(f"t={self.tick} sever-drop {kind} {sender}->{recipient}")
                 continue
             if self.drop_rate > 0 and self.rng.random() < self.drop_rate:
-                self.events.append(
-                    f"t={self.tick} drop {msg.kind} {msg.sender}->{msg.recipient}"
-                )
+                self.events.append(f"t={self.tick} drop {kind} {sender}->{recipient}")
                 continue
             delivered += 1
             self.delivered_count += 1
-            node = self.nodes[msg.recipient]
-            before = node.logic.chain.tip.hash
-            outbound = node.logic.handle_message(msg.kind, msg.payload, msg.sender)
-            after = node.logic.chain.tip.hash
+            logic = self.nodes[recipient].logic
+            before = logic.chain.tip.hash
+            outbound = logic.handle_message(kind, payload, sender)
+            after = logic.chain.tip.hash
             self.events.append(
-                f"t={self.tick} deliver {msg.kind} {msg.sender}->{msg.recipient}"
-                f" payload={sha256_digest(msg.payload).hex()[:12]}"
+                f"t={self.tick} deliver {kind} {sender}->{recipient}"
+                f" payload={sha256_digest(payload).hex()[:12]}"
             )
             if after != before:
                 self.events.append(
-                    f"t={self.tick} {msg.recipient} tip={after.hex()[:12]}"
-                    f" height={node.logic.chain.height}"
+                    f"t={self.tick} {recipient} tip={after.hex()[:12]} height={logic.chain.height}"
                 )
-            self.send_from(msg.recipient, outbound, skip=msg.sender)
+            self.send_from(recipient, outbound, skip=sender)
         return delivered
 
     def run_to_quiescence(self, max_ticks: int) -> None:
@@ -293,7 +276,7 @@ def run_scenario(scenario: dict, seed_override: int | None = None) -> ScenarioRe
     report = {
         "seed": seed,
         "ticks": net.tick,
-        "enqueued": net.enqueued_count,
+        "enqueued": len(net.captured_payloads),
         "delivered": net.delivered_count,
         "converged": converged,
         "nodes": {
@@ -326,24 +309,18 @@ def _apply_action(net: SimNetwork, action: dict) -> None:
         tx = build_registration_tx(
             target.keypair.public_key, NodeRole(action["role"]), node.keypair
         )
-        accepted, reason = node.logic.submit_tx(tx)
         net.events.append(
             f"t={net.tick} action register {action['target']} via {node.node_id}"
-            f" -> {'ok' if accepted else reason}"
+            f" -> {net.submit(node.node_id, tx)}"
         )
-        if accepted:
-            net.send_from(node.node_id, node.logic.submit_messages(tx))
     elif kind == "submit":
         raw = action["log"].encode("utf-8") if "log" in action else bytes.fromhex(action["log_hex"])
         record = LogRecord(raw=raw, source_id=node.node_id, capture_timestamp=timestamp)
         tx = build_anchor_for_record(record, node.keypair)
-        accepted, reason = node.logic.submit_tx(tx)
         net.events.append(
             f"t={net.tick} action submit {node.node_id}"
-            f" log={record.log_hash.hex()[:12]} -> {'ok' if accepted else reason}"
+            f" log={record.log_hash.hex()[:12]} -> {net.submit(node.node_id, tx)}"
         )
-        if accepted:
-            net.send_from(node.node_id, node.logic.submit_messages(tx))
     elif kind == "mine":
         block = node.logic.maybe_mine(timestamp)
         if block is None:

@@ -15,6 +15,7 @@ from bloff.ledger import (
     make_genesis,
     validate_chain,
 )
+from bloff.simnet import SimNetwork, SimNode
 
 GENESIS_TS = 1_700_000_000
 
@@ -31,6 +32,13 @@ def child_env():
 def with_signature(tx, signature):
     """``tx`` carrying ``signature`` in place of its own."""
     return decode_tx(tx.raw[:-64] + bytes(signature))
+
+
+def lone_node(logic):
+    """A network of ``logic``'s node alone, to hand it submissions."""
+    net = SimNetwork()
+    net.add_node(SimNode(logic.node_id, logic.role, logic.keypair, logic))
+    return net
 
 
 def keypair_for(label: str):

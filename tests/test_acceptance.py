@@ -166,16 +166,14 @@ def test_criterion_5_privacy_sentinel_never_serialized(tmp_path, miner, device):
     reg = build_registration_tx(
         net.nodes["d1"].keypair.public_key, NodeRole.DEVICE, net.nodes["m1"].keypair
     )
-    net.nodes["m1"].logic.submit_tx(reg)
-    net.send_from("m1", net.nodes["m1"].logic.submit_messages(reg))
+    net.submit("m1", reg)
     net.step()
     block = net.nodes["m1"].logic.maybe_mine(GENESIS_TS + 1)
     net.send_from("m1", net.nodes["m1"].logic.block_messages(block))
     net.step()
     record = LogRecord(raw=line, source_id="d1", capture_timestamp=GENESIS_TS + 2)
     tx = build_anchor_for_record(record, net.nodes["d1"].keypair)
-    net.nodes["d1"].logic.submit_tx(tx)
-    net.send_from("d1", net.nodes["d1"].logic.submit_messages(tx))
+    net.submit("d1", tx)
     net.step()
     block = net.nodes["m1"].logic.maybe_mine(GENESIS_TS + 3)
     net.send_from("m1", net.nodes["m1"].logic.block_messages(block))

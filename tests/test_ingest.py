@@ -14,7 +14,7 @@ from bloff.ingest import (
 )
 from bloff.ledger import NodeRole
 from bloff.node import NodeLogic
-from conftest import GENESIS_TS, build_chain, keypair_for
+from conftest import GENESIS_TS, build_chain, keypair_for, lone_node
 
 
 class TestCanonicalizeRecord:
@@ -111,10 +111,10 @@ class TestLogRecord:
 
 
 def submit_record(logic, record, keypair):
-    """Sign ``record`` with ``keypair`` and submit it to ``logic``; the tx id
-    and the submission's ``(accepted, reason)``."""
+    """Sign ``record`` with ``keypair`` and submit it to ``logic``'s node as
+    a ``tx-gossip`` frame; the tx id and ``SimNetwork.submit``'s result."""
     tx = build_anchor_for_record(record, keypair)
-    return tx.id, logic.submit_tx(tx)
+    return tx.id, lone_node(logic).submit(logic.node_id, tx)
 
 
 class TestAnchorRecord:
@@ -123,7 +123,7 @@ class TestAnchorRecord:
         logic = NodeLogic("m", miner, NodeRole.CSP_MINER, chain)
         record = LogRecord(raw=b"payload", source_id="dev", capture_timestamp=GENESIS_TS + 9)
         txid, result = submit_record(logic, record, device)
-        assert result == (True, None)
+        assert result == "ok"
         (pooled,) = logic.state.mempool.oldest()
         assert pooled.id == txid
         assert pooled.log_hash == sha256_digest(b"payload")
@@ -135,7 +135,7 @@ class TestAnchorRecord:
         r2 = LogRecord(raw=b"payload", source_id="dev", capture_timestamp=GENESIS_TS + 10)
         id1, result1 = submit_record(logic, r1, device)
         id2, result2 = submit_record(logic, r2, device)
-        assert result1 == result2 == (True, None)
+        assert result1 == result2 == "ok"
         assert id1 != id2
         assert {tx.log_hash for tx in logic.state.mempool.oldest()} == {sha256_digest(b"payload")}
 
@@ -145,7 +145,7 @@ class TestAnchorRecord:
         stranger = keypair_for("nobody")
         record = LogRecord(raw=b"payload", source_id="dev", capture_timestamp=GENESIS_TS + 9)
         _, result = submit_record(logic, record, stranger)
-        assert result == (False, "unregistered-submitter")
+        assert result == "unregistered-submitter"
         assert len(logic.state.mempool) == 0
 
     def test_stakeholder_key_is_verify_only(self, miner, device, stakeholder):
@@ -161,5 +161,5 @@ class TestAnchorRecord:
         logic = NodeLogic("m", miner, NodeRole.CSP_MINER, chain)
         record = LogRecord(raw=b"payload", source_id="uc", capture_timestamp=GENESIS_TS + 9)
         _, result = submit_record(logic, record, stakeholder)
-        assert result == (False, "role-not-permitted")
+        assert result == "role-not-permitted"
         assert len(logic.state.mempool) == 0

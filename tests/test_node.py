@@ -48,7 +48,7 @@ from bloff.node import (
 )
 from bloff.verify import verify_log
 from bloff.store import BlockStore, load_chain, write_chain
-from conftest import GENESIS_TS, build_chain, child_env, grow, keypair_for
+from conftest import GENESIS_TS, build_chain, child_env, grow, keypair_for, lone_node
 
 
 # Headers that cannot be read past: another version (1, or the "{" of a
@@ -494,7 +494,7 @@ class TestAnchorReplay:
     def test_local_resubmission_of_mined_anchor_refused(self, miner, device):
         chain, _ = build_chain(miner, device, [b"evidence"])
         logic = NodeLogic("m", miner, NodeRole.CSP_MINER, chain)
-        assert logic.submit_tx(chain.tip.transactions[0]) == (False, "invalid:duplicate-tx")
+        assert lone_node(logic).submit("m", chain.tip.transactions[0]) == "not-pooled"
         assert len(logic.state.mempool) == 0
 
 

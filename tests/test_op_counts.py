@@ -41,7 +41,15 @@ from bloff.node import (
 )
 from bloff.simnet import run_scenario
 from bloff.store import BlockStore, Checkpoint, append_mempool_file, load_chain, write_chain
-from conftest import GENESIS_TS, build_chain, grow, keypair_for, partition_scenario, with_signature
+from conftest import (
+    GENESIS_TS,
+    build_chain,
+    grow,
+    keypair_for,
+    lone_node,
+    partition_scenario,
+    with_signature,
+)
 
 
 def count_calls(monkeypatch, name, module=ledger):
@@ -452,7 +460,7 @@ def test_local_submission_verified_once(miner, device, monkeypatch):
     logic = NodeLogic("n1", device, NodeRole.DEVICE, chain)
     tx = ledger.build_anchor_tx(sha256_digest(b"local"), "dev", GENESIS_TS + 100, device)
     calls = count_calls(monkeypatch, "verify_signature")
-    assert logic.submit_tx(tx) == (True, None)
+    assert lone_node(logic).submit("n1", tx) == "ok"
     assert calls == [device.public_key]
 
 
@@ -716,7 +724,7 @@ def test_partition_scenario_checks_each_signature_once_per_node(monkeypatch):
         return run
 
     monkeypatch.setattr(ledger, "verify_signature", verify_signature)
-    for name in ("handle_message", "submit_tx", "maybe_mine"):
+    for name in ("handle_message", "maybe_mine"):
         monkeypatch.setattr(NodeLogic, name, as_node(getattr(NodeLogic, name)))
     scenario = partition_scenario()
     report = run_scenario(scenario).report

@@ -45,9 +45,7 @@ def submit_own_log(net, node_id, text, tick=None):
         capture_timestamp=net.genesis_timestamp + (tick if tick is not None else net.tick),
     )
     tx = build_anchor_for_record(record, node.keypair)
-    accepted, reason = node.logic.submit_tx(tx)
-    assert accepted, reason
-    net.send_from(node_id, node.logic.submit_messages(tx))
+    assert net.submit(node_id, tx) == "ok"
     return tx
 
 
@@ -99,7 +97,7 @@ class TestDelivery:
         net = ring_of_five()
         submit_own_log(net, "m1", "payload")
         net.run_to_quiescence(50)
-        assert net.delivered_count <= net.enqueued_count
+        assert net.delivered_count <= len(net.captured_payloads)
         deliver_events = [e for e in net.events if " deliver " in e]
         assert len(deliver_events) == net.delivered_count
 
@@ -115,11 +113,11 @@ class TestNoEcho:
         )
         submit_own_log(net, "a", "line payload")
         net.run_to_quiescence(20)
-        assert net.enqueued_count == 2
+        assert len(net.captured_payloads) == 2
         block = net.nodes["a"].logic.maybe_mine(net.genesis_timestamp + net.tick)
         net.send_from("a", net.nodes["a"].logic.block_messages(block))
         net.run_to_quiescence(40)
-        assert net.enqueued_count == 4
+        assert len(net.captured_payloads) == 4
         assert all(node.logic.chain.tip.hash == block.hash for node in net.nodes.values())
 
     def test_partition_scenario_chain_response_bytes(self, monkeypatch):
@@ -132,9 +130,9 @@ class TestNoEcho:
         sent = Counter()
         enqueue = SimNetwork._enqueue
 
-        def recording(self, message):
-            sent[message.kind] += len(message.payload)
-            enqueue(self, message)
+        def recording(self, kind, payload, sender, recipient):
+            sent[kind] += len(payload)
+            enqueue(self, kind, payload, sender, recipient)
 
         monkeypatch.setattr(SimNetwork, "_enqueue", recording)
         assert run_scenario(partition_scenario()).report["converged"]
