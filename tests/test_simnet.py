@@ -3,6 +3,7 @@
 import hashlib
 import json
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -248,6 +249,18 @@ class TestScenarioDeterminism:
     def test_sim_keys_deterministic(self):
         assert sim_keypair(7, "m1") == sim_keypair(7, "m1")
         assert sim_keypair(7, "m1") != sim_keypair(8, "m1")
+
+
+class TestReadme:
+    def test_simulation_example_anchors_its_log_on_every_node(self):
+        """README's scenario, run exactly as written, converges with the
+        submitted log anchored once on each node."""
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        section = readme.split("## Deterministic simulation")[1]
+        scenario = json.loads(section.split("```json\n")[1].split("```")[0])
+        report = run_scenario(scenario).report
+        assert report["converged"]
+        assert [info["anchors"] for info in report["nodes"].values()] == [1, 1]
 
 
 class TestEventualConsistency:
