@@ -798,7 +798,6 @@ class TestEventLoop:
             dialled = peer.accept()[0]
             client = connect(address)
         with dialled, client:
-            dialled.settimeout(5)
             from_dial, from_client = (
                 read_frames(sock, time.monotonic() + 5) for sock in (dialled, client)
             )

@@ -255,7 +255,7 @@ class TestReadme:
     def test_simulation_example_anchors_its_log_on_every_node(self):
         """README's scenario, run exactly as written, converges with the
         submitted log anchored once on each node."""
-        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text("utf-8")
         section = readme.split("## Deterministic simulation")[1]
         scenario = json.loads(section.split("```json\n")[1].split("```")[0])
         report = run_scenario(scenario).report
