@@ -20,7 +20,6 @@ from .ledger import (
     Block,
     BlockHeader,
     Chain,
-    ChainValidationError,
     NodeRole,
     Transaction,
     VerifiedTxs,
@@ -162,8 +161,10 @@ class NodeState:
 
     ``best`` is the node's own copy of the chain it was given, moved in place.
     A gossiped block and a peer's run take one path, ``_connect_run``: a run
-    that cannot win is dropped unchecked, any other is checked once, with
-    ``best`` moved onto its parent.
+    that cannot win is dropped unchecked, any other is checked once by
+    ``Chain.connect_run`` with ``best`` moved onto its parent: every rule
+    first, then no signature if the valid prefix cannot win, else its new
+    ones in one batch spread over every CPU.
     """
 
     best: Chain
@@ -206,11 +207,11 @@ class NodeState:
 
     def _connect_run(self, blocks: list[Block]) -> tuple[str, list[Block]]:
         """Unless the run's new blocks are none, on a parent off ``best`` or
-        unable to win, move ``best`` onto their parent and connect them up to
-        the first invalid one. Keep the result if fork choice prefers it,
-        re-injecting the txs of the blocks it dropped and evicting those of
-        the blocks it added; otherwise move back. Returns the status and the
-        blocks ``best`` gained."""
+        unable to win, move ``best`` onto their parent and ``connect_run``
+        them, with fork choice as its ``can_win``. Keep the result if fork
+        choice prefers it, re-injecting the txs of the blocks it dropped and
+        evicting those of the blocks it added; otherwise move back. Returns
+        the status and the blocks ``best`` gained."""
         best = self.best
         new = [b for b in blocks if b.hash not in best.heights]
         if not new:
@@ -222,12 +223,9 @@ class NodeState:
         if fork_rank(fork + len(new), new[-1].hash) >= old_rank:
             return "stale", []
         dropped = self._move(fork, [])
-        for block in new:
-            try:
-                best.connect(block, self.mempool.verified)
-            except ChainValidationError as exc:
-                reason = exc.reason
-                break
+        reason = best.connect_run(
+            new, self.mempool.verified, lambda height, tip: fork_rank(height, tip) < old_rank
+        )
         if fork_rank(best.height, best.tip.hash) >= old_rank:
             self._move(fork, dropped)
             return f"rejected:{reason}", []

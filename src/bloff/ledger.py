@@ -12,21 +12,22 @@ block it reads as.
 
 One validation path: ``Chain.connect`` checks a new block once, against its
 parent's state, and moves the chain onto it in place; ``Chain.disconnect``
-moves it back. ``validate_chain`` folds the same step from genesis, for a
-whole chain loaded from a file. A ``Chain`` has one owner, which moves it;
-a reader elsewhere takes a ``copy``.
+moves it back. ``Chain.connect_run`` connects a run of blocks, a node's
+catch-up or, from an empty chain, a whole chain file (``validate_chain``):
+every rule but ``verify_tx`` first, then the valid prefix's ``verify_tx``
+checks, spread over forked workers, one per CPU. A run that breaks a rule
+thus costs no more checks than serially, and one whose valid prefix cannot
+win costs none. The checks stay serial on one CPU, below
+``MIN_TXS_PER_WORKER`` txs per worker, where ``os.fork`` is missing, and
+while another thread is alive. A ``Chain`` has one owner, which moves it; a
+reader elsewhere takes a ``copy``.
 
 A node passes its ``VerifiedTxs`` record down these calls, so each tx
 signature costs it one Ed25519 check. ``load_chain`` passes none and checks
 every signature above the prefix its caller's checkpoint vouches for (none
-for a reader), rules first: ``validate_chain`` folds the blocks with every
-rule but ``verify_tx``, then spreads the ``verify_tx`` checks of the
-unvouched blocks before the first failing one over forked workers, one per
-CPU. A file that breaks a rule thus costs no more checks than serially. The
-checks stay serial on one CPU, below ``MIN_TXS_PER_WORKER`` txs per worker,
-where ``os.fork`` is missing, and while another thread is alive. A keyed
-caller's load passes its key as ``signer``: its own key's txs are checked by
-signing them again, and all others are verified; a reader passes none.
+for a reader). A keyed caller's load passes its key as ``signer``: its own
+key's txs are checked by signing them again, and all others are verified; a
+reader passes none.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .crypto import (
     DIGEST_LEN,
@@ -304,28 +305,29 @@ def verify_tx(
 MIN_TXS_PER_WORKER = 96
 
 
-def verify_txs_forked(txs: Sequence[Transaction], signer: KeyPair | None = None) -> VerifiedTxs:
-    """Run ``verify_tx`` over ``txs``, with ``signer``, on every CPU; return
-    the ids that passed.
+def verify_txs_forked(
+    txs: Sequence[Transaction], record: VerifiedTxs, signer: KeyPair | None = None
+) -> bool:
+    """Run ``verify_tx`` over ``txs``, with ``signer``, on every CPU; add the
+    ids that pass to ``record``, and return whether every tx did.
 
     ``cryptography``'s Ed25519 verify holds the GIL, so the work goes to
     forked processes: each child checks one contiguous share and writes one
     byte per tx to a pipe, and the parent checks the first share itself. A
     child's bytes count only if it exited 0 and wrote exactly its share;
-    any other outcome, and any failing tx, leaves those ids unrecorded for
-    the caller's in-order pass to check. A failing tx in the parent's share
-    fails the chain at or before it, so the parent stops there and kills
-    the children. The parent checks every tx itself, and forks nothing,
-    when fewer than two workers would have ``MIN_TXS_PER_WORKER`` txs each,
-    when the platform cannot fork, or while another thread is alive (a
-    child forked from a threaded process can deadlock).
+    any other outcome, and any failing tx, leaves those ids unrecorded. A
+    failing tx in the parent's share fails the chain at or before it, so
+    the parent stops there and kills the children. The parent checks every
+    tx itself, and forks nothing, when fewer than two workers would have
+    ``MIN_TXS_PER_WORKER`` txs each, when the platform cannot fork, or while
+    another thread is alive (a child forked from a threaded process can
+    deadlock).
     """
     workers = 1
     if hasattr(os, "fork") and hasattr(os, "sched_getaffinity") and threading.active_count() == 1:
         workers = max(1, min(len(os.sched_getaffinity(0)), len(txs) // MIN_TXS_PER_WORKER))
     bounds = [-(-len(txs) * k // workers) for k in range(workers + 1)]
-    record = VerifiedTxs(len(txs))
-    children = []
+    children, passed = [], 0
     try:
         for start, end in zip(bounds[1:], bounds[2:]):
             try:
@@ -337,14 +339,16 @@ def verify_txs_forked(txs: Sequence[Transaction], signer: KeyPair | None = None)
                 for _, _, pid, _ in children:
                     os.kill(pid, signal.SIGKILL)  # not yet reaped, so still ours
                 break
+            passed += 1
     finally:
         results = [(start, end, _reap(pid, fd)) for start, end, pid, fd in children]
     for start, end, verdicts in results:
         if len(verdicts) == end - start:
-            for tx, passed in zip(txs[start:end], verdicts):
-                if passed:
+            for tx, ok in zip(txs[start:end], verdicts):
+                if ok:
                     record.add(tx.id)
-    return record
+                    passed += 1
+    return passed == len(txs)
 
 
 def _fork_checker(share: Sequence[Transaction], signer: KeyPair | None) -> tuple[int, int]:
@@ -702,6 +706,43 @@ class Chain:
             raise ChainValidationError(self.height + 1, reason)
         self.advance(block)
 
+    def connect_run(
+        self,
+        blocks: Sequence[Block],
+        verified: VerifiedTxs | None = None,
+        can_win: Callable[[int, Digest], bool] | None = None,
+        signer: KeyPair | None = None,
+    ) -> str | None:
+        """``connect`` each of ``blocks`` up to the first invalid one; return
+        its reason tag, or None. Every rule but ``verify_tx`` runs first;
+        then, unless a rule broke and the valid prefix fails ``can_win(height,
+        tip hash)``, the prefix's txs that ``verified`` lacks go to
+        ``verify_txs_forked`` with ``signer``. After a failing tx the run is
+        connected again from its parent, and a block that broke a rule is
+        checked again, so the chain ends as a serial ``connect`` ends."""
+        start = self.height
+        reason = self._connect_each(blocks, _EveryId(0))
+        if reason is not None and can_win is not None and not can_win(self.height, self.tip.hash):
+            return reason
+        if verified is None:
+            verified = VerifiedTxs(len(self.tx_ids))
+        txs = [
+            tx for block in self.blocks[start:] for tx in block.transactions if tx.id not in verified
+        ]
+        if not verify_txs_forked(txs, verified, signer):
+            while self.height > start:
+                self.disconnect()
+        return self._connect_each(blocks[self.height - start :], verified)
+
+    def _connect_each(self, blocks: Sequence[Block], verified: VerifiedTxs) -> str | None:
+        """Check and ``advance`` onto each block in turn; the reason tag of
+        the first invalid one, or None."""
+        for block in blocks:
+            if (reason := validate_block(block, self, verified)) is not None:
+                return reason
+            self.advance(block)
+        return None
+
     def advance(self, block: Block) -> None:
         """Add ``block``, already known to be valid on this tip (so it admits
         each of its registrations), to the blocks and the four indexes."""
@@ -810,7 +851,7 @@ def validate_block(
 
 
 class _EveryId(VerifiedTxs):
-    """A stand-in record that holds every id: a fold with it skips
+    """A stand-in record that holds every id: a connect with it skips
     ``verify_tx`` and checks every other rule."""
 
     def __contains__(self, txid: Digest) -> bool:
@@ -820,44 +861,23 @@ class _EveryId(VerifiedTxs):
 def validate_chain(
     blocks: list[Block], trusted: int = 0, signer: KeyPair | None = None
 ) -> Chain:
-    """Replay from genesis, rebuilding the registry and the indexes.
-
-    Raises ChainValidationError carrying the first failing 1-based height.
-    The rules run before the signatures, on one path: the blocks are folded
-    with every rule but ``verify_tx``, then the txs before the first failing
-    block go to ``verify_txs_forked``. A chain that passes both is returned
-    as folded; otherwise it is folded again with the ids that passed, which
-    gives the height and reason a serial fold gives.
+    """The ``Chain.connect_run`` of ``blocks``, with ``signer``, on an empty
+    chain; ChainValidationError at the first failing 1-based height.
 
     The caller may vouch that every tx of the first ``trusted`` blocks
     passes ``verify_tx`` (a checkpoint of their tip's hash). The vouching
     holds only when every rule passes up to that tip, so that the tip's hash
     commits to each of those txs' bytes: then their checks are skipped, and
-    otherwise the call checks as with no prefix trusted. ``signer`` goes to
-    ``verify_tx`` in the signature pass.
+    otherwise the call checks as with no prefix trusted.
     """
     if not blocks:
         raise ChainValidationError(0, "empty-chain")
-    try:
-        chain, checked = _fold(blocks, _EveryId(0)), blocks
-    except ChainValidationError as exc:
-        chain, checked = None, blocks[: exc.height - 1]
-    if trusted > len(checked):
-        trusted = 0
-    txs = [tx for block in checked[trusted:] for tx in block.transactions]
-    verified = verify_txs_forked(txs, signer)
-    if chain is None or len(verified) < len(txs):
-        chain = _fold(blocks, verified, trusted)
-    return chain
-
-
-def _fold(blocks: list[Block], verified: VerifiedTxs, trusted: int = 0) -> Chain:
-    """``Chain.connect`` of each block in order, from an empty chain; the
-    first ``trusted`` blocks skip ``verify_tx``."""
     chain = Chain(blocks=[])
-    every = _EveryId(0)
-    for height, block in enumerate(blocks, start=1):
-        chain.connect(block, every if height <= trusted else verified)
+    if trusted and chain.connect_run(blocks[:trusted], _EveryId(0)) is not None:
+        chain = Chain(blocks=[])
+    reason = chain.connect_run(blocks[chain.height :], signer=signer)
+    if reason is not None:
+        raise ChainValidationError(chain.height + 1, reason)
     return chain
 
 

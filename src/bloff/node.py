@@ -5,7 +5,9 @@ the deterministic in-process simulator and the live TCP runtime, so both
 modes exercise identical behavior. The live runtime drives it from one
 ``selectors`` loop on one thread, which owns every socket, the peer dials,
 mining and the chain: each frame a peer completes is handled, persisted
-and answered before the next is read.
+and answered before the next is read. What the node sends is queued on
+each connection and written as its socket takes it, so a peer that does
+not read holds up no other; past ``MAX_UNSENT_BYTES`` it is dropped.
 
 Wire protocol (live mode): one binary frame per message over TCP, a header
 ``>BBI`` (the wire version 2, the kind's index in ``KINDS``, the payload
@@ -72,6 +74,11 @@ _SEEN_CAP = 100_000
 # At doubling distances 64 hashes span over 2**50 blocks, so no real chain's
 # locator reaches this cap; it bounds what a peer may send.
 LOCATOR_MAX_HASHES = 64
+
+# A peer that still has more unsent bytes than this when another message is
+# queued for it is not reading, and is dropped. The check comes before the
+# message is queued, so one reply of any size, the whole chain too, fits.
+MAX_UNSENT_BYTES = 16 << 20
 
 
 @dataclass
@@ -307,15 +314,18 @@ def read_frames(sock: socket.socket, deadline: float) -> Iterator[tuple[str, byt
 
 
 class _Conn:
-    """One peer connection on the loop: its socket, the partial frame it has
-    sent, and, for a dial, the peer's address. A dial is not ``connected``
-    until its socket turns writable."""
+    """One peer connection on the loop: its non-blocking socket, the partial
+    frame it has sent, the bytes queued for it that its socket has not yet
+    taken, and, for a dial, the peer's address. A dial is not ``connected``
+    until its socket turns writable, nor is any connection once dropped. A
+    connection with bytes queued is watched for writability too."""
 
     def __init__(self, sock: socket.socket, address: str | None = None):
         self.sock = sock
         self.address = address
         self.connected = address is None
         self.partial = bytearray()
+        self.unsent = bytearray()
 
 
 class LiveNode:
@@ -361,20 +371,37 @@ class LiveNode:
     def _drop(self, conn: _Conn) -> None:
         if conn in self._conns:
             self._conns.remove(conn)
+            conn.connected = False
             self._selector.unregister(conn.sock)
             conn.sock.close()
 
-    def _send(self, conn: _Conn, data: bytes) -> None:
+    def _send(self, conn: _Conn, data: bytes = b"") -> None:
+        """Queue ``data`` on ``conn`` and send what its socket takes of the
+        queue, watching the socket for room while bytes are left. A failed
+        send drops ``conn``, as does ``data`` for a peer that has more than
+        ``MAX_UNSENT_BYTES`` unsent."""
+        waiting = bool(conn.unsent)
+        if data and len(conn.unsent) > MAX_UNSENT_BYTES:
+            self._drop(conn)
+            return
+        conn.unsent += data
         try:
-            conn.sock.sendall(data)
+            del conn.unsent[: conn.sock.send(conn.unsent)]
+        except BlockingIOError:
+            pass
         except OSError:
             self._drop(conn)
+            return
+        if waiting != bool(conn.unsent):
+            events = selectors.EVENT_READ | (selectors.EVENT_WRITE if conn.unsent else 0)
+            self._selector.modify(conn.sock, events, conn)
 
     def _accept(self, server: socket.socket) -> None:
         try:
             sock, _ = server.accept()
         except OSError:
             return
+        sock.setblocking(False)
         self._add(_Conn(sock), selectors.EVENT_READ)
 
     def _dial_peers(self) -> None:
@@ -397,7 +424,6 @@ class LiveNode:
         except OSError:  # the dial failed
             self._drop(conn)
             return
-        conn.sock.setblocking(True)
         conn.connected = True
         self._selector.modify(conn.sock, selectors.EVENT_READ, conn)
         # A fresh link is a chance to catch up on missed blocks.
@@ -407,6 +433,8 @@ class LiveNode:
     def _read(self, conn: _Conn) -> None:
         try:
             data = conn.sock.recv(1 << 16)
+        except BlockingIOError:
+            return
         except OSError:
             data = b""
         if not data:
@@ -419,6 +447,8 @@ class LiveNode:
             self._drop(conn)
             return
         for kind, payload in frames:
+            if not conn.connected:  # dropped by a send
+                return
             out = self.logic.handle_message(kind, payload, "peer")
             self._sync()
             self._send_out(out, origin=conn)
@@ -464,13 +494,16 @@ class LiveNode:
                 if self.config.peers and time.monotonic() >= next_dial:
                     self._dial_peers()
                     next_dial = time.monotonic() + 1.0
-                for key, _ in self._selector.select(timeout=0.05):
-                    if key.data is None:
+                for key, events in self._selector.select(timeout=0.05):
+                    conn = key.data
+                    if conn is None:
                         self._accept(key.fileobj)
-                    elif key.data.connected:
-                        self._read(key.data)
+                    elif not conn.connected:
+                        self._finish_dial(conn)
+                    elif events & selectors.EVENT_WRITE:
+                        self._send(conn)
                     else:
-                        self._finish_dial(key.data)
+                        self._read(conn)
                 mined = self.logic.maybe_mine(int(time.time()))
                 if mined is not None:
                     logger.info(

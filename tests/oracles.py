@@ -13,9 +13,11 @@ import struct
 from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PublicKey
 
+from bloff.consensus import fork_rank
 from bloff.ledger import (
     AnchorTransaction,
     Block,
+    ChainValidationError,
     RegistrationTransaction,
     header_bytes,
 )
@@ -140,3 +142,38 @@ def oracle_anchor_scan(blocks: list[Block]) -> dict[bytes, list[tuple[int, int]]
             if isinstance(tx, AnchorTransaction):
                 index.setdefault(bytes(tx.log_hash), []).append((block_index + 1, tx_index))
     return index
+
+
+def oracle_connect_run(state, blocks: list[Block]):
+    """``NodeState._connect_run`` as it was when a node connected each new
+    block of a run in turn, checking its signatures inline on one CPU: the
+    serial reference. Returns the status, the blocks ``best`` gained, and
+    the height and reason of the block that failed (None when none did)."""
+    best = state.best
+    new = [b for b in blocks if b.hash not in best.heights]
+    if not new:
+        return "duplicate", [], None
+    fork = best.heights.get(new[0].header.prev_hash)
+    if fork is None:
+        return "orphaned", [], None
+    old_rank = fork_rank(best.height, best.tip.hash)
+    if fork_rank(fork + len(new), new[-1].hash) >= old_rank:
+        return "stale", [], None
+    dropped = state._move(fork, [])
+    failed = None
+    for block in new:
+        try:
+            best.connect(block, state.mempool.verified)
+        except ChainValidationError as exc:
+            failed = exc.height, exc.reason
+            break
+    if fork_rank(best.height, best.tip.hash) >= old_rank:
+        state._move(fork, dropped)
+        return f"rejected:{failed[1]}", [], failed
+    for block in dropped:
+        for tx in block.transactions:
+            if tx.id not in best.tx_ids:
+                state.mempool.readd(tx)
+    added = best.blocks[fork:]
+    state.mempool.evict(txid for block in added for txid in block.tx_ids)
+    return "accepted-best", added, failed

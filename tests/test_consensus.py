@@ -1,9 +1,11 @@
 """Mining, mempool, fork choice and block application."""
 
 import dataclasses
+import random
 
 import pytest
 
+from bloff import ledger
 from bloff.consensus import (
     Mempool,
     MiningError,
@@ -15,16 +17,19 @@ from bloff.crypto import Digest, sha256_digest
 from bloff.ledger import (
     Block,
     BlockHeader,
+    Chain,
     NodeRole,
     block_hash,
     build_anchor_tx,
     build_registration_tx,
+    decode_tx,
     leading_zero_bits,
+    make_genesis,
     merkle_root,
     validate_chain,
 )
 from conftest import GENESIS_TS, build_chain, keypair_for, with_signature
-from oracles import oracle_leading_zero_bits
+from oracles import oracle_connect_run, oracle_leading_zero_bits
 
 
 def anchor_for(keypair, payload, ts=GENESIS_TS + 5):
@@ -526,3 +531,198 @@ class TestAdoptChain:
         state = NodeState(best=base)
         assert state.adopt_chain(two.blocks[one.height :]) == []
         assert state.best == base
+
+
+def mined(chain, miner, txs):
+    """``chain`` plus a block of ``txs``, one second after its tip."""
+    pool = Mempool()
+    for tx in txs:
+        pool.add(tx)
+    ts = chain.tip.header.timestamp + 1
+    block = mine_block(pool, chain.tip.header, 0, miner, ts, chain.registered_nodes)
+    chain = chain.copy()
+    chain.connect(block)
+    return chain
+
+
+def anchored(chain, miner, device, label, count):
+    """``chain`` plus ``count`` blocks of three anchors each."""
+    for i in range(count):
+        txs = [anchor_for(device, b"%s %d.%d" % (label, i, k)) for k in range(3)]
+        chain = mined(chain, miner, txs)
+    return chain
+
+
+def relinked(blocks):
+    """``blocks`` with each header after the first pointing at the one
+    before it."""
+    out = blocks[:1]
+    for block in blocks[1:]:
+        header = dataclasses.replace(block.header, prev_hash=out[-1].hash)
+        out.append(Block(header, block.transactions))
+    return out
+
+
+class TestConnectRunMatchesSerial:
+    """A run is connected rules first, then one signature batch. With one
+    fault in the run, a node ends as when it connected each block in turn
+    (``oracle_connect_run``): the same status, reason, failing height, best
+    chain and mempool.
+
+    The node holds ``own`` (height 8); the run is ``peer`` (height 10), both
+    on the same registration block. A fault at height 10 leaves a prefix
+    that wins, one at height 9 a tie broken by hash, and one lower a prefix
+    that cannot win: each case puts its fault at height 10, then at three
+    random heights.
+    """
+
+    miner, device, stakeholder, stranger = map(
+        keypair_for, ("miner-0", "device-0", "stakeholder-0", "stranger")
+    )
+
+    @pytest.fixture(scope="class")
+    def chains(self):
+        registrations = [
+            build_registration_tx(key.public_key, role, self.miner)
+            for key, role in ((self.device, NodeRole.DEVICE), (self.stakeholder, NodeRole.STAKEHOLDER))
+        ]
+        genesis = validate_chain([make_genesis([self.miner], GENESIS_TS)])
+        base = mined(genesis, self.miner, registrations)
+        own = anchored(base, self.miner, self.device, b"own", 6)
+        peer = anchored(base, self.miner, self.device, b"peer", 8)
+        return own, peer
+
+    def bad_tx(self, tag, txs, index):
+        if tag == "bad-role-tag":
+            good = build_registration_tx(self.stranger.public_key, NodeRole.DEVICE, self.miner)
+            raw = bytearray(good.raw)
+            raw[34] = 0x09
+            return decode_tx(bytes(raw))
+        if tag == "bad-version":
+            return decode_tx(b"\x02" + txs[index].raw[1:])
+        if tag == "bad-signature":
+            signature = bytearray(txs[index].signature)
+            signature[0] ^= 1
+            return with_signature(txs[index], signature)
+        if tag == "unregistered-submitter":
+            return anchor_for(self.stranger, b"stranger")
+        if tag == "role-not-permitted":
+            return anchor_for(self.stakeholder, b"stakeholder")
+        if tag == "already-registered":
+            return build_registration_tx(self.device.public_key, NodeRole.DEVICE, self.miner)
+        if tag == "unregistered-sponsor":
+            return build_registration_tx(self.stranger.public_key, NodeRole.DEVICE, self.device)
+        assert tag == "duplicate-tx"
+        return txs[(index + 1) % len(txs)]
+
+    HEADER_FAULTS = {
+        "empty-block": None,
+        "bad-version": {"version": 2},
+        "bad-linkage": {"prev_hash": bytes(32)},
+        "merkle-mismatch": {"merkle_root": bytes(32)},
+        "bad-pow": {"difficulty": 255},
+        "bad-timestamp": {"timestamp": GENESIS_TS},
+    }
+
+    def with_fault(self, blocks, height, where, tag, index=0):
+        """``blocks`` with one fault, ``tag``, at ``height``: in its header
+        when ``where`` is "header", else in its tx at ``index``."""
+        block = blocks[height - 1]
+        if where == "header" and tag == "empty-block":
+            block = Block(block.header, ())
+        elif where == "header":
+            header = dataclasses.replace(block.header, **self.HEADER_FAULTS[tag])
+            block = Block(header, block.transactions)
+        else:
+            txs = list(block.transactions)
+            txs[index] = self.bad_tx(tag, txs, index)
+            header = dataclasses.replace(block.header, merkle_root=merkle_root(txs))
+            block = Block(header, tuple(txs))
+        return blocks[: height - 1] + relinked([block] + blocks[height:])
+
+    def both(self, own, run, pooled, monkeypatch):
+        """Deliver ``run`` to two nodes on ``own`` with ``pooled`` in their
+        mempools; the node's result beside the reference's."""
+        failures = []
+        connect_run = Chain.connect_run
+
+        def spy(chain, *args, **kwargs):
+            reason = connect_run(chain, *args, **kwargs)
+            if reason is not None:
+                failures.append((chain.height + 1, reason))
+            return reason
+
+        node, serial = NodeState(best=own), NodeState(best=own)
+        for tx in pooled:
+            for state in (node, serial):
+                state.mempool.add(tx, state.best.tx_ids)
+        with monkeypatch.context() as patch:
+            patch.setattr(Chain, "connect_run", spy)
+            status, added = node._connect_run(run)
+        result = status, added, failures[0] if failures else None
+        return node, result, serial, oracle_connect_run(serial, run)
+
+    @pytest.mark.parametrize(
+        "where,tag",
+        [("header", tag) for tag in HEADER_FAULTS]
+        + [
+            ("tx", tag)
+            for tag in (
+                "bad-version",
+                "bad-role-tag",
+                "bad-signature",
+                "unregistered-submitter",
+                "role-not-permitted",
+                "already-registered",
+                "unregistered-sponsor",
+                "duplicate-tx",
+            )
+        ],
+        ids=lambda value: value,
+    )
+    def test_one_fault_ends_as_serially(self, chains, monkeypatch, where, tag):
+        own, peer = chains
+        outcomes = set()
+        rng = random.Random(f"{where} {tag}")
+        for height in [peer.height] + [rng.randrange(3, peer.height + 1) for _ in range(3)]:
+            run = self.with_fault(peer.blocks, height, where, tag, rng.randrange(3))
+            pooled = rng.sample([tx for block in run[2:] for tx in block.transactions], 5)
+            pooled.append(anchor_for(self.device, b"pending"))
+            node, result, serial, expected = self.both(own, run, pooled, monkeypatch)
+            assert result == expected
+            assert node.best == serial.best
+            assert node.mempool.oldest() == serial.mempool.oldest()
+            outcomes.add(result[0])
+        assert len(outcomes) > 1
+
+    def test_bad_signature_before_a_rule_fault_in_one_block_fails_as_serially(
+        self, chains, monkeypatch
+    ):
+        """The block that breaks a rule is checked again with its txs, so a
+        bad signature before the rule's tx names the block's failure, as
+        serially."""
+        own, peer = chains
+        run = self.with_fault(peer.blocks, 10, "tx", "bad-signature", 0)
+        run = self.with_fault(run, 10, "tx", "unregistered-submitter", 2)
+        _, result, _, expected = self.both(own, run, [], monkeypatch)
+        assert result == expected
+        assert result[0::2] == ("accepted-best", (10, "bad-signature"))
+
+    def test_bad_signature_before_a_rule_fault_in_a_run_that_cannot_win(self, chains, monkeypatch):
+        """The one case that ends otherwise than serially. A run whose valid
+        prefix cannot win has a bad signature at height 4 and a wrong Merkle
+        root at height 7. Serially the signature fails first; rules first,
+        the Merkle root does, and no signature is checked. Both refuse the
+        run and leave ``best`` as it was."""
+        own, peer = chains
+        run = self.with_fault(peer.blocks, 4, "tx", "bad-signature", 1)
+        run = self.with_fault(run, 7, "header", "merkle-mismatch")
+        checks, verify = [], ledger.verify_signature
+        monkeypatch.setattr(
+            ledger, "verify_signature", lambda *args: checks.append(args[0]) or verify(*args)
+        )
+        node, result, serial, expected = self.both(own, run, [], monkeypatch)
+        assert result == ("rejected:merkle-mismatch", [], (7, "merkle-mismatch"))
+        assert expected == ("rejected:bad-signature", [], (4, "bad-signature"))
+        assert len(checks) == 4 + 1  # the reference's, up to the bad signature
+        assert node.best == serial.best == own

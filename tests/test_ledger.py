@@ -10,6 +10,7 @@ import threading
 import pytest
 
 from bloff import ledger
+from bloff.consensus import NodeState
 from bloff.crypto import Digest, sha256_digest
 from bloff.ledger import (
     HEADER_LEN,
@@ -952,13 +953,20 @@ class TestConnectDisconnect:
 
 @pytest.fixture(scope="module")
 def long_chain():
-    """A valid chain of 192 txs: genesis, a registration, then 100 and 90
-    anchors. Two workers split it 96/96, the parent taking txs 0-95
-    (heights 1-2 and block 3's first 94)."""
+    """A valid chain of 193 txs: genesis, a registration, then 100 and 91
+    anchors. A load's two workers split it 97/96, the parent taking heights
+    1-2 and block 3's first 95 txs; a node holding genesis splits the other
+    192 96/96, the parent taking the registration and the same 95."""
     chain, _ = build_chain(
-        keypair_for("miner-0"), keypair_for("device-0"), [f"entry {i}".encode() for i in range(190)]
+        keypair_for("miner-0"), keypair_for("device-0"), [f"entry {i}".encode() for i in range(191)]
     )
     return chain
+
+
+@pytest.fixture(scope="module")
+def long_genesis(long_chain):
+    """The chain of ``long_chain``'s genesis alone."""
+    return validate_chain(long_chain.blocks[:1])
 
 
 def tx_count(blocks) -> int:
@@ -997,9 +1005,45 @@ def with_bad_signature(blocks, height, index):
 
 
 class TestForkedSignaturePrePass:
-    """``validate_chain`` without a record checks signatures in forked
-    workers first; the affinity mask is patched to two CPUs so that the
-    workers run on a one-CPU machine too."""
+    """A chain load and a node's catch-up connect a run alike: the rules
+    first, then the signatures in forked workers. The affinity mask is
+    patched to two CPUs so that the workers run on a one-CPU machine too."""
+
+    @pytest.fixture(params=["load", "adopt"])
+    def connect(self, request, long_genesis, monkeypatch):
+        """Connect blocks as ``validate_chain`` does, or as a node holding
+        only genesis does in ``adopt_chain``: either returns the chain, or
+        raises the ChainValidationError of the first invalid block.
+        ``connect.held`` counts the txs it holds before, whose signatures it
+        does not check."""
+        if request.param == "load":
+
+            def load(blocks):
+                return validate_chain(blocks)
+
+            load.held = 0
+            return load
+        failures = []
+        connect_run = ledger.Chain.connect_run
+
+        def spy(chain, *args, **kwargs):
+            reason = connect_run(chain, *args, **kwargs)
+            if reason is not None:
+                failures.append(ChainValidationError(chain.height + 1, reason))
+            return reason
+
+        monkeypatch.setattr(ledger.Chain, "connect_run", spy)
+
+        def adopt(blocks):
+            state = NodeState(best=long_genesis)
+            failures.clear()
+            state.adopt_chain(blocks)
+            if failures:
+                raise failures[0]
+            return state.best
+
+        adopt.held = 1
+        return adopt
 
     @pytest.fixture
     def parent_checks(self, monkeypatch):
@@ -1023,16 +1067,16 @@ class TestForkedSignaturePrePass:
         assert chain.tx_ids == serial.tx_ids
 
     def test_two_workers_match_serial_and_halve_parent_checks(
-        self, long_chain, parent_checks, monkeypatch
+        self, long_chain, connect, parent_checks, monkeypatch
     ):
         blocks = long_chain.blocks
-        count = tx_count(blocks)
+        count = tx_count(blocks) - connect.held
         self.cpus(monkeypatch, 1)
-        serial = validate_chain(blocks)
+        serial = connect(blocks)
         assert len(parent_checks) == count
         parent_checks.clear()
         self.cpus(monkeypatch, 2)
-        self.assert_same_chain(validate_chain(blocks), serial)
+        self.assert_same_chain(connect(blocks), serial)
         assert len(parent_checks) == -(-count // 2)
 
     @pytest.mark.parametrize(
@@ -1040,13 +1084,13 @@ class TestForkedSignaturePrePass:
         [(3, 10), (3, 98), (4, 5)],
         ids=["parent-share", "child-share-same-block", "child-share-later-block"],
     )
-    def test_bad_signature_fails_as_serial(self, long_chain, monkeypatch, height, index):
+    def test_bad_signature_fails_as_serial(self, long_chain, connect, monkeypatch, height, index):
         blocks = with_bad_signature(long_chain.blocks, height, index)
         failures = []
         for cpus in (1, 2):
             self.cpus(monkeypatch, cpus)
             with pytest.raises(ChainValidationError) as err:
-                validate_chain(blocks)
+                connect(blocks)
             failures.append((err.value.height, err.value.reason))
         assert failures == [(height, "bad-signature")] * 2
 
@@ -1056,9 +1100,9 @@ class TestForkedSignaturePrePass:
         ids=["registers-the-anchoring-device", "registers-a-fresh-key"],
     )
     def test_bad_role_tag_fails_as_serial(
-        self, long_chain, miner, monkeypatch, height, index, label
+        self, long_chain, connect, miner, monkeypatch, height, index, label
     ):
-        """The rules fold skips ``verify_tx``, so it connects a registration
+        """The rules pass skips ``verify_tx``, so it connects a registration
         whose role byte names no role; the chain still fails at its block."""
         good = build_registration_tx(keypair_for(label).public_key, NodeRole.DEVICE, miner)
         raw = bytearray(good.raw)
@@ -1068,22 +1112,23 @@ class TestForkedSignaturePrePass:
         for cpus in (1, 2):
             self.cpus(monkeypatch, cpus)
             with pytest.raises(ChainValidationError) as err:
-                validate_chain(blocks)
+                connect(blocks)
             failures.append((err.value.height, err.value.reason))
         assert failures == [(height, "bad-role-tag")] * 2
 
     def test_bad_signature_in_parent_share_stops_the_pre_pass(
-        self, long_chain, parent_checks, monkeypatch
+        self, long_chain, connect, parent_checks, monkeypatch
     ):
         self.cpus(monkeypatch, 2)
         with pytest.raises(ChainValidationError):
-            validate_chain(with_bad_signature(long_chain.blocks, 3, 10))
-        # The pre-pass stops at the bad tx (2 + 11 checks) and the fold
-        # checks it once more; the rest of the share is never checked.
-        assert len(parent_checks) == 2 + 11 + 1
+            connect(with_bad_signature(long_chain.blocks, 3, 10))
+        # The pre-pass stops at the bad tx (2 + 11 checks, less those held)
+        # and the second pass checks it once more; the rest of the share is
+        # never checked.
+        assert len(parent_checks) == 2 + 11 + 1 - connect.held
 
     def test_no_signature_checked_past_a_failing_header(
-        self, long_chain, parent_checks, monkeypatch
+        self, long_chain, connect, parent_checks, monkeypatch
     ):
         def no_fork():
             raise AssertionError("forked")
@@ -1094,24 +1139,26 @@ class TestForkedSignaturePrePass:
         tampered = Block(third.header, third.transactions[::-1])
         blocks = long_chain.blocks[:2] + [tampered] + long_chain.blocks[3:]
         with pytest.raises(ChainValidationError) as err:
-            validate_chain(blocks)
+            connect(blocks)
         assert (err.value.height, err.value.reason) == (3, "merkle-mismatch")
-        assert len(parent_checks) == 2
+        assert len(parent_checks) == 2 - connect.held
 
-    def test_rule_failure_checks_no_signature_past_it(self, long_chain, parent_checks, monkeypatch):
+    def test_rule_failure_checks_no_signature_past_it(
+        self, long_chain, connect, parent_checks, monkeypatch
+    ):
         self.cpus(monkeypatch, 2)
         stranger = make_anchor(keypair_for("nobody"), b"unregistered")
         blocks = with_tx(long_chain.blocks, 3, 10, stranger)
         assert tx_count(blocks) >= 2 * ledger.MIN_TXS_PER_WORKER
         with pytest.raises(ChainValidationError) as err:
-            validate_chain(blocks)
+            connect(blocks)
         assert (err.value.height, err.value.reason) == (3, "unregistered-submitter")
-        # Heights 1-2 before the fold reaches block 3, which checks its txs
-        # in order up to the stranger's validly signed anchor.
-        assert len(parent_checks) == 2 + 11
+        # Heights 1-2, less those held, then block 3 checked again with its
+        # txs in order up to the stranger's validly signed anchor.
+        assert len(parent_checks) == 2 + 11 - connect.held
 
     def test_failed_child_leaves_its_share_to_the_parent(
-        self, long_chain, parent_checks, monkeypatch
+        self, long_chain, connect, parent_checks, monkeypatch
     ):
         parent = os.getpid()
         original = ledger.verify_tx
@@ -1123,22 +1170,22 @@ class TestForkedSignaturePrePass:
 
         monkeypatch.setattr(ledger, "verify_tx", crash_in_child)
         self.cpus(monkeypatch, 2)
-        self.assert_same_chain(validate_chain(long_chain.blocks), long_chain)
-        assert len(parent_checks) == tx_count(long_chain.blocks)
+        self.assert_same_chain(connect(long_chain.blocks), long_chain)
+        assert len(parent_checks) == tx_count(long_chain.blocks) - connect.held
 
     def test_failed_fork_leaves_its_share_to_the_parent(
-        self, long_chain, parent_checks, monkeypatch
+        self, long_chain, connect, parent_checks, monkeypatch
     ):
         def fork_fails():
             raise OSError("out of processes")
 
         monkeypatch.setattr(os, "fork", fork_fails)
         self.cpus(monkeypatch, 2)
-        self.assert_same_chain(validate_chain(long_chain.blocks), long_chain)
-        assert len(parent_checks) == tx_count(long_chain.blocks)
+        self.assert_same_chain(connect(long_chain.blocks), long_chain)
+        assert len(parent_checks) == tx_count(long_chain.blocks) - connect.held
 
     def test_no_fork_below_two_full_shares_or_beside_a_thread(
-        self, long_chain, parent_checks, monkeypatch
+        self, long_chain, connect, parent_checks, monkeypatch
     ):
         def no_fork():
             raise AssertionError("forked")
@@ -1150,20 +1197,20 @@ class TestForkedSignaturePrePass:
         short = long_chain.blocks[:-1] + [with_txs(last, last.transactions[:89])]
         short_count = tx_count(short)
         assert short_count == 2 * ledger.MIN_TXS_PER_WORKER - 1
-        assert validate_chain(short).height == long_chain.height
-        assert len(parent_checks) == short_count
+        assert connect(short).height == long_chain.height
+        assert len(parent_checks) == short_count - connect.held
         parent_checks.clear()
 
         release = threading.Event()
         waiter = threading.Thread(target=release.wait, args=(30,))
         waiter.start()
         try:
-            assert validate_chain(long_chain.blocks).height == long_chain.height
+            assert connect(long_chain.blocks).height == long_chain.height
         finally:
             release.set()
             waiter.join(timeout=30)
         assert not waiter.is_alive()
-        assert len(parent_checks) == tx_count(long_chain.blocks)
+        assert len(parent_checks) == tx_count(long_chain.blocks) - connect.held
 
 
 class TestGenesis:

@@ -166,7 +166,8 @@ class FakeConn:
     def __init__(self):
         self.connected = True
         self.sent = []
-        self.sock = SimpleNamespace(sendall=self.sent.append)
+        self.unsent = bytearray()
+        self.sock = SimpleNamespace(send=lambda data: self.sent.append(bytes(data)) or len(data))
 
 
 class TestSendOut:
@@ -831,6 +832,46 @@ class TestEventLoop:
             good.sendall(encode_frame(MSG_CHAIN_REQUEST, b""))
             assert next(read_frames(good, time.monotonic() + 5))[0] == MSG_CHAIN_RESPONSE
         assert len(fetch_chain(address)) == 1
+        assert thread.is_alive()
+
+    @staticmethod
+    def flood(address, count=30_000, seconds=2.0):
+        """A client that writes ``count`` empty ``chain-request``s, as far as
+        the node reads them within ``seconds`` or until it drops the client,
+        and never reads a reply."""
+        sock = connect(address)
+        sock.setblocking(False)
+        data = memoryview(encode_frame(MSG_CHAIN_REQUEST, b"") * count)
+        deadline = time.monotonic() + seconds
+        while data and time.monotonic() < deadline:
+            try:
+                data = data[sock.send(data) :]
+            except BlockingIOError:
+                time.sleep(0.001)
+            except OSError:  # dropped
+                break
+        return sock
+
+    def test_peer_that_does_not_read_holds_up_no_other(self, loop_node, miner):
+        """A client floods requests and reads no reply: another client's
+        ``fetch_chain`` is still answered within 3 s, and ``stop()`` ends
+        ``run()`` promptly."""
+        node, thread, address = loop_node("a", NodeRole.CSP_MINER, miner)
+        with self.flood(address):
+            assert len(fetch_chain(address, timeout=3.0)) == 1
+            node.stop()
+            thread.join(1.0)
+            assert not thread.is_alive()
+
+    def test_peer_past_the_unsent_cap_is_dropped(self, loop_node, miner, monkeypatch):
+        """With the cap at 0, a client that floods requests and reads no
+        reply is dropped once its socket takes no more, and a reply still
+        goes out whole to a client that reads."""
+        monkeypatch.setattr(node_module, "MAX_UNSENT_BYTES", 0)
+        node, thread, address = loop_node("a", NodeRole.CSP_MINER, miner)
+        with self.flood(address, count=150_000):
+            wait_until(lambda: not node._conns, timeout=5.0)
+            assert len(fetch_chain(address, timeout=3.0)) == 1
         assert thread.is_alive()
 
     def test_failed_chain_write_leaves_the_node_serving(

@@ -10,6 +10,7 @@ one ``bloff mine`` run, records the txs whose checks passed, so gossip,
 submission, mining, block validation and replays check each tx once.
 """
 
+import dataclasses
 import json
 import os
 import tracemalloc
@@ -22,6 +23,7 @@ from bloff.cli import handle_command
 from bloff.consensus import Mempool, NodeState, mine_block
 from bloff.crypto import node_id, save_keypair, sha256_digest
 from bloff.ledger import (
+    Block,
     NodeRole,
     block_to_json_line,
     decode_blocks,
@@ -173,6 +175,28 @@ def test_adopt_longer_chain_validates_only_new_blocks(miner, device, counted):
     assert state.adopt_chain(longer.blocks) == longer.blocks[41:]
     assert counted == longer.blocks[41:]
     assert state.best.tip.hash == longer.tip.hash
+
+
+def test_run_whose_valid_prefix_cannot_win_checks_no_signature(miner, device, monkeypatch):
+    """A 41-block peer run from genesis whose 40th block has a wrong Merkle
+    root, sent to a node on a 40-block chain: the run's 39-block valid
+    prefix cannot outrank the node's chain, so the run is refused with no
+    signature checked, and ``best`` keeps all five fields. Without the
+    fault, the run validates each new block once."""
+    own, _ = build_chain(miner, device, [b"own %d" % i for i in range(380)], txs_per_block=10)
+    peer, _ = build_chain(miner, device, [b"peer %d" % i for i in range(390)], txs_per_block=10)
+    assert (own.height, peer.height) == (40, 41)
+    fortieth, last = peer.blocks[39:]
+    bad = Block(dataclasses.replace(fortieth.header, merkle_root=bytes(32)), fortieth.transactions)
+    after = Block(dataclasses.replace(last.header, prev_hash=bad.hash), last.transactions)
+    state = NodeState(best=own)
+    checks = count_checks(monkeypatch)
+    assert state._connect_run(peer.blocks[:39] + [bad, after]) == ("rejected:merkle-mismatch", [])
+    assert checks.counts() == (0, 0)
+    assert state.best == own  # blocks, registry, anchor index, tx ids and heights
+    validated = count_calls(monkeypatch, "validate_block")
+    assert state.adopt_chain(peer.blocks) == peer.blocks[2:]
+    assert validated == peer.blocks[2:]
 
 
 def test_fresh_node_catches_up_in_one_pass(miner, device, counted, monkeypatch):
@@ -384,8 +408,11 @@ def test_live_wire_bytes_are_the_payload_and_a_six_byte_header(tmp_path, miner, 
     chain, block = chain_and_next_block(miner, device)
     node = live_node(tmp_path, chain.blocks)
     origin_sent, other_sent = [], []
-    origin = _Conn(SimpleNamespace(sendall=origin_sent.append))
-    node._conns = [origin, _Conn(SimpleNamespace(sendall=other_sent.append))]
+    def sock(sent):
+        return SimpleNamespace(send=lambda data: sent.append(bytes(data)) or len(data))
+
+    origin = _Conn(sock(origin_sent))
+    node._conns = [origin, _Conn(sock(other_sent))]
     origin.sock.recv = lambda size: encode_frame(MSG_CHAIN_REQUEST, b"")
     node._read(origin)
     blocks = encode_blocks(chain.blocks)
