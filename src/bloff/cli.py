@@ -46,10 +46,8 @@ from .ledger import (
     build_registration_tx,
     decode_tx,
     make_genesis,
-    registry_walk,
     tx_to_dict,
     validate_chain,
-    verify_tx,
 )
 from .node import NodeConfig, default_home, fetch_chain, run_node, send_txs
 from .simnet import load_scenario, run_scenario
@@ -241,13 +239,14 @@ def cmd_submit(args) -> int:
             pool_path = mempool_path_for(target, args.mempool)
             pending = [tx for tx in load_pending(pool_path) if isinstance(tx, RegistrationTransaction)]
         # Pending registrations count first, as a miner drawing from the same pool would take them.
-        registry = dict(chain.registered_nodes)
-        for _ in registry_walk([tx for tx in pending if verify_tx(tx) is None], registry):
-            pass
-        # Signed just now by the loaded key, so only the registry rules can refuse them.
-        for _, reason in registry_walk(txs, registry):
-            if reason is not None:
-                print(f"rejected: {reason}", file=sys.stderr)
+        pool = Mempool(capacity=len(pending) + len(txs))
+        for tx in pending:
+            pool.add(tx, chain)
+        for tx in txs:
+            pool.verified.add(tx.id)  # just signed by the loaded key: no verify can refuse it
+            status = pool.add(tx, chain)
+            if status.startswith("invalid:"):
+                print(f"rejected: {status.removeprefix('invalid:')}", file=sys.stderr)
                 return 2
         if to_node:
             send_txs(target, txs)
@@ -276,7 +275,7 @@ def cmd_mine(args) -> int:
         pool = Mempool(capacity=len(pending))
         store = BlockStore.open(target, keypair)
         for tx in pending:
-            status = tx if isinstance(tx, str) else pool.add(tx, store.chain.tx_ids)
+            status = tx if isinstance(tx, str) else pool.add(tx, store.chain)
             if status.startswith("invalid"):
                 print(f"skipping pending tx: {status}", file=sys.stderr)
 

@@ -12,7 +12,7 @@ this module is internally locked.
 
 from __future__ import annotations
 
-from collections.abc import Set as AbstractSet
+from collections import ChainMap
 from dataclasses import dataclass, field
 
 from .crypto import Digest, KeyPair
@@ -21,12 +21,14 @@ from .ledger import (
     BlockHeader,
     Chain,
     NodeRole,
+    RegistrationTransaction,
     Transaction,
     VerifiedTxs,
     block_hash,
     leading_zero_bits,
     merkle_root,
     registry_walk,
+    tx_context_reason,
     verify_tx,
 )
 
@@ -45,6 +47,10 @@ class MiningError(Exception):
 class Mempool:
     """Pending valid transactions, deduplicated by tx id, oldest first.
 
+    ``add`` is the one admission rule, for a tx from a peer, a client or a
+    mempool file: the registry rules, on the chain the pool feeds overlaid
+    with the pooled registrations, come before the signature check.
+
     A gossiped block names its txs by id only; a node rebuilds it from its
     pool with ``get``, and asks its sender for the full block when an id is
     not pooled.
@@ -59,6 +65,7 @@ class Mempool:
     def __init__(self, capacity: int = DEFAULT_MEMPOOL_CAP):
         self.capacity = capacity
         self._txs: dict[Digest, Transaction] = {}
+        self._registered: dict[bytes, NodeRole] = {}  # the pooled registrations
         self.verified = VerifiedTxs(2 * capacity)
 
     def __len__(self) -> int:
@@ -71,36 +78,46 @@ class Mempool:
         """The pooled tx of id ``txid``, or None."""
         return self._txs.get(txid)
 
-    def add(self, tx: Transaction, chain_tx_ids: AbstractSet[Digest] = frozenset()) -> str:
-        """Admit ``tx`` if valid, new and within capacity; a tx whose id is in
-        ``chain_tx_ids``, the chain this pool feeds, is "invalid:duplicate-tx".
+    def add(self, tx: Transaction, chain: Chain | None = None) -> str:
+        """Admit ``tx`` if new, valid on ``chain`` and within capacity; a tx
+        on ``chain`` is "invalid:duplicate-tx", and one the registry rules
+        refuse has no signature checked. Without ``chain``, neither applies.
 
         Returns "accepted", "duplicate", "full" or "invalid:<reason>".
         """
+        return self._admit(tx, chain, capped=True)
+
+    def readd(self, tx: Transaction, chain: Chain | None = None) -> None:
+        """Re-inject a transaction orphaned by a reorg onto ``chain``, by the
+        rules of ``add`` but the capacity cap: an anchored digest must never
+        be silently lost just because the pool happens to be full at reorg
+        time.
+        """
+        self._admit(tx, chain, capped=False)
+
+    def _admit(self, tx: Transaction, chain: Chain | None, capped: bool) -> str:
         if tx.id in self._txs:
             return "duplicate"
-        if tx.id in chain_tx_ids:
-            return "invalid:duplicate-tx"
-        reason = verify_tx(tx, self.verified)
+        reason = None
+        if chain is not None:
+            if tx.id in chain.tx_ids:
+                return "invalid:duplicate-tx"
+            reason = tx_context_reason(tx, ChainMap(self._registered, chain.registered_nodes))
+        reason = reason or verify_tx(tx, self.verified)
         if reason is not None:
             return f"invalid:{reason}"
-        if len(self._txs) >= self.capacity:
+        if capped and len(self._txs) >= self.capacity:
             return "full"
         self._txs[tx.id] = tx
+        if isinstance(tx, RegistrationTransaction):
+            self._registered[tx.new_node_pubkey] = tx.role
         return "accepted"
-
-    def readd(self, tx: Transaction) -> None:
-        """Re-inject a transaction orphaned by a reorg.
-
-        Ignores the capacity cap: an anchored digest must never be silently
-        lost just because the pool happens to be full at reorg time.
-        """
-        if tx.id not in self._txs and verify_tx(tx, self.verified) is None:
-            self._txs[tx.id] = tx
 
     def evict(self, txids) -> None:
         for txid in txids:
-            self._txs.pop(txid, None)
+            tx = self._txs.pop(txid, None)
+            if isinstance(tx, RegistrationTransaction):
+                self._registered.pop(tx.new_node_pubkey, None)
 
     def oldest(self) -> list[Transaction]:
         return list(self._txs.values())
@@ -118,8 +135,8 @@ def mine_block(
     """Seal a block over the oldest minable transactions, up to the cap.
 
     The nonce search starts at 0 and is fully deterministic for fixed inputs.
-    Transactions that are not yet valid in context (an anchor whose submitter
-    is unregistered, a replayed registration) stay in the pool untouched.
+    Txs a reorg took out of context (a registration they need dropped, or
+    their key registered by another tx) are skipped and stay in the pool.
     """
     if registered_nodes.get(miner.public_key) != NodeRole.CSP_MINER:
         raise MiningError("miner-not-registered")
@@ -231,8 +248,7 @@ class NodeState:
             return f"rejected:{reason}", []
         for block in dropped:
             for tx in block.transactions:
-                if tx.id not in best.tx_ids:
-                    self.mempool.readd(tx)
+                self.mempool.readd(tx, best)
         added = best.blocks[fork:]
         self.mempool.evict(txid for block in added for txid in block.tx_ids)
         return "accepted-best", added

@@ -41,7 +41,7 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 from .crypto import (
     DIGEST_LEN,
@@ -776,10 +776,10 @@ class Chain:
 
 def tx_context_reason(
     tx: Transaction,
-    registered_nodes: dict[bytes, NodeRole],
+    registered_nodes: Mapping[bytes, NodeRole],
     genesis: bool = False,
 ) -> str | None:
-    """Registry rules shared by block validation, mining and submission.
+    """Registry rules shared by block validation, mining and pool admission.
 
     Anchors must come from a registered device or csp-miner key; registration
     sponsors must be registered csp-miners (the genesis block bootstraps the

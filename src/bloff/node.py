@@ -199,10 +199,9 @@ class NodeLogic:
         except TxDecodeError as exc:
             logger.debug("%s: dropping undecodable tx: %s", self.node_id, exc.reason)
             return []
-        # Context rules (registration ordering) are re-checked at mining time,
-        # so structurally valid gossip is pooled even if not yet minable. Only
-        # a tx the pool admits is relayed: not one it holds or has no room for.
-        if self.state.mempool.add(tx, self.chain.tx_ids) != "accepted":
+        # Only a tx the pool admits is relayed: not one it holds, one out of
+        # context on the best chain, or one it has no room for.
+        if self.state.mempool.add(tx, self.chain) != "accepted":
             return []
         return [(MSG_TX, payload, BROADCAST)]
 

@@ -172,8 +172,7 @@ def oracle_connect_run(state, blocks: list[Block]):
         return f"rejected:{failed[1]}", [], failed
     for block in dropped:
         for tx in block.transactions:
-            if tx.id not in best.tx_ids:
-                state.mempool.readd(tx)
+            state.mempool.readd(tx, best)
     added = best.blocks[fork:]
     state.mempool.evict(txid for block in added for txid in block.tx_ids)
     return "accepted-best", added, failed

@@ -28,6 +28,7 @@ from bloff.ledger import (
     merkle_root,
     validate_chain,
 )
+from bloff.node import NodeLogic
 from conftest import GENESIS_TS, build_chain, keypair_for, with_signature
 from oracles import oracle_connect_run, oracle_leading_zero_bits
 
@@ -484,6 +485,43 @@ class TestApplyBlock:
             assert tx.id not in pooled
 
 
+class TestReorgReadmission:
+    """A reorg puts back the txs of the blocks it drops by the pool's
+    admission rule on the new best chain."""
+
+    def test_registration_and_its_anchor_are_put_back_and_mined(self, miner, device, base):
+        fresh = keypair_for("fresh-device")
+        registration = build_registration_tx(fresh.public_key, NodeRole.DEVICE, miner)
+        anchor = anchor_for(fresh, b"fresh evidence")
+        losing = mined(base, miner, [registration, anchor])
+        winning = anchored(base, miner, device, b"win", 2)
+        logic = NodeLogic("m", miner, NodeRole.CSP_MINER, base)
+        assert logic.state.apply_block(losing.tip) == "accepted-best"
+        assert logic.state.adopt_chain(winning.blocks) == winning.blocks[base.height :]
+        assert logic.state.mempool.oldest() == [registration, anchor]
+        block = logic.maybe_mine(winning.tip.header.timestamp + 1)
+        assert block is not None and block.transactions == (registration, anchor)
+
+    def test_anchor_of_a_key_registered_nowhere_is_not_put_back(self, miner, device, base):
+        """The losing block registers a second miner, which registers a key
+        that anchors; the winning branch registers that second miner as a
+        device. None of the three dropped txs is valid there."""
+        sponsor, fresh = keypair_for("second-miner"), keypair_for("fresh-device")
+        dropped = [
+            build_registration_tx(sponsor.public_key, NodeRole.CSP_MINER, miner),
+            build_registration_tx(fresh.public_key, NodeRole.DEVICE, sponsor),
+            anchor_for(fresh, b"fresh evidence"),
+        ]
+        losing = mined(base, miner, dropped)
+        demoted = build_registration_tx(sponsor.public_key, NodeRole.DEVICE, miner)
+        winning = anchored(mined(base, miner, [demoted]), miner, device, b"win", 1)
+        state = NodeState(best=base)
+        assert state.apply_block(losing.tip) == "accepted-best"
+        assert state.adopt_chain(winning.blocks) == winning.blocks[base.height :]
+        assert len(state.mempool) == 0
+        assert fresh.public_key not in state.best.registered_nodes
+
+
 class TestAdoptChain:
     def test_invalid_block_keeps_valid_prefix(self, miner, device, base):
         """A peer chain with a bad block mid-way: the blocks before it are
@@ -655,7 +693,7 @@ class TestConnectRunMatchesSerial:
         node, serial = NodeState(best=own), NodeState(best=own)
         for tx in pooled:
             for state in (node, serial):
-                state.mempool.add(tx, state.best.tx_ids)
+                state.mempool.add(tx, state.best)
         with monkeypatch.context() as patch:
             patch.setattr(Chain, "connect_run", spy)
             status, added = node._connect_run(run)

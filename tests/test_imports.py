@@ -1,6 +1,7 @@
 """Every name a module under ``src/bloff`` imports is used in that module,
-so a deletion leaves no import behind; and every definition there is named
-elsewhere in the package, so code no entry point reaches shows up."""
+so a deletion leaves no import behind; every definition there is named
+elsewhere in the package, so code no entry point reaches shows up; and the
+registry rules are applied only where they belong."""
 
 import ast
 import re
@@ -18,6 +19,11 @@ UNNAMED_ALLOWED = {
     "verify_inclusion_proof": "checks an inclusion proof without the chain; ROADMAP item 5",
     "make_attestation": "writer of the attestations `verify --custody` reads; ROADMAP item 5",
 }
+
+# The modules that may apply the registry rules: block validation, mining and
+# pool admission, and the simulator's client-side check. A command admits a
+# tx through ``Mempool.add``, so it names neither rule.
+REGISTRY_RULE_MODULES = {"ledger.py", "consensus.py", "simnet.py"}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -101,3 +107,9 @@ def test_check_finds_unnamed_definitions():
         "b.py": "from a import Store\n",
     }
     assert unnamed_definitions(sources) == ["Store.helper", "dead"]
+
+
+def test_registry_rules_are_named_only_where_they_apply():
+    rule = re.compile(r"\b(registry_walk|tx_context_reason)\b")
+    sources = {path.name: path.read_text(encoding="utf-8") for path in PACKAGE.glob("*.py")}
+    assert {name for name, source in sources.items() if rule.search(source)} <= REGISTRY_RULE_MODULES

@@ -189,7 +189,7 @@ def pool_txs(logic, blocks):
     """Pool the txs of ``blocks`` at ``logic``, as their tx gossip would."""
     for block in blocks:
         for tx in block.transactions:
-            assert logic.state.mempool.add(tx, logic.chain.tx_ids) == "accepted"
+            assert logic.state.mempool.add(tx, logic.chain) == "accepted"
 
 
 class LongChain:
@@ -458,7 +458,7 @@ class TestTxRelay:
 
     def test_tx_already_pooled_is_not_relayed(self, logic, device):
         tx = self.anchor(device, b"pooled")
-        assert logic.state.mempool.add(tx, logic.chain.tx_ids) == "accepted"
+        assert logic.state.mempool.add(tx, logic.chain) == "accepted"
         assert logic.handle_message(MSG_TX, tx.raw, "peer") == []
 
 
@@ -728,7 +728,32 @@ class TestLiveSmoke:
             "--source-id", "x",
         )
         assert result.returncode == 2
-        assert "unregistered-submitter" in result.stderr
+        assert (result.stdout, result.stderr) == ("", "rejected: unregistered-submitter\n")
+
+        # The same anchor sent straight to the node, as a peer would send it,
+        # is not pooled: once its key is registered, it is still not mined.
+        evil = build_anchor_tx(sha256_digest(b"evil entry"), "x", GENESIS_TS + 50, intruder)
+        send_txs(live_pair["miner_addr"], [evil])
+        result = bloff_cli(
+            "submit",
+            "--key", str(live_pair["keys"]["miner"]),
+            "--chain", live_pair["miner_addr"],
+            "--register", intruder.public_key.hex(),
+            "--role", "device",
+        )
+        assert result.returncode == 0, result.stderr
+        wait_until(lambda: chain_height(live_pair["miner_addr"]) >= 2)
+        log_file.write_bytes(b"honest entry\n")
+        result = bloff_cli(
+            "submit",
+            "--key", str(intruder_key),
+            "--chain", live_pair["miner_addr"],
+            "--log", str(log_file),
+        )
+        assert result.returncode == 0, result.stderr
+        wait_until(lambda: chain_height(live_pair["miner_addr"]) >= 3)
+        blocks = fetch_chain(live_pair["miner_addr"])
+        assert evil.id not in {txid for block in blocks for txid in block.tx_ids}
 
 
 @pytest.fixture

@@ -373,7 +373,7 @@ def test_compact_block_of_pooled_txs_checks_no_signature(miner, device, counted,
     chain, block = chain_and_next_block(miner, device)
     logic = NodeLogic("n1", miner, NodeRole.CSP_MINER, chain)
     for tx in block.transactions:
-        assert logic.state.mempool.add(tx, chain.tx_ids) == "accepted"
+        assert logic.state.mempool.add(tx, chain) == "accepted"
     calls = count_calls(monkeypatch, "verify_signature")
     counted.clear()
     payload = encode_compact_block(block)
@@ -431,7 +431,7 @@ def test_live_node_validates_a_gossiped_block_once(tmp_path, miner, device, coun
     chain, block = chain_and_next_block(miner, device)
     node = live_node(tmp_path, chain.blocks)
     for tx in block.transactions:
-        assert node.logic.state.mempool.add(tx, chain.tx_ids) == "accepted"
+        assert node.logic.state.mempool.add(tx, chain) == "accepted"
     counted.clear()
     deliver(node, MSG_BLOCK, encode_compact_block(block))
     assert counted == [block]
@@ -489,6 +489,73 @@ def test_local_submission_verified_once(miner, device, monkeypatch):
     calls = count_calls(monkeypatch, "verify_signature")
     assert lone_node(logic).submit("n1", tx) == "ok"
     assert calls == [device.public_key]
+
+
+class TestUnregisteredAnchorIsRefusedOnEveryPath:
+    """An anchor signed by a key the chain never registered is refused on
+    every way into a pool, and wherever it reaches a node's pool, before its
+    signature is checked."""
+
+    @pytest.fixture
+    def logic(self, miner, device):
+        chain, _ = build_chain(miner, device, [])
+        return NodeLogic("m", miner, NodeRole.CSP_MINER, chain)
+
+    @staticmethod
+    def anchor(keypair, label=b"evil entry"):
+        return ledger.build_anchor_tx(sha256_digest(label), "x", GENESIS_TS + 50, keypair)
+
+    def test_flood_costs_no_signature_and_leaves_room_for_honest_evidence(
+        self, logic, device, monkeypatch
+    ):
+        """A 5-slot pool offered 5 anchors of an unregistered key, then one
+        of a registered device: no flood tx is relayed, only the honest
+        signature is checked, and the honest anchor is pooled, relayed and
+        mined."""
+        logic.state.mempool = Mempool(capacity=5)
+        intruder = keypair_for("intruder")
+        flood = [self.anchor(intruder, b"flood %d" % i) for i in range(5)]
+        honest = self.anchor(device, b"honest")
+        calls = count_calls(monkeypatch, "verify_signature")
+        relayed = [out for tx in flood for out in logic.handle_message(MSG_TX, tx.raw, "peer")]
+        assert relayed == []
+        assert logic.handle_message(MSG_TX, honest.raw, "peer") == [(MSG_TX, honest.raw, "*")]
+        assert logic.state.mempool.oldest() == [honest]
+        block = logic.maybe_mine(GENESIS_TS + 51)
+        assert block is not None and block.transactions == (honest,)
+        assert calls == [device.public_key]
+
+    def test_peer_gossip_is_not_pooled_or_relayed(self, logic, monkeypatch):
+        tx = self.anchor(keypair_for("intruder"))
+        calls = count_calls(monkeypatch, "verify_signature")
+        assert logic.handle_message(MSG_TX, tx.raw, "peer") == []
+        assert tx.id not in logic.state.mempool
+        assert calls == []
+
+    def test_simulated_submission_is_refused(self, logic, monkeypatch):
+        tx = self.anchor(keypair_for("intruder"))
+        calls = count_calls(monkeypatch, "verify_signature")
+        assert lone_node(logic).submit("m", tx) == "unregistered-submitter"
+        assert tx.id not in logic.state.mempool
+        assert calls == []
+
+    def test_file_submission_is_refused(self, tmp_path, miner, device, monkeypatch, capsys):
+        """``submit`` to a chain file exits 2, names the rule and leaves the
+        mempool file as it was; it checks only the chain's 2 signatures."""
+        chain, _ = build_chain(miner, device, [])
+        path, key, log = tmp_path / "chain.jsonl", tmp_path / "intruder.key", tmp_path / "bad.log"
+        write_chain(str(path), chain.blocks)
+        save_keypair(str(key), keypair_for("intruder"))
+        log.write_bytes(b"evil entry\n")
+        pool_path = tmp_path / "mempool.jsonl"
+        append_mempool_file(str(pool_path), [self.anchor(device, b"pending").raw])
+        before = pool_path.read_bytes()
+        calls = count_calls(monkeypatch, "verify_signature")
+        argv = ["submit", "--key", str(key), "--chain", str(path), "--log", str(log)]
+        assert handle_command(argv) == 2
+        assert capsys.readouterr() == ("", "rejected: unregistered-submitter\n")
+        assert pool_path.read_bytes() == before
+        assert calls == [miner.public_key, miner.public_key]
 
 
 def test_mine_all_verifies_each_pending_tx_once(tmp_path, miner, device, monkeypatch, capsys):
@@ -627,6 +694,25 @@ class TestLoadChecksOnlyTheChain:
         # signed anchor, which the in-order fold verifies.
         assert checks.counts() == (1, 2)
         assert checks.verifies == [stranger.public_key]
+
+
+    def test_mine_drops_a_pending_anchor_of_an_unregistered_key(
+        self, tmp_path, miner, device, monkeypatch, capsys
+    ):
+        """A pending anchor whose key the chain never registered is skipped
+        before its signature is checked, and is not written back."""
+        chain, _ = build_chain(miner, device, [])
+        stranger = keypair_for("nobody")
+        tx = ledger.build_anchor_tx(sha256_digest(b"stranger"), "s", GENESIS_TS + 5, stranger)
+        path, key = self.workspace(tmp_path, miner, chain.blocks, [tx])
+        checks = count_checks(monkeypatch)
+        assert self.mine(path, key) == 2
+        assert capsys.readouterr() == (
+            "",
+            "skipping pending tx: invalid:unregistered-submitter\nmining failed: no-work\n",
+        )
+        assert checks.counts() == (0, 2)  # the chain's 2 txs, the miner's own
+        assert (tmp_path / "mempool.jsonl").read_bytes() == b""
 
 
 class TestCheckpoint:
