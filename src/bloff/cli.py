@@ -245,7 +245,7 @@ def cmd_submit(args) -> int:
         for tx in txs:
             pool.verified.add(tx.id)  # just signed by the loaded key: no verify can refuse it
             status = pool.add(tx, chain)
-            if status.startswith("invalid:"):
+            if status != "accepted":
                 print(f"rejected: {status.removeprefix('invalid:')}", file=sys.stderr)
                 return 2
         if to_node:

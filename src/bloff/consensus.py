@@ -78,16 +78,16 @@ class Mempool:
         """The pooled tx of id ``txid``, or None."""
         return self._txs.get(txid)
 
-    def add(self, tx: Transaction, chain: Chain | None = None) -> str:
+    def add(self, tx: Transaction, chain: Chain) -> str:
         """Admit ``tx`` if new, valid on ``chain`` and within capacity; a tx
         on ``chain`` is "invalid:duplicate-tx", and one the registry rules
-        refuse has no signature checked. Without ``chain``, neither applies.
+        refuse has no signature checked.
 
         Returns "accepted", "duplicate", "full" or "invalid:<reason>".
         """
         return self._admit(tx, chain, capped=True)
 
-    def readd(self, tx: Transaction, chain: Chain | None = None) -> None:
+    def readd(self, tx: Transaction, chain: Chain) -> None:
         """Re-inject a transaction orphaned by a reorg onto ``chain``, by the
         rules of ``add`` but the capacity cap: an anchored digest must never
         be silently lost just because the pool happens to be full at reorg
@@ -95,15 +95,14 @@ class Mempool:
         """
         self._admit(tx, chain, capped=False)
 
-    def _admit(self, tx: Transaction, chain: Chain | None, capped: bool) -> str:
+    def _admit(self, tx: Transaction, chain: Chain, capped: bool) -> str:
         if tx.id in self._txs:
             return "duplicate"
-        reason = None
-        if chain is not None:
-            if tx.id in chain.tx_ids:
-                return "invalid:duplicate-tx"
-            reason = tx_context_reason(tx, ChainMap(self._registered, chain.registered_nodes))
-        reason = reason or verify_tx(tx, self.verified)
+        if tx.id in chain.tx_ids:
+            return "invalid:duplicate-tx"
+        # The chain's registry wins over a pooled registration of the same key.
+        registry = ChainMap(chain.registered_nodes, self._registered)
+        reason = tx_context_reason(tx, registry) or verify_tx(tx, self.verified)
         if reason is not None:
             return f"invalid:{reason}"
         if capped and len(self._txs) >= self.capacity:

@@ -121,21 +121,21 @@ def build_chain(miner, device, log_lines, difficulty=0, txs_per_block=100):
     cheap.
     """
     genesis = make_genesis([miner], GENESIS_TS)
-    blocks = [genesis]
-    registered = {miner.public_key: NodeRole.CSP_MINER}
+    registered = validate_chain([genesis])
 
     pool = Mempool(capacity=max(10_000, len(log_lines) + 10))
-    pool.add(build_registration_tx(device.public_key, NodeRole.DEVICE, miner))
-    block = mine_block(pool, genesis.header, difficulty, miner, GENESIS_TS + 1, registered)
-    blocks.append(block)
-    registered[device.public_key] = NodeRole.DEVICE
+    pool.add(build_registration_tx(device.public_key, NodeRole.DEVICE, miner), registered)
+    registered.connect(
+        mine_block(pool, genesis.header, difficulty, miner, GENESIS_TS + 1, registered.registered_nodes)
+    )
+    blocks = list(registered.blocks)
 
     records = []
     pool = Mempool(capacity=max(10_000, len(log_lines) + 10))
     for offset, line in enumerate(log_lines):
         record = LogRecord(raw=line, source_id="dev-0", capture_timestamp=GENESIS_TS + 2 + offset)
         records.append(record)
-        status = pool.add(build_anchor_for_record(record, device))
+        status = pool.add(build_anchor_for_record(record, device), registered)
         assert status == "accepted", status
     while len(pool):
         block = mine_block(
@@ -144,7 +144,7 @@ def build_chain(miner, device, log_lines, difficulty=0, txs_per_block=100):
             difficulty,
             miner,
             GENESIS_TS + 2 + len(records),
-            registered,
+            registered.registered_nodes,
             block_tx_cap=txs_per_block,
         )
         blocks.append(block)
@@ -158,7 +158,7 @@ def grow(chain, miner, device, labels):
     for label in labels:
         pool = Mempool()
         ts = chain.tip.header.timestamp + 1
-        pool.add(build_anchor_tx(sha256_digest(label.encode()), "dev", ts, device))
+        pool.add(build_anchor_tx(sha256_digest(label.encode()), "dev", ts, device), chain)
         block = mine_block(pool, chain.tip.header, 0, miner, ts, chain.registered_nodes)
         chain.connect(block)
     return chain

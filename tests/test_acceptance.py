@@ -132,7 +132,7 @@ def test_criterion_4_pow_statistics(miner, device):
         record = LogRecord(
             raw=f"pow sample {i}".encode(), source_id="dev", capture_timestamp=GENESIS_TS + 10 + i
         )
-        pool.add(build_anchor_for_record(record, device))
+        pool.add(build_anchor_for_record(record, device), chain)
         block = mine_block(
             pool, chain.tip.header, 8, miner, GENESIS_TS + 10 + i, chain.registered_nodes
         )
@@ -192,7 +192,7 @@ def test_criterion_5_privacy_sentinel_never_serialized(tmp_path, miner, device):
     store = BlockStore.open(str(path))
     fork_pool = Mempool()
     fork_record = LogRecord(raw=line, source_id="d1", capture_timestamp=GENESIS_TS + 9)
-    fork_pool.add(build_anchor_for_record(fork_record, net.nodes["d1"].keypair))
+    fork_pool.add(build_anchor_for_record(fork_record, net.nodes["d1"].keypair), chain)
     parent = validate_chain(chain.blocks[:-1])
     fork_block = mine_block(
         fork_pool, parent.tip.header, 0, net.nodes["m1"].keypair, GENESIS_TS + 9,

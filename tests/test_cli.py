@@ -195,6 +195,28 @@ class TestSubmitMineVerifyPipeline:
         )
         assert code == 0
 
+    def test_repeated_registration_is_refused(self, workspace, capsys):
+        """A registration has no timestamp, so a repeat is the same tx: pending,
+        it is "duplicate"; mined, it is "duplicate-tx". Neither is appended."""
+        register = functools.partial(
+            run_cli, capsys, "submit",
+            "--key", str(workspace["key"]),
+            "--chain", str(workspace["chain"]),
+            "--register", keypair_for("cli-device").public_key.hex(),
+            "--role", "device",
+        )
+        mempool = workspace["dir"] / "mempool.jsonl"
+        assert register()[0] == 0
+        pending = mempool.read_bytes()
+        assert register() == (2, "", "rejected: duplicate\n")
+        assert mempool.read_bytes() == pending
+        code, _, err = run_cli(
+            capsys, "mine", "--key", str(workspace["key"]), "--chain", str(workspace["chain"])
+        )
+        assert code == 0, err
+        assert register() == (2, "", "rejected: duplicate-tx\n")
+        assert mempool.read_bytes() == b""
+
     def test_mine_all_drains_pool(self, workspace, tmp_path, capsys):
         log = tmp_path / "many.log"
         log.write_text("\n".join(f"line {i}" for i in range(150)) + "\n")

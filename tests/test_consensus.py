@@ -45,41 +45,51 @@ def base(miner, device):
 
 
 class TestMempool:
-    def test_accept_then_duplicate(self, device):
+    def test_accept_then_duplicate(self, device, base):
         pool = Mempool()
         tx = anchor_for(device, b"one")
-        assert pool.add(tx) == "accepted"
-        assert pool.add(tx) == "duplicate"
+        assert pool.add(tx, base) == "accepted"
+        assert pool.add(tx, base) == "duplicate"
         assert len(pool) == 1
 
-    def test_broken_signature_invalid(self, rng, device):
+    def test_broken_signature_invalid(self, rng, device, base):
         pool = Mempool()
         for _ in range(50):
             tx = anchor_for(device, rng.randbytes(8))
             raw = bytearray(tx.signature)
             raw[rng.randrange(64)] ^= 1 << rng.randrange(8)
             bad = with_signature(tx, raw)
-            assert pool.add(bad) == "invalid:bad-signature"
+            assert pool.add(bad, base) == "invalid:bad-signature"
         assert len(pool) == 0
 
-    def test_capacity(self, device):
+    def test_capacity(self, device, base):
         pool = Mempool(capacity=3)
         for i in range(3):
-            assert pool.add(anchor_for(device, bytes([i]))) == "accepted"
-        assert pool.add(anchor_for(device, b"overflow")) == "full"
+            assert pool.add(anchor_for(device, bytes([i])), base) == "accepted"
+        assert pool.add(anchor_for(device, b"overflow"), base) == "full"
 
-    def test_readd_ignores_capacity(self, device):
+    def test_readd_ignores_capacity(self, device, base):
         pool = Mempool(capacity=1)
-        pool.add(anchor_for(device, b"a"))
-        pool.readd(anchor_for(device, b"b"))
+        pool.add(anchor_for(device, b"a"), base)
+        pool.readd(anchor_for(device, b"b"), base)
         assert len(pool) == 2
 
-    def test_oldest_order_preserved(self, device):
+    def test_oldest_order_preserved(self, device, base):
         pool = Mempool()
         txs = [anchor_for(device, bytes([i])) for i in range(5)]
         for tx in txs:
-            pool.add(tx)
+            pool.add(tx, base)
         assert pool.oldest() == txs
+
+    def test_chain_registry_wins_over_a_pooled_registration(self, miner, base):
+        """Key F is pooled as a device but registered on the chain as a
+        stakeholder: the chain decides, so F's anchor is refused unchecked."""
+        fresh = keypair_for("fresh-device")
+        pool = Mempool()
+        assert pool.add(build_registration_tx(fresh.public_key, NodeRole.DEVICE, miner), base) == "accepted"
+        chain = mined(base, miner, [build_registration_tx(fresh.public_key, NodeRole.STAKEHOLDER, miner)])
+        assert pool.add(anchor_for(fresh, b"first"), chain) == "invalid:role-not-permitted"
+        assert pool.add(anchor_for(fresh, b"first"), base) == "accepted"
 
 
 class TestCheckPow:
@@ -113,14 +123,14 @@ class TestCheckPow:
 class TestMineBlock:
     def test_difficulty_zero_first_nonce_seals(self, miner, device, base):
         pool = Mempool()
-        pool.add(anchor_for(device, b"payload"))
+        pool.add(anchor_for(device, b"payload"), base)
         block = mine_block(pool, base.tip.header, 0, miner, GENESIS_TS + 5, base.registered_nodes)
         assert block.header.nonce == 0
         assert leading_zero_bits(block_hash(block.header)) >= 0
 
     def test_mined_block_validates_against_parent(self, miner, device, base):
         pool = Mempool()
-        pool.add(anchor_for(device, b"payload"))
+        pool.add(anchor_for(device, b"payload"), base)
         block = mine_block(pool, base.tip.header, 4, miner, GENESIS_TS + 5, base.registered_nodes)
         assert validate_chain(base.blocks + [block]).height == base.height + 1
 
@@ -131,18 +141,20 @@ class TestMineBlock:
 
     def test_unregistered_miner_refused(self, device, base):
         pool = Mempool()
-        pool.add(anchor_for(device, b"payload"))
+        pool.add(anchor_for(device, b"payload"), base)
         with pytest.raises(MiningError) as err:
             mine_block(pool, base.tip.header, 0, device, GENESIS_TS, base.registered_nodes)
         assert err.value.reason == "miner-not-registered"
 
     def test_context_invalid_txs_left_in_pool(self, miner, device, base):
+        """An anchor pooled on a branch that registered its key, then mined
+        on ``base``, which does not, is skipped and stays pooled."""
         pool = Mempool()
         stranger = keypair_for("stranger")
         orphan_tx = anchor_for(stranger, b"unsponsored")
         good_tx = anchor_for(device, b"fine")
-        pool.add(orphan_tx)
-        pool.add(good_tx)
+        pool.add(orphan_tx, build_chain(miner, stranger, [])[0])
+        pool.add(good_tx, base)
         block = mine_block(pool, base.tip.header, 0, miner, GENESIS_TS + 5, base.registered_nodes)
         assert list(block.transactions) == [good_tx]
         assert orphan_tx.id in pool
@@ -150,22 +162,22 @@ class TestMineBlock:
     def test_registration_then_anchor_same_block(self, miner, base):
         fresh = keypair_for("fresh-device")
         pool = Mempool()
-        pool.add(build_registration_tx(fresh.public_key, NodeRole.DEVICE, miner))
-        pool.add(anchor_for(fresh, b"first"))
+        pool.add(build_registration_tx(fresh.public_key, NodeRole.DEVICE, miner), base)
+        pool.add(anchor_for(fresh, b"first"), base)
         block = mine_block(pool, base.tip.header, 0, miner, GENESIS_TS + 5, base.registered_nodes)
         assert len(block.transactions) == 2
         assert validate_chain(base.blocks + [block]).height == base.height + 1
 
     def test_timestamp_clamped_to_parent(self, miner, device, base):
         pool = Mempool()
-        pool.add(anchor_for(device, b"payload"))
+        pool.add(anchor_for(device, b"payload"), base)
         block = mine_block(pool, base.tip.header, 0, miner, 0, base.registered_nodes)
         assert block.header.timestamp == base.tip.header.timestamp
 
     def test_cap_respected(self, miner, device, base):
         pool = Mempool()
         for i in range(7):
-            pool.add(anchor_for(device, bytes([i])))
+            pool.add(anchor_for(device, bytes([i])), base)
         block = mine_block(
             pool, base.tip.header, 0, miner, GENESIS_TS + 5, base.registered_nodes, block_tx_cap=3
         )
@@ -175,7 +187,7 @@ class TestMineBlock:
         def build_pool():
             pool = Mempool()
             for i in range(3):
-                pool.add(anchor_for(device, bytes([i])))
+                pool.add(anchor_for(device, bytes([i])), base)
             return pool
 
         first = mine_block(build_pool(), base.tip.header, 6, miner, GENESIS_TS + 5, base.registered_nodes)
@@ -187,7 +199,7 @@ class TestMineBlock:
         attempts = []
         for i in range(50):
             pool = Mempool()
-            pool.add(anchor_for(device, f"block {i}".encode()))
+            pool.add(anchor_for(device, f"block {i}".encode()), base)
             block = mine_block(
                 pool, base.tip.header, 8, miner, GENESIS_TS + 5 + i, base.registered_nodes
             )
@@ -200,7 +212,7 @@ class TestMineBlock:
 def extend(chain, miner, device, payloads, difficulty=0, ts_offset=10):
     pool = Mempool()
     for payload in payloads:
-        pool.add(anchor_for(device, payload, ts=GENESIS_TS + ts_offset))
+        pool.add(anchor_for(device, payload, ts=GENESIS_TS + ts_offset), chain)
     block = mine_block(
         pool, chain.tip.header, difficulty, miner, GENESIS_TS + ts_offset, chain.registered_nodes
     )
@@ -268,7 +280,7 @@ class TestApplyBlock:
     def test_own_block_advances_tip(self, miner, device, base):
         state = NodeState(best=base)
         pool = Mempool()
-        pool.add(anchor_for(device, b"payload"))
+        pool.add(anchor_for(device, b"payload"), base)
         block = mine_block(pool, base.tip.header, 0, miner, GENESIS_TS + 5, base.registered_nodes)
         assert state.apply_block(block) == "accepted-best"
         assert state.best.height == base.height + 1
@@ -305,13 +317,13 @@ class TestApplyBlock:
             transactions=side.tip.transactions,
         )
         pool = Mempool()
-        pool.add(anchor_for(device, b"s2", ts=GENESIS_TS + 13))
+        pool.add(anchor_for(device, b"s2", ts=GENESIS_TS + 13), side)
         after = mine_block(pool, bad.header, 0, miner, GENESIS_TS + 13, side.registered_nodes)
         pool = Mempool()
-        pool.add(anchor_for(device, b"s3", ts=GENESIS_TS + 14))
+        pool.add(anchor_for(device, b"s3", ts=GENESIS_TS + 14), side)
         last = mine_block(pool, after.header, 0, miner, GENESIS_TS + 14, side.registered_nodes)
         state = NodeState(best=main)
-        state.mempool.add(anchor_for(device, b"pending"))
+        state.mempool.add(anchor_for(device, b"pending"), state.best)
         pooled = state.mempool.oldest()
         assert state.adopt_chain([bad, after, last]) == []
         assert state.apply_block(bad) == "stale"
@@ -325,8 +337,8 @@ class TestApplyBlock:
         main = extend(extend(base, miner, device, [b"m1"]), miner, device, [b"m2"], ts_offset=11)
         side = extend(base, miner, device, [b"s1"], ts_offset=12)
         state = NodeState(best=main)
-        state.mempool.add(anchor_for(device, b"s1", ts=GENESIS_TS + 12))
-        state.mempool.add(anchor_for(device, b"pending"))
+        state.mempool.add(anchor_for(device, b"s1", ts=GENESIS_TS + 12), state.best)
+        state.mempool.add(anchor_for(device, b"pending"), state.best)
         pooled = state.mempool.oldest()
         assert state.apply_block(side.tip) == "stale"
         assert side.tip.hash not in state.best.heights
@@ -372,7 +384,7 @@ class TestApplyBlock:
             for _ in range(3)
         ]
         state = NodeState(best=base)
-        state.mempool.add(anchor_for(device, b"pending"))
+        state.mempool.add(anchor_for(device, b"pending"), state.best)
         pooled = state.mempool.oldest()
         for block in [grandchild.tip, *strays]:
             assert state.apply_block(block) == "orphaned"
@@ -454,13 +466,13 @@ class TestApplyBlock:
         txs = [anchor_for(device, f"tx {i}".encode()) for i in range(12)]
         accepted = []
         for tx in txs:
-            assert state.mempool.add(tx) == "accepted"
+            assert state.mempool.add(tx, state.best) == "accepted"
             accepted.append(tx.id)
 
         def mined(parent_chain, subset, ts):
             pool = Mempool()
             for tx in subset:
-                pool.add(tx)
+                pool.add(tx, parent_chain)
             return mine_block(
                 pool, parent_chain.tip.header, 0, miner, ts, parent_chain.registered_nodes
             )
@@ -539,7 +551,7 @@ class TestAdoptChain:
             transactions=valid_next.transactions,
         )
         pool = Mempool()
-        pool.add(anchor_for(device, b"p4", ts=GENESIS_TS + 13))
+        pool.add(anchor_for(device, b"p4", ts=GENESIS_TS + 13), good)
         after = mine_block(pool, bad.header, 0, miner, GENESIS_TS + 13, good.registered_nodes)
         state = NodeState(best=base)
         assert state.adopt_chain(good.blocks + [bad, after]) == good.blocks[base.height :]
@@ -575,7 +587,7 @@ def mined(chain, miner, txs):
     """``chain`` plus a block of ``txs``, one second after its tip."""
     pool = Mempool()
     for tx in txs:
-        pool.add(tx)
+        pool.add(tx, chain)
     ts = chain.tip.header.timestamp + 1
     block = mine_block(pool, chain.tip.header, 0, miner, ts, chain.registered_nodes)
     chain = chain.copy()

@@ -154,7 +154,7 @@ class TestAnchorRecord:
 
         chain, _ = build_chain(miner, device, [])
         pool = Mempool()
-        pool.add(build_registration_tx(stakeholder.public_key, NodeRole.STAKEHOLDER, miner))
+        pool.add(build_registration_tx(stakeholder.public_key, NodeRole.STAKEHOLDER, miner), chain)
         block = mine_block(pool, chain.tip.header, 0, miner, GENESIS_TS + 5, chain.registered_nodes)
         chain = validate_chain(chain.blocks + [block])
 

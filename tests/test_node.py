@@ -361,7 +361,7 @@ class TestCompactBlocks:
         chain, _ = build_chain(miner, device, [b"x"])
         pool = Mempool()
         for label in (b"one", b"two"):
-            pool.add(build_anchor_tx(sha256_digest(label), "dev", GENESIS_TS + 100, device))
+            pool.add(build_anchor_tx(sha256_digest(label), "dev", GENESIS_TS + 100, device), chain)
         block = mine_block(pool, chain.tip.header, 0, miner, GENESIS_TS + 100, chain.registered_nodes)
         ahead = chain.copy()
         ahead.connect(block)
@@ -467,7 +467,7 @@ class TestRolePolicy:
         chain = validate_chain([make_genesis([miner], GENESIS_TS)])
         logic = NodeLogic("s", stakeholder, NodeRole.STAKEHOLDER, chain)
         record = LogRecord(raw=b"work", source_id="m", capture_timestamp=GENESIS_TS + 1)
-        logic.state.mempool.add(build_anchor_for_record(record, miner))
+        logic.state.mempool.add(build_anchor_for_record(record, miner), chain)
         assert len(logic.state.mempool) == 1
         assert logic.maybe_mine(GENESIS_TS + 2) is None
 
@@ -475,7 +475,7 @@ class TestRolePolicy:
         chain = validate_chain([make_genesis([miner], GENESIS_TS)])
         logic = NodeLogic("d", device, NodeRole.DEVICE, chain)
         record = LogRecord(raw=b"work", source_id="m", capture_timestamp=GENESIS_TS + 1)
-        logic.state.mempool.add(build_anchor_for_record(record, miner))
+        logic.state.mempool.add(build_anchor_for_record(record, miner), chain)
         assert logic.maybe_mine(GENESIS_TS + 2) is None
 
 

@@ -106,7 +106,7 @@ def chain_and_next_block(miner, device):
     chain, _ = build_chain(miner, device, lines, txs_per_block=1)
     assert chain.height == 41
     pool = Mempool()
-    pool.add(ledger.build_anchor_tx(sha256_digest(b"block 42"), "dev", GENESIS_TS + 100, device))
+    pool.add(ledger.build_anchor_tx(sha256_digest(b"block 42"), "dev", GENESIS_TS + 100, device), chain)
     block = mine_block(pool, chain.tip.header, 0, miner, GENESIS_TS + 100, chain.registered_nodes)
     return chain, block
 
@@ -354,7 +354,7 @@ def test_gossiped_tx_verified_once(miner, device, monkeypatch):
     logic = NodeLogic("n1", miner, NodeRole.CSP_MINER, chain)
     tx = ledger.build_anchor_tx(sha256_digest(b"gossip"), "dev", GENESIS_TS + 100, device)
     pool = Mempool()
-    pool.add(tx)
+    pool.add(tx, chain)
     block = mine_block(pool, chain.tip.header, 0, miner, GENESIS_TS + 100, chain.registered_nodes)
     calls = count_calls(monkeypatch, "verify_signature")
     payload = tx.raw
@@ -682,7 +682,8 @@ class TestLoadChecksOnlyTheChain:
         chain, _ = build_chain(miner, device, [])
         stranger = keypair_for("nobody")
         pool = Mempool()
-        pool.add(ledger.build_anchor_tx(sha256_digest(b"stranger"), "s", GENESIS_TS + 5, stranger))
+        tx = ledger.build_anchor_tx(sha256_digest(b"stranger"), "s", GENESIS_TS + 5, stranger)
+        pool.add(tx, build_chain(miner, stranger, [])[0])  # a branch that registers the stranger
         registry = {**chain.registered_nodes, stranger.public_key: NodeRole.DEVICE}
         block = mine_block(pool, chain.tip.header, 0, miner, GENESIS_TS + 5, registry)
         path, key = self.workspace(tmp_path, miner, chain.blocks + [block], self.anchors(device))

@@ -145,9 +145,9 @@ class TestBlockStore:
         outsider = keypair_for("outsider")
         record = LogRecord(raw=b"forged", source_id="dev", capture_timestamp=GENESIS_TS + 70)
         pool = Mempool()
-        pool.add(build_anchor_for_record(record, outsider))
-        # Mine against a registry that admits the outsider, so only the
-        # stored chain's registry can refuse the block.
+        # Pool and mine against a registry that admits the outsider, so only
+        # the stored chain's registry can refuse the block.
+        pool.add(build_anchor_for_record(record, outsider), build_chain(miner, outsider, [])[0])
         registry = dict(chain.registered_nodes)
         registry[outsider.public_key] = NodeRole.DEVICE
         block = mine_block(pool, chain.tip.header, 0, miner, GENESIS_TS + 70, registry)
@@ -170,7 +170,7 @@ class TestBlockStore:
         from bloff.ingest import LogRecord, build_anchor_for_record
 
         record = LogRecord(raw=b"fork payload", source_id="dev", capture_timestamp=GENESIS_TS + 50)
-        pool.add(build_anchor_for_record(record, device))
+        pool.add(build_anchor_for_record(record, device), chain)
         fork_block = mine_block(
             pool,
             chain.blocks[-2].header,
@@ -329,7 +329,7 @@ class TestBlockStore:
             record = LogRecord(
                 raw=f"bulk {i}".encode(), source_id="dev", capture_timestamp=GENESIS_TS + 100 + i
             )
-            pool.add(build_anchor_for_record(record, device))
+            pool.add(build_anchor_for_record(record, device), chain)
         registered = chain.registered_nodes
         parent = chain.tip.header
         appended = []
