@@ -26,6 +26,7 @@ from . import store as store_mod
 from .consensus import Mempool, MiningError, mine_block
 from .crypto import (
     Digest,
+    KeyPair,
     generate_keypair,
     hex_to_bytes,
     load_keypair,
@@ -76,11 +77,30 @@ def mempool_path_for(chain_path: str, override: str | None) -> str:
     return os.path.join(os.path.dirname(chain_path) or ".", "mempool.jsonl")
 
 
+def reader_key() -> KeyPair | None:
+    """This OS user's reader key, ``bloff/reader.key`` in ``$XDG_CACHE_HOME``
+    or ``~/.cache``, made on first use; None when it cannot be made or read.
+    A new key is renamed into place, so racing first runs leave a whole one."""
+    cache = os.environ.get("XDG_CACHE_HOME") or os.path.join(os.path.expanduser("~"), ".cache")
+    path = os.path.join(cache, "bloff", "reader.key")
+    try:
+        if not os.path.exists(path):
+            os.makedirs(os.path.dirname(path), 0o700, exist_ok=True)
+            temp = f"{path}.{os.getpid()}.tmp"
+            save_keypair(temp, generate_keypair(os.urandom(32)))
+            os.replace(temp, path)
+        return load_keypair(path)
+    except (OSError, ValueError):
+        return None
+
+
 def load_chain_target(target: str) -> Chain:
-    """Load and validate a chain from a file or a running node."""
+    """Load and validate a chain from a file or a running node. A file is
+    loaded with the reader key's checkpoint, so a load repeated by the same
+    user checks only the signatures above the tip it last validated."""
     if is_address(target):
         return validate_chain(fetch_chain(target))
-    return store_mod.load_chain(target)
+    return BlockStore.open(target, reader_key()).chain
 
 
 def load_pending(pool_path: str) -> list[Transaction | str]:

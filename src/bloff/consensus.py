@@ -134,8 +134,7 @@ def mine_block(
     """Seal a block over the oldest minable transactions, up to the cap.
 
     The nonce search starts at 0 and is fully deterministic for fixed inputs.
-    Txs a reorg took out of context (a registration they need dropped, or
-    their key registered by another tx) are skipped and stay in the pool.
+    Txs the registry rules refuse in pool order are skipped and stay pooled.
     """
     if registered_nodes.get(miner.public_key) != NodeRole.CSP_MINER:
         raise MiningError("miner-not-registered")
@@ -226,8 +225,10 @@ class NodeState:
         unable to win, move ``best`` onto their parent and ``connect_run``
         them, with fork choice as its ``can_win``. Keep the result if fork
         choice prefers it, re-injecting the txs of the blocks it dropped and
-        evicting those of the blocks it added; otherwise move back. Returns
-        the status and the blocks ``best`` gained."""
+        evicting those of the blocks it added; when a dropped or added block
+        holds a registration, the whole pool is admitted again after the
+        dropped txs, in its order. Otherwise move back. Returns the status
+        and the blocks ``best`` gained."""
         best = self.best
         new = [b for b in blocks if b.hash not in best.heights]
         if not new:
@@ -245,9 +246,14 @@ class NodeState:
         if fork_rank(best.height, best.tip.hash) >= old_rank:
             self._move(fork, dropped)
             return f"rejected:{reason}", []
-        for block in dropped:
-            for tx in block.transactions:
-                self.mempool.readd(tx, best)
         added = best.blocks[fork:]
+        readd = [tx for block in dropped for tx in block.transactions]
+        if any(isinstance(tx, RegistrationTransaction) for b in dropped + added for tx in b.transactions):
+            # The registry moved: the pool is admitted again after the dropped txs.
+            pooled = self.mempool.oldest()
+            self.mempool.evict(tx.id for tx in pooled)
+            readd += pooled
+        for tx in readd:
+            self.mempool.readd(tx, best)
         self.mempool.evict(txid for block in added for txid in block.tx_ids)
         return "accepted-best", added

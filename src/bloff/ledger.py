@@ -24,10 +24,10 @@ reader elsewhere takes a ``copy``.
 
 A node passes its ``VerifiedTxs`` record down these calls, so each tx
 signature costs it one Ed25519 check. ``load_chain`` passes none and checks
-every signature above the prefix its caller's checkpoint vouches for (none
-for a reader). A keyed caller's load passes its key as ``signer``: its own
-key's txs are checked by signing them again, and all others are verified; a
-reader passes none.
+every signature above the prefix its caller's checkpoint vouches for. A
+load with a checkpoint passes its key as ``signer``: that key's own txs are
+checked by signing them again, and all others are verified. A reader's key
+signs nothing on the chain, so its load verifies every signature it checks.
 """
 
 from __future__ import annotations

@@ -15,16 +15,18 @@ loaded chain onto it in place.
 A chain file has one writer at a time: each holds ``writer_lock`` on it,
 and a second writer fails at once instead of waiting.
 
-A writer's key keeps a ``Checkpoint`` sidecar, ``<chain>.checked.<node_id>``:
-the height and hash of the tip that key's holder last validated on the file,
+A key keeps a ``Checkpoint`` sidecar, ``<chain>.checked.<node_id>``: the
+height and hash of the tip that key's holder last validated on the file,
 MAC'd with a key derived from its secret key. A store opened with that key
 keeps it: the open names the loaded tip, and each ``sync`` the tip it
-wrote. A load given a checkpoint whose block sits at its height on the file
-skips the signature checks at or below it, and checks every other rule on
-every block; above it, the key's own txs are checked by signing them again
-and all others are verified. Deleting the sidecar is always safe and costs
-one full check. The read path (``verify``, ``inspect``, ``court_recheck``)
-never uses one, and verifies every signature.
+wrote. A writer opens its store with its own key; a reader (``verify`` and
+``inspect``) with its OS user's reader key. A load given a checkpoint whose
+block sits at its height on the file skips the signature checks at or below
+it, and checks every other rule on every block; above it, the key's own txs
+are checked by signing them again and all others are verified. Deleting the
+sidecar is always safe and costs one full check. ``court_recheck``, a
+fetched chain and a ``load_chain`` given no checkpoint verify every
+signature.
 """
 
 from __future__ import annotations
@@ -119,9 +121,10 @@ class Checkpoint:
 
     def write(self, chain: Chain) -> None:
         """Name the tip of ``chain``, which its caller holds validated, unless
-        it is named already. Call it only under ``writer_lock``. Not fsynced,
-        and a failed write is not raised: a lost or torn line costs the next
-        load one full check."""
+        it is named already. Not fsynced, and a failed write is not raised: a
+        lost or torn line costs the next load one full check. A reader writes
+        its own key's sidecar without ``writer_lock``, since a torn or
+        interleaved line names nothing."""
         named = (chain.height, chain.tip.hash)
         if named == self.named:
             return
@@ -208,8 +211,8 @@ class BlockStore:
     @classmethod
     def open(cls, path: str, keypair: KeyPair | None = None) -> "BlockStore":
         """Load the chain file, with ``keypair``'s checkpoint when given, and
-        have the checkpoint name the loaded tip. Call it under
-        ``writer_lock`` when keyed."""
+        have the checkpoint name the loaded tip. A writer calls it under
+        ``writer_lock``."""
         checkpoint = Checkpoint(path, keypair) if keypair is not None else None
         chain = load_chain(path, checkpoint)
         if checkpoint is not None:

@@ -29,6 +29,15 @@ def child_env():
     return {**os.environ, "PYTHONPATH": path}
 
 
+@pytest.fixture(autouse=True)
+def reader_cache(tmp_path_factory, monkeypatch):
+    """Each test's own ``XDG_CACHE_HOME``, which ``child_env`` passes on, so
+    that no test reads or makes a reader key in the user's cache."""
+    cache = tmp_path_factory.mktemp("cache")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(cache))
+    return cache
+
+
 def with_signature(tx, signature):
     """``tx`` carrying ``signature`` in place of its own."""
     return decode_tx(tx.raw[:-64] + bytes(signature))

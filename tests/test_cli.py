@@ -2,6 +2,8 @@
 
 import functools
 import json
+import os
+import stat
 
 import pytest
 
@@ -599,6 +601,23 @@ class TestInspect:
             capsys, "inspect", "--chain", str(workspace["chain"]), "--tx", "00" * 32
         )
         assert code == 2
+
+
+class TestReaderKey:
+    def test_made_once_per_user_owner_only(self, reader_cache, tmp_path, monkeypatch):
+        """The key is made in ``$XDG_CACHE_HOME/bloff``, or ``~/.cache/bloff``
+        when that is unset, owner-only, and read again on later calls; no
+        temp file is left."""
+        key = cli.reader_key()
+        path = reader_cache / "bloff" / "reader.key"
+        assert load_keypair(str(path)) == key == cli.reader_key()
+        assert stat.S_IMODE(path.parent.stat().st_mode) == 0o700
+        assert stat.S_IMODE(path.stat().st_mode) == 0o600
+        assert os.listdir(path.parent) == ["reader.key"]
+        monkeypatch.delenv("XDG_CACHE_HOME")
+        monkeypatch.setenv("HOME", str(tmp_path))
+        home_key = cli.reader_key()
+        assert load_keypair(str(tmp_path / ".cache" / "bloff" / "reader.key")) == home_key != key
 
 
 class TestSimulateCommand:

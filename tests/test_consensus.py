@@ -533,6 +533,70 @@ class TestReorgReadmission:
         assert len(state.mempool) == 0
         assert fresh.public_key not in state.best.registered_nodes
 
+    def test_pooled_anchor_taken_out_of_context_by_a_reorg_is_evicted(
+        self, miner, device, base, monkeypatch
+    ):
+        """A node pools an anchor of key F while F is registered as a device;
+        the branch it then adopts registers F as a stakeholder. The anchor
+        leaves the pool, as a fresh ``add`` would refuse it, and re-admitting
+        the pool checks no signature again."""
+        fresh = keypair_for("fresh-device")
+        losing = mined(base, miner, [build_registration_tx(fresh.public_key, NodeRole.DEVICE, miner)])
+        state = NodeState(best=base)
+        assert state.apply_block(losing.tip) == "accepted-best"
+        anchor = anchor_for(fresh, b"fresh evidence")
+        assert state.mempool.add(anchor, state.best) == "accepted"
+        as_stakeholder = build_registration_tx(fresh.public_key, NodeRole.STAKEHOLDER, miner)
+        winning = anchored(mined(base, miner, [as_stakeholder]), miner, device, b"win", 1)
+        checks = []
+        original = ledger.verify_signature
+        monkeypatch.setattr(ledger, "verify_signature", lambda *a: checks.append(a) or original(*a))
+        assert state.adopt_chain(winning.blocks) == winning.blocks[base.height :]
+        assert len(checks) == 4  # the winning branch's 4 txs; none of the pool's
+        assert state.mempool.oldest() == []
+        assert Mempool().add(anchor, state.best) == "invalid:role-not-permitted"
+
+    def test_pooled_registration_made_stale_by_a_block_is_evicted(self, miner, device, base):
+        """The pool holds a registration of F as a device and an anchor of F
+        it admits; a block on the best tip registers F as a stakeholder
+        through another tx. Both leave the pool; the unrelated anchor stays."""
+        fresh = keypair_for("fresh-device")
+        state = NodeState(best=base)
+        pooled = [
+            build_registration_tx(fresh.public_key, NodeRole.DEVICE, miner),
+            anchor_for(fresh, b"fresh evidence"),
+            anchor_for(device, b"unrelated"),
+        ]
+        for tx in pooled:
+            assert state.mempool.add(tx, state.best) == "accepted"
+        as_stakeholder = build_registration_tx(fresh.public_key, NodeRole.STAKEHOLDER, miner)
+        assert state.apply_block(mined(base, miner, [as_stakeholder]).tip) == "accepted-best"
+        assert state.mempool.oldest() == pooled[2:]
+
+    def test_pooled_anchor_keeps_the_registration_a_reorg_drops(self, miner, device, base):
+        """A dropped block registers F, and the pool holds an anchor of F; the
+        winning branch registers another key. The dropped registration is
+        admitted again before the pool, so F's anchor keeps its place and
+        both are mined."""
+        fresh, other = keypair_for("fresh-device"), keypair_for("other-device")
+        registration = build_registration_tx(fresh.public_key, NodeRole.DEVICE, miner)
+        losing = mined(base, miner, [registration])
+        logic = NodeLogic("m", miner, NodeRole.CSP_MINER, base)
+        assert logic.state.apply_block(losing.tip) == "accepted-best"
+        anchor = anchor_for(fresh, b"fresh evidence")
+        assert logic.state.mempool.add(anchor, logic.state.best) == "accepted"
+        winning = anchored(
+            mined(base, miner, [build_registration_tx(other.public_key, NodeRole.DEVICE, miner)]),
+            miner,
+            device,
+            b"win",
+            1,
+        )
+        assert logic.state.adopt_chain(winning.blocks) == winning.blocks[base.height :]
+        assert logic.state.mempool.oldest() == [registration, anchor]
+        block = logic.maybe_mine(winning.tip.header.timestamp + 1)
+        assert block is not None and block.transactions == (registration, anchor)
+
 
 class TestAdoptChain:
     def test_invalid_block_keeps_valid_prefix(self, miner, device, base):

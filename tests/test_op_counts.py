@@ -19,7 +19,7 @@ from types import SimpleNamespace
 import pytest
 
 from bloff import ledger
-from bloff.cli import handle_command
+from bloff.cli import handle_command, reader_key
 from bloff.consensus import Mempool, NodeState, mine_block
 from bloff.crypto import node_id, save_keypair, sha256_digest
 from bloff.ledger import (
@@ -52,6 +52,9 @@ from conftest import (
     partition_scenario,
     with_signature,
 )
+
+
+ROOT_WRITES_ANYWHERE = pytest.mark.skipif(os.geteuid() == 0, reason="root writes through any file mode")
 
 
 def count_calls(monkeypatch, name, module=ledger):
@@ -852,3 +855,122 @@ def test_partition_scenario_checks_each_signature_once_per_node(monkeypatch):
     during_run = [(node, sig) for node, sig in checks if node is not None]
     assert len(during_run) == len(set(during_run))
     assert not {sig for _, sig in during_run} & set(genesis_sigs)
+
+
+class TestReaderCheckpoint:
+    """``verify`` and ``inspect`` load a chain file with the OS user's reader
+    key and its checkpoint, so a load repeated by the same user checks only
+    the signatures above the tip its last load validated. One CPU is
+    patched in; each command's checks are counted as (verifies, re-signs).
+    The chain holds 32 txs: the miner's 2, then 30 anchors in 3 blocks."""
+
+    FULL = (32, 0)
+
+    @pytest.fixture(autouse=True)
+    def one_cpu(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+
+    @pytest.fixture
+    def ws(self, tmp_path, miner, device, monkeypatch, capsys):
+        chain, _ = build_chain(miner, device, [b"entry %d" % i for i in range(30)], txs_per_block=10)
+        path = tmp_path / "chain.jsonl"
+        write_chain(str(path), chain.blocks)
+        (tmp_path / "presented.log").write_bytes(b"entry 7\n")
+        checks = count_checks(monkeypatch)
+
+        def run(*argv):
+            """The exit code, output and signature checks of one command."""
+            checks.clear()
+            code = handle_command([*argv, "--chain", str(path)])
+            out, err = capsys.readouterr()
+            return code, out, err, checks.counts()
+
+        def sidecar():
+            return tmp_path / f"chain.jsonl.checked.{node_id(reader_key().public_key)}"
+
+        verify = ("verify", "--log", str(tmp_path / "presented.log"))
+        return SimpleNamespace(tmp=tmp_path, path=path, run=run, sidecar=sidecar, verify=verify)
+
+    @pytest.mark.parametrize(
+        "argv", [("verify", "--log", "presented.log"), ("inspect",), ("inspect", "--height", "4")]
+    )
+    def test_second_load_checks_no_signature_and_prints_the_same(self, ws, monkeypatch, argv):
+        monkeypatch.chdir(ws.tmp)
+        code, out, err, checks = ws.run(*argv)
+        assert (code, err, checks) == (0, "", self.FULL)
+        assert ws.run(*argv) == (0, out, "", (0, 0))
+        assert ws.sidecar().read_text().split(" ")[0] == "5"
+
+    def test_verify_after_mine_checks_only_the_new_block(self, ws, miner, device):
+        keys = {"miner": ws.tmp / "miner.key", "device": ws.tmp / "device.key"}
+        save_keypair(str(keys["miner"]), miner)
+        save_keypair(str(keys["device"]), device)
+        (ws.tmp / "batch.log").write_text("".join(f"new line {i}\n" for i in range(6)))
+        assert ws.run(*ws.verify)[3] == self.FULL
+        assert ws.run("submit", "--key", str(keys["device"]), "--log", str(ws.tmp / "batch.log"))[0] == 0
+        code, out, _, _ = ws.run("mine", "--key", str(keys["miner"]))
+        assert (code, json.loads(out)["txs"]) == (0, 6)
+        assert ws.run(*ws.verify)[3] == (6, 0)
+        assert ws.run(*ws.verify)[3] == (0, 0)
+
+    @pytest.mark.parametrize("how", ["foreign", "mac", "truncated"])
+    def test_a_sidecar_that_does_not_verify_costs_one_full_check(self, ws, miner, how):
+        """A foreign sidecar (the miner's, naming the same tip), an altered
+        one and a torn one each cost one full check, which writes the
+        reader's line again."""
+        code, out, _, checks = ws.run(*ws.verify)
+        assert checks == self.FULL
+        own = ws.sidecar().read_text()
+        Checkpoint(str(ws.path), miner).write(load_chain(str(ws.path)))
+        foreign = (ws.tmp / f"chain.jsonl.checked.{node_id(miner.public_key)}").read_text()
+        assert foreign.split(" ")[:2] == own.split(" ")[:2]
+        ws.sidecar().write_text(TestCheckpoint.tampered(own, foreign, how))
+        assert ws.run(*ws.verify) == (code, out, "", self.FULL)
+        assert ws.sidecar().read_text() == own
+        assert ws.run(*ws.verify) == (code, out, "", (0, 0))
+        ws.sidecar().unlink()
+        assert ws.run(*ws.verify) == (code, out, "", self.FULL)
+
+    @pytest.mark.parametrize(
+        "how",
+        [
+            "key-mode-0644",
+            "key-torn",
+            "cache-is-a-file",
+            pytest.param("cache-read-only", marks=ROOT_WRITES_ANYWHERE),
+            "sidecar-is-a-directory",
+            pytest.param("chain-dir-read-only", marks=ROOT_WRITES_ANYWHERE),
+        ],
+    )
+    def test_reader_key_or_sidecar_unusable_means_a_full_check(
+        self, ws, reader_cache, monkeypatch, how
+    ):
+        """A reader key that cannot be read or made, or a sidecar that cannot
+        be written, leaves no checkpoint: each load checks every signature
+        and prints the verdict and exit code of a load with a working key,
+        and nothing on stderr."""
+        code, out, _, _ = ws.run(*ws.verify)
+        key_path, sidecar = reader_cache / "bloff" / "reader.key", ws.sidecar()
+        sidecar.unlink()
+        if how == "key-mode-0644":
+            key_path.chmod(0o644)
+        elif how == "key-torn":
+            key_path.write_text(key_path.read_text()[:40])
+        elif how == "cache-is-a-file":
+            monkeypatch.setenv("XDG_CACHE_HOME", str(ws.tmp / "presented.log"))
+        elif how == "cache-read-only":
+            key_path.unlink()
+            key_path.parent.chmod(0o500)
+        elif how == "sidecar-is-a-directory":
+            sidecar.mkdir()
+        elif how == "chain-dir-read-only":
+            ws.tmp.chmod(0o500)
+        key_text = key_path.read_text() if key_path.exists() else None
+        try:
+            for _ in range(2):
+                assert ws.run(*ws.verify) == (code, out, "", self.FULL)
+        finally:
+            ws.tmp.chmod(0o700)
+            key_path.parent.chmod(0o700)
+        assert list(ws.tmp.glob("chain.jsonl.checked.*")) == ([sidecar] if sidecar.is_dir() else [])
+        assert (key_path.read_text() if key_path.exists() else None) == key_text  # not replaced

@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from bloff.cli import handle_command
+from bloff.cli import handle_command, load_chain_target, reader_key
 from bloff.consensus import Mempool, mine_block
 from bloff.crypto import KeyPair, save_keypair, sign
 from bloff.ledger import (
@@ -356,9 +356,11 @@ class TestCheckpoint:
     same chain, or the same error at the same height or line."""
 
     @staticmethod
-    def outcome(path, checkpoint=None):
+    def outcome(path, checkpoint=None, load=None):
+        """The blocks of ``load`` of ``path``, by default ``load_chain`` with
+        ``checkpoint``, or the type and text of its error."""
         try:
-            return load_chain(str(path), checkpoint).blocks
+            return (load(str(path)) if load else load_chain(str(path), checkpoint)).blocks
         except (ChainFileError, ChainValidationError) as exc:
             return type(exc), str(exc)
 
@@ -473,10 +475,18 @@ class TestCheckpoint:
     def flips_fail_as_without_a_checkpoint(self, tmp_path, miner, device, keypair, first_line):
         """Acceptance criterion 2 (every single-byte flip of the chain file is
         rejected), for the bytes from line ``first_line`` on, with the
-        checkpoint of ``keypair`` naming the original file's tip present."""
+        checkpoint of ``keypair`` naming the original file's tip present. With
+        no ``keypair``, it is the reader's checkpoint, made by the CLI's own
+        load (``load_chain_target``), and each load goes through it."""
         chain, _ = build_chain(miner, device, [b"aa", b"bb", b"cc"], txs_per_block=1)
         path = write_chain_file(tmp_path, chain)
-        Checkpoint(str(path), keypair).write(chain)
+        load = None
+        if keypair is None:
+            load = load_chain_target
+            assert self.outcome(path, load=load) == chain.blocks
+            keypair = reader_key()
+        else:
+            Checkpoint(str(path), keypair).write(chain)
         checkpoint = Checkpoint(str(path), keypair)
         assert checkpoint.named == (5, chain.tip.hash)
         original = path.read_bytes()
@@ -486,13 +496,16 @@ class TestCheckpoint:
                 path.write_bytes(original[:position] + bytes([replacement]) + original[position + 1 :])
                 full = self.outcome(path)
                 assert isinstance(full, tuple), (position, replacement)
-                assert self.outcome(path, checkpoint) == full, (position, replacement)
+                assert self.outcome(path, checkpoint, load) == full, (position, replacement)
         path.write_bytes(original)
-        assert self.outcome(path, checkpoint) == chain.blocks
+        assert self.outcome(path, checkpoint, load) == chain.blocks
 
     def test_every_byte_flip_fails_as_without_a_checkpoint(self, tmp_path, miner, device):
-        """The miner's checkpoint, whose key verifies every tx of the file."""
+        """The miner's checkpoint, whose key verifies every tx of the file,
+        then the reader's, which ``verify`` and ``inspect`` keep."""
         self.flips_fail_as_without_a_checkpoint(tmp_path, miner, device, miner, 1)
+        (tmp_path / "reader").mkdir()
+        self.flips_fail_as_without_a_checkpoint(tmp_path / "reader", miner, device, None, 1)
 
     def test_every_byte_flip_of_own_txs_fails_as_without_a_checkpoint(
         self, tmp_path, miner, device
