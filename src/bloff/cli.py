@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import hashlib
 import json
 import logging
 import os
@@ -26,7 +27,6 @@ from . import store as store_mod
 from .consensus import Mempool, MiningError, mine_block
 from .crypto import (
     Digest,
-    KeyPair,
     generate_keypair,
     hex_to_bytes,
     load_keypair,
@@ -77,30 +77,35 @@ def mempool_path_for(chain_path: str, override: str | None) -> str:
     return os.path.join(os.path.dirname(chain_path) or ".", "mempool.jsonl")
 
 
-def reader_key() -> KeyPair | None:
-    """This OS user's reader key, ``bloff/reader.key`` in ``$XDG_CACHE_HOME``
-    or ``~/.cache``, made on first use; None when it cannot be made or read.
-    A new key is renamed into place, so racing first runs leave a whole one."""
-    cache = os.environ.get("XDG_CACHE_HOME") or os.path.join(os.path.expanduser("~"), ".cache")
-    path = os.path.join(cache, "bloff", "reader.key")
+def reader_checkpoint(chain_path: str) -> store_mod.Checkpoint | None:
+    """This OS user's checkpoint on ``chain_path``, kept with the reader key
+    (made on first use) in the 0700 ``bloff`` directory of ``$XDG_CACHE_HOME``
+    or ``~/.cache``; None when that is relative or the key is unusable."""
+    home = os.path.join(os.environ.get("XDG_CACHE_HOME") or os.path.expanduser("~/.cache"), "bloff")
+    if not os.path.isabs(home):  # the XDG spec ignores a relative path
+        return None
+    key_path = os.path.join(home, "reader.key")
     try:
-        if not os.path.exists(path):
-            os.makedirs(os.path.dirname(path), 0o700, exist_ok=True)
-            temp = f"{path}.{os.getpid()}.tmp"
+        if not os.path.exists(key_path):
+            os.makedirs(home, 0o700, exist_ok=True)
+            temp = f"{key_path}.{os.getpid()}.tmp"
             save_keypair(temp, generate_keypair(os.urandom(32)))
-            os.replace(temp, path)
-        return load_keypair(path)
+            try:
+                os.link(temp, key_path)  # racing first runs keep the first one's key
+            finally:
+                os.unlink(temp)
+        keypair = load_keypair(key_path)
     except (OSError, ValueError):
         return None
+    name = hashlib.sha256(os.path.realpath(chain_path).encode()).hexdigest()
+    return store_mod.Checkpoint(chain_path, keypair, os.path.join(home, f"{name}.checked"))
 
 
 def load_chain_target(target: str) -> Chain:
-    """Load and validate a chain from a file or a running node. A file is
-    loaded with the reader key's checkpoint, so a load repeated by the same
-    user checks only the signatures above the tip it last validated."""
+    """Load and validate a chain from a running node, or a file with the reader's checkpoint."""
     if is_address(target):
         return validate_chain(fetch_chain(target))
-    return BlockStore.open(target, reader_key()).chain
+    return store_mod.load_chain(target, reader_checkpoint(target))
 
 
 def load_pending(pool_path: str) -> list[Transaction | str]:

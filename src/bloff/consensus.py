@@ -225,10 +225,10 @@ class NodeState:
         unable to win, move ``best`` onto their parent and ``connect_run``
         them, with fork choice as its ``can_win``. Keep the result if fork
         choice prefers it, re-injecting the txs of the blocks it dropped and
-        evicting those of the blocks it added; when a dropped or added block
-        holds a registration, the whole pool is admitted again after the
-        dropped txs, in its order. Otherwise move back. Returns the status
-        and the blocks ``best`` gained."""
+        evicting those of the blocks it added; when one of these holds a
+        registration, the pool is admitted again after the dropped txs (its
+        ids still in ``verified`` cost no check). Otherwise move back.
+        Returns the status and the blocks ``best`` gained."""
         best = self.best
         new = [b for b in blocks if b.hash not in best.heights]
         if not new:
@@ -249,10 +249,8 @@ class NodeState:
         added = best.blocks[fork:]
         readd = [tx for block in dropped for tx in block.transactions]
         if any(isinstance(tx, RegistrationTransaction) for b in dropped + added for tx in b.transactions):
-            # The registry moved: the pool is admitted again after the dropped txs.
-            pooled = self.mempool.oldest()
-            self.mempool.evict(tx.id for tx in pooled)
-            readd += pooled
+            readd += self.mempool.oldest()
+            self.mempool.evict(tx.id for tx in readd)
         for tx in readd:
             self.mempool.readd(tx, best)
         self.mempool.evict(txid for block in added for txid in block.tx_ids)

@@ -15,18 +15,16 @@ loaded chain onto it in place.
 A chain file has one writer at a time: each holds ``writer_lock`` on it,
 and a second writer fails at once instead of waiting.
 
-A key keeps a ``Checkpoint`` sidecar, ``<chain>.checked.<node_id>``: the
-height and hash of the tip that key's holder last validated on the file,
+A writer's key keeps a ``Checkpoint`` sidecar, ``<chain>.checked.<node_id>``:
+the height and hash of the tip that key's holder last validated on the file,
 MAC'd with a key derived from its secret key. A store opened with that key
-keeps it: the open names the loaded tip, and each ``sync`` the tip it
-wrote. A writer opens its store with its own key; a reader (``verify`` and
-``inspect``) with its OS user's reader key. A load given a checkpoint whose
-block sits at its height on the file skips the signature checks at or below
-it, and checks every other rule on every block; above it, the key's own txs
-are checked by signing them again and all others are verified. Deleting the
-sidecar is always safe and costs one full check. ``court_recheck``, a
-fetched chain and a ``load_chain`` given no checkpoint verify every
-signature.
+keeps it: the open names the loaded tip, and each ``sync`` the tip it wrote.
+``verify`` and ``inspect`` keep one in the OS user's cache, under a reader
+key. A load given a checkpoint whose block sits at its height on the file
+skips the signature checks at or below it, and checks every other rule on
+every block; above it, the key's own txs are checked by signing them again and
+all others are verified. Deleting the sidecar is always safe and costs one
+full check. ``court_recheck`` and a fetched chain never use one.
 """
 
 from __future__ import annotations
@@ -80,17 +78,17 @@ _CHECKPOINT_TAG = b"bloff chain checkpoint v1\x00"
 
 
 class Checkpoint:
-    """The ``<chain>.checked.<node_id>`` sidecar of one key on one chain
-    file: one ASCII line, the height and hash of the tip the key's holder
-    validated and an HMAC-SHA256 over the two, keyed by SHA-256 of a tag and
-    the secret key. Only that holder can write a line that verifies, and a
-    block hash commits to every tx byte at or below it, so each signature
-    check it lets a load skip is one the holder already made on the same
-    bytes. A missing, torn, foreign or stale sidecar names nothing, which
-    costs a full check and never changes a verdict."""
+    """The sidecar of one key on one chain file, ``path`` or else
+    ``<chain>.checked.<node_id>``: one ASCII line, the height and hash of the
+    tip the key's holder validated and an HMAC-SHA256 over the two, keyed by
+    SHA-256 of a tag and the secret key. Only that holder can write a line
+    that verifies, and a block hash commits to every tx byte at or below it,
+    so each signature check it lets a load skip is one the holder already
+    made on the same bytes. A missing, torn, foreign or stale sidecar names
+    nothing, which costs a full check and never changes a verdict."""
 
-    def __init__(self, chain_path: str, keypair: KeyPair):
-        self.path = f"{chain_path}.checked.{node_id(keypair.public_key)}"
+    def __init__(self, chain_path: str, keypair: KeyPair, path: str | None = None):
+        self.path = path or f"{chain_path}.checked.{node_id(keypair.public_key)}"
         self.keypair = keypair
         self._key = hashlib.sha256(_CHECKPOINT_TAG + keypair.secret_key).digest()
         self.named = self._read()  # (height, block hash), or None
@@ -121,15 +119,16 @@ class Checkpoint:
 
     def write(self, chain: Chain) -> None:
         """Name the tip of ``chain``, which its caller holds validated, unless
-        it is named already. Not fsynced, and a failed write is not raised: a
-        lost or torn line costs the next load one full check. A reader writes
-        its own key's sidecar without ``writer_lock``, since a torn or
-        interleaved line names nothing."""
+        it is named already. A writer calls it under ``writer_lock``; a reader
+        needs none, as a torn or interleaved line names nothing. Not fsynced,
+        not through a symlink, and a failed write is not raised: a lost or
+        torn line costs the next load one full check."""
         named = (chain.height, chain.tip.hash)
         if named == self.named:
             return
         try:
-            with open(self.path, "w", encoding="ascii") as fh:
+            fd = os.open(self.path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC | os.O_NOFOLLOW, 0o644)
+            with os.fdopen(fd, "w", encoding="ascii") as fh:
                 fh.write(self._line(*named))
         except OSError:
             return
@@ -139,7 +138,7 @@ class Checkpoint:
 def load_chain(path: str, checkpoint: Checkpoint | None = None) -> Chain:
     """Parse and re-validate a chain file, skipping the signature checks
     that ``checkpoint`` vouches for and checking its key's own txs by
-    signing them again.
+    signing them again; then have ``checkpoint`` name the loaded tip.
 
     Raises ChainFileError (with the 1-based line number) for lines that do
     not decode, and ChainValidationError (height, reason) when replay fails.
@@ -161,7 +160,9 @@ def load_chain(path: str, checkpoint: Checkpoint | None = None) -> Chain:
     del text  # the one decoded copy of the file, dropped before replay
     if checkpoint is None:
         return validate_chain(blocks)
-    return validate_chain(blocks, checkpoint.trusted_height(blocks), checkpoint.keypair)
+    chain = validate_chain(blocks, checkpoint.trusted_height(blocks), checkpoint.keypair)
+    checkpoint.write(chain)
+    return chain
 
 
 def _write_lines(path: str, lines, replace: bool = False) -> None:
@@ -211,13 +212,10 @@ class BlockStore:
     @classmethod
     def open(cls, path: str, keypair: KeyPair | None = None) -> "BlockStore":
         """Load the chain file, with ``keypair``'s checkpoint when given, and
-        have the checkpoint name the loaded tip. A writer calls it under
-        ``writer_lock``."""
+        have the checkpoint name the loaded tip. Call it under
+        ``writer_lock`` when keyed."""
         checkpoint = Checkpoint(path, keypair) if keypair is not None else None
-        chain = load_chain(path, checkpoint)
-        if checkpoint is not None:
-            checkpoint.write(chain)
-        return cls(path, chain, checkpoint)
+        return cls(path, load_chain(path, checkpoint), checkpoint)
 
     @classmethod
     def create(cls, path: str, genesis: Block) -> "BlockStore":

@@ -603,21 +603,59 @@ class TestInspect:
         assert code == 2
 
 
-class TestReaderKey:
-    def test_made_once_per_user_owner_only(self, reader_cache, tmp_path, monkeypatch):
+class TestReaderCheckpoint:
+    def test_key_made_once_per_user_owner_only(self, reader_cache, tmp_path, monkeypatch):
         """The key is made in ``$XDG_CACHE_HOME/bloff``, or ``~/.cache/bloff``
         when that is unset, owner-only, and read again on later calls; no
-        temp file is left."""
-        key = cli.reader_key()
+        temp file is left. A chain's sidecar is named by its real path."""
+        chain = tmp_path / "chain.jsonl"
+        checkpoint = cli.reader_checkpoint(str(chain))
         path = reader_cache / "bloff" / "reader.key"
-        assert load_keypair(str(path)) == key == cli.reader_key()
+        assert load_keypair(str(path)) == checkpoint.keypair == cli.reader_checkpoint("x").keypair
         assert stat.S_IMODE(path.parent.stat().st_mode) == 0o700
         assert stat.S_IMODE(path.stat().st_mode) == 0o600
         assert os.listdir(path.parent) == ["reader.key"]
+        monkeypatch.chdir(tmp_path)
+        assert cli.reader_checkpoint("chain.jsonl").path == checkpoint.path
+        assert os.path.dirname(checkpoint.path) == str(path.parent)
+        assert cli.reader_checkpoint("other.jsonl").path != checkpoint.path
         monkeypatch.delenv("XDG_CACHE_HOME")
-        monkeypatch.setenv("HOME", str(tmp_path))
-        home_key = cli.reader_key()
-        assert load_keypair(str(tmp_path / ".cache" / "bloff" / "reader.key")) == home_key != key
+        monkeypatch.setenv("HOME", str(tmp_path / "home"))
+        home_key = cli.reader_checkpoint(str(chain)).keypair
+        assert load_keypair(str(tmp_path / "home" / ".cache" / "bloff" / "reader.key")) == home_key
+        assert home_key != checkpoint.keypair
+
+    @pytest.mark.parametrize("cache", ["relative/cache", "~"])
+    def test_a_relative_cache_directory_gives_none_and_no_file(self, tmp_path, monkeypatch, cache):
+        """A relative ``$XDG_CACHE_HOME``, or the ``~`` that is left when no
+        home directory is known, names no cache: the load keeps no
+        checkpoint and writes nothing in the working directory, which may
+        be the evidence directory."""
+        monkeypatch.chdir(tmp_path)
+        if cache == "~":
+            monkeypatch.delenv("XDG_CACHE_HOME")
+            monkeypatch.setattr(os.path, "expanduser", lambda path: path)
+        else:
+            monkeypatch.setenv("XDG_CACHE_HOME", cache)
+        assert cli.reader_checkpoint("chain.jsonl") is None
+        assert os.listdir(tmp_path) == []
+
+    def test_racing_first_runs_keep_the_first_key(self, reader_cache, monkeypatch):
+        """A run that finds the key made between its check and its link
+        keeps no checkpoint this once, leaves the winner's key and no temp
+        file, and its next call reads the winner's key."""
+        path = reader_cache / "bloff" / "reader.key"
+        winner = keypair_for("winner")
+        save = cli.save_keypair
+
+        def save_after_the_winner(temp, keypair):
+            save(str(path), winner)
+            save(temp, keypair)
+
+        monkeypatch.setattr(cli, "save_keypair", save_after_the_winner)
+        assert cli.reader_checkpoint("chain.jsonl") is None
+        assert os.listdir(path.parent) == ["reader.key"]
+        assert cli.reader_checkpoint("chain.jsonl").keypair == load_keypair(str(path)) == winner
 
 
 class TestSimulateCommand:

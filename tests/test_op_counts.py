@@ -13,13 +13,14 @@ submission, mining, block validation and replays check each tx once.
 import dataclasses
 import json
 import os
+import pathlib
 import tracemalloc
 from types import SimpleNamespace
 
 import pytest
 
 from bloff import ledger
-from bloff.cli import handle_command, reader_key
+from bloff.cli import handle_command, reader_checkpoint
 from bloff.consensus import Mempool, NodeState, mine_block
 from bloff.crypto import node_id, save_keypair, sha256_digest
 from bloff.ledger import (
@@ -859,10 +860,12 @@ def test_partition_scenario_checks_each_signature_once_per_node(monkeypatch):
 
 class TestReaderCheckpoint:
     """``verify`` and ``inspect`` load a chain file with the OS user's reader
-    key and its checkpoint, so a load repeated by the same user checks only
-    the signatures above the tip its last load validated. One CPU is
-    patched in; each command's checks are counted as (verifies, re-signs).
-    The chain holds 32 txs: the miner's 2, then 30 anchors in 3 blocks."""
+    key and its checkpoint, both kept in that user's cache directory, so a
+    load repeated by the same user checks only the signatures above the tip
+    its last load validated, and the chain's directory gets no file. One
+    CPU is patched in; each command's checks are counted as (verifies,
+    re-signs). The chain holds 32 txs: the miner's 2, then 30 anchors in 3
+    blocks."""
 
     FULL = (32, 0)
 
@@ -886,7 +889,7 @@ class TestReaderCheckpoint:
             return code, out, err, checks.counts()
 
         def sidecar():
-            return tmp_path / f"chain.jsonl.checked.{node_id(reader_key().public_key)}"
+            return pathlib.Path(reader_checkpoint(str(path)).path)
 
         verify = ("verify", "--log", str(tmp_path / "presented.log"))
         return SimpleNamespace(tmp=tmp_path, path=path, run=run, sidecar=sidecar, verify=verify)
@@ -900,6 +903,18 @@ class TestReaderCheckpoint:
         assert (code, err, checks) == (0, "", self.FULL)
         assert ws.run(*argv) == (0, out, "", (0, 0))
         assert ws.sidecar().read_text().split(" ")[0] == "5"
+        assert sorted(os.listdir(ws.tmp)) == ["chain.jsonl", "presented.log"]
+
+    def test_a_read_only_chain_directory_keeps_the_checkpoint(self, ws):
+        """A chain directory the reader cannot write, such as an evidence
+        share, costs one full check and then none, and gets no file."""
+        ws.tmp.chmod(0o500)
+        try:
+            assert ws.run(*ws.verify)[3] == self.FULL
+            assert ws.run(*ws.verify)[3] == (0, 0)
+        finally:
+            ws.tmp.chmod(0o700)
+        assert sorted(os.listdir(ws.tmp)) == ["chain.jsonl", "presented.log"]
 
     def test_verify_after_mine_checks_only_the_new_block(self, ws, miner, device):
         keys = {"miner": ws.tmp / "miner.key", "device": ws.tmp / "device.key"}
@@ -939,7 +954,7 @@ class TestReaderCheckpoint:
             "cache-is-a-file",
             pytest.param("cache-read-only", marks=ROOT_WRITES_ANYWHERE),
             "sidecar-is-a-directory",
-            pytest.param("chain-dir-read-only", marks=ROOT_WRITES_ANYWHERE),
+            "sidecar-is-a-symlink",
         ],
     )
     def test_reader_key_or_sidecar_unusable_means_a_full_check(
@@ -948,7 +963,8 @@ class TestReaderCheckpoint:
         """A reader key that cannot be read or made, or a sidecar that cannot
         be written, leaves no checkpoint: each load checks every signature
         and prints the verdict and exit code of a load with a working key,
-        and nothing on stderr."""
+        and nothing on stderr. A symlink in the sidecar's place is not
+        followed, so its target keeps its bytes."""
         code, out, _, _ = ws.run(*ws.verify)
         key_path, sidecar = reader_cache / "bloff" / "reader.key", ws.sidecar()
         sidecar.unlink()
@@ -963,14 +979,14 @@ class TestReaderCheckpoint:
             key_path.parent.chmod(0o500)
         elif how == "sidecar-is-a-directory":
             sidecar.mkdir()
-        elif how == "chain-dir-read-only":
-            ws.tmp.chmod(0o500)
+        elif how == "sidecar-is-a-symlink":
+            sidecar.symlink_to(ws.tmp / "presented.log")
         key_text = key_path.read_text() if key_path.exists() else None
         try:
             for _ in range(2):
                 assert ws.run(*ws.verify) == (code, out, "", self.FULL)
         finally:
-            ws.tmp.chmod(0o700)
             key_path.parent.chmod(0o700)
-        assert list(ws.tmp.glob("chain.jsonl.checked.*")) == ([sidecar] if sidecar.is_dir() else [])
+        assert sidecar.is_symlink() or not sidecar.is_file()  # no line was written
+        assert (ws.tmp / "presented.log").read_bytes() == b"entry 7\n"
         assert (key_path.read_text() if key_path.exists() else None) == key_text  # not replaced

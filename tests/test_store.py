@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from bloff.cli import handle_command, load_chain_target, reader_key
+from bloff.cli import handle_command, load_chain_target, reader_checkpoint
 from bloff.consensus import Mempool, mine_block
 from bloff.crypto import KeyPair, save_keypair, sign
 from bloff.ledger import (
@@ -484,10 +484,10 @@ class TestCheckpoint:
         if keypair is None:
             load = load_chain_target
             assert self.outcome(path, load=load) == chain.blocks
-            keypair = reader_key()
+            checkpoint = reader_checkpoint(str(path))
         else:
             Checkpoint(str(path), keypair).write(chain)
-        checkpoint = Checkpoint(str(path), keypair)
+            checkpoint = Checkpoint(str(path), keypair)
         assert checkpoint.named == (5, chain.tip.hash)
         original = path.read_bytes()
         start = sum(len(line) for line in original.splitlines(keepends=True)[: first_line - 1])
@@ -514,6 +514,21 @@ class TestCheckpoint:
         in blocks 3-5 by signing them again; only those blocks' bytes are
         flipped, since the test above covers the rest."""
         self.flips_fail_as_without_a_checkpoint(tmp_path, miner, device, device, 3)
+
+    def test_a_symlink_in_the_sidecars_place_is_not_followed(self, tmp_path, miner, device):
+        """Whoever can write the chain's directory may plant a symlink where a
+        key's sidecar goes. The write does not follow it, so its target keeps
+        its bytes, and the next load, which finds no checkpoint, checks every
+        signature."""
+        chain, _ = build_chain(miner, device, [b"a", b"b"], txs_per_block=1)
+        path = write_chain_file(tmp_path, chain)
+        target = tmp_path / "authorized_keys"
+        target.write_text("ssh-ed25519 AAAA owner\n")
+        sidecar = tmp_path / os.path.basename(Checkpoint(str(path), miner).path)
+        sidecar.symlink_to(target)
+        assert BlockStore.open(str(path), miner).chain.blocks == chain.blocks
+        assert sidecar.is_symlink() and target.read_text() == "ssh-ed25519 AAAA owner\n"
+        assert Checkpoint(str(path), miner).named is None
 
     def test_keyed_store_names_its_tip_after_the_open_and_each_written_sync(
         self, tmp_path, miner, device, monkeypatch
