@@ -101,11 +101,11 @@ def reader_checkpoint(chain_path: str) -> store_mod.Checkpoint | None:
     return store_mod.Checkpoint(chain_path, keypair, os.path.join(home, f"{name}.checked"))
 
 
-def load_chain_target(target: str) -> Chain:
+def load_chain_target(target: str) -> Chain | store_mod.ChainView:
     """Load and validate a chain from a running node, or a file with the reader's checkpoint."""
     if is_address(target):
         return validate_chain(fetch_chain(target))
-    return store_mod.load_chain(target, reader_checkpoint(target))
+    return store_mod.load_chain(target, reader_checkpoint(target), view=True)
 
 
 def load_pending(pool_path: str) -> list[Transaction | str]:

@@ -10,7 +10,8 @@ the new directory entry survives a crash.
 
 Indexes are in-memory only. ``load_chain`` is the one replay; after it,
 ``BlockStore.append_block`` checks only the new block, connecting the
-loaded chain onto it in place.
+loaded chain onto it in place. A reader's load of the exact bytes its own
+checkpoint names is a ``ChainView``, which parses only the blocks read.
 
 A chain file has one writer at a time: each holds ``writer_lock`` on it,
 and a second writer fails at once instead of waiting.
@@ -18,26 +19,30 @@ and a second writer fails at once instead of waiting.
 A writer's key keeps a ``Checkpoint`` sidecar, ``<chain>.checked.<node_id>``:
 the height and hash of the tip that key's holder last validated on the file,
 MAC'd with a key derived from its secret key. A store opened with that key
-keeps it: the open names the loaded tip, and each ``sync`` the tip it wrote.
-``verify`` and ``inspect`` keep one in the OS user's cache, under a reader
-key. A load given a checkpoint whose block sits at its height on the file
-skips the signature checks at or below it, and checks every other rule on
-every block; above it, the key's own txs are checked by signing them again and
-all others are verified. Deleting the sidecar is always safe and costs one
-full check. ``court_recheck`` and a fetched chain never use one.
+keeps it: the open names the loaded tip and file, and each ``sync`` the tip
+it wrote. ``verify`` and ``inspect`` keep one in the OS user's cache, under a
+reader key. A load given a checkpoint whose block sits at its height on the
+file skips the signature checks at or below it, and checks every other rule
+on every block; above it, the key's own txs are checked by signing them again
+and all others are verified. Deleting the sidecar is always safe and costs one
+full check. ``court_recheck`` and a fetched chain never use one, nor a view.
 """
 
 from __future__ import annotations
 
+import bisect
 import fcntl
 import hashlib
 import hmac
 import json
 import os
+import re
+from collections.abc import Sequence
 from contextlib import contextmanager
 
 from .crypto import KeyPair, node_id
 from .ledger import (
+    AnchorTransaction,
     Block,
     Chain,
     ChainFileError,
@@ -72,42 +77,46 @@ def writer_lock(path: str, create: bool = False):
         os.close(fd)
 
 
-# Names the MAC key's use; bump it when ``verify_tx`` comes to refuse a tx
-# it passed before, so that no older checkpoint vouches for such a tx.
-_CHECKPOINT_TAG = b"bloff chain checkpoint v1\x00"
+# Names the MAC key's use; bump it when a load comes to refuse a file it
+# passed before, so that no older checkpoint vouches for such a file.
+_CHECKPOINT_TAG = b"bloff chain checkpoint v2\x00"
+
+_NO_FILE = (0, hashlib.sha256().digest())  # what a sync names: no chain file is empty
 
 
 class Checkpoint:
     """The sidecar of one key on one chain file, ``path`` or else
     ``<chain>.checked.<node_id>``: one ASCII line, the height and hash of the
-    tip the key's holder validated and an HMAC-SHA256 over the two, keyed by
-    SHA-256 of a tag and the secret key. Only that holder can write a line
-    that verifies, and a block hash commits to every tx byte at or below it,
-    so each signature check it lets a load skip is one the holder already
-    made on the same bytes. A missing, torn, foreign or stale sidecar names
-    nothing, which costs a full check and never changes a verdict."""
+    tip the key's holder validated, the length and SHA-256 of the file it
+    validated, and an HMAC-SHA256 over the four, keyed by SHA-256 of a tag and
+    the secret key. Only that holder can write a line that verifies, and a
+    block hash commits to every tx byte at or below it, so each check it lets
+    a load skip is one the holder already made on the same bytes. A missing,
+    torn, foreign or stale sidecar names nothing, which costs a full check and
+    never changes a verdict."""
 
     def __init__(self, chain_path: str, keypair: KeyPair, path: str | None = None):
         self.path = path or f"{chain_path}.checked.{node_id(keypair.public_key)}"
         self.keypair = keypair
         self._key = hashlib.sha256(_CHECKPOINT_TAG + keypair.secret_key).digest()
-        self.named = self._read()  # (height, block hash), or None
+        self.named, self.filed = self._read() or (None, None)  # (height, tip), (length, SHA-256)
 
-    def _line(self, height: int, tip_hash: bytes) -> str:
-        body = f"{height} {tip_hash.hex()}"
+    def _line(self, height: int, tip_hash: bytes, filed: tuple[int, bytes]) -> str:
+        body = f"{height} {tip_hash.hex()} {filed[0]} {filed[1].hex()}"
         return f"{body} {hmac.new(self._key, body.encode(), hashlib.sha256).hexdigest()}\n"
 
-    def _read(self) -> tuple[int, bytes] | None:
+    def _read(self) -> tuple[tuple[int, bytes], tuple[int, bytes]] | None:
         """What the sidecar names, when it is the exact line this key writes
         for it."""
         try:
             with open(self.path, "rb") as fh:
                 line = fh.read(256).decode("ascii")
-            height, tip_hex, _ = line.split(" ")
+            height, tip_hex, length, digest_hex, _ = line.split(" ")
             named = int(height), bytes.fromhex(tip_hex)
+            filed = int(length), bytes.fromhex(digest_hex)
         except (OSError, ValueError):
             return None
-        return named if hmac.compare_digest(self._line(*named), line) else None
+        return (named, filed) if hmac.compare_digest(self._line(*named, filed), line) else None
 
     def trusted_height(self, blocks: list[Block]) -> int:
         """The named height when the named block sits there in ``blocks``,
@@ -117,28 +126,74 @@ class Checkpoint:
         height, tip_hash = self.named
         return height if 0 < height <= len(blocks) and blocks[height - 1].hash == tip_hash else 0
 
-    def write(self, chain: Chain) -> None:
-        """Name the tip of ``chain``, which its caller holds validated, unless
-        it is named already. A writer calls it under ``writer_lock``; a reader
-        needs none, as a torn or interleaved line names nothing. Not fsynced,
-        not through a symlink, and a failed write is not raised: a lost or
-        torn line costs the next load one full check."""
+    def write(self, chain: Chain, filed: tuple[int, bytes] = _NO_FILE) -> None:
+        """Name the tip of ``chain``, which its caller holds validated from a
+        file of length and SHA-256 ``filed``, unless both are named already.
+        A writer calls it under ``writer_lock``; a reader needs none, as a
+        torn or interleaved line names nothing. Not fsynced, not through a
+        symlink, and a failed write is not raised: a lost or torn line costs
+        the next load one full check."""
         named = (chain.height, chain.tip.hash)
-        if named == self.named:
+        if (named, filed) == (self.named, self.filed):
             return
         try:
             fd = os.open(self.path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC | os.O_NOFOLLOW, 0o644)
             with os.fdopen(fd, "w", encoding="ascii") as fh:
-                fh.write(self._line(*named))
+                fh.write(self._line(*named, filed))
         except OSError:
             return
-        self.named = named
+        self.named, self.filed = named, filed
 
 
-def load_chain(path: str, checkpoint: Checkpoint | None = None) -> Chain:
+class ChainView(Sequence):
+    """A reader's chain: the bytes of a chain file that the reader's own
+    checkpoint names, for ``verify_log``, ``make_inclusion_proof`` and
+    ``inspect``. It is the sequence of its blocks, each parsed with the full
+    ``block_from_json_line`` on first read, and equal to a list of them.
+    ``blocks`` is a property, not a stored reference to itself, so a view is
+    freed with its last reference, without the cyclic collector."""
+
+    def __init__(self, data: bytes):
+        self._data = data
+        self._starts = [0, *(m.end() for m in re.finditer(b"\n", data))]  # line starts, then the end
+        self._parsed: dict[int, Block] = {}
+
+    blocks = property(lambda self: self)
+    height = property(len)
+
+    def __len__(self) -> int:
+        return len(self._starts) - 1
+
+    def __getitem__(self, index: int) -> Block:
+        index = range(len(self))[index]
+        if index not in self._parsed:
+            line = self._data[self._starts[index] : self._starts[index + 1] - 1]
+            self._parsed[index] = block_from_json_line(line.decode(), index + 1)
+        return self._parsed[index]
+
+    def __eq__(self, other) -> bool:
+        return list(self) == other
+
+    def anchor_locations(self, log_hash: bytes) -> list[tuple[int, int]]:
+        """As ``Chain.anchor_locations``, parsing only the blocks whose line
+        holds ``log_hash`` in hex, as each anchor of it must."""
+        found, needle = [], log_hash.hex().encode()
+        at = self._data.find(needle)
+        while at >= 0:
+            line = bisect.bisect_right(self._starts, at) - 1
+            for index, tx in enumerate(self[line].transactions):
+                if isinstance(tx, AnchorTransaction) and tx.log_hash == log_hash:
+                    found.append((line + 1, index))
+            at = self._data.find(needle, self._starts[line + 1])
+        return found
+
+
+def load_chain(path: str, checkpoint: Checkpoint | None = None, view: bool = False) -> Chain | ChainView:
     """Parse and re-validate a chain file, skipping the signature checks
     that ``checkpoint`` vouches for and checking its key's own txs by
-    signing them again; then have ``checkpoint`` name the loaded tip.
+    signing them again; then have ``checkpoint`` name the loaded tip and the
+    file's length and SHA-256. With ``view``, a file of the length, digest and
+    line count that ``checkpoint`` names is returned unparsed, as a view.
 
     Raises ChainFileError (with the 1-based line number) for lines that do
     not decode, and ChainValidationError (height, reason) when replay fails.
@@ -146,10 +201,15 @@ def load_chain(path: str, checkpoint: Checkpoint | None = None) -> Chain:
     if not os.path.exists(path):
         raise StoreError(f"chain file not found: {path}")
     with open(path, "rb") as fh:
-        try:
-            text = fh.read().decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise ChainFileError(0, f"not utf-8: {exc}") from None
+        data = fh.read()
+    filed = len(data), hashlib.sha256(data).digest()
+    if view and checkpoint and checkpoint.filed == filed and data.count(b"\n") == checkpoint.named[0]:
+        return ChainView(data)
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ChainFileError(0, f"not utf-8: {exc}") from None
+    del data  # the bytes, dropped before the parse
     if not text.endswith("\n"):
         raise ChainFileError(text.count("\n") + 1, "truncated line (missing terminator)")
     blocks, start = [], 0
@@ -161,7 +221,7 @@ def load_chain(path: str, checkpoint: Checkpoint | None = None) -> Chain:
     if checkpoint is None:
         return validate_chain(blocks)
     chain = validate_chain(blocks, checkpoint.trusted_height(blocks), checkpoint.keypair)
-    checkpoint.write(chain)
+    checkpoint.write(chain, filed)
     return chain
 
 

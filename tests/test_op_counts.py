@@ -11,16 +11,20 @@ submission, mining, block validation and replays check each tx once.
 """
 
 import dataclasses
+import gc
+import hashlib
 import json
 import os
 import pathlib
 import tracemalloc
+import weakref
 from types import SimpleNamespace
 
 import pytest
 
 from bloff import ledger
-from bloff.cli import handle_command, reader_checkpoint
+from bloff import store as store_mod
+from bloff.cli import handle_command, load_chain_target, reader_checkpoint
 from bloff.consensus import Mempool, NodeState, mine_block
 from bloff.crypto import node_id, save_keypair, sha256_digest
 from bloff.ledger import (
@@ -43,7 +47,15 @@ from bloff.node import (
     encode_frame,
 )
 from bloff.simnet import run_scenario
-from bloff.store import BlockStore, Checkpoint, append_mempool_file, load_chain, write_chain
+from bloff.store import (
+    BlockStore,
+    ChainView,
+    Checkpoint,
+    append_mempool_file,
+    load_chain,
+    write_chain,
+)
+from bloff.verify import verify_log
 from conftest import (
     GENESIS_TS,
     build_chain,
@@ -781,7 +793,7 @@ class TestCheckpoint:
     @staticmethod
     def tampered(line, foreign, how):
         """``line``, a sidecar's text, altered in one way ``how``."""
-        height, tip, mac = line.rstrip("\n").split(" ")
+        height, tip, length, digest, mac = line.rstrip("\n").split(" ")
 
         def flip(digits):
             return ("1" if digits[0] == "0" else "0") + digits[1:]
@@ -794,11 +806,17 @@ class TestCheckpoint:
             height = str(int(height) - 1)
         if how == "hash":
             tip = flip(tip)
+        if how == "length":
+            length = str(int(length) + 1)
+        if how == "digest":
+            digest = flip(digest)
         if how == "mac":
             mac = flip(mac)
-        return f"{height} {tip} {mac}\n"
+        return f"{height} {tip} {length} {digest} {mac}\n"
 
-    @pytest.mark.parametrize("how", ["mac", "height", "hash", "truncated", "foreign"])
+    @pytest.mark.parametrize(
+        "how", ["mac", "height", "hash", "length", "digest", "truncated", "foreign"]
+    )
     def test_a_sidecar_that_does_not_verify_costs_one_full_check(self, ws, how):
         assert ws.submit(150) == (2, 0)
         assert ws.mine() == (150, 2)
@@ -990,3 +1008,191 @@ class TestReaderCheckpoint:
         assert sidecar.is_symlink() or not sidecar.is_file()  # no line was written
         assert (ws.tmp / "presented.log").read_bytes() == b"entry 7\n"
         assert (key_path.read_text() if key_path.exists() else None) == key_text  # not replaced
+
+
+class TestBoundReaderCheckpoint:
+    """The reader's line names the chain file's length and SHA-256, so a
+    ``verify`` or ``inspect`` of exactly those bytes loads a ``ChainView``:
+    it parses only the blocks it reads, and checks no rule and no signature.
+    Other bytes, or a line naming other ones, cost one full check, as a load
+    without the line does. One CPU is patched in. A command's cost is (lines
+    parsed, blocks validated, (verifies, re-signs)). The chain holds the
+    miner's 2 txs, then 30 anchors in 3 blocks: ``entry 0`` to ``entry 4``
+    are anchored in block 3 and again in block 5."""
+
+    FULL = (5, 5, (32, 0))
+
+    @pytest.fixture(autouse=True)
+    def one_cpu(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+
+    @pytest.fixture
+    def ws(self, tmp_path, miner, device, monkeypatch, capsys):
+        chain, _ = build_chain(miner, device, [b"entry %d" % (i % 25) for i in range(30)], txs_per_block=10)
+        path = tmp_path / "chain.jsonl"
+        write_chain(str(path), chain.blocks)
+        checks = count_checks(monkeypatch)
+        parsed = count_calls(monkeypatch, "block_from_json_line", store_mod)
+        validated = count_calls(monkeypatch, "validate_block")
+
+        def run(*argv):
+            """The exit code and output of one command, and its cost."""
+            parsed.clear(), validated.clear(), checks.clear()
+            code = handle_command([*argv, "--chain", str(path)])
+            out, err = capsys.readouterr()
+            return code, out, err, (len(parsed), len(validated), checks.counts())
+
+        def verify(record):
+            (tmp_path / "presented.log").write_bytes(record + b"\n")
+            return run("verify", "--log", str(tmp_path / "presented.log"))
+
+        def keyless(record):
+            """What ``verify`` of ``record`` prints after a load with no checkpoint."""
+            return verify_log(record, load_chain(str(path))).to_json() + "\n"
+
+        def sidecar():
+            return pathlib.Path(reader_checkpoint(str(path)).path)
+
+        return SimpleNamespace(
+            chain=chain, path=path, run=run, verify=verify, keyless=keyless, parsed=parsed, sidecar=sidecar
+        )
+
+    @pytest.mark.parametrize("record", [b"entry 0", b"entry 7", b"entry 99"])
+    def test_warm_verify_parses_only_the_lines_holding_the_record(self, ws, record):
+        """``entry 0`` is in lines 3 and 5, ``entry 7`` in line 4, and
+        ``entry 99`` nowhere."""
+        out = ws.keyless(record)
+        assert ws.verify(record)[1:] == (out, "", self.FULL)
+        holding = [line for line in ws.path.read_text().splitlines() if sha256_digest(record).hex() in line]
+        assert len(holding) == {b"entry 0": 2, b"entry 7": 1, b"entry 99": 0}[record]
+        assert ws.verify(record)[1:] == (out, "", (len(holding), 0, (0, 0)))
+        assert ws.parsed == holding
+
+    @pytest.mark.parametrize(
+        "argv, parses",
+        [
+            (("inspect",), 5),
+            (("inspect", "--height", "5"), 1),
+            (("inspect", "--tx", "TXID"), 5),
+            (("verify", "--log", "presented.log", "--proof-out", "proof.json"), 2),
+        ],
+    )
+    def test_a_view_prints_the_bytes_of_a_full_load(self, ws, monkeypatch, argv, parses):
+        """``inspect`` parses the blocks it prints or searches, ``--tx`` each
+        up to the one holding the tx (the last), and ``verify`` of ``entry 3``
+        its two blocks; each prints what the full load printed, and the
+        proof has the same bytes."""
+        monkeypatch.chdir(ws.path.parent)
+        (ws.path.parent / "presented.log").write_bytes(b"entry 3\n")
+        proof = ws.path.parent / "proof.json"
+        argv = [ws.chain.blocks[4].transactions[6].id.hex() if arg == "TXID" else arg for arg in argv]
+        code, out, err, cost = ws.run(*argv)
+        assert (code, err, cost) == (0, "", self.FULL)
+        proof_bytes = proof.read_bytes() if "--proof-out" in argv else None
+        proof.unlink(missing_ok=True)
+        assert ws.run(*argv) == (code, out, err, (parses, 0, (0, 0)))
+        assert (proof.read_bytes() if "--proof-out" in argv else None) == proof_bytes
+
+    def test_a_view_agrees_with_a_full_load(self, ws):
+        """On the height, the blocks, and the anchor locations of every
+        anchored digest and of every block's prev_hash, merkle_root and
+        hash, whose hex the lines hold but which anchor nothing."""
+        load_chain_target(str(ws.path))
+        view, full = load_chain_target(str(ws.path)), load_chain(str(ws.path))
+        assert isinstance(view, ChainView) and view.height == full.height == 5
+        assert view.blocks == full.blocks and view.blocks[-1] == full.tip
+        assert len(full.anchor_index) == 25
+        for log_hash in full.anchor_index:
+            assert view.anchor_locations(log_hash) == full.anchor_locations(log_hash)
+        text = ws.path.read_text()
+        for block in full.blocks:
+            for digest in (block.header.prev_hash, block.header.merkle_root, block.hash):
+                assert digest.hex() in text
+                assert view.anchor_locations(digest) == full.anchor_locations(digest) == []
+
+    def test_verify_after_mine_checks_the_new_block_then_uses_the_view(self, ws, miner, device):
+        keys = {"miner": ws.path.parent / "miner.key", "device": ws.path.parent / "device.key"}
+        save_keypair(str(keys["miner"]), miner)
+        save_keypair(str(keys["device"]), device)
+        (ws.path.parent / "batch.log").write_text("".join(f"new line {i}\n" for i in range(6)))
+        assert ws.verify(b"entry 7")[3] == self.FULL
+        line = ws.sidecar().read_text()
+        assert ws.run("submit", "--key", str(keys["device"]), "--log", str(ws.path.parent / "batch.log"))[0] == 0
+        assert ws.run("mine", "--key", str(keys["miner"]))[0] == 0
+        assert ws.verify(b"entry 7")[1:] == (ws.keyless(b"entry 7"), "", (6, 6, (6, 0)))
+        data = ws.path.read_bytes()
+        assert ws.sidecar().read_text() != line
+        assert ws.sidecar().read_text().split(" ")[:4] == [
+            "6", load_chain(str(ws.path)).tip.hash.hex(), str(len(data)), hashlib.sha256(data).hexdigest()
+        ]
+        assert ws.verify(b"entry 7")[1:] == (ws.keyless(b"entry 7"), "", (1, 0, (0, 0)))
+
+    @pytest.mark.parametrize(
+        "how, cost",
+        [
+            ("height", FULL),
+            ("length", FULL),
+            ("digest", FULL),
+            ("mac", FULL),
+            ("names-another-height", (5, 5, (10, 0))),
+            ("names-another-length", (5, 5, (0, 0))),
+            ("names-another-digest", (5, 5, (0, 0))),
+            ("truncated-file", (4, 4, (22, 0))),
+        ],
+    )
+    def test_a_line_that_does_not_name_the_file_costs_one_full_check(self, ws, how, cost):
+        """An altered field breaks the MAC, so the line names nothing. A line
+        the reader's key did write for other bytes names a tip but not this
+        file: one with another height than the file's line count, another
+        length with the file's digest, or another digest. A file cut by its
+        last block is another file. Each costs one load without the view,
+        which writes the line again; the next load is a view."""
+        assert ws.verify(b"entry 7")[3] == self.FULL
+        own, data = ws.sidecar().read_text(), ws.path.read_bytes()
+        full, filed = load_chain(str(ws.path)), (len(data), hashlib.sha256(data).digest())
+        checkpoint = reader_checkpoint(str(ws.path))
+        if how == "names-another-height":
+            checkpoint.write(ledger.validate_chain(full.blocks[:4]), filed)
+        elif how == "names-another-length":
+            checkpoint.write(full, (len(data) + 1, filed[1]))
+        elif how == "names-another-digest":
+            checkpoint.write(full, (len(data), hashlib.sha256(data + b"\n").digest()))
+        elif how == "truncated-file":
+            ws.path.write_bytes(data[: data.rindex(b"\n", 0, -1) + 1])
+        else:
+            ws.sidecar().write_text(TestCheckpoint.tampered(own, None, how))
+        assert ws.sidecar().read_text() != own or how == "truncated-file"
+        assert ws.verify(b"entry 7")[1:] == (ws.keyless(b"entry 7"), "", cost)
+        data = ws.path.read_bytes()
+        assert Checkpoint(str(ws.path), checkpoint.keypair, str(ws.sidecar())).filed == (
+            len(data), hashlib.sha256(data).digest()
+        )
+        assert ws.verify(b"entry 7")[1:] == (ws.keyless(b"entry 7"), "", (1, 0, (0, 0)))
+
+    def test_a_file_with_one_extra_byte_fails_as_without_the_line(self, ws):
+        """Each load of it parses every line and fails as a keyless load does,
+        and leaves the line, so the restored file loads as a view again."""
+        assert ws.verify(b"entry 7")[3] == self.FULL
+        own, data = ws.sidecar().read_text(), ws.path.read_bytes()
+        ws.path.write_bytes(data + b"\n")
+        with pytest.raises(ledger.ChainFileError) as keyless:
+            load_chain(str(ws.path))
+        for _ in range(2):
+            assert ws.verify(b"entry 7")[:4] == (2, "", f"error: {keyless.value}\n", (6, 0, (0, 0)))
+        assert ws.sidecar().read_text() == own
+        ws.path.write_bytes(data)
+        assert ws.verify(b"entry 7")[1:] == (ws.keyless(b"entry 7"), "", (1, 0, (0, 0)))
+
+    def test_a_dropped_view_is_freed_without_the_cyclic_collector(self, ws):
+        load_chain_target(str(ws.path))
+        view = load_chain_target(str(ws.path))
+        assert isinstance(view, ChainView)
+        assert view.anchor_locations(sha256_digest(b"entry 0")) == [(3, 0), (5, 5)]
+        assert [block.hash for block in view.blocks] == [block.hash for block in ws.chain.blocks]
+        gc.disable()
+        try:
+            ref = weakref.ref(view)
+            del view
+            assert ref() is None
+        finally:
+            gc.enable()
