@@ -268,10 +268,8 @@ def cmd_submit(args) -> int:
         for tx in pending:
             pool.add(tx, chain)
         for tx in txs:
-            pool.verified.add(tx.id)  # just signed by the loaded key: no verify can refuse it
-            status = pool.add(tx, chain)
-            if status != "accepted":
-                print(f"rejected: {status.removeprefix('invalid:')}", file=sys.stderr)
+            if (reason := pool.add_signed(tx, chain)) is not None:
+                print(f"rejected: {reason}", file=sys.stderr)
                 return 2
         if to_node:
             send_txs(target, txs)
@@ -358,7 +356,7 @@ def cmd_verify(args) -> int:
                     attestations.append(parse_attestation_line(line))
                 except (ValueError, KeyError, TypeError, RecursionError):
                     attestations.append(None)
-        report = verify_custody(log, attestations, chain, min_confirmations=args.min_confirmations)
+        report = verify_custody(log, attestations, chain, args.min_confirmations, expected)
         print(json.dumps(report.to_dict(), separators=(",", ":")))
         verdict = report.verdict
         ok = report.overall_pass

@@ -27,7 +27,6 @@ from .ledger import (
     block_hash,
     leading_zero_bits,
     merkle_root,
-    registry_walk,
     tx_context_reason,
     verify_tx,
 )
@@ -87,6 +86,14 @@ class Mempool:
         """
         return self._admit(tx, chain, capped=True)
 
+    def add_signed(self, tx: Transaction, chain: Chain) -> str | None:
+        """``add`` a tx its client has just signed, so no verify can refuse
+        it and none is made; the reason a client reports for a refusal, else
+        None."""
+        self.verified.add(tx.id)
+        status = self.add(tx, chain)
+        return None if status == "accepted" else status.removeprefix("invalid:")
+
     def readd(self, tx: Transaction, chain: Chain) -> None:
         """Re-inject a transaction orphaned by a reorg onto ``chain``, by the
         rules of ``add`` but the capacity cap: an anchored digest must never
@@ -131,20 +138,15 @@ def mine_block(
     registered_nodes: dict[bytes, NodeRole],
     block_tx_cap: int = DEFAULT_BLOCK_TX_CAP,
 ) -> Block:
-    """Seal a block over the oldest minable transactions, up to the cap.
+    """Seal a block over the oldest pooled transactions, up to the cap.
 
     The nonce search starts at 0 and is fully deterministic for fixed inputs.
-    Txs the registry rules refuse in pool order are skipped and stay pooled.
+    Each prefix of ``pool.oldest()`` is valid on the pool's chain, as
+    ``Mempool.add`` admits in order and a reorg re-admits the pool.
     """
     if registered_nodes.get(miner.public_key) != NodeRole.CSP_MINER:
         raise MiningError("miner-not-registered")
-    selected: list[Transaction] = []
-    for tx, reason in registry_walk(pool.oldest(), dict(registered_nodes)):
-        if reason is not None:
-            continue
-        selected.append(tx)
-        if len(selected) >= block_tx_cap:
-            break
+    selected = pool.oldest()[:block_tx_cap]
     if not selected:
         raise MiningError("no-work")
     root = merkle_root(selected)

@@ -41,7 +41,7 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .crypto import (
     DIGEST_LEN,
@@ -779,7 +779,8 @@ def tx_context_reason(
     registered_nodes: Mapping[bytes, NodeRole],
     genesis: bool = False,
 ) -> str | None:
-    """Registry rules shared by block validation, mining and pool admission.
+    """Registry rules, applied at two sites: ``validate_block`` to each tx of
+    a block, and ``Mempool.add`` to each tx a pool admits.
 
     Anchors must come from a registered device or csp-miner key; registration
     sponsors must be registered csp-miners (the genesis block bootstraps the
@@ -801,18 +802,6 @@ def tx_context_reason(
     return None
 
 
-def registry_walk(
-    txs, registry: dict[bytes, NodeRole], genesis: bool = False
-) -> Iterator[tuple[Transaction, str | None]]:
-    """Yield each tx with its ``tx_context_reason``, admitting each passing
-    registration into ``registry`` (the caller's copy) for the txs after it."""
-    for tx in txs:
-        reason = tx_context_reason(tx, registry, genesis)
-        if reason is None and isinstance(tx, RegistrationTransaction) and tx.role is not None:
-            registry[tx.new_node_pubkey] = tx.role
-        yield tx, reason
-
-
 def validate_block(
     block: Block, parent: Chain, verified: VerifiedTxs | None = None
 ) -> str | None:
@@ -820,9 +809,10 @@ def validate_block(
 
     ``parent`` is empty only for the genesis block. Checks run in a fixed
     order and the first failure's reason tag is returned (per tx,
-    ``verify_tx`` before registry rules; a tx id already on ``parent`` or
-    earlier in the block after both). ``parent`` is not modified;
-    ``verified`` is passed to ``verify_tx``.
+    ``verify_tx`` before registry rules, each registration admitted for the
+    txs after it; a tx id already on ``parent`` or earlier in the block
+    after both). ``parent`` is not modified; ``verified`` is passed to
+    ``verify_tx``.
     """
     if not block.transactions:
         return "empty-block"
@@ -840,11 +830,12 @@ def validate_block(
     if parent.blocks and block.header.timestamp < parent.tip.header.timestamp:
         return "bad-timestamp"
     registry = dict(parent.registered_nodes)
-    checks = registry_walk(block.transactions, registry, genesis=not parent.blocks)
-    for tx, reason in checks:
-        reason = verify_tx(tx, verified) or reason
+    for tx in block.transactions:
+        reason = verify_tx(tx, verified) or tx_context_reason(tx, registry, not parent.blocks)
         if reason is not None:
             return reason
+        if isinstance(tx, RegistrationTransaction) and tx.role is not None:
+            registry[tx.new_node_pubkey] = tx.role
     if len(set(block.tx_ids)) < len(block.tx_ids) or not parent.tx_ids.isdisjoint(block.tx_ids):
         return "duplicate-tx"
     return None

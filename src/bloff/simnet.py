@@ -20,6 +20,7 @@ import json
 import random
 from dataclasses import dataclass, field
 
+from .consensus import Mempool
 from .crypto import KeyPair, generate_keypair, sha256_digest
 from .ingest import LogRecord, build_anchor_for_record
 from .ledger import (
@@ -27,7 +28,6 @@ from .ledger import (
     Transaction,
     build_registration_tx,
     make_genesis,
-    tx_context_reason,
     validate_chain,
 )
 from .node import BROADCAST, MSG_TX, NodeLogic
@@ -130,13 +130,13 @@ class SimNetwork:
 
     def submit(self, node_id: str, tx: Transaction) -> str:
         """Hand ``tx`` to ``node_id`` as ``bloff submit --chain host:port``
-        does: check the registry rules against the node's chain, then send
-        the node ``tx.raw`` as a ``tx-gossip`` frame and fan out its reply.
-        Returns "ok" when the node's pool holds the tx, else the rule's
-        reason, or "not-pooled" when the pool refused it."""
+        does: ``add_signed`` it to a scratch pool over the node's chain, then
+        send the node ``tx.raw`` as a ``tx-gossip`` frame and fan out its
+        reply. Returns "ok" when the node's pool holds the tx, else the
+        scratch pool's reason, or "not-pooled" when the node's pool refused
+        it."""
         logic = self.nodes[node_id].logic
-        reason = tx_context_reason(tx, logic.chain.registered_nodes)
-        if reason is not None:
+        if (reason := Mempool(capacity=1).add_signed(tx, logic.chain)) is not None:
             return reason
         self.send_from(node_id, logic.handle_message(MSG_TX, tx.raw, "client"))
         return "ok" if tx.id in logic.state.mempool else "not-pooled"

@@ -18,14 +18,17 @@ and a second writer fails at once instead of waiting.
 
 A writer's key keeps a ``Checkpoint`` sidecar, ``<chain>.checked.<node_id>``:
 the height and hash of the tip that key's holder last validated on the file,
-MAC'd with a key derived from its secret key. A store opened with that key
-keeps it: the open names the loaded tip and file, and each ``sync`` the tip
-it wrote. ``verify`` and ``inspect`` keep one in the OS user's cache, under a
-reader key. A load given a checkpoint whose block sits at its height on the
-file skips the signature checks at or below it, and checks every other rule
-on every block; above it, the key's own txs are checked by signing them again
-and all others are verified. Deleting the sidecar is always safe and costs one
-full check. ``court_recheck`` and a fetched chain never use one, nor a view.
+and the length and SHA-256 of the file it read, MAC'd with a key derived
+from its secret key. A store opened with that key keeps it: the open names
+the loaded tip and file, and each ``sync`` the tip it wrote (with no file
+bytes). ``verify`` and ``inspect`` keep one in the OS user's cache, under a
+reader key; their load of the exact bytes the line names is the view, which
+checks no rule. Any other load given a checkpoint whose block sits at its
+height on the file skips the signature checks at or below it, and checks
+every other rule on every block; above it, the key's own txs are checked by
+signing them again and all others are verified. Deleting the sidecar is
+always safe and costs one full check. ``court_recheck`` and a fetched chain
+never use one, nor a view.
 """
 
 from __future__ import annotations

@@ -332,6 +332,7 @@ def verify_custody(
     attestations: list[CustodyAttestation | None],
     chain: Chain,
     min_confirmations: int = 1,
+    expected_submitter: bytes | None = None,
 ) -> CustodyReport:
     """Check every custody hop against the presented log and the chain.
 
@@ -339,7 +340,7 @@ def verify_custody(
     signature verifies and its timestamp does not precede the previous hop's.
     Malformed entries (None placeholders from file parsing) fail their hop;
     later hops are still evaluated. Overall pass additionally requires the
-    log itself to verify as anchored.
+    log itself to verify as anchored (by ``expected_submitter``, if given).
     """
     computed = sha256_digest(canonicalize_record(log))
     hops = []
@@ -361,5 +362,5 @@ def verify_custody(
             reason = "timestamp-regression"
         hops.append(HopReport(index=index, passed=reason is None, reason=reason))
         previous_ts = att.received_timestamp
-    verdict = verify_log(log, chain, min_confirmations=min_confirmations)
+    verdict = verify_log(log, chain, min_confirmations, expected_submitter)
     return CustodyReport(hops=tuple(hops), verdict=verdict)

@@ -50,6 +50,13 @@ def lone_node(logic):
     return net
 
 
+def assert_pool_admissible(pool, chain):
+    """A fresh ``Mempool`` admits every tx ``pool`` holds, in its order, on
+    ``chain``: so a block of ``pool.oldest()``, cut at any cap, is valid there."""
+    fresh = Mempool(capacity=len(pool))
+    assert [fresh.add(tx, chain) for tx in pool.oldest()] == ["accepted"] * len(pool)
+
+
 def keypair_for(label: str):
     """Deterministic keypair derived from a short label."""
     return generate_keypair(bytes(sha256_digest(f"bloff-test:{label}".encode())))

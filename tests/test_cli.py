@@ -7,13 +7,22 @@ import stat
 
 import pytest
 
-from bloff import cli
+from bloff import cli, ledger
 from bloff.cli import build_parser, handle_command, is_address
 from bloff.consensus import Mempool
 from bloff.crypto import load_keypair, save_keypair, sha256_digest
+from bloff.ingest import LogRecord, build_anchor_for_record
+from bloff.ledger import NodeRole, build_registration_tx
+from bloff.node import NodeLogic
 from bloff.store import load_chain
 from bloff.verify import InclusionProof, verify_inclusion_proof
-from conftest import GENESIS_TS, keypair_for, partition_scenario
+from conftest import (
+    GENESIS_TS,
+    assert_pool_admissible,
+    keypair_for,
+    lone_node,
+    partition_scenario,
+)
 
 
 def run_cli(capsys, *args):
@@ -245,6 +254,46 @@ class TestSubmitMineVerifyPipeline:
         mempool = workspace["dir"] / "mempool.jsonl"
         assert mempool.read_text() == ""
 
+    def test_mine_all_seals_a_registration_and_its_anchors_across_the_cap(
+        self, workspace, tmp_path, capsys, monkeypatch
+    ):
+        """98 anchors, the registration of a fresh device, then 4 anchors of
+        that device: the first block takes 100 txs, the registration and
+        one of its anchors among them, the second the other 3. Before each
+        seal, a fresh pool admits the pending txs in order on the chain file
+        as it stands, and the chain ends up holding them in submission order."""
+        key, chain = str(workspace["key"]), str(workspace["chain"])
+        fresh_key, many, few = tmp_path / "fresh.key", tmp_path / "many.log", tmp_path / "few.log"
+        fresh = keypair_for("fresh-device")
+        save_keypair(str(fresh_key), fresh)
+        many.write_text("".join(f"line {i}\n" for i in range(98)))
+        few.write_text("".join(f"fresh {i}\n" for i in range(4)))
+        submitted = []
+        for argv in (
+            ["--key", key, "--log", str(many)],
+            ["--key", key, "--register", fresh.public_key.hex(), "--role", "device"],
+            ["--key", str(fresh_key), "--log", str(few)],
+        ):
+            code, out, err = run_cli(capsys, "submit", "--chain", chain, *argv)
+            assert code == 0, err
+            submitted += [line.split()[0] for line in out.splitlines()]
+        sealed = []
+        mine_block = cli.mine_block
+
+        def checked(pool, *args, **kwargs):
+            assert_pool_admissible(pool, load_chain(chain))
+            block = mine_block(pool, *args, **kwargs)
+            sealed.append(len(block.transactions))
+            return block
+
+        monkeypatch.setattr(cli, "mine_block", checked)
+        code, _, err = run_cli(capsys, "mine", "--key", key, "--chain", chain, "--all")
+        assert (code, err) == (0, "")
+        assert sealed == [100, 3]
+        blocks = load_chain(chain).blocks[1:]
+        assert [tx.id.hex() for block in blocks for tx in block.transactions] == submitted
+        assert (workspace["dir"] / "mempool.jsonl").read_text() == ""
+
     def test_mine_skips_pending_txs_already_on_chain(self, workspace, tmp_path, capsys):
         """A mempool file still holding mined txs (a crash between the chain
         append and the mempool rewrite) does not anchor them a second time."""
@@ -393,6 +442,62 @@ class TestOneWriterPerChainFile:
         assert sorted(p.name for p in home.rglob("*")) == []
 
 
+class TestClientsRefuseAlike:
+    """A simulated submission and a file-target ``bloff submit`` refuse a tx
+    with the same reason, and neither checks a signature to refuse it."""
+
+    # reason: (signer, the key a registration admits or None for an anchor, its role)
+    CASES = {
+        "unregistered-submitter": ("stranger", None, None),
+        "role-not-permitted": ("stakeholder-0", None, None),
+        "unregistered-sponsor": ("device-0", "stranger", "device"),
+        "already-registered": ("authority", "device-0", "stakeholder"),
+        "duplicate-tx": ("authority", "device-0", "device"),
+    }
+
+    @pytest.fixture
+    def registered(self, workspace, capsys):
+        """The workspace's chain, its block 2 registering device-0 as a
+        device and stakeholder-0 as a stakeholder."""
+        key, chain = str(workspace["key"]), str(workspace["chain"])
+        for label, role in (("device-0", "device"), ("stakeholder-0", "stakeholder")):
+            pubkey = keypair_for(label).public_key.hex()
+            argv = ["submit", "--key", key, "--chain", chain, "--register", pubkey, "--role", role]
+            assert run_cli(capsys, *argv)[0] == 0
+        assert run_cli(capsys, "mine", "--key", key, "--chain", chain)[0] == 0
+        return workspace
+
+    @pytest.mark.parametrize("reason", list(CASES))
+    def test_same_reason_and_no_signature_checked(self, registered, tmp_path, capsys, monkeypatch, reason):
+        signer_label, admitted, role = self.CASES[reason]
+        authority = load_keypair(str(registered["key"]))
+        signer = authority if signer_label == "authority" else keypair_for(signer_label)
+        key_path, log = tmp_path / "signer.key", tmp_path / "in.log"
+        save_keypair(str(key_path), signer)
+        if admitted is None:
+            log.write_text("evidence\n")
+            args = ["--log", str(log)]
+            tx = build_anchor_for_record(LogRecord(b"evidence", "", GENESIS_TS), signer)
+        else:
+            pubkey = keypair_for(admitted).public_key
+            args = ["--register", pubkey.hex(), "--role", role]
+            tx = build_registration_tx(pubkey, NodeRole(role), signer)
+        argv = ["submit", "--key", str(key_path), "--chain", str(registered["chain"]), *args]
+        refused = (2, "", f"rejected: {reason}\n")
+        # The first run checks the chain's signatures and leaves the signer's
+        # checkpoint, so the second run's load checks none.
+        assert run_cli(capsys, *argv) == refused
+        chain = load_chain(str(registered["chain"]))
+        net = lone_node(NodeLogic("m", authority, NodeRole.CSP_MINER, chain))
+        checks = []
+        verify_signature = ledger.verify_signature
+        monkeypatch.setattr(ledger, "verify_signature", lambda *a: checks.append(a) or verify_signature(*a))
+        assert run_cli(capsys, *argv) == refused
+        assert net.submit("m", tx) == reason
+        assert checks == []
+        assert tx.id not in net.nodes["m"].logic.state.mempool
+
+
 class TestVerifyOptions:
     @pytest.fixture
     def anchored_ws(self, workspace, tmp_path, capsys):
@@ -481,6 +586,31 @@ class TestVerifyOptions:
         report = json.loads(out)
         assert [h["passed"] for h in report["hops"]] == [True, True, False]
         assert report["verdict"]["outcome"] == "Accepted"
+
+    @pytest.mark.parametrize("submitter", ["anchoring-key", "someone-else"])
+    def test_custody_verdict_honours_expect_submitter(self, anchored_ws, tmp_path, capsys, submitter):
+        """With ``--custody``, every hop passing, the verdict and exit code
+        are those of the same ``verify`` without it: Accepted for the key
+        that anchored the log, Rejected for any other."""
+        from bloff.verify import make_attestation
+
+        if submitter == "anchoring-key":
+            expected = load_keypair(str(anchored_ws["key"])).public_key
+        else:
+            expected = keypair_for(submitter).public_key
+        att_path, present = tmp_path / "att.jsonl", tmp_path / "p.log"
+        hop = make_attestation(sha256_digest(b"alpha"), keypair_for("cust-0"), GENESIS_TS)
+        att_path.write_text(hop.to_json() + "\n")
+        present.write_text("alpha\n")
+        argv = ["verify", "--chain", str(anchored_ws["chain"]), "--log", str(present)]
+        argv += ["--expect-submitter", expected.hex()]
+        plain_code, plain_out, _ = run_cli(capsys, *argv)
+        code, out, err = run_cli(capsys, *argv, "--custody", str(att_path))
+        assert (code, err) == (plain_code, "")
+        assert code == (0 if submitter == "anchoring-key" else 1)
+        report = json.loads(out)
+        assert report["overall"] == ("pass" if code == 0 else "fail")
+        assert report["verdict"] == json.loads(plain_out)
 
     def test_custody_line_not_utf8_is_a_malformed_hop(self, anchored_ws, tmp_path, capsys):
         """A byte that is not UTF-8 fails only its own line's hop: the

@@ -29,7 +29,7 @@ from bloff.ledger import (
     validate_chain,
 )
 from bloff.node import NodeLogic
-from conftest import GENESIS_TS, build_chain, keypair_for, with_signature
+from conftest import GENESIS_TS, assert_pool_admissible, build_chain, keypair_for, with_signature
 from oracles import oracle_connect_run, oracle_leading_zero_bits
 
 
@@ -145,19 +145,6 @@ class TestMineBlock:
         with pytest.raises(MiningError) as err:
             mine_block(pool, base.tip.header, 0, device, GENESIS_TS, base.registered_nodes)
         assert err.value.reason == "miner-not-registered"
-
-    def test_context_invalid_txs_left_in_pool(self, miner, device, base):
-        """An anchor pooled on a branch that registered its key, then mined
-        on ``base``, which does not, is skipped and stays pooled."""
-        pool = Mempool()
-        stranger = keypair_for("stranger")
-        orphan_tx = anchor_for(stranger, b"unsponsored")
-        good_tx = anchor_for(device, b"fine")
-        pool.add(orphan_tx, build_chain(miner, stranger, [])[0])
-        pool.add(good_tx, base)
-        block = mine_block(pool, base.tip.header, 0, miner, GENESIS_TS + 5, base.registered_nodes)
-        assert list(block.transactions) == [good_tx]
-        assert orphan_tx.id in pool
 
     def test_registration_then_anchor_same_block(self, miner, base):
         fresh = keypair_for("fresh-device")
@@ -511,6 +498,7 @@ class TestReorgReadmission:
         assert logic.state.apply_block(losing.tip) == "accepted-best"
         assert logic.state.adopt_chain(winning.blocks) == winning.blocks[base.height :]
         assert logic.state.mempool.oldest() == [registration, anchor]
+        assert_pool_admissible(logic.state.mempool, logic.state.best)
         block = logic.maybe_mine(winning.tip.header.timestamp + 1)
         assert block is not None and block.transactions == (registration, anchor)
 
@@ -532,6 +520,7 @@ class TestReorgReadmission:
         assert state.adopt_chain(winning.blocks) == winning.blocks[base.height :]
         assert len(state.mempool) == 0
         assert fresh.public_key not in state.best.registered_nodes
+        assert_pool_admissible(state.mempool, state.best)
 
     def test_pooled_anchor_taken_out_of_context_by_a_reorg_is_evicted(
         self, miner, device, base, monkeypatch
@@ -555,6 +544,7 @@ class TestReorgReadmission:
         assert len(checks) == 4  # the winning branch's 4 txs; none of the pool's
         assert state.mempool.oldest() == []
         assert Mempool().add(anchor, state.best) == "invalid:role-not-permitted"
+        assert_pool_admissible(state.mempool, state.best)
 
     def test_pooled_registration_made_stale_by_a_block_is_evicted(self, miner, device, base):
         """The pool holds a registration of F as a device and an anchor of F
@@ -572,6 +562,7 @@ class TestReorgReadmission:
         as_stakeholder = build_registration_tx(fresh.public_key, NodeRole.STAKEHOLDER, miner)
         assert state.apply_block(mined(base, miner, [as_stakeholder]).tip) == "accepted-best"
         assert state.mempool.oldest() == pooled[2:]
+        assert_pool_admissible(state.mempool, state.best)
 
     def test_pooled_anchor_keeps_the_registration_a_reorg_drops(self, miner, device, base):
         """A dropped block registers F, and the pool holds an anchor of F; the
@@ -594,6 +585,7 @@ class TestReorgReadmission:
         )
         assert logic.state.adopt_chain(winning.blocks) == winning.blocks[base.height :]
         assert logic.state.mempool.oldest() == [registration, anchor]
+        assert_pool_admissible(logic.state.mempool, logic.state.best)
         block = logic.maybe_mine(winning.tip.header.timestamp + 1)
         assert block is not None and block.transactions == (registration, anchor)
 

@@ -20,10 +20,10 @@ UNNAMED_ALLOWED = {
     "make_attestation": "writer of the attestations `verify --custody` reads; ROADMAP item 5",
 }
 
-# The modules that may apply the registry rules: block validation, mining and
-# pool admission, and the simulator's client-side check. A command admits a
-# tx through ``Mempool.add``, so it names neither rule.
-REGISTRY_RULE_MODULES = {"ledger.py", "consensus.py", "simnet.py"}
+# The modules that may apply the registry rules: block validation and pool
+# admission. A command, the miner and the simulator admit a tx through
+# ``Mempool.add``, so they name no rule.
+REGISTRY_RULE_MODULES = {"ledger.py", "consensus.py"}
 
 
 def unused_imports(source: str) -> list[str]:

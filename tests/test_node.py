@@ -495,7 +495,7 @@ class TestAnchorReplay:
     def test_local_resubmission_of_mined_anchor_refused(self, miner, device):
         chain, _ = build_chain(miner, device, [b"evidence"])
         logic = NodeLogic("m", miner, NodeRole.CSP_MINER, chain)
-        assert lone_node(logic).submit("m", chain.tip.transactions[0]) == "not-pooled"
+        assert lone_node(logic).submit("m", chain.tip.transactions[0]) == "duplicate-tx"
         assert len(logic.state.mempool) == 0
 
 

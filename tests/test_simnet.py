@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from bloff.ledger import NodeRole
+from bloff.ledger import AnchorTransaction, NodeRole, RegistrationTransaction
 from bloff.node import (
     BROADCAST,
     MSG_BLOCK,
@@ -17,7 +17,7 @@ from bloff.node import (
     NodeLogic,
 )
 from bloff.simnet import SimNetwork, build_sim, run_scenario, sim_keypair
-from conftest import partition_scenario
+from conftest import assert_pool_admissible, partition_scenario
 
 
 def two_node_line(drop_rate=0.0, latency=1):
@@ -101,6 +101,53 @@ class TestDelivery:
         assert net.delivered_count <= len(net.captured_payloads)
         deliver_events = [e for e in net.events if " deliver " in e]
         assert len(deliver_events) == net.delivered_count
+
+
+def registering_partition_scenario(seed):
+    """``partition_scenario`` with a sixth node, d3, on m1's side of the cut:
+    m1 registers it in the side's first block, and d3 anchors a line after
+    the side's last block, so the heal takes d3's registration off the
+    chain of each node on that side whose pool holds d3's anchor."""
+    scenario = partition_scenario(seed)
+    scenario["nodes"].append({"id": "d3", "role": "device"})
+    scenario["edges"].append({"a": "m1", "b": "d3", "latency": 1})
+    for action in scenario["actions"]:
+        if action["type"] == "partition":
+            action["groups"] = [["m1", "d1", "d3"], ["m2", "d2", "s1"]]
+    scenario["actions"] += [
+        {"tick": 13, "type": "register", "node": "m1", "target": "d3", "role": "device"},
+        {"tick": 19, "type": "submit", "node": "d3", "log": "gamma-1"},
+    ]
+    return scenario
+
+
+class TestPoolTripwire:
+    @pytest.mark.parametrize("seed", [7, 8])
+    def test_every_pool_stays_minable_in_order_across_the_heal(self, monkeypatch, seed):
+        """After every step, a fresh pool admits each node's pooled txs in
+        order on its chain, so the miner seals them without a registry
+        check of its own; the sweep block then anchors d3's line too.
+        ``held_both`` names the nodes whose pool held d3's registration and
+        anchor together, which the re-admission must keep in that order."""
+        step = SimNetwork.step
+        held_both = set()
+
+        def checked(net):
+            delivered = step(net)
+            for node_id, node in net.nodes.items():
+                state = node.logic.state
+                assert_pool_admissible(state.mempool, state.best)
+                pooled = state.mempool.oldest()
+                keys = {tx.new_node_pubkey for tx in pooled if isinstance(tx, RegistrationTransaction)}
+                if any(isinstance(tx, AnchorTransaction) and tx.submitter_pubkey in keys for tx in pooled):
+                    held_both.add(node_id)
+            return delivered
+
+        monkeypatch.setattr(SimNetwork, "step", checked)
+        report = run_scenario(registering_partition_scenario(seed)).report
+        assert held_both == {"m1", "d1", "d3"}
+        assert report["converged"]
+        assert {info["anchors"] for info in report["nodes"].values()} == {10}
 
 
 class TestNoEcho:
