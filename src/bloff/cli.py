@@ -26,7 +26,7 @@ import time
 from . import store as store_mod
 from .consensus import Mempool, MiningError, mine_block
 from .crypto import (
-    Digest,
+    DIGEST_LEN,
     generate_keypair,
     hex_to_bytes,
     load_keypair,
@@ -380,7 +380,7 @@ def cmd_inspect(args) -> int:
     target = args.chain or default_chain_path()
     chain = load_chain_target(target)
     if args.tx:
-        wanted = Digest.from_hex(args.tx)
+        wanted = hex_to_bytes(args.tx, DIGEST_LEN)
         for height, block in enumerate(chain.blocks, start=1):
             for tx in block.transactions:
                 if tx.id == wanted:

@@ -169,7 +169,7 @@ def mine_block(
 def fork_rank(height: int, tip: Digest) -> tuple[int, bytes]:
     """Fork choice as a sort key: the chain of the smaller rank wins, which
     is the longer one or, at equal length, the one of the byte-smaller tip."""
-    return (-height, bytes(tip))
+    return (-height, tip)
 
 
 @dataclass

@@ -24,23 +24,8 @@ KEY_LEN = 32
 SIGNATURE_LEN = 64
 
 
-class Digest(bytes):
-    """A 32-byte SHA-256 value. Equality is byte equality."""
-
-    def __new__(cls, value: bytes) -> "Digest":
-        if len(value) != DIGEST_LEN:
-            raise ValueError(f"digest must be {DIGEST_LEN} bytes, got {len(value)}")
-        return super().__new__(cls, value)
-
-    @classmethod
-    def from_hex(cls, text: str) -> "Digest":
-        return cls(hex_to_bytes(text, DIGEST_LEN))
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Digest({self.hex()})"
-
-
-ZERO_DIGEST = Digest(bytes(DIGEST_LEN))
+Digest = bytes  # a 32-byte SHA-256 value; each input checks its length where it is parsed
+ZERO_DIGEST = bytes(DIGEST_LEN)
 
 
 def hex_to_bytes(text: str, expected_len: int | None = None) -> bytes:
@@ -61,7 +46,7 @@ def hex_to_bytes(text: str, expected_len: int | None = None) -> bytes:
 
 def sha256_digest(data: bytes) -> Digest:
     """SHA-256 of ``data``. Empty input is permitted at this layer."""
-    return Digest(hashlib.sha256(data).digest())
+    return hashlib.sha256(data).digest()
 
 
 @dataclass(frozen=True)

@@ -393,11 +393,13 @@ def build_anchor_tx(
     keypair: KeyPair,
 ) -> AnchorTransaction:
     """Construct and sign an anchor transaction; the result passes verify_tx."""
+    if len(log_hash) != DIGEST_LEN:
+        raise ValueError("log_hash must be 32 bytes")
     source = source_id.encode("utf-8")
     if len(source) > MAX_SOURCE_ID_BYTES:
         raise ValueError(f"source_id exceeds {MAX_SOURCE_ID_BYTES} bytes")
     _check_uint(capture_timestamp, 64, "capture_timestamp")
-    payload = Digest(log_hash) + bytes([len(source)]) + source + struct.pack(">Q", capture_timestamp)
+    payload = log_hash + bytes([len(source)]) + source + struct.pack(">Q", capture_timestamp)
     preamble = _encode_preamble(KIND_ANCHOR, payload, keypair.public_key)
     return AnchorTransaction(preamble + sign(keypair, preamble))
 
@@ -585,7 +587,7 @@ def decode_compact_block(raw: bytes) -> tuple[BlockHeader, list[Digest]]:
         raise ValueError("truncated compact block bytes")
     if end < len(raw):
         raise ValueError("trailing bytes after compact block")
-    txids = [Digest(raw[i : i + DIGEST_LEN]) for i in range(start, end, DIGEST_LEN)]
+    txids = [raw[i : i + DIGEST_LEN] for i in range(start, end, DIGEST_LEN)]
     return decode_header(raw[1 : 1 + HEADER_LEN]), txids
 
 

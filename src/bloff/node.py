@@ -127,7 +127,7 @@ class NodeLogic:
     def _mark_seen(self, payload: bytes) -> bool:
         """Dedup flood gossip by payload hash; True when already seen. Past
         ``_SEEN_CAP`` hashes, the oldest is forgotten first."""
-        key = bytes(sha256_digest(payload))
+        key = sha256_digest(payload)
         if key in self._seen:
             return True
         self._seen[key] = None

@@ -187,7 +187,7 @@ class SimNetwork:
 
 def sim_keypair(seed: int, node_id: str) -> KeyPair:
     """Per-node key derived from the scenario seed; stable across runs."""
-    return generate_keypair(bytes(sha256_digest(f"bloff-sim:{seed}:{node_id}".encode())))
+    return generate_keypair(sha256_digest(f"bloff-sim:{seed}:{node_id}".encode()))
 
 
 def build_sim(

@@ -1,12 +1,12 @@
 """Append-only chain persistence as JSON Lines, one block per line.
 
-The main file always holds exactly the chain its owner moves, and blocks a
-reorg displaced go to a ``forks.jsonl`` sidecar, so the audit artifact stays
-linear and human-inspectable. ``BlockStore.sync`` appends the blocks gained
-on the file's tip, flushed and fsynced; any other move rewrites through a
-temp file and an atomic rename, so a crash leaves the old or the new file.
-A rename, or an append that creates its file, fsyncs the directory too, so
-the new directory entry survives a crash.
+The file always holds exactly the chain its owner moves, so the audit
+artifact stays linear and human-inspectable; a reorg's displaced blocks are
+not kept. ``BlockStore.sync`` appends the blocks gained on the file's tip,
+flushed and fsynced; any other move rewrites through a fresh temp file and
+an atomic rename, so a crash leaves the old or the new file. A rename, or an
+append that creates its file, fsyncs the directory too, so the new directory
+entry survives a crash.
 
 Indexes are in-memory only. ``load_chain`` is the one replay; after it,
 ``BlockStore.append_block`` checks only the new block, connecting the
@@ -69,7 +69,7 @@ def writer_lock(path: str, create: bool = False):
     missing."""
     if not create and not os.path.exists(path):
         raise StoreError(f"chain file not found: {path}")
-    fd = os.open(path + ".lock", os.O_RDWR | os.O_CREAT, 0o644)
+    fd = os.open(path + ".lock", os.O_RDWR | os.O_CREAT | os.O_NOFOLLOW, 0o644)
     try:
         try:
             fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
@@ -231,11 +231,19 @@ def load_chain(path: str, checkpoint: Checkpoint | None = None, view: bool = Fal
 def _write_lines(path: str, lines, replace: bool = False) -> None:
     """Append ``lines`` to ``path``, each with a newline, flushed and
     fsynced. With ``replace``, write them to a temp file instead and rename
-    it over ``path`` atomically. A rename, or an append that creates
-    ``path``, is made durable by fsyncing the parent directory too."""
+    it over ``path`` atomically; the temp file is made anew, so a leftover
+    or a planted symlink in its place is removed, never written through. A
+    rename, or an append that creates ``path``, is made durable by fsyncing
+    the parent directory too."""
     target = path + ".tmp" if replace else path
     new_entry = replace or not os.path.exists(path)
-    with open(target, "w" if replace else "a", encoding="utf-8") as fh:
+    if replace:
+        try:
+            os.unlink(target)
+        except FileNotFoundError:
+            pass
+        fd = os.open(target, os.O_WRONLY | os.O_CREAT | os.O_EXCL | os.O_NOFOLLOW, 0o666)
+    with open(fd if replace else target, "w" if replace else "a", encoding="utf-8") as fh:
         for line in lines:
             fh.write(line + "\n")
         fh.flush()
@@ -256,21 +264,16 @@ def write_chain(path: str, blocks: list[Block]) -> None:
 
 
 class BlockStore:
-    """The chain file of its owner's ``Chain``, the fork sidecar and, for a
-    keyed owner, its key's ``checkpoint``. The owner moves ``chain`` in
-    place, by ``append_block`` or as a live node's best chain, and ``sync``
-    makes the file hold it and the checkpoint name its tip."""
+    """The chain file of its owner's ``Chain`` and, for a keyed owner, its
+    key's ``checkpoint``. The owner moves ``chain`` in place, by
+    ``append_block`` or as a live node's best chain, and ``sync`` makes the
+    file hold it and the checkpoint name its tip."""
 
     def __init__(self, path: str, chain: Chain, checkpoint: Checkpoint | None = None):
         self.path = path
         self.chain = chain
         self.checkpoint = checkpoint
-        self._filed = list(chain.blocks)  # the blocks the file holds
-        self._torn = False  # a failed append may have left part of its lines
-
-    @property
-    def forks_path(self) -> str:
-        return os.path.join(os.path.dirname(self.path) or ".", "forks.jsonl")
+        self._filed = chain.height, chain.tip.hash  # the file's tip; None once a failed append tore it
 
     @classmethod
     def open(cls, path: str, keypair: KeyPair | None = None) -> "BlockStore":
@@ -290,27 +293,20 @@ class BlockStore:
 
     def sync(self) -> None:
         """Make the file hold ``chain``: append what it gained on the file's
-        tip, or else rewrite the file and send each filed block it no longer
-        holds to the fork sidecar. A failed write leaves ``_filed`` as it
+        tip, or else rewrite the file. A failed write leaves ``_filed`` as it
         was, so the next call retries; after a failed append, which may have
-        written some or all of its lines, the retry rewrites the file. A
-        failed sidecar write comes after the rewrite and is not retried, so
-        no block is filed there twice. The checkpoint names the tip once
-        the file holds it."""
-        blocks, filed = self.chain.blocks, self._filed
-        if self._torn or self.chain.heights.get(filed[-1].hash) != len(filed):
-            write_chain(self.path, blocks)
-            self._filed, self._torn = list(blocks), False
-            for block in filed:
-                if block.hash not in self.chain.heights:
-                    self.record_fork(block)
-        elif gained := blocks[len(filed) :]:
+        written some or all of its lines, the file's tip is unknown and the
+        retry rewrites the file. The checkpoint names the tip once the file
+        holds it."""
+        if self._filed is None or self.chain.heights.get(self._filed[1]) != self._filed[0]:
+            write_chain(self.path, self.chain.blocks)
+        elif gained := self.chain.blocks[self._filed[0] :]:
             try:
                 _write_lines(self.path, map(block_to_json_line, gained))
             except OSError:
-                self._torn = True
+                self._filed = None
                 raise
-            filed += gained
+        self._filed = self.chain.height, self.chain.tip.hash
         if self.checkpoint is not None:
             self.checkpoint.write(self.chain)
 
@@ -331,10 +327,6 @@ class BlockStore:
         except OSError:
             self.chain.disconnect()
             raise
-
-    def record_fork(self, block: Block) -> None:
-        """Append a losing-fork block to the sidecar file."""
-        _write_lines(self.forks_path, [block_to_json_line(block)])
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ import struct
 from dataclasses import dataclass
 
 from .crypto import (
+    DIGEST_LEN,
     KEY_LEN,
     SIGNATURE_LEN,
     Digest,
@@ -198,11 +199,11 @@ class InclusionProof:
         for entry in obj["path"]:
             if entry["side"] not in ("left", "right"):
                 raise ValueError("bad proof side")
-            path.append((entry["side"], Digest.from_hex(entry["hash"])))
+            path.append((entry["side"], hex_to_bytes(entry["hash"], DIGEST_LEN)))
         return cls(
-            tx_id=Digest.from_hex(obj["tx_id"]),
+            tx_id=hex_to_bytes(obj["tx_id"], DIGEST_LEN),
             block_height=int(obj["block_height"]),
-            merkle_root=Digest.from_hex(obj["merkle_root"]),
+            merkle_root=hex_to_bytes(obj["merkle_root"], DIGEST_LEN),
             path=tuple(path),
         )
 
@@ -273,7 +274,7 @@ class CustodyAttestation:
 
 
 def attestation_message(log_hash: Digest, holder_pubkey: bytes, received_timestamp: int) -> bytes:
-    return bytes(log_hash) + holder_pubkey + struct.pack(">Q", received_timestamp)
+    return log_hash + holder_pubkey + struct.pack(">Q", received_timestamp)
 
 
 def make_attestation(log_hash: Digest, holder: KeyPair, received_timestamp: int) -> CustodyAttestation:
@@ -294,7 +295,7 @@ def parse_attestation_line(line: str) -> CustodyAttestation:
     if type(timestamp) is not int or not 0 <= timestamp < 1 << 64:
         raise ValueError(f"received_timestamp is not a u64: {timestamp!r}")
     return CustodyAttestation(
-        log_hash=Digest.from_hex(obj["log_hash"]),
+        log_hash=hex_to_bytes(obj["log_hash"], DIGEST_LEN),
         holder_pubkey=hex_to_bytes(obj["holder_pubkey"], KEY_LEN),
         received_timestamp=timestamp,
         signature=hex_to_bytes(obj["signature"], SIGNATURE_LEN),

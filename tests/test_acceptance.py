@@ -7,13 +7,15 @@ zero false accepts, the PoW mean lies in the stated band, and the criterion-1
 suite must finish inside its 60 second budget.
 """
 
+import os
 import random
 import subprocess
 import sys
 import time
 
 from bloff.consensus import Mempool, mine_block
-from bloff.crypto import Digest, generate_keypair, sha256_digest, sign, verify_signature
+from bloff.cli import handle_command
+from bloff.crypto import Digest, generate_keypair, save_keypair, sha256_digest, sign, verify_signature
 from bloff.ingest import LogRecord, build_anchor_for_record
 from bloff.ledger import (
     ChainFileError,
@@ -27,7 +29,7 @@ from bloff.ledger import (
     validate_chain,
 )
 from bloff.simnet import run_scenario
-from bloff.store import BlockStore, StoreError, load_chain, write_chain
+from bloff.store import Checkpoint, StoreError, load_chain, write_chain
 from bloff.verify import (
     InclusionProof,
     court_recheck,
@@ -185,24 +187,27 @@ def test_criterion_5_privacy_sentinel_never_serialized(tmp_path, miner, device):
     for node_id in ("m1", "d1", "s1"):
         assert verify_log(line, net.nodes[node_id].logic.chain).accepted
 
-    # File artifacts: main chain, a recorded fork carrying the same anchor.
-    chain = net.nodes["m1"].logic.chain
-    path = tmp_path / "chain.jsonl"
-    write_chain(str(path), chain.blocks)
-    store = BlockStore.open(str(path))
-    fork_pool = Mempool()
-    fork_record = LogRecord(raw=line, source_id="d1", capture_timestamp=GENESIS_TS + 9)
-    fork_pool.add(build_anchor_for_record(fork_record, net.nodes["d1"].keypair), chain)
-    parent = validate_chain(chain.blocks[:-1])
-    fork_block = mine_block(
-        fork_pool, parent.tip.header, 0, net.nodes["m1"].keypair, GENESIS_TS + 9,
-        parent.registered_nodes,
+    # File artifacts: every file a file-target submit, then mine, of the
+    # same line leaves in the chain's directory.
+    key, log, directory = tmp_path / "miner.key", tmp_path / "records.log", tmp_path / "chain"
+    save_keypair(str(key), miner)
+    log.write_bytes(line + b"\n")
+    directory.mkdir()
+    chain_path = str(directory / "chain.jsonl")
+    commands = [
+        ["genesis", "--authority", str(key), "--out", chain_path, "--timestamp", str(GENESIS_TS)],
+        ["submit", "--key", str(key), "--chain", chain_path, "--log", str(log), "--source-id", "d1"],
+        ["mine", "--key", str(key), "--chain", chain_path],
+    ]
+    for command in commands:
+        assert handle_command(command) == 0
+        for name in os.listdir(directory):
+            assert sentinel not in (directory / name).read_bytes(), (command[0], name)
+    checkpoint = os.path.basename(Checkpoint(chain_path, miner).path)
+    assert sorted(os.listdir(directory)) == sorted(
+        ["chain.jsonl", "chain.jsonl.lock", checkpoint, "mempool.jsonl"]
     )
-    store.record_fork(fork_block)
-
-    assert sentinel not in path.read_bytes()
-    with open(store.forks_path, "rb") as fh:
-        assert sentinel not in fh.read()
+    assert verify_log(line, load_chain(chain_path)).accepted
     report(5, "privacy-sentinel")
 
 

@@ -359,6 +359,25 @@ class TestSubmitMineVerifyPipeline:
         assert json.loads(out)["txs"] == 8
         assert mempool.read_text() == ""
 
+    def test_mine_does_not_write_through_a_link_at_the_pool_temp_name(
+        self, workspace, tmp_path, capsys
+    ):
+        """A symlink planted at ``mempool.jsonl.tmp`` is replaced, not
+        written through: its target keeps its bytes and the pool file stays
+        a regular file."""
+        log, victim = tmp_path / "one.log", tmp_path / "victim"
+        log.write_text("line\n")
+        victim.write_text("keep me\n")
+        chain = str(workspace["chain"])
+        run_cli(capsys, "submit", "--key", str(workspace["key"]), "--chain", chain,
+                "--log", str(log), "--source-id", "s")
+        (workspace["dir"] / "mempool.jsonl.tmp").symlink_to(victim)
+        code, _, err = run_cli(capsys, "mine", "--key", str(workspace["key"]), "--chain", chain)
+        assert code == 0, err
+        assert victim.read_text() == "keep me\n"
+        mempool = workspace["dir"] / "mempool.jsonl"
+        assert not mempool.is_symlink() and mempool.read_text() == ""
+
     def test_mine_empty_pool_is_error(self, workspace, capsys):
         code, _, err = run_cli(
             capsys,

@@ -6,6 +6,7 @@ import stat
 import pytest
 
 from bloff.crypto import (
+    DIGEST_LEN,
     SIGNATURE_LEN,
     Digest,
     generate_keypair,
@@ -60,15 +61,13 @@ class TestDigestValues:
 
     def test_length_enforced(self):
         with pytest.raises(ValueError):
-            Digest(bytes(31))
-        with pytest.raises(ValueError):
             hex_to_bytes(bytes(63).hex(), SIGNATURE_LEN)
 
     def test_from_hex_rejects_uppercase(self):
         good = sha256_digest(b"x").hex()
-        assert Digest.from_hex(good) == sha256_digest(b"x")
+        assert hex_to_bytes(good, DIGEST_LEN) == sha256_digest(b"x")
         with pytest.raises(ValueError):
-            Digest.from_hex(good.upper())
+            hex_to_bytes(good.upper(), DIGEST_LEN)
 
     def test_hex_to_bytes_strictness(self):
         with pytest.raises(ValueError):

@@ -167,6 +167,12 @@ class TestCanonicalTxBytes:
             make_anchor(device, source="x" * 65)
         make_anchor(device, source="x" * 64)  # boundary is fine
 
+    def test_log_hash_of_other_than_32_bytes_rejected(self, device):
+        for size in (31, 33):
+            with pytest.raises(ValueError, match="log_hash must be 32 bytes"):
+                build_anchor_tx(bytes(size), "dev", GENESIS_TS, device)
+        build_anchor_tx(bytes(32), "dev", GENESIS_TS, device)
+
     def test_non_ascii_source_id_roundtrips(self, device):
         tx = make_anchor(device, source="capteur-été")
         assert decode_tx(tx.raw) == tx

@@ -263,19 +263,6 @@ def test_chain_load_walks_the_registry_once_per_tx(thousand_tx_file, monkeypatch
     assert calls == [tx for block in chain.blocks for tx in block.transactions]
 
 
-def test_chain_fold_builds_no_digest_per_anchor(monkeypatch):
-    """A ``validate_chain`` fold over 1,000 anchors keys ``anchor_index`` by
-    each anchor's ``log_hash`` bytes, a slice of its ``raw``: it builds no
-    ``Digest``."""
-    chain, _ = build_chain(
-        keypair_for("miner-0"), keypair_for("device-0"), [b"entry %d" % i for i in range(1000)]
-    )
-    built = count_calls(monkeypatch, "Digest")
-    folded = ledger.validate_chain(chain.blocks)
-    assert sum(map(len, folded.anchor_index.values())) == 1000
-    assert built == []
-
-
 def test_chain_load_holds_one_copy_of_the_file(thousand_tx_file):
     """The most a load of the 1,000-tx file holds beyond the chain it
     returns stays below the file's size: the file is parsed from one
@@ -457,20 +444,20 @@ def test_live_node_validates_a_gossiped_block_once(tmp_path, miner, device, coun
 
 def test_live_node_reorg_writes_the_one_chain(tmp_path, miner, device, monkeypatch):
     """A live node that reorgs onto a peer's longer run: the store writes
-    the node's own chain, which the file then holds, the displaced block
-    goes to the fork sidecar, and no ``Chain`` is constructed."""
+    the node's own chain, which the file then holds, the directory holds
+    no file it did not hold before, and no ``Chain`` is constructed."""
     chain, _ = chain_and_next_block(miner, device)
     own = grow(chain, miner, device, ["own 42"])
     longer = grow(chain, miner, device, ["peer 42", "peer 43"])
     node = live_node(tmp_path, own.blocks)
+    before = sorted(os.listdir(tmp_path))
     constructed = count_chains(monkeypatch)
     deliver(node, MSG_CHAIN_RESPONSE, encode_blocks(longer.blocks[41:]))
     assert constructed == []
     assert node.store.chain is node.logic.chain
     assert node.logic.chain.tip.hash == longer.tip.hash
     assert load_chain(node.store.path) == node.logic.chain
-    with open(node.store.forks_path) as fh:
-        assert fh.read().splitlines() == [block_to_json_line(own.tip)]
+    assert sorted(os.listdir(tmp_path)) == before
 
 
 def test_restarted_live_node_checks_only_the_blocks_it_did_not_connect(

@@ -161,33 +161,6 @@ class TestBlockStore:
         assert store.chain is before_chain
         assert store.chain == load_chain(str(path))
 
-    def test_losing_fork_goes_to_sidecar(self, tmp_path, miner, device):
-        chain, _ = build_chain(miner, device, [b"main"])
-        path = write_chain_file(tmp_path, chain)
-        store = BlockStore.open(str(path))
-
-        pool = Mempool()
-        from bloff.ingest import LogRecord, build_anchor_for_record
-
-        record = LogRecord(raw=b"fork payload", source_id="dev", capture_timestamp=GENESIS_TS + 50)
-        pool.add(build_anchor_for_record(record, device), chain)
-        fork_block = mine_block(
-            pool,
-            chain.blocks[-2].header,
-            0,
-            miner,
-            GENESIS_TS + 50,
-            validate_chain(chain.blocks[:-1]).registered_nodes,
-        )
-        store.record_fork(fork_block)
-
-        main_lines = path.read_text().splitlines()
-        with open(store.forks_path) as fh:
-            fork_lines = fh.read().splitlines()
-        assert block_to_json_line(fork_block) in fork_lines
-        assert block_to_json_line(fork_block) not in main_lines
-        load_chain(str(path))  # main file still the untouched best chain
-
     def test_sync_after_reorg_moves_displaced_blocks_to_forks(self, tmp_path, miner, device):
         chain, _ = build_chain(miner, device, [b"one", b"two"], txs_per_block=1)
         short = validate_chain(chain.blocks[:3])
@@ -201,8 +174,6 @@ class TestBlockStore:
             store.chain.connect(block)
         store.sync()
         assert load_chain(str(path)) == store.chain == branch
-        with open(store.forks_path) as fh:
-            assert fh.read().splitlines() == [block_to_json_line(short.blocks[2])]
 
     def test_sync_appends_only_what_the_chain_gained(self, tmp_path, miner, device, monkeypatch):
         from bloff import store as store_mod
@@ -248,7 +219,6 @@ class TestBlockStore:
         monkeypatch.undo()
         store.sync()
         assert load_chain(str(path)) == store.chain
-        assert not os.path.exists(store.forks_path)
 
     def test_torn_append_is_rewritten(self, tmp_path, miner, device, monkeypatch):
         """An append that raises after writing part of its lines (a full
@@ -276,37 +246,6 @@ class TestBlockStore:
         monkeypatch.undo()
         store.sync()
         assert load_chain(str(path)) == store.chain
-
-    def test_failed_fork_write_files_no_block_twice(self, tmp_path, miner, device, monkeypatch):
-        """A fork-sidecar write that raises after writing its line (a failed
-        fsync) comes after the chain file was rewritten; a later ``sync``
-        neither rewrites the file nor files the displaced block again."""
-        from bloff import store as store_mod
-
-        chain, _ = build_chain(miner, device, [b"one", b"two"], txs_per_block=1)
-        short = validate_chain(chain.blocks[:3])
-        path = write_chain_file(tmp_path, short)
-        store = BlockStore.open(str(path))
-        branch = grow(validate_chain(chain.blocks[:2]), miner, device, ["branch 0", "branch 1"])
-        store.chain.disconnect()
-        for block in branch.blocks[2:]:
-            store.chain.connect(block)
-        writes, write_lines = [], store_mod._write_lines
-
-        def failing_fsync(path, lines, replace=False):
-            writes.append(path)
-            write_lines(path, lines, replace)
-            if path == store.forks_path:
-                raise OSError("fsync failed")
-
-        monkeypatch.setattr(store_mod, "_write_lines", failing_fsync)
-        with pytest.raises(OSError, match="fsync failed"):
-            store.sync()
-        store.sync()
-        assert writes == [str(path), store.forks_path]
-        assert load_chain(str(path)) == store.chain == branch
-        with open(store.forks_path) as fh:
-            assert fh.read().splitlines() == [block_to_json_line(short.blocks[2])]
 
     def test_create_refuses_overwrite(self, tmp_path, miner):
         genesis = make_genesis([miner], GENESIS_TS)
@@ -577,6 +516,67 @@ class TestMempoolFile:
         nested = "[" * 200_000 + "]" * 200_000
         path.write_text('{"tx": "01"}\n' + nested + '\n{"tx": "02"}\n')
         assert load_mempool_file(str(path)) == [b"\x01", None, b"\x02"]
+
+
+class TestPlantedLinks:
+    """Whoever can write the chain's directory may plant a symlink where a
+    temp file or the lock goes. No write follows it: its target keeps its
+    bytes, and a rewrite leaves a regular file at its own name."""
+
+    @pytest.fixture
+    def victim(self, tmp_path):
+        target = tmp_path / "authorized_keys"
+        target.write_text("ssh-ed25519 AAAA owner\n")
+        return target
+
+    def rewrites(self, tmp_path, miner, device):
+        """Each rewrite, as (the file it replaces, a call that makes it)."""
+        chain, _ = build_chain(miner, device, [b"one", b"two"], txs_per_block=1)
+        short = validate_chain(chain.blocks[:3])
+        path = write_chain_file(tmp_path, short)
+        branch = grow(validate_chain(chain.blocks[:2]), miner, device, ["branch 0", "branch 1"])
+
+        def reorg():
+            store = BlockStore.open(str(path))
+            store.chain.disconnect()
+            for block in branch.blocks[2:]:
+                store.chain.connect(block)
+            store.sync()
+
+        genesis = tmp_path / "genesis.jsonl"
+        pool = tmp_path / "mempool.jsonl"
+        return [
+            (genesis, lambda: BlockStore.create(str(genesis), chain.blocks[0])),
+            (path, reorg),
+            (pool, lambda: write_mempool_file(str(pool), [b"\x01"])),
+        ]
+
+    def test_a_rewrite_does_not_follow_a_link_at_its_temp_name(
+        self, tmp_path, miner, device, victim
+    ):
+        for target, rewrite in self.rewrites(tmp_path, miner, device):
+            temp = tmp_path / (target.name + ".tmp")
+            temp.symlink_to(victim)
+            rewrite()
+            assert victim.read_text() == "ssh-ed25519 AAAA owner\n", target.name
+            assert not target.is_symlink() and target.stat().st_size > 0
+            assert not os.path.lexists(temp)
+
+    def test_the_lock_does_not_follow_a_link(self, tmp_path, miner, victim):
+        from bloff.store import writer_lock
+
+        path = tmp_path / "chain.jsonl"
+        write_chain(str(path), [make_genesis([miner], GENESIS_TS)])
+        dangling = tmp_path / "created-by-the-lock"
+        for target in (victim, dangling):
+            lock = tmp_path / "chain.jsonl.lock"
+            lock.symlink_to(target)
+            with pytest.raises(OSError):
+                with writer_lock(str(path)):
+                    pass
+            lock.unlink()
+        assert victim.read_text() == "ssh-ed25519 AAAA owner\n"
+        assert not os.path.lexists(dangling)
 
 
 class TestDirectoryFsync:
